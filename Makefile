@@ -19,7 +19,7 @@ build:
 	$(CARGO) build --release
 
 test:
-	$(CARGO) test -q
+	$(CARGO) test -q --no-fail-fast
 
 examples:
 	$(CARGO) build --examples

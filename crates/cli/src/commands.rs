@@ -315,7 +315,7 @@ fn update(options: &UpdateOptions, out: &mut dyn Write) -> Result<(), CommandErr
 
 fn serve(options: &ServeOptions, out: &mut dyn Write) -> Result<(), CommandError> {
     use kiff::core::fault;
-    use kiff::serve::{recover, EngineHost, Server, ServerConfig, StoreConfig};
+    use kiff::serve::{latest_snapshot, recover, EngineHost, Server, ServerConfig, StoreConfig};
 
     // Arm chaos failpoints before anything they could fire on: the env
     // spec first (fleet-wide drills), then the flag (per-daemon).
@@ -337,19 +337,25 @@ fn serve(options: &ServeOptions, out: &mut dyn Write) -> Result<(), CommandError
     }
 
     let dataset = load_dataset(&options.input)?;
-    let mut builder = KnnGraphBuilder::new(options.k).metric(options.metric);
-    if let Some(threads) = options.threads {
-        builder = builder.threads(threads);
-    }
-    let build_start = Instant::now();
-    let graph = builder.build(&dataset);
-    writeln!(
-        out,
-        "built k={} graph over {} users in {:.2?}",
-        options.k,
-        dataset.num_users(),
-        build_start.elapsed()
-    )?;
+    // The start-up KIFF build seeds a fresh data directory, the volatile
+    // engine and the `--degraded-ok` fallback. A restart over a snapshot
+    // recovers the snapshot's own graph, so it never runs.
+    let build_graph = |out: &mut dyn Write| -> Result<KnnGraph, CommandError> {
+        let mut builder = KnnGraphBuilder::new(options.k).metric(options.metric);
+        if let Some(threads) = options.threads {
+            builder = builder.threads(threads);
+        }
+        let build_start = Instant::now();
+        let graph = builder.build(&dataset);
+        writeln!(
+            out,
+            "built k={} graph over {} users in {:.2?}",
+            options.k,
+            dataset.num_users(),
+            build_start.elapsed()
+        )?;
+        Ok(graph)
+    };
 
     let registry = Registry::new();
     let config = OnlineConfig::new(options.k).with_telemetry(registry.clone());
@@ -359,15 +365,17 @@ fn serve(options: &ServeOptions, out: &mut dyn Write) -> Result<(), CommandError
         sc
     });
 
-    // The volatile engine over the freshly built graph: the no-data-dir
+    // The volatile engine over a freshly built graph: the no-data-dir
     // path, and the `--degraded-ok` read-only fallback.
-    let volatile =
-        |config: OnlineConfig, shard_config: Option<ShardConfig>| -> Box<dyn KnnEngine> {
-            match shard_config {
-                Some(sc) => Box::new(ShardedOnlineKnn::from_graph(&dataset, &graph, config, sc)),
-                None => Box::new(OnlineKnn::from_graph(&dataset, &graph, config)),
-            }
-        };
+    let volatile = |graph: &KnnGraph,
+                    config: OnlineConfig,
+                    shard_config: Option<ShardConfig>|
+     -> Box<dyn KnnEngine> {
+        match shard_config {
+            Some(sc) => Box::new(ShardedOnlineKnn::from_graph(&dataset, graph, config, sc)),
+            None => Box::new(OnlineKnn::from_graph(&dataset, graph, config)),
+        }
+    };
 
     let mut read_only = false;
     let (engine, store) = match &options.data_dir {
@@ -376,10 +384,14 @@ fn serve(options: &ServeOptions, out: &mut dyn Write) -> Result<(), CommandError
             if let Some(every) = options.snapshot_every {
                 cfg = cfg.with_snapshot_every(every);
             }
+            let seed_graph = match latest_snapshot(dir) {
+                Ok(Some(_)) => None,
+                _ => Some(build_graph(out)?),
+            };
             match recover(
                 &cfg,
                 &dataset,
-                Some(&graph),
+                seed_graph.as_ref(),
                 config.clone(),
                 shard_config.clone(),
             ) {
@@ -417,17 +429,22 @@ fn serve(options: &ServeOptions, out: &mut dyn Write) -> Result<(), CommandError
                         dir.display()
                     )?;
                     read_only = true;
-                    (volatile(config, shard_config), None)
+                    let graph = match seed_graph {
+                        Some(graph) => graph,
+                        None => build_graph(out)?,
+                    };
+                    (volatile(&graph, config, shard_config), None)
                 }
                 Err(e) => return Err(e.into()),
             }
         }
         None => {
+            let graph = build_graph(out)?;
             writeln!(
                 out,
                 "no --data-dir: running volatile, updates are lost on exit"
             )?;
-            (volatile(config, shard_config), None)
+            (volatile(&graph, config, shard_config), None)
         }
     };
 
@@ -762,6 +779,7 @@ mod tests {
     use super::*;
     use crate::args::parse;
     use std::path::PathBuf;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn tmp(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -780,9 +798,13 @@ mod tests {
         Ok(String::from_utf8(out).unwrap())
     }
 
-    /// Writes a small SNAP file shared by the tests.
+    /// Writes a small SNAP file, at a path of its own for every call:
+    /// `fs::write` truncates first, so a shared path would let a test
+    /// running in parallel read it empty.
     fn fixture() -> PathBuf {
-        let path = tmp("fixture.tsv");
+        static CALLS: AtomicUsize = AtomicUsize::new(0);
+        let call = CALLS.fetch_add(1, Ordering::Relaxed);
+        let path = tmp(&format!("fixture-{call}.tsv"));
         std::fs::write(
             &path,
             "# toy\n0\t0\n0\t1\n1\t1\n1\t2\n2\t3\n3\t3\n2\t0\n3\t1\n",
@@ -970,22 +992,21 @@ mod tests {
         std::fs::remove_file(updates).ok();
     }
 
-    #[test]
-    fn serve_answers_over_tcp_and_shuts_down() {
-        let input = fixture();
-        let addr_file = tmp("serve-addr.txt");
-        std::fs::remove_file(&addr_file).ok();
-        let cmdline = format!(
-            "serve --input {} --k 2 --addr 127.0.0.1:0 --addr-file {}",
-            input.display(),
-            addr_file.display()
-        );
+    /// Runs `kiff serve` (`cmdline` must pass `--addr-file addr_file`)
+    /// on a thread, returning it and the address the daemon bound.
+    fn spawn_daemon(
+        cmdline: String,
+        addr_file: &Path,
+    ) -> (
+        std::thread::JoinHandle<Result<String, CommandError>>,
+        String,
+    ) {
+        std::fs::remove_file(addr_file).ok();
         let daemon = std::thread::spawn(move || run_str(&cmdline));
-
         // The daemon writes its ephemeral port once the listener is up.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         let addr = loop {
-            if let Ok(s) = std::fs::read_to_string(&addr_file) {
+            if let Ok(s) = std::fs::read_to_string(addr_file) {
                 let s = s.trim().to_string();
                 if !s.is_empty() {
                     break s;
@@ -997,6 +1018,19 @@ mod tests {
             );
             std::thread::sleep(std::time::Duration::from_millis(10));
         };
+        (daemon, addr)
+    }
+
+    #[test]
+    fn serve_answers_over_tcp_and_shuts_down() {
+        let input = fixture();
+        let addr_file = tmp("serve-addr.txt");
+        let cmdline = format!(
+            "serve --input {} --k 2 --addr 127.0.0.1:0 --addr-file {}",
+            input.display(),
+            addr_file.display()
+        );
+        let (daemon, addr) = spawn_daemon(cmdline, &addr_file);
 
         let mut client = kiff::serve::Client::connect(&addr).expect("connect");
         client.ping().expect("ping");
@@ -1021,10 +1055,68 @@ mod tests {
     }
 
     #[test]
+    fn serve_restart_over_a_snapshot_skips_the_build() {
+        let input = fixture();
+        let addr_file = tmp("serve-restart-addr.txt");
+        let data_dir = tmp("serve-restart-datadir");
+        std::fs::remove_dir_all(&data_dir).ok();
+        let cmdline = format!(
+            "serve --input {} --k 2 --addr 127.0.0.1:0 --addr-file {} --data-dir {}",
+            input.display(),
+            addr_file.display(),
+            data_dir.display()
+        );
+        let answers = |client: &mut kiff::serve::Client| -> Vec<Vec<Neighbor>> {
+            (0..5)
+                .map(|u| client.neighbors(u).expect("neighbors"))
+                .collect()
+        };
+
+        let (daemon, addr) = spawn_daemon(cmdline.clone(), &addr_file);
+        let mut client = kiff::serve::Client::connect(&addr).expect("connect");
+        let updates = [
+            Update::AddRating {
+                user: 2,
+                item: 1,
+                rating: 1.0,
+            },
+            Update::AddUser,
+            Update::AddRating {
+                user: 4,
+                item: 3,
+                rating: 2.0,
+            },
+        ];
+        assert_eq!(client.update(&updates).expect("update"), 3);
+        client.snapshot().expect("snapshot");
+        let before = answers(&mut client);
+        client.shutdown().expect("shutdown");
+        let first = daemon.join().expect("join").expect("serve run");
+        assert!(first.contains("built k=2 graph"), "{first}");
+        assert!(first.contains("fresh data directory"), "{first}");
+
+        let (daemon, addr) = spawn_daemon(cmdline, &addr_file);
+        let mut client = kiff::serve::Client::connect(&addr).expect("connect");
+        assert_eq!(
+            answers(&mut client),
+            before,
+            "the restart answers as before"
+        );
+        client.shutdown().expect("shutdown");
+        let second = daemon.join().expect("join").expect("serve run");
+        assert!(second.contains("recovered snapshot seq 3"), "{second}");
+        assert!(
+            !second.contains("built k="),
+            "the restart built a graph: {second}"
+        );
+        std::fs::remove_file(&addr_file).ok();
+        std::fs::remove_dir_all(&data_dir).ok();
+    }
+
+    #[test]
     fn serve_degraded_ok_survives_broken_data_dir() {
         let input = fixture();
         let addr_file = tmp("serve-degraded-addr.txt");
-        std::fs::remove_file(&addr_file).ok();
         // A regular file where a directory is expected: recovery fails,
         // but --degraded-ok keeps the daemon up read-only.
         let bad_dir = tmp("serve-degraded-datadir");
@@ -1038,22 +1130,7 @@ mod tests {
             addr_file.display(),
             bad_dir.display()
         );
-        let daemon = std::thread::spawn(move || run_str(&cmdline));
-
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        let addr = loop {
-            if let Ok(s) = std::fs::read_to_string(&addr_file) {
-                let s = s.trim().to_string();
-                if !s.is_empty() {
-                    break s;
-                }
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "degraded daemon never published its address"
-            );
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        };
+        let (daemon, addr) = spawn_daemon(cmdline, &addr_file);
 
         let mut client = kiff::serve::Client::connect(&addr).expect("connect");
         let nbrs = client.neighbors(0).expect("reads still serve");

@@ -18,6 +18,52 @@ pub struct Csr {
 }
 
 impl Csr {
+    /// Assembles a CSR from raw parts whose rows are already sorted: the
+    /// no-sort path for callers that concatenate sorted rows. Checks the
+    /// invariants [`CsrBuilder`] establishes (offsets start at 0, never
+    /// decrease and end at `targets.len()`; weights parallel targets;
+    /// targets strictly increase within a row) and reports the first
+    /// violation. Duplicate targets are rejected, not merged.
+    pub fn from_sorted_parts(
+        offsets: Vec<usize>,
+        targets: Vec<u32>,
+        weights: Vec<f32>,
+    ) -> Result<Self, String> {
+        if offsets.first() != Some(&0) || offsets.last() != Some(&targets.len()) {
+            return Err(format!("offsets must run from 0 to {}", targets.len()));
+        }
+        if weights.len() != targets.len() {
+            return Err(format!(
+                "{} weights for {} targets",
+                weights.len(),
+                targets.len()
+            ));
+        }
+        let rows = || offsets.windows(2).map(|span| span[0]..span[1]);
+        if let Some(r) = rows().position(|row| row.start > row.end) {
+            return Err(format!("row {r} ends before it starts"));
+        }
+        // Every descent in `targets` must sit where a row starts. Counting
+        // the descents in one pass over all targets vectorises, where a
+        // scan per row would not; rows are only visited to name a culprit.
+        let descents = targets.windows(2).filter(|w| w[0] >= w[1]).count();
+        let at_row_starts = rows()
+            .filter(|row| row.start > 0 && !row.is_empty())
+            .filter(|row| targets[row.start - 1] >= targets[row.start])
+            .count();
+        if descents != at_row_starts {
+            let r = rows()
+                .position(|row| targets[row].windows(2).any(|w| w[0] >= w[1]))
+                .expect("a descent inside some row");
+            return Err(format!("row {r} is not strictly sorted"));
+        }
+        Ok(Self {
+            offsets: offsets.into_boxed_slice(),
+            targets: targets.into_boxed_slice(),
+            weights: weights.into_boxed_slice(),
+        })
+    }
+
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -269,6 +315,37 @@ mod tests {
         assert_eq!(edges.len(), 6);
         assert!(edges.contains(&(0, 1, 1.0)));
         assert!(edges.contains(&(3, 3, 1.0)));
+    }
+
+    #[test]
+    fn sorted_parts_round_trip_and_reject_broken_rows() {
+        let csr = toy();
+        let offsets: Vec<usize> = (0..=csr.rows() as u32)
+            .map(|r| csr.offsets[r as usize])
+            .collect();
+        let rebuilt =
+            Csr::from_sorted_parts(offsets, csr.targets.to_vec(), csr.weights.to_vec()).unwrap();
+        assert_eq!(rebuilt, csr);
+        let empty = Csr::from_sorted_parts(vec![0, 0], vec![], vec![]).unwrap();
+        assert_eq!(empty.rows(), 1);
+        // Targets may fall where a row starts, empty rows between or not.
+        let gapped = Csr::from_sorted_parts(vec![0, 2, 2, 4], vec![5, 9, 1, 3], vec![1.0; 4]);
+        assert_eq!(gapped.unwrap().row(2), &[1, 3]);
+        let err = Csr::from_sorted_parts(vec![0, 2, 2, 4], vec![5, 9, 3, 1], vec![1.0; 4]);
+        assert_eq!(err.unwrap_err(), "row 2 is not strictly sorted");
+        for (offsets, targets, weights) in [
+            (vec![], vec![], vec![]),
+            (vec![1, 1], vec![0], vec![1.0]),
+            (vec![0, 2], vec![0, 1], vec![1.0]),
+            (vec![0, 2, 1, 2], vec![0, 1], vec![1.0, 1.0]),
+            (vec![0, 2], vec![3, 3], vec![1.0, 1.0]),
+            (vec![0, 2], vec![4, 1], vec![1.0, 1.0]),
+        ] {
+            assert!(
+                Csr::from_sorted_parts(offsets.clone(), targets, weights).is_err(),
+                "{offsets:?}"
+            );
+        }
     }
 
     #[test]

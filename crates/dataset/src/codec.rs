@@ -23,7 +23,9 @@
 
 use std::io::{self, Read, Write};
 
-use crate::dataset::{Dataset, DatasetBuilder};
+use kiff_collections::Csr;
+
+use crate::dataset::Dataset;
 use crate::types::UserId;
 
 const MAGIC: &[u8; 4] = b"KIFD";
@@ -116,12 +118,14 @@ pub fn read_dataset<R: Read>(r: &mut R) -> io::Result<Dataset> {
     let num_users = checked_len(read_u64(r)?, "user")?;
     let num_items = checked_len(read_u64(r)?, "item")?;
     let num_ratings = checked_len(read_u64(r)?, "rating")?;
-    let mut builder = DatasetBuilder::new(name, num_users, num_items);
-    builder.reserve(num_ratings);
-    let mut total = 0usize;
+    // Rows were written sorted, so they are read straight into the CSR;
+    // `Csr::from_sorted_parts` rejects a row that is not.
+    let mut offsets = Vec::with_capacity(num_users + 1);
+    let mut items = Vec::with_capacity(num_ratings);
+    let mut ratings = Vec::with_capacity(num_ratings);
+    offsets.push(0);
     for u in 0..num_users as UserId {
         let degree = read_u32(r)? as usize;
-        let mut prev: Option<u32> = None;
         for _ in 0..degree {
             let item = read_u32(r)?;
             let rating = f32::from_bits(read_u32(r)?);
@@ -130,31 +134,30 @@ pub fn read_dataset<R: Read>(r: &mut R) -> io::Result<Dataset> {
                     "user {u} rates item {item} beyond the declared {num_items}"
                 )));
             }
-            if prev.is_some_and(|p| p >= item) {
-                return Err(corrupt(format!("user {u} row is not strictly sorted")));
-            }
             if !(rating.is_finite() && rating > 0.0) {
                 return Err(corrupt(format!(
                     "user {u} item {item} carries invalid rating {rating}"
                 )));
             }
-            prev = Some(item);
-            builder.add_rating(u, item, rating);
+            items.push(item);
+            ratings.push(rating);
         }
-        total += degree;
+        offsets.push(items.len());
     }
-    if total != num_ratings {
+    if items.len() != num_ratings {
         return Err(corrupt(format!(
-            "rating count mismatch: header says {num_ratings}, rows sum to {total}"
+            "rating count mismatch: header says {num_ratings}, rows sum to {}",
+            items.len()
         )));
     }
-    Ok(builder.build())
+    let users = Csr::from_sorted_parts(offsets, items, ratings).map_err(corrupt)?;
+    Ok(Dataset::from_users_csr(name, num_items, users))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::figure2_toy;
+    use crate::dataset::{figure2_toy, DatasetBuilder};
 
     fn round_trip(ds: &Dataset) -> Dataset {
         let mut buf = Vec::new();
@@ -235,5 +238,18 @@ mod tests {
         let err = read_dataset(&mut buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("999"));
+    }
+
+    #[test]
+    fn unsorted_row_is_rejected() {
+        let ds = figure2_toy();
+        let mut buf = Vec::new();
+        write_dataset(&mut buf, &ds).unwrap();
+        // Alice's row is items [0, 1]; repeat the first as the second.
+        let second = 4 + 2 + 4 + ds.name().len() + 24 + 4 + 8;
+        buf[second..second + 4].copy_from_slice(&0u32.to_le_bytes());
+        let err = read_dataset(&mut buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("not strictly sorted"), "{err}");
     }
 }

@@ -14,11 +14,13 @@
 //! When the overlay grows past the caller's threshold,
 //! [`DeltaDataset::compact`] folds everything back into a fresh CSR —
 //! batched re-compaction amortised across many updates, the same trade
-//! LSM trees make.
+//! LSM trees make. Base rows and overlay profiles are both kept sorted,
+//! so materialising ([`DeltaDataset::to_dataset`]) concatenates rows
+//! instead of sorting ratings.
 
-use kiff_collections::{FxHashMap, FxHashSet};
+use kiff_collections::{Csr, FxHashMap, FxHashSet};
 
-use crate::dataset::{Dataset, DatasetBuilder};
+use crate::dataset::Dataset;
 use crate::types::{ItemId, ProfileRef, Rating, UserId};
 
 /// One mutated user's complete profile (sorted by item id).
@@ -44,6 +46,8 @@ pub struct DeltaDataset {
     num_users: usize,
     num_items: usize,
     num_ratings: usize,
+    /// Content mutations applied so far (see [`DeltaDataset::version`]).
+    version: u64,
     overlay: FxHashMap<UserId, OverlayProfile>,
     item_added: FxHashMap<ItemId, FxHashSet<UserId>>,
     item_removed: FxHashMap<ItemId, FxHashSet<UserId>>,
@@ -63,6 +67,7 @@ impl DeltaDataset {
             num_users,
             num_items,
             num_ratings,
+            version: 0,
             overlay: FxHashMap::default(),
             item_added: FxHashMap::default(),
             item_removed: FxHashMap::default(),
@@ -87,6 +92,15 @@ impl DeltaDataset {
     /// The frozen base the overlay is relative to.
     pub fn base(&self) -> &Dataset {
         &self.base
+    }
+
+    /// Counts the content mutations applied so far: every added user,
+    /// added or reinforced rating, and removed rating bumps it;
+    /// compaction and no-op removals do not. Equal versions mean equal
+    /// contents, so a cache of [`DeltaDataset::to_dataset`] can be
+    /// tagged with it.
+    pub fn version(&self) -> u64 {
+        self.version
     }
 
     /// Number of users whose profiles live in the overlay — the
@@ -119,13 +133,15 @@ impl DeltaDataset {
     pub fn add_user(&mut self) -> UserId {
         let id = self.num_users as UserId;
         self.num_users += 1;
+        self.version += 1;
         self.overlay.insert(id, OverlayProfile::default());
         id
     }
 
     /// Applies `ρ(u, i) += rating` (a repeated pair reinforces, matching
-    /// [`DatasetBuilder`]'s duplicate merge). Returns `true` when the pair
-    /// is newly rated — the case that changes shared-item counts.
+    /// [`DatasetBuilder`](crate::DatasetBuilder)'s duplicate merge).
+    /// Returns `true` when the pair is newly rated — the case that changes
+    /// shared-item counts.
     ///
     /// Items beyond the current bound extend the item space; users must
     /// already exist (see [`DeltaDataset::add_user`]).
@@ -139,6 +155,7 @@ impl DeltaDataset {
             "rating must be finite and positive, got {rating}"
         );
         self.num_items = self.num_items.max(i as usize + 1);
+        self.version += 1;
         let profile = self.overlay_entry(u);
         match profile.items.binary_search(&i) {
             Ok(pos) => {
@@ -166,6 +183,7 @@ impl DeltaDataset {
         profile.items.remove(pos);
         profile.ratings.remove(pos);
         self.num_ratings -= 1;
+        self.version += 1;
         self.record_item_remove(u, i);
         true
     }
@@ -196,16 +214,23 @@ impl DeltaDataset {
         out
     }
 
-    /// Materialises the current state as a frozen [`Dataset`].
+    /// Materialises the current state as a frozen [`Dataset`]: one
+    /// `O(|E|)` copy of the ratings, concatenating each user's already
+    /// sorted row — base CSR or overlay — with no sort.
     pub fn to_dataset(&self) -> Dataset {
-        let mut builder = DatasetBuilder::new(self.base.name(), self.num_users, self.num_items);
-        builder.reserve(self.num_ratings);
+        let mut offsets = Vec::with_capacity(self.num_users + 1);
+        let mut items = Vec::with_capacity(self.num_ratings);
+        let mut ratings = Vec::with_capacity(self.num_ratings);
+        offsets.push(0);
         for u in 0..self.num_users as UserId {
-            for (i, r) in self.profile(u).iter() {
-                builder.add_rating(u, i, r);
-            }
+            let profile = self.profile(u);
+            items.extend_from_slice(profile.items);
+            ratings.extend_from_slice(profile.ratings);
+            offsets.push(items.len());
         }
-        builder.build()
+        let users = Csr::from_sorted_parts(offsets, items, ratings)
+            .expect("base rows and overlay profiles are kept sorted");
+        Dataset::from_users_csr(self.base.name(), self.num_items, users)
     }
 
     /// Folds the overlay into a fresh base CSR (batched re-compaction).
@@ -329,6 +354,7 @@ mod tests {
         let mut d = DeltaDataset::new(figure2_toy());
         // Carl(2) picks up coffee(1).
         assert!(d.add_rating(2, 1, 2.0));
+        assert_eq!(d.version(), 1);
         assert_eq!(d.num_ratings(), 7);
         assert_eq!(d.profile(2).items, &[1, 3]);
         assert_eq!(d.profile(2).rating(1), Some(2.0));
@@ -351,6 +377,7 @@ mod tests {
         let mut d = DeltaDataset::new(figure2_toy());
         assert!(d.remove_rating(1, 1)); // Bob drops coffee
         assert!(!d.remove_rating(1, 1), "already gone");
+        assert_eq!(d.version(), 1, "a no-op removal changes nothing");
         assert_eq!(d.num_ratings(), 5);
         assert_eq!(d.profile(1).items, &[2]);
         assert_eq!(raters_sorted(&d, 1), vec![0]);
@@ -408,8 +435,10 @@ mod tests {
         d.remove_rating(0, 0);
         assert_eq!(d.overlay_users(), 2);
         let before = d.to_dataset();
+        let version = d.version();
         d.compact();
         assert_eq!(d.overlay_users(), 0);
+        assert_eq!(d.version(), version, "compaction keeps the contents");
         let after = d.to_dataset();
         assert_eq!(before.num_ratings(), after.num_ratings());
         for u in 0..before.num_users() as UserId {

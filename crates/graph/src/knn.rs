@@ -1,5 +1,7 @@
 //! Bounded neighbour heaps and graph snapshots.
 
+use std::sync::Arc;
+
 use parking_lot::Mutex;
 
 use kiff_dataset::UserId;
@@ -270,12 +272,7 @@ impl KnnHeap {
                 sim: e.sim,
             })
             .collect();
-        out.sort_unstable_by(|a, b| {
-            b.sim
-                .partial_cmp(&a.sim)
-                .expect("NaN similarity")
-                .then_with(|| a.id.cmp(&b.id))
-        });
+        sort_best_first(&mut out);
         out
     }
 
@@ -360,7 +357,7 @@ impl SharedKnn {
         let neighbors = self
             .heaps
             .iter()
-            .map(|h| h.lock().sorted_neighbors())
+            .map(|h| h.lock().sorted_neighbors().into())
             .collect();
         KnnGraph {
             k: self.k,
@@ -369,26 +366,62 @@ impl SharedKnn {
     }
 }
 
+/// Sorts a neighbour list best-first: decreasing similarity, ties by
+/// ascending id.
+fn sort_best_first(list: &mut [Neighbor]) {
+    list.sort_unstable_by(|a, b| {
+        b.sim
+            .partial_cmp(&a.sim)
+            .expect("NaN similarity")
+            .then_with(|| a.id.cmp(&b.id))
+    });
+}
+
 /// An immutable KNN graph: for each user, its neighbours sorted by
 /// decreasing similarity (ties by ascending id).
+///
+/// Each row is its own `Arc<[Neighbor]>`, so a graph derived from an
+/// older one with [`KnnGraph::patched`] shares every row it did not
+/// replace. Online edits are scattered across the id space, which is
+/// why rows are shared one by one rather than in blocks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KnnGraph {
     k: usize,
-    neighbors: Vec<Vec<Neighbor>>,
+    neighbors: Vec<Arc<[Neighbor]>>,
 }
 
 impl KnnGraph {
     /// Builds a graph from per-user neighbour lists (sorted on entry).
-    pub fn from_neighbors(k: usize, mut neighbors: Vec<Vec<Neighbor>>) -> Self {
-        for list in &mut neighbors {
-            list.sort_unstable_by(|a, b| {
-                b.sim
-                    .partial_cmp(&a.sim)
-                    .expect("NaN similarity")
-                    .then_with(|| a.id.cmp(&b.id))
-            });
-        }
+    pub fn from_neighbors(k: usize, neighbors: Vec<Vec<Neighbor>>) -> Self {
+        let neighbors = neighbors
+            .into_iter()
+            .map(|mut list| {
+                sort_best_first(&mut list);
+                list.into()
+            })
+            .collect();
         Self { k, neighbors }
+    }
+
+    /// This graph grown (or cut) to `num_users` rows with every listed
+    /// `(user, neighbours)` row swapped in, sorted on entry. Every row
+    /// not listed is shared with `self`; new rows not listed are empty.
+    /// Costs one `Arc` clone per row plus the listed rows.
+    pub fn patched(
+        &self,
+        num_users: usize,
+        rows: impl IntoIterator<Item = (UserId, Vec<Neighbor>)>,
+    ) -> Self {
+        let mut neighbors = self.neighbors.clone();
+        neighbors.resize(num_users, Arc::from(Vec::new()));
+        for (u, mut list) in rows {
+            sort_best_first(&mut list);
+            neighbors[u as usize] = list.into();
+        }
+        Self {
+            k: self.k,
+            neighbors,
+        }
     }
 
     /// The neighbourhood size the graph was built for. Individual lists may
@@ -404,6 +437,12 @@ impl KnnGraph {
 
     /// `u`'s neighbours, best first.
     pub fn neighbors(&self, u: UserId) -> &[Neighbor] {
+        &self.neighbors[u as usize]
+    }
+
+    /// `u`'s shared row: `Arc::ptr_eq` on two graphs' rows tells whether
+    /// [`KnnGraph::patched`] carried the row over or replaced it.
+    pub fn row(&self, u: UserId) -> &Arc<[Neighbor]> {
         &self.neighbors[u as usize]
     }
 
@@ -431,7 +470,7 @@ impl KnnGraph {
     pub fn reverse(&self) -> Vec<Vec<UserId>> {
         let mut rev = vec![Vec::new(); self.neighbors.len()];
         for (u, list) in self.neighbors.iter().enumerate() {
-            for n in list {
+            for n in list.iter() {
                 rev[n.id as usize].push(u as UserId);
             }
         }
@@ -592,6 +631,35 @@ mod tests {
         );
         let ids: Vec<u32> = g.neighbors(0).iter().map(|n| n.id).collect();
         assert_eq!(ids, vec![3, 4, 5]);
+    }
+
+    #[test]
+    fn patched_shares_untouched_rows_and_sorts_new_ones() {
+        let old = KnnGraph::from_neighbors(
+            2,
+            vec![
+                vec![Neighbor { id: 1, sim: 0.9 }],
+                vec![Neighbor { id: 0, sim: 0.9 }],
+                vec![],
+            ],
+        );
+        let new = old.patched(
+            4,
+            [(
+                1,
+                vec![Neighbor { id: 3, sim: 0.2 }, Neighbor { id: 2, sim: 0.7 }],
+            )],
+        );
+        assert_eq!(new.num_users(), 4);
+        assert_eq!(new.k(), 2);
+        assert!(Arc::ptr_eq(old.row(0), new.row(0)), "untouched row shared");
+        assert!(Arc::ptr_eq(old.row(2), new.row(2)));
+        assert!(!Arc::ptr_eq(old.row(1), new.row(1)), "listed row replaced");
+        let ids: Vec<u32> = new.neighbors(1).iter().map(|n| n.id).collect();
+        assert_eq!(ids, vec![2, 3], "sorted best first");
+        assert!(new.neighbors(3).is_empty(), "new unlisted rows are empty");
+        assert_eq!(old.neighbors(1), &[Neighbor { id: 0, sim: 0.9 }]);
+        assert_eq!(old.patched(3, []), old);
     }
 
     #[test]

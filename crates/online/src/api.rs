@@ -30,13 +30,13 @@ use crate::update::{Update, UpdateStats};
 /// the KNN graph, the materialized dataset, `k`, and the lifetime work
 /// counters at capture time.
 ///
-/// A serving layer captures one of these after each `apply_batch` (both
-/// `Arc`s come from the engine's internal caches, so capture is two
-/// pointer clones in the steady state) and publishes it through an
-/// epoch cell; readers then answer `neighbors`/`recommend`/`search`
-/// from the view without ever touching the writer's engine lock. The
-/// graph and dataset are captured together between mutations, so a view
-/// can never pair a fresh graph with a stale dataset or vice versa.
+/// A serving layer captures one of these after each `apply_batch` and
+/// publishes it through an epoch cell; readers then answer
+/// `neighbors`/`recommend`/`search` from the view without ever touching
+/// the writer's engine lock. Capture costs what the batch changed (see
+/// [`KnnEngine::read_view`]). The graph and dataset are captured
+/// together between mutations, so a view can never pair a fresh graph
+/// with a stale dataset or vice versa.
 #[derive(Debug, Clone)]
 pub struct ReadView {
     /// The KNN graph snapshot at capture time.
@@ -85,15 +85,22 @@ pub trait KnnEngine: Send {
     /// [`KiffError::UnknownUser`] when `u` is out of range.
     fn neighbors(&self, u: UserId) -> Result<Vec<Neighbor>, KiffError>;
 
-    /// Snapshots the live graph (cached between mutations).
+    /// Snapshots the live graph: the previous snapshot with the rows
+    /// edited since re-sorted, and the same `Arc` between mutations.
     fn graph(&self) -> Arc<KnnGraph>;
 
-    /// Materializes the live dataset (cached between mutations).
+    /// Materializes the live dataset: one copy of the ratings after a
+    /// mutation, and the same `Arc` between mutations.
     fn dataset(&self) -> Arc<Dataset>;
 
     /// Captures a batch-consistent [`ReadView`] of the engine: graph +
     /// dataset + `k` + lifetime stats, all observed between mutations.
-    /// In the steady state this is two `Arc` clones and a `Copy`.
+    ///
+    /// After a batch this costs the graph rows the batch edited (each
+    /// re-sorted; every other row is shared with the previous view, at
+    /// one `Arc` clone per user) plus one copy of the ratings, whose
+    /// already-sorted rows are concatenated without a sort. Between
+    /// mutations it is two `Arc` clones and a `Copy`.
     fn read_view(&self) -> ReadView {
         ReadView {
             graph: self.graph(),

@@ -31,12 +31,12 @@ use kiff_collections::{FxHashMap, FxHashSet, SparseCounter};
 use kiff_core::{build_rcs, CountingConfig, Kiff, KiffConfig, KiffError};
 use kiff_dataset::{Dataset, DeltaDataset, UserId};
 use kiff_graph::{HeapChange, KnnGraph, KnnHeap, Neighbor, ReverseAdjacency};
-use kiff_parallel::SnapshotCache;
 use kiff_similarity as sim;
 use kiff_similarity::ScorerWorkspace;
 use kiff_telemetry::{Counter, Histogram};
 
 use crate::config::{OnlineConfig, OnlineMetric};
+use crate::snapshot::ClockCache;
 use crate::update::{Update, UpdateStats};
 
 /// A KNN graph maintained incrementally under streaming rating updates.
@@ -49,6 +49,12 @@ pub struct OnlineKnn {
     /// trades badly against per-update maintenance).
     counters: Vec<SparseCounter>,
     heaps: Vec<KnnHeap>,
+    /// `stamps[u]`: the mutation clock of the last edit of `u`'s heap
+    /// (or of its admission).
+    stamps: Vec<u64>,
+    /// Mutation clock: ticks at every mutation entry point; heap edits
+    /// stamp their row with it.
+    clock: u64,
     reverse: ReverseAdjacency,
     lifetime: UpdateStats,
     /// Prepared-scorer arena: a repair preprocesses the dirty user's
@@ -56,14 +62,10 @@ pub struct OnlineKnn {
     scorer_ws: ScorerWorkspace,
     /// Reusable repair staging buffer of `(candidate, similarity)`.
     scored: Vec<(UserId, f64)>,
-    /// Cached [`OnlineKnn::graph`] snapshot, invalidated by any heap edit
-    /// or user addition. A [`SnapshotCache`] so concurrent readers build
-    /// outside the lock and publication is a single version-checked swap.
-    snapshot: SnapshotCache<KnnGraph>,
-    /// Cached [`OnlineKnn::dataset`] materialization, invalidated by any
-    /// dataset mutation — serving layers embed this in their published
-    /// read views instead of re-materializing per request.
-    dataset: SnapshotCache<Dataset>,
+    /// [`OnlineKnn::graph`] snapshot, tagged with the clock.
+    graph_snapshot: ClockCache<KnnGraph>,
+    /// [`OnlineKnn::dataset`] snapshot, tagged with the dataset version.
+    dataset_snapshot: ClockCache<Dataset>,
     /// `online.apply_ns`: wall-clock of each `apply`/`apply_batch` call.
     apply_ns: Histogram,
     /// `online.repair_ns`: wall-clock of each single-user repair.
@@ -197,11 +199,13 @@ impl OnlineKnn {
             counters,
             reverse: ReverseAdjacency::new(n),
             heaps,
+            stamps: vec![1; n],
+            clock: 1,
             lifetime: UpdateStats::default(),
             scorer_ws,
             scored: Vec::new(),
-            snapshot: SnapshotCache::new(),
-            dataset: SnapshotCache::new(),
+            graph_snapshot: ClockCache::new(),
+            dataset_snapshot: ClockCache::new(),
             apply_ns,
             repair_ns,
             tele_sims,
@@ -254,39 +258,28 @@ impl OnlineKnn {
 
     /// Snapshots the live graph.
     ///
-    /// The snapshot is materialised on first call (`O(|E|)`) and cached;
-    /// repeated calls between mutations return the same `Arc` for free.
-    /// Any heap edit or user addition invalidates the cache, so a mixed
-    /// read/write workload pays the rebuild once per quiescent period —
-    /// a stepping stone toward the epoch-based reader scheme the roadmap
-    /// names.
+    /// The first call sorts every row (`O(|E|)`). Later calls start from
+    /// the cached snapshot and re-sort only the rows edited since, so a
+    /// batch costs the rows it changed plus one `Arc` clone per user;
+    /// calls between mutations return the same `Arc` for free.
     pub fn graph(&self) -> Arc<KnnGraph> {
-        self.snapshot.get_or_build(|| {
-            KnnGraph::from_neighbors(
-                self.config.k,
-                self.heaps.iter().map(KnnHeap::sorted_neighbors).collect(),
-            )
-        })
+        self.graph_snapshot
+            .graph(self.clock, self.config.k, self.num_users(), |since| {
+                self.stamps
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &stamp)| stamp > since)
+                    .map(|(u, _)| (u as UserId, self.heaps[u].sorted_neighbors()))
+                    .collect()
+            })
     }
 
-    /// Materializes the live dataset view as a frozen [`Dataset`].
-    ///
-    /// Cached between mutations like [`OnlineKnn::graph`]: repeated calls
-    /// in a read-only period return the same `Arc` for free, so a serving
-    /// layer can embed it in a published read view without paying the
-    /// `O(ratings)` copy per request.
+    /// Materializes the live dataset view as a frozen [`Dataset`]: one
+    /// copy of the ratings ([`DeltaDataset::to_dataset`]) per dataset
+    /// change, and the same `Arc` for free between changes.
     pub fn dataset(&self) -> Arc<Dataset> {
-        self.dataset.get_or_build(|| self.data.to_dataset())
-    }
-
-    /// Drops the cached snapshot after a graph state change.
-    fn invalidate_snapshot(&mut self) {
-        self.snapshot.invalidate();
-    }
-
-    /// Drops the cached materialized dataset after any dataset mutation.
-    fn invalidate_dataset(&mut self) {
-        self.dataset.invalidate();
+        self.dataset_snapshot
+            .get(self.data.version(), |_| Arc::new(self.data.to_dataset()))
     }
 
     /// Appends a user with an empty profile, returning its id.
@@ -294,16 +287,17 @@ impl OnlineKnn {
         let id = self.data.add_user();
         self.counters.push(SparseCounter::new());
         self.heaps.push(KnnHeap::new(self.config.k));
+        self.clock += 1;
+        self.stamps.push(self.clock);
         let rid = self.reverse.push_user();
         debug_assert_eq!(rid, id);
-        self.invalidate_snapshot();
-        self.invalidate_dataset();
         id
     }
 
     /// Applies one mutation and repairs the graph around it.
     pub fn apply(&mut self, update: Update) -> UpdateStats {
         let _span = self.apply_ns.span();
+        self.clock += 1;
         let mut stats = UpdateStats {
             updates: 1,
             ..Default::default()
@@ -311,10 +305,6 @@ impl OnlineKnn {
         let dirty = self.mutate(update, &mut stats);
         self.propagate(dirty.into_iter().collect(), &mut stats);
         self.maybe_compact(&mut stats);
-        if stats.edits.total() > 0 {
-            self.invalidate_snapshot();
-        }
-        self.invalidate_dataset();
         self.lifetime.merge(&stats);
         stats
     }
@@ -325,6 +315,7 @@ impl OnlineKnn {
     /// time against the final state, amortising repair.
     pub fn apply_batch(&mut self, updates: impl IntoIterator<Item = Update>) -> UpdateStats {
         let _span = self.apply_ns.span();
+        self.clock += 1;
         let mut stats = UpdateStats::default();
         let mut dirty: Vec<(UserId, Vec<UserId>)> = Vec::new();
         let mut slot: FxHashMap<UserId, usize> = FxHashMap::default();
@@ -342,12 +333,6 @@ impl OnlineKnn {
         }
         self.propagate(dirty, &mut stats);
         self.maybe_compact(&mut stats);
-        if stats.edits.total() > 0 {
-            self.invalidate_snapshot();
-        }
-        if stats.updates > 0 {
-            self.invalidate_dataset();
-        }
         self.lifetime.merge(&stats);
         stats
     }
@@ -497,7 +482,8 @@ impl OnlineKnn {
 
     /// Lands a freshly evaluated similarity on both endpoint heaps,
     /// keeping the reverse adjacency consistent and enqueueing owners
-    /// whose neighbourhood degraded.
+    /// whose neighbourhood degraded. Each branch that edits a heap
+    /// stamps the owner's row.
     fn score_pair(
         &mut self,
         u: UserId,
@@ -513,6 +499,7 @@ impl OnlineKnn {
                 // A non-sharing pair is not a valid KNN edge under the
                 // sparse axioms; drop it and refill the owner later.
                 if heap.remove(other) {
+                    self.stamps[owner as usize] = self.clock;
                     self.reverse.remove(owner, other);
                     stats.edits.removals += 1;
                     if !visited.contains(&owner) {
@@ -521,6 +508,7 @@ impl OnlineKnn {
                 }
             } else if let Some(old) = heap.reprioritize(other, s) {
                 if old != s {
+                    self.stamps[owner as usize] = self.clock;
                     stats.edits.reprioritized += 1;
                     // A downgrade can push the edge below candidates the
                     // owner is not currently holding: re-rank the owner.
@@ -529,6 +517,7 @@ impl OnlineKnn {
                     }
                 }
             } else if let HeapChange::Inserted { evicted } = heap.offer(s, other) {
+                self.stamps[owner as usize] = self.clock;
                 stats.edits.inserts += 1;
                 self.reverse.add(owner, other);
                 if let Some(e) = evicted {

@@ -66,6 +66,7 @@ pub mod api;
 pub mod config;
 pub mod engine;
 pub mod sharded;
+mod snapshot;
 pub mod update;
 
 pub use api::{KnnEngine, ReadView};

@@ -71,12 +71,13 @@ use kiff_collections::{FxHashMap, FxHashSet, SparseCounter};
 use kiff_core::{build_rcs, CountingConfig};
 use kiff_dataset::{Dataset, DeltaDataset, DeltaView, UserId};
 use kiff_graph::{HeapChange, KnnGraph, KnnHeap, Neighbor, ShardReverse};
-use kiff_parallel::{effective_threads, parallel_for_each_mut, SnapshotCache};
+use kiff_parallel::{effective_threads, parallel_for_each_mut};
 use kiff_similarity::ScorerWorkspace;
 use kiff_telemetry::{Counter, Gauge, Histogram, Registry};
 
 use crate::config::OnlineConfig;
 use crate::engine::{batch_graph, OnlineKnn};
+use crate::snapshot::ClockCache;
 use crate::update::{Update, UpdateStats};
 
 /// Assigns every user to a shard. Implementations must be deterministic
@@ -490,6 +491,9 @@ struct UserShardState {
     counter: SparseCounter,
     /// Neighbour heap.
     heap: KnnHeap,
+    /// Clock of the heap's last edit: the row's content did not change
+    /// by moving, so the stamp moves with it.
+    stamp: u64,
     /// In-neighbour row (global source ids).
     incoming: FxHashSet<UserId>,
     /// Whether the user was queued for repair on the donor.
@@ -516,6 +520,10 @@ struct Shard {
     counters: Vec<SparseCounter>,
     /// Neighbour heaps of owned users.
     heaps: Vec<KnnHeap>,
+    /// Mutation-clock stamp of each owned heap's last edit.
+    stamps: Vec<u64>,
+    /// The engine's mutation clock for this batch, stamped on edits.
+    clock: u64,
     /// In-neighbour sets of owned users (sources are global ids).
     incoming: ShardReverse,
     /// Owned users awaiting repair this batch.
@@ -578,12 +586,13 @@ impl Shard {
         }
     }
 
-    /// Admits a user, returning its local slot.
-    fn push_user(&mut self, k: usize, user: UserId) -> u32 {
+    /// Admits a user at mutation clock `clock`, returning its local slot.
+    fn push_user(&mut self, k: usize, user: UserId, clock: u64) -> u32 {
         let idx = self.users.len() as u32;
         self.users.push(user);
         self.counters.push(SparseCounter::new());
         self.heaps.push(KnnHeap::new(k));
+        self.stamps.push(clock);
         self.incoming.push_slot();
         idx
     }
@@ -610,6 +619,7 @@ impl Shard {
         self.users.swap_remove(slot);
         let counter = self.counters.swap_remove(slot);
         let heap = self.heaps.swap_remove(slot);
+        let stamp = self.stamps.swap_remove(slot);
         let incoming = self.incoming.detach_slot(slot);
         let queued = if let Some(pos) = self.queue.iter().position(|&q| q == user) {
             self.queue.remove(pos);
@@ -622,6 +632,7 @@ impl Shard {
                 user,
                 counter,
                 heap,
+                stamp,
                 incoming,
                 queued,
                 visited: self.visited.remove(&user),
@@ -640,6 +651,7 @@ impl Shard {
         self.users.push(state.user);
         self.counters.push(state.counter);
         self.heaps.push(state.heap);
+        self.stamps.push(state.stamp);
         let islot = self.incoming.attach_slot(state.incoming);
         debug_assert_eq!(islot, idx as usize);
         if state.queued {
@@ -691,11 +703,14 @@ impl Shard {
     /// One repair round: drain the inbox, then repair queued users within
     /// the batch budget, emitting cross-shard messages into the outbox.
     fn step(&mut self, my: u32, view: DeltaView<'_>, assign: &[Slot], config: &OnlineConfig) {
-        for msg in std::mem::take(&mut self.inbox) {
-            match msg {
-                ShardMsg::Scored { owner, other, sim } => {
-                    self.land(my, owner, other, sim, assign);
-                }
+        // Reverse edits first: they mirror heap edits of the last round,
+        // while landing a score edits a heap now and may mirror it here
+        // at once. After a migration brought a target to its source's
+        // shard, the inbox can hold an older edit of the same pair behind
+        // such a score; applied in inbox order, the older edit would win.
+        let inbox = std::mem::take(&mut self.inbox);
+        for msg in &inbox {
+            match *msg {
                 ShardMsg::ReverseAdd { target, source } => {
                     self.incoming
                         .add(assign[target as usize].idx as usize, source);
@@ -704,6 +719,12 @@ impl Shard {
                     self.incoming
                         .remove(assign[target as usize].idx as usize, source);
                 }
+                ShardMsg::Scored { .. } => {}
+            }
+        }
+        for msg in inbox {
+            if let ShardMsg::Scored { owner, other, sim } = msg {
+                self.land(my, owner, other, sim, assign);
             }
         }
         while self.repaired < self.budget {
@@ -820,11 +841,12 @@ impl Shard {
     /// Lands an evaluated similarity on `owner`'s heap (`owner` is always
     /// ours), routing reverse-edge edits to the shard owning the other
     /// endpoint and enqueueing `owner` again when its neighbourhood
-    /// degraded.
+    /// degraded. Each branch that edits the heap stamps its row.
     fn land(&mut self, my: u32, owner: UserId, other: UserId, s: f64, assign: &[Slot]) {
         let slot = assign[owner as usize].idx as usize;
         if s <= 0.0 {
             if self.heaps[slot].remove(other) {
+                self.stamps[slot] = self.clock;
                 self.retract_reverse(my, owner, other, assign);
                 self.stats.edits.removals += 1;
                 if !self.visited.contains(&owner) {
@@ -833,12 +855,14 @@ impl Shard {
             }
         } else if let Some(old) = self.heaps[slot].reprioritize(other, s) {
             if old != s {
+                self.stamps[slot] = self.clock;
                 self.stats.edits.reprioritized += 1;
                 if s < old && !self.visited.contains(&owner) {
                     self.queue.push_back(owner);
                 }
             }
         } else if let HeapChange::Inserted { evicted } = self.heaps[slot].offer(s, other) {
+            self.stamps[slot] = self.clock;
             self.stats.edits.inserts += 1;
             self.record_reverse(my, owner, other, assign);
             if let Some(e) = evicted {
@@ -901,14 +925,14 @@ pub struct ShardedOnlineKnn {
     /// Users migrated over the engine's lifetime (all causes).
     migrations_total: u64,
     lifetime: UpdateStats,
-    /// Cached [`ShardedOnlineKnn::graph`] snapshot. A [`SnapshotCache`]:
-    /// concurrent readers build outside the lock and publication is a
-    /// single version-checked swap, so a reader racing another reader
-    /// can never observe a torn or stale-over-fresh entry.
-    snapshot: SnapshotCache<KnnGraph>,
-    /// Cached [`ShardedOnlineKnn::dataset`] materialization, invalidated
-    /// by any dataset mutation.
-    dataset: SnapshotCache<Dataset>,
+    /// Mutation clock: ticks at every mutation entry point; shards stamp
+    /// edited rows with it.
+    clock: u64,
+    /// [`ShardedOnlineKnn::graph`] snapshot, tagged with the clock.
+    graph_snapshot: ClockCache<KnnGraph>,
+    /// [`ShardedOnlineKnn::dataset`] snapshot, tagged with the dataset
+    /// version.
+    dataset_snapshot: ClockCache<Dataset>,
     /// `online.apply_ns`: wall-clock of each `apply_batch` call.
     apply_ns: Histogram,
     /// `online.repair_round_ns`: wall-clock of each parallel repair
@@ -958,7 +982,7 @@ impl ShardedOnlineKnn {
         for u in 0..n as UserId {
             let s = shard_config.partitioner.shard_of(u, num_shards);
             let shard = &mut shards[s];
-            let idx = shard.push_user(config.k, u);
+            let idx = shard.push_user(config.k, u, 1);
             assign.push(Slot {
                 shard: s as u32,
                 idx,
@@ -990,8 +1014,9 @@ impl ShardedOnlineKnn {
             rebalancer,
             migrations_total: 0,
             lifetime: UpdateStats::default(),
-            snapshot: SnapshotCache::new(),
-            dataset: SnapshotCache::new(),
+            clock: 1,
+            graph_snapshot: ClockCache::new(),
+            dataset_snapshot: ClockCache::new(),
             apply_ns,
             repair_round_ns,
             tele_migrations,
@@ -1100,24 +1125,31 @@ impl ShardedOnlineKnn {
         self.shards[slot.shard as usize].counters[slot.idx as usize].get(v)
     }
 
-    /// Snapshots the live graph. Cached between mutations like
-    /// [`OnlineKnn::graph`].
+    /// Snapshots the live graph, re-sorting only the rows edited since
+    /// the cached snapshot, like [`OnlineKnn::graph`].
     pub fn graph(&self) -> Arc<KnnGraph> {
-        self.snapshot.get_or_build(|| {
-            let neighbors = (0..self.num_users() as UserId)
-                .map(|u| {
-                    let slot = self.assign[u as usize];
-                    self.shards[slot.shard as usize].heaps[slot.idx as usize].sorted_neighbors()
-                })
-                .collect();
-            KnnGraph::from_neighbors(self.config.k, neighbors)
-        })
+        self.graph_snapshot
+            .graph(self.clock, self.config.k, self.num_users(), |since| {
+                self.shards
+                    .iter()
+                    .flat_map(|shard| {
+                        shard
+                            .stamps
+                            .iter()
+                            .zip(&shard.users)
+                            .zip(&shard.heaps)
+                            .filter(move |((&stamp, _), _)| stamp > since)
+                            .map(|((_, &u), heap)| (u, heap.sorted_neighbors()))
+                    })
+                    .collect()
+            })
     }
 
-    /// Materializes the live dataset view as a frozen [`Dataset`]. Cached
-    /// between mutations like [`ShardedOnlineKnn::graph`].
+    /// Materializes the live dataset view as a frozen [`Dataset`], once
+    /// per dataset change, like [`OnlineKnn::dataset`].
     pub fn dataset(&self) -> Arc<Dataset> {
-        self.dataset.get_or_build(|| self.data.to_dataset())
+        self.dataset_snapshot
+            .get(self.data.version(), |_| Arc::new(self.data.to_dataset()))
     }
 
     /// Appends a user with an empty profile, returning its id.
@@ -1127,13 +1159,12 @@ impl ShardedOnlineKnn {
             .shard_config
             .partitioner
             .shard_of(id, self.shards.len());
-        let idx = self.shards[s].push_user(self.config.k, id);
+        self.clock += 1;
+        let idx = self.shards[s].push_user(self.config.k, id, self.clock);
         self.assign.push(Slot {
             shard: s as u32,
             idx,
         });
-        self.snapshot.invalidate();
-        self.dataset.invalidate();
         id
     }
 
@@ -1149,6 +1180,7 @@ impl ShardedOnlineKnn {
     /// cross-shard work exchanged through message queues between rounds.
     pub fn apply_batch(&mut self, updates: impl IntoIterator<Item = Update>) -> UpdateStats {
         let _span = self.apply_ns.span();
+        self.clock += 1;
         let mut stats = UpdateStats::default();
         // Lifetime cross-traffic totals before this batch: the per-batch
         // cross_messages figure is the counters' delta across the batch
@@ -1182,6 +1214,7 @@ impl ShardedOnlineKnn {
             let max_propagation = self.config.max_propagation as u64;
             for shard in &mut self.shards {
                 shard.budget = shard.queue.len() as u64 + max_propagation;
+                shard.clock = self.clock;
             }
         }
 
@@ -1247,12 +1280,6 @@ impl ShardedOnlineKnn {
         if (self.data.overlay_users() as f64) >= self.config.compaction_threshold * n as f64 {
             self.data.compact();
             stats.compacted = true;
-        }
-        if stats.edits.total() > 0 {
-            self.snapshot.invalidate();
-        }
-        if stats.updates > 0 {
-            self.dataset.invalidate();
         }
         self.lifetime.merge(&stats);
         stats
@@ -1820,21 +1847,22 @@ mod tests {
 
     #[test]
     fn concurrent_readers_share_one_snapshot_without_tearing() {
-        // Regression for the lock-then-replace cache: once readers run
-        // concurrently with each other (shared `&engine` between writer
-        // batches), a cold-cache stampede must neither block readers
-        // behind one O(E) build nor publish divergent snapshots. Every
-        // thread must read a complete graph, and the cache must converge
-        // to one pointer-stable Arc.
+        // Once readers run concurrently with each other (shared `&engine`
+        // between writer batches), a stale-cache stampede must not
+        // publish divergent snapshots. Every thread must read a complete
+        // graph, and the cache must converge to one pointer-stable Arc.
         let mut engine = toy(4);
+        let _ = engine.graph();
         engine.apply(Update::AddRating {
             user: 2,
             item: 1,
             rating: 1.0,
         });
-        let expected = engine.graph();
-        // Re-invalidate so threads race the cold fill (same content).
-        engine.snapshot.invalidate();
+        // The expectation comes from the heaps, leaving the snapshot
+        // stale so the threads race its refresh.
+        let expected: Vec<Vec<Neighbor>> = (0..engine.num_users() as UserId)
+            .map(|u| engine.neighbors(u))
+            .collect();
         let engine = Arc::new(engine);
         let handles: Vec<_> = (0..8)
             .map(|_| {
@@ -1848,22 +1876,20 @@ mod tests {
                 })
             })
             .collect();
+        let warm = engine.graph();
         for h in handles {
             for g in h.join().unwrap() {
-                assert_eq!(g.num_users(), expected.num_users());
-                for u in 0..expected.num_users() as UserId {
-                    assert_eq!(g.neighbors(u), expected.neighbors(u), "torn snapshot");
+                assert!(Arc::ptr_eq(&g, &warm), "one refresh, one Arc");
+                for (u, row) in expected.iter().enumerate() {
+                    assert_eq!(g.neighbors(u as UserId), &row[..], "torn snapshot");
                 }
             }
         }
-        let warm_a = engine.graph();
-        let warm_b = engine.graph();
-        assert!(Arc::ptr_eq(&warm_a, &warm_b), "cache must converge");
         // The dataset materialization cache obeys the same discipline.
         let ds_a = engine.dataset();
         let ds_b = engine.dataset();
         assert!(Arc::ptr_eq(&ds_a, &ds_b));
-        assert_eq!(ds_a.num_users(), expected.num_users());
+        assert_eq!(ds_a.num_users(), expected.len());
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //!   chunks and driver iterations;
 //! * [`Counter`] / [`TimeAccumulator`] — relaxed atomic counters and
 //!   per-activity wall-clock accumulators safe to update from any worker;
-//! * [`ViewCell`] / [`SnapshotCache`] — epoch-published immutable views
-//!   and version-tagged lazy snapshot caches (the serving layer's
-//!   lock-free read path).
+//! * [`ViewCell`] / [`ViewCache`] — epoch-published immutable views and
+//!   the per-reader memo that loads them (the serving layer's lock-free
+//!   read path).
 //!
 //! Work is handed out through a shared atomic cursor in `grain`-sized
 //! chunks, so skewed per-user costs (ubiquitous under power-law degree
@@ -38,4 +38,4 @@ pub use counters::{Counter, ScopedTimer, TimeAccumulator};
 pub use pool::{effective_threads, parallel_fold, parallel_for, parallel_for_each_mut};
 pub use scratch::{ScratchGuard, ScratchPool};
 pub use shared::SharedSlice;
-pub use view::{SnapshotCache, ViewCache, ViewCell};
+pub use view::{ViewCache, ViewCell};

@@ -14,11 +14,6 @@
 //! pointer swap (a few nanoseconds); crucially it is *not* the writer's
 //! engine mutex, so a reader can at worst collide with another reader's
 //! clone or the writer's swap — never with an in-flight `apply_batch`.
-//!
-//! [`SnapshotCache`] is the engine-internal sibling: a version-tagged
-//! lazy cache for derived structures (CSR graph snapshots, materialized
-//! datasets) whose build runs **outside** any lock, fixing the
-//! lock-held-across-O(E)-build pattern the pre-view engines had.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -127,84 +122,9 @@ impl<T> Default for ViewCache<T> {
     }
 }
 
-/// A version-tagged lazy cache for a derived structure (graph snapshot,
-/// materialized dataset) owned by a mutable engine.
-///
-/// The contract: mutation paths hold `&mut` on the engine (so no reader
-/// is concurrent with [`SnapshotCache::invalidate`] by Rust's aliasing
-/// rules), while read paths share `&self` and may race each other in
-/// [`SnapshotCache::get_or_build`]. The build closure therefore runs
-/// **outside** the lock; publication re-checks the version under a
-/// short critical section and keeps whichever same-version value landed
-/// first, so concurrent readers agree on one `Arc` (pointer-stable
-/// caching) and a torn half-built value can never be observed.
-#[derive(Debug)]
-pub struct SnapshotCache<T> {
-    /// Bumped by `invalidate`; entries are tagged with the version they
-    /// were built at and ignored once stale.
-    version: AtomicU64,
-    entry: Mutex<Option<(u64, Arc<T>)>>,
-}
-
-impl<T> SnapshotCache<T> {
-    /// An empty cache at version 0.
-    pub fn new() -> Self {
-        SnapshotCache {
-            version: AtomicU64::new(0),
-            entry: Mutex::new(None),
-        }
-    }
-
-    /// Marks any cached value stale. Callers hold `&mut` on the owning
-    /// engine, but `&self` here keeps the engine's field borrows simple.
-    pub fn invalidate(&self) {
-        self.version.fetch_add(1, Ordering::AcqRel);
-        // Dropping the stale entry eagerly releases its memory; the
-        // version tag alone already guarantees correctness.
-        let mut entry = self.entry.lock().unwrap_or_else(|e| e.into_inner());
-        *entry = None;
-    }
-
-    /// Returns the cached value, building (outside the lock) when the
-    /// cache is empty or stale.
-    pub fn get_or_build(&self, build: impl FnOnce() -> T) -> Arc<T> {
-        let version = self.version.load(Ordering::Acquire);
-        {
-            let entry = self.entry.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some((v, cached)) = entry.as_ref() {
-                if *v == version {
-                    return Arc::clone(cached);
-                }
-            }
-        }
-        // Build with no lock held: concurrent readers may duplicate the
-        // work, but none of them ever blocks behind an O(E) build.
-        let built = Arc::new(build());
-        let mut entry = self.entry.lock().unwrap_or_else(|e| e.into_inner());
-        // Install only if still current and nobody beat us: first
-        // same-version install wins so all readers share one Arc.
-        match entry.as_ref() {
-            Some((v, cached)) if *v == version => Arc::clone(cached),
-            _ => {
-                if self.version.load(Ordering::Acquire) == version {
-                    *entry = Some((version, Arc::clone(&built)));
-                }
-                built
-            }
-        }
-    }
-}
-
-impl<T> Default for SnapshotCache<T> {
-    fn default() -> Self {
-        SnapshotCache::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
     use std::thread;
 
     #[test]
@@ -259,65 +179,5 @@ mod tests {
             r.join().unwrap();
         }
         assert_eq!(*cell.load(), 500);
-    }
-
-    #[test]
-    fn snapshot_cache_is_pointer_stable_until_invalidated() {
-        let cache: SnapshotCache<Vec<u32>> = SnapshotCache::new();
-        let a = cache.get_or_build(|| vec![1, 2, 3]);
-        let b = cache.get_or_build(|| unreachable!("must reuse the cache"));
-        assert!(Arc::ptr_eq(&a, &b));
-        cache.invalidate();
-        let c = cache.get_or_build(|| vec![4]);
-        assert_eq!(*c, vec![4]);
-    }
-
-    #[test]
-    fn snapshot_cache_concurrent_readers_converge_without_blocking() {
-        let cache = Arc::new(SnapshotCache::<u64>::new());
-        let builds = Arc::new(AtomicUsize::new(0));
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let cache = Arc::clone(&cache);
-                let builds = Arc::clone(&builds);
-                thread::spawn(move || {
-                    let mut values = Vec::new();
-                    for _ in 0..200 {
-                        values.push(*cache.get_or_build(|| {
-                            builds.fetch_add(1, Ordering::Relaxed);
-                            42
-                        }));
-                    }
-                    values
-                })
-            })
-            .collect();
-        for h in handles {
-            for v in h.join().unwrap() {
-                assert_eq!(v, 42);
-            }
-        }
-        // Duplicated builds are allowed (racing first fills), but the
-        // cache must converge: once filled, later reads reuse it.
-        let a = cache.get_or_build(|| unreachable!("cache is warm"));
-        let b = cache.get_or_build(|| unreachable!("cache is warm"));
-        assert!(Arc::ptr_eq(&a, &b));
-    }
-
-    #[test]
-    fn snapshot_cache_stale_build_is_not_installed() {
-        let cache: SnapshotCache<u32> = SnapshotCache::new();
-        let _ = cache.get_or_build(|| 1);
-        cache.invalidate();
-        // A build that started before an invalidate arriving mid-build
-        // must not poison the cache: simulate by invalidating inside
-        // the closure.
-        let v = cache.get_or_build(|| {
-            cache.invalidate();
-            7
-        });
-        assert_eq!(*v, 7, "caller still gets its own build result");
-        let fresh = cache.get_or_build(|| 9);
-        assert_eq!(*fresh, 9, "stale 7 was not installed");
     }
 }

@@ -62,7 +62,7 @@ use kiff_core::fault::{self, points};
 use kiff_core::KiffError;
 use kiff_online::{KnnEngine, ReadView, Update};
 use kiff_parallel::{ViewCache, ViewCell};
-use kiff_telemetry::{Gauge, Registry};
+use kiff_telemetry::{Counter, Gauge, Histogram, Registry};
 use serde_json::Value;
 
 use crate::replication::{self, ReplState, ReplicationConfig, Role};
@@ -610,12 +610,46 @@ pub(crate) struct Shared {
     /// Workers load it lock-free; the host mutex is never taken on the
     /// read path.
     pub(crate) views: Arc<ViewCell<ServeView>>,
+    /// The store's WAL poisoned flag (never set without a store): the
+    /// self-heal thread polls it without the host lock.
+    wal_poisoned: Arc<AtomicBool>,
+    /// The host's `recovering` flag, raised by the self-heal thread.
+    recovering: Arc<AtomicBool>,
     inflight: AtomicUsize,
     config: ServerConfig,
     pub(crate) telemetry: Registry,
+    /// `serve.request_ns.<op>`, resolved at bind.
+    request_ns: RequestTimers,
+    /// `serve.shed`, resolved at bind.
+    shed: Counter,
     addr: SocketAddr,
     net_ctx: String,
     pub(crate) repl: Option<Arc<ReplState>>,
+}
+
+/// `serve.request_ns.<op>` for every [`Request::OPS`] entry, plus
+/// `invalid` for frames that never parsed. Resolved once when the server
+/// binds, so the request loop records latencies without a registry
+/// lookup (each lookup takes the registry's global mutex).
+struct RequestTimers(Vec<(&'static str, Histogram)>);
+
+impl RequestTimers {
+    fn new(telemetry: &Registry) -> Self {
+        let ops = Request::OPS.into_iter().chain(["invalid"]);
+        Self(
+            ops.map(|op| (op, telemetry.histogram(&format!("serve.request_ns.{op}"))))
+                .collect(),
+        )
+    }
+
+    fn get(&self, op: &str) -> &Histogram {
+        let (_, timer) = self
+            .0
+            .iter()
+            .find(|(name, _)| *name == op)
+            .expect("every op has a timer");
+        timer
+    }
 }
 
 impl Shared {
@@ -674,6 +708,11 @@ impl Server {
             None => (None, None),
         };
         let views = host.view_handle();
+        let wal_poisoned = host
+            .store
+            .as_ref()
+            .map_or_else(Default::default, Store::poisoned_flag);
+        let recovering = Arc::clone(&host.recovering);
         Ok(Self {
             listener,
             repl_listener,
@@ -681,8 +720,12 @@ impl Server {
                 host: Mutex::new(host),
                 shutdown: AtomicBool::new(false),
                 views,
+                wal_poisoned,
+                recovering,
                 inflight: AtomicUsize::new(0),
                 config,
+                request_ns: RequestTimers::new(&telemetry),
+                shed: telemetry.counter("serve.shed"),
                 telemetry,
                 addr,
                 net_ctx: addr.to_string(),
@@ -720,23 +763,18 @@ impl Server {
         let recovery = {
             // Background self-healing: while the WAL is poisoned, retry
             // reopening it so the daemon flips back from degraded to
-            // healthy without operator intervention.
+            // healthy without operator intervention. Polling reads the
+            // shared flag: only a repair attempt takes the host lock.
             let shared = Arc::clone(&self.shared);
-            let recovering = Arc::clone(&shared.lock_host().recovering);
             std::thread::spawn(move || {
                 while !shared.shutdown.load(Ordering::SeqCst) {
                     std::thread::sleep(shared.config.recovery_interval);
-                    let degraded = shared
-                        .lock_host()
-                        .store
-                        .as_ref()
-                        .is_some_and(Store::is_poisoned);
-                    if !degraded {
+                    if !shared.wal_poisoned.load(Ordering::SeqCst) {
                         continue;
                     }
-                    recovering.store(true, Ordering::SeqCst);
+                    shared.recovering.store(true, Ordering::SeqCst);
                     shared.lock_host().try_recover_wal();
-                    recovering.store(false, Ordering::SeqCst);
+                    shared.recovering.store(false, Ordering::SeqCst);
                 }
             })
         };
@@ -866,7 +904,7 @@ fn claim_slot(shared: &Shared) -> Result<InflightSlot<'_>, KiffError> {
     let limit = shared.config.max_inflight;
     if limit > 0 && inflight > limit {
         shared.inflight.fetch_sub(1, Ordering::SeqCst);
-        shared.telemetry.counter("serve.shed").incr();
+        shared.shed.incr();
         return Err(KiffError::Overloaded { inflight, limit });
     }
     Ok(InflightSlot(&shared.inflight))
@@ -959,8 +997,8 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) -> Result<(), KiffE
             }
         };
         shared
-            .telemetry
-            .histogram(&format!("serve.request_ns.{op}"))
+            .request_ns
+            .get(op)
             .record(started.elapsed().as_nanos() as u64);
         let written = fault::check_ctx(points::NET_WRITE, &shared.net_ctx)
             .and_then(|()| wire::write_frame(&mut stream, &response));
@@ -986,14 +1024,23 @@ mod tests {
     use kiff_online::{OnlineConfig, OnlineKnn, Update};
 
     fn spawn_toy_server() -> (std::thread::JoinHandle<Result<(), KiffError>>, SocketAddr) {
+        let (handle, addr, _) = spawn_toy_server_with_registry();
+        (handle, addr)
+    }
+
+    fn spawn_toy_server_with_registry() -> (
+        std::thread::JoinHandle<Result<(), KiffError>>,
+        SocketAddr,
+        Registry,
+    ) {
         let ds = figure2_toy();
         let reg = Registry::new();
         let config = OnlineConfig::new(2).with_telemetry(reg.clone());
         let engine = Box::new(OnlineKnn::new(&ds, config));
-        let host = EngineHost::new(engine, None, reg);
+        let host = EngineHost::new(engine, None, reg.clone());
         let server = Server::bind("127.0.0.1:0", host).unwrap();
         let addr = server.local_addr();
-        (std::thread::spawn(move || server.run()), addr)
+        (std::thread::spawn(move || server.run()), addr, reg)
     }
 
     #[test]
@@ -1096,6 +1143,37 @@ mod tests {
             .unwrap()
             .shutdown()
             .unwrap();
+        handle.join().unwrap().unwrap();
+    }
+
+    /// Every instrument a request records into is resolved before the
+    /// request arrives: a view-lane request takes no registry lookup,
+    /// hence not the registry's global mutex either.
+    #[test]
+    fn view_lane_requests_look_up_no_instruments() {
+        let (handle, addr, reg) = spawn_toy_server_with_registry();
+        let mut client = Client::connect(&addr.to_string()).unwrap();
+        // One round trip: the worker has resolved its per-connection
+        // instruments before it answers.
+        client.ping().unwrap();
+        let before = reg.lookups();
+        client.neighbors(0).unwrap();
+        client.recommend(0, 3).unwrap();
+        client
+            .request(&Request::Predict { user: 0, item: 2 })
+            .unwrap();
+        client
+            .request(&Request::Audience { item: 1, top: 2 })
+            .unwrap();
+        client
+            .request(&Request::Search {
+                items: vec![(1, 1.0)],
+                top: 2,
+            })
+            .unwrap();
+        client.stats().unwrap();
+        assert_eq!(reg.lookups(), before, "a view-lane request looked up");
+        client.shutdown().unwrap();
         handle.join().unwrap().unwrap();
     }
 

@@ -19,6 +19,8 @@
 //! this property over arbitrary streams and snapshot points.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
 use std::time::Instant;
 
 use kiff_core::KiffError;
@@ -241,6 +243,11 @@ impl Store {
         self.wal.is_poisoned()
     }
 
+    /// The WAL's live poisoned flag (see [`Store::is_poisoned`]).
+    pub(crate) fn poisoned_flag(&self) -> Arc<AtomicBool> {
+        self.wal.poisoned_flag()
+    }
+
     /// Attempts to heal a poisoned WAL (see [`Wal::reopen`]).
     pub fn reopen_wal(&mut self) -> Result<(), KiffError> {
         self.wal.reopen()
@@ -290,7 +297,9 @@ impl Store {
     /// everything appended so far.
     pub fn snapshot(&mut self, engine: &dyn KnnEngine) -> Result<PathBuf, KiffError> {
         let seq = self.seq();
-        let dataset = engine.data().to_dataset();
+        // The engine's cached snapshots, free when a view was just
+        // published.
+        let dataset = engine.dataset();
         let graph = engine.graph();
         let counters = engine.counters_snapshot();
         let path = save_snapshot(

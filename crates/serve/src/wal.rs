@@ -51,6 +51,8 @@
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use kiff_core::fault::{self, points};
 use kiff_core::KiffError;
@@ -289,7 +291,9 @@ pub struct Wal {
     segment_len: u64,
     segment_bytes: u64,
     next_seq: u64,
-    poisoned: bool,
+    /// Set by a failed append, cleared by [`Wal::reopen`]; shared with
+    /// [`Wal::poisoned_flag`] watchers.
+    poisoned: Arc<AtomicBool>,
     telemetry: Registry,
 }
 
@@ -331,7 +335,7 @@ impl Wal {
             segment_len,
             segment_bytes: DEFAULT_SEGMENT_BYTES,
             next_seq,
-            poisoned: false,
+            poisoned: Arc::default(),
             telemetry,
         };
         wal.update_segment_gauge()?;
@@ -351,7 +355,13 @@ impl Wal {
 
     /// Whether a failed append has poisoned the log (see [`Wal::reopen`]).
     pub fn is_poisoned(&self) -> bool {
-        self.poisoned
+        self.poisoned.load(Ordering::SeqCst)
+    }
+
+    /// The live poisoned flag, for a watcher (the daemon's self-heal
+    /// thread) that must not lock whoever owns the log to poll it.
+    pub(crate) fn poisoned_flag(&self) -> Arc<AtomicBool> {
+        Arc::clone(&self.poisoned)
     }
 
     /// Appends `updates` as one atomic batch — consecutive records whose
@@ -367,7 +377,7 @@ impl Wal {
         if updates.is_empty() {
             return Ok(self.next_seq.saturating_sub(1));
         }
-        if self.poisoned {
+        if self.is_poisoned() {
             return Err(KiffError::Io(std::io::Error::other(
                 "wal is poisoned by a failed append; reopen required",
             )));
@@ -388,7 +398,7 @@ impl Wal {
             .and_then(|()| fault::check_ctx(points::WAL_FSYNC, &self.ctx))
             .and_then(|()| self.file.sync_data().map_err(KiffError::Io));
         if let Err(e) = result {
-            self.poisoned = true;
+            self.poisoned.store(true, Ordering::SeqCst);
             self.telemetry.counter("wal.append_errors").incr();
             return Err(e);
         }
@@ -428,7 +438,7 @@ impl Wal {
             .append(true)
             .open(&path)
             .map_err(KiffError::Io)?;
-        self.poisoned = false;
+        self.poisoned.store(false, Ordering::SeqCst);
         self.telemetry.counter("wal.reopens").incr();
         Ok(())
     }

@@ -273,6 +273,22 @@ impl Request {
         }
     }
 
+    /// Every name [`Request::op`] returns.
+    pub const OPS: [&'static str; 12] = [
+        "ping",
+        "neighbors",
+        "recommend",
+        "predict",
+        "audience",
+        "search",
+        "update",
+        "stats",
+        "health",
+        "metrics",
+        "snapshot",
+        "shutdown",
+    ];
+
     /// The op name, used as the telemetry histogram label.
     pub fn op(&self) -> &'static str {
         match self {
@@ -405,10 +421,13 @@ mod tests {
             Request::Snapshot,
             Request::Shutdown,
         ];
-        for req in requests {
+        for req in &requests {
             let back = Request::from_value(&req.to_value()).unwrap();
-            assert_eq!(back, req);
+            assert_eq!(&back, req);
         }
+        let mut ops: Vec<&str> = requests.iter().map(Request::op).collect();
+        ops.dedup();
+        assert_eq!(ops, Request::OPS, "OPS lists every op once");
     }
 
     #[test]

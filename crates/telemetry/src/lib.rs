@@ -376,6 +376,8 @@ impl Instrument {
 struct RegistryInner {
     enabled: Arc<AtomicBool>,
     instruments: Mutex<BTreeMap<String, Instrument>>,
+    /// Name lookups served (see [`Registry::lookups`]).
+    lookups: AtomicU64,
 }
 
 /// A thread-safe collection of named instruments.
@@ -430,6 +432,7 @@ impl Registry {
             inner: Arc::new(RegistryInner {
                 enabled: Arc::new(AtomicBool::new(enabled)),
                 instruments: Mutex::new(BTreeMap::new()),
+                lookups: AtomicU64::new(0),
             }),
         }
     }
@@ -456,7 +459,7 @@ impl Registry {
     /// If `name` is already registered as a different instrument kind.
     pub fn counter(&self, name: &str) -> Counter {
         let cell = {
-            let mut map = self.inner.instruments.lock().unwrap();
+            let mut map = self.lock_for_lookup();
             match map
                 .entry(name.to_string())
                 .or_insert_with(|| Instrument::Counter(Arc::new(AtomicU64::new(0))))
@@ -478,7 +481,7 @@ impl Registry {
     /// If `name` is already registered as a different instrument kind.
     pub fn gauge(&self, name: &str) -> Gauge {
         let cell = {
-            let mut map = self.inner.instruments.lock().unwrap();
+            let mut map = self.lock_for_lookup();
             match map
                 .entry(name.to_string())
                 .or_insert_with(|| Instrument::Gauge(Arc::new(AtomicI64::new(0))))
@@ -500,7 +503,7 @@ impl Registry {
     /// If `name` is already registered as a different instrument kind.
     pub fn histogram(&self, name: &str) -> Histogram {
         let cells = {
-            let mut map = self.inner.instruments.lock().unwrap();
+            let mut map = self.lock_for_lookup();
             match map
                 .entry(name.to_string())
                 .or_insert_with(|| Instrument::Histogram(Arc::new(HistogramCells::new())))
@@ -560,6 +563,20 @@ impl Registry {
             }
         }
         snap
+    }
+
+    /// Name lookups ([`Registry::counter`], [`Registry::gauge`],
+    /// [`Registry::histogram`], [`Registry::span`]) served so far. Each
+    /// takes the registry mutex, so a hot path should resolve its handles
+    /// once; a test reads this before and after to check that it does.
+    pub fn lookups(&self) -> u64 {
+        self.inner.lookups.load(Ordering::Relaxed)
+    }
+
+    /// The instrument map, locked for one name lookup.
+    fn lock_for_lookup(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, Instrument>> {
+        self.inner.lookups.fetch_add(1, Ordering::Relaxed);
+        self.inner.instruments.lock().unwrap()
     }
 
     /// The registry's enabled flag, shared into a handle.
@@ -719,6 +736,11 @@ mod tests {
         a.incr();
         b.incr();
         assert_eq!(a.get(), 2);
+        // Two lookups; recording through the handles adds none.
+        assert_eq!(registry.lookups(), 2);
+        let _ = registry.span("shared.ns");
+        let _ = registry.gauge("shared.level");
+        assert_eq!(registry.lookups(), 4);
     }
 
     #[test]
