@@ -341,7 +341,8 @@ impl OnlineKnn {
     /// Returns the users whose profiles changed, each with the *targeted*
     /// candidates a repair must consider beyond the standing prefix: the
     /// co-raters of the touched item, since `sim(user, v)` rose exactly
-    /// for those `v` (capped at `repair_width`, best shared counts first).
+    /// for those `v` (uncapped: the repair caps them against the counts
+    /// the whole batch left).
     fn mutate(&mut self, update: Update, stats: &mut UpdateStats) -> Vec<(UserId, Vec<UserId>)> {
         match update {
             Update::AddRating { user, item, rating } => {
@@ -360,19 +361,6 @@ impl OnlineKnn {
                         self.counters[v as usize].add(user);
                         stats.counter_adjustments += 2;
                     }
-                }
-                if raters.len() > self.config.repair_width {
-                    // Partial select: only the best shared counts matter,
-                    // and repair dedups/sorts candidates again anyway. The
-                    // id tie-break makes the kept *set* independent of the
-                    // rater iteration order, which differs between a live
-                    // overlay and a compacted (or snapshot-restored) base
-                    // — snapshot+replay must equal uninterrupted replay.
-                    let counter = &self.counters[user as usize];
-                    raters.select_nth_unstable_by_key(self.config.repair_width, |&v| {
-                        (std::cmp::Reverse(counter.get(v)), v)
-                    });
-                    raters.truncate(self.config.repair_width);
                 }
                 vec![(user, raters)]
             }
@@ -446,6 +434,20 @@ impl OnlineKnn {
     ) {
         let span = self.repair_ns.span();
         let mut candidates = targeted;
+        if candidates.len() > self.config.repair_width {
+            // Once per batch, after every counter moved: the best live
+            // shared counts win. Partial select: repair dedups and sorts
+            // again anyway. The id tie-break makes the kept *set*
+            // independent of the rater iteration order, which differs
+            // between a live overlay and a compacted (or
+            // snapshot-restored) base — snapshot+replay must equal
+            // uninterrupted replay.
+            let counter = &self.counters[u as usize];
+            candidates.select_nth_unstable_by_key(self.config.repair_width, |&v| {
+                (std::cmp::Reverse(counter.get(v)), v)
+            });
+            candidates.truncate(self.config.repair_width);
+        }
         candidates.extend(self.heaps[u as usize].ids());
         candidates.extend(self.reverse.in_neighbors(u));
         candidates.extend(

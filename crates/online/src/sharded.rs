@@ -780,15 +780,14 @@ impl Shard {
         if candidates.len() > config.repair_width {
             // Deferred from the serial mutate phase: by now the counter
             // phase has run, so live counts rank the touched co-raters.
-            // The single engine instead caps each mutation's chunk with
-            // mid-batch counts; when this cap triggers the two engines
-            // select (equally well-ranked but) different candidate
-            // subsets — the reason 1-shard equivalence is exact only
-            // while accumulated candidates stay below the width, and
-            // ε-close above it.
+            // The id tie-break makes the kept set independent of the
+            // rater order, which differs between a live overlay and a
+            // compacted (or snapshot-restored) base: without it,
+            // snapshot + replay keeps other tied candidates than the
+            // uninterrupted run.
             let counter = &self.counters[slot];
             candidates.select_nth_unstable_by_key(config.repair_width, |&v| {
-                std::cmp::Reverse(counter.get(v))
+                (std::cmp::Reverse(counter.get(v)), v)
             });
             candidates.truncate(config.repair_width);
         }

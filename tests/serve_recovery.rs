@@ -12,6 +12,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 
+use kiff::dataset::generators::planted::{generate_planted, PlantedConfig};
 use kiff::prelude::*;
 use kiff::serve::{recover, StoreConfig};
 
@@ -148,6 +149,64 @@ fn kill_without_snapshot_loses_nothing() {
     assert_eq!(rec.replayed, stream.len() as u64);
     assert_eq!(rec.engine.graph().as_ref(), reference.graph().as_ref());
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Recovery stays exact where the repair-width cap fires: on a 300-user
+/// planted input items have ~15 co-raters against a width of 4, so each
+/// repair keeps only the best-ranked of its targeted candidates. A live
+/// engine lists an item's base raters before its overlay raters, while an
+/// engine restored from a (compacted) snapshot sees them in id order; the
+/// cap must keep the same candidates either way. Checked for the default
+/// daemon (one shard) and for two shards, over a snapshot plus a WAL tail.
+#[test]
+fn recovery_past_the_repair_cap_is_exact() {
+    let config = || {
+        OnlineConfig::new(4)
+            .with_repair_width(4)
+            .with_compaction_threshold(0.95)
+    };
+    for seed in 0..3u64 {
+        let full = generate_planted(&PlantedConfig {
+            communities: 4,
+            ..PlantedConfig::tiny("recovery-cap", seed)
+        })
+        .0;
+        let mut base = DatasetBuilder::new("base", full.num_users(), full.num_items());
+        let mut stream = Vec::new();
+        for (pos, (user, item, rating)) in full.iter_ratings().enumerate() {
+            if pos % 10 == 0 {
+                stream.push(Update::AddRating { user, item, rating });
+            } else {
+                base.add_rating(user, item, rating);
+            }
+        }
+        let base = base.build();
+        let batches: Vec<&[Update]> = stream.chunks(40).collect();
+        for shards in [None, Some(ShardConfig::new(2))] {
+            let dir = scratch("cap");
+            let cfg = StoreConfig::new(&dir).with_snapshot_every(0);
+            let rec = recover(&cfg, &base, None, config(), shards.clone()).unwrap();
+            let (mut engine, mut store) = (rec.engine, rec.store);
+            for (i, batch) in batches.iter().enumerate() {
+                store.append(batch, 0).unwrap();
+                engine.apply_batch(batch.to_vec());
+                if i == batches.len() / 2 {
+                    store.snapshot(engine.as_ref()).unwrap();
+                }
+            }
+            let uninterrupted = engine.graph();
+            drop((engine, store));
+
+            let rec = recover(&cfg, &base, None, config(), shards.clone()).unwrap();
+            assert!(rec.snapshot_seq.is_some() && rec.replayed > 0);
+            assert_eq!(
+                rec.engine.graph().as_ref(),
+                uninterrupted.as_ref(),
+                "seed {seed}, {shards:?}: recovery diverged from the uninterrupted run"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
 }
 
 /// The acceptance path end to end: a daemon recovered from snapshot +

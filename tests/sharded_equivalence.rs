@@ -91,22 +91,17 @@ proptest! {
 
     /// One shard is not merely ε-close: batched replay must produce the
     /// single engine's exact neighbourhoods (the message queue degenerates
-    /// to the local path). Exactness requires each user's accumulated
-    /// targeted candidates to stay within the repair width for the batch
-    /// — guaranteed here (items have ~15 co-raters, width 8k = 32) —
-    /// because above the width the two engines cap with differently-aged
-    /// counter snapshots and select different (equally ranked) subsets.
+    /// to the local path), also past the repair-width cap: items have ~15
+    /// co-raters against a width of 4, and both engines cap a user's
+    /// targeted candidates once per batch, ranked by live count, then id.
     #[test]
     fn one_shard_replay_is_exact(seed in 0u64..1000) {
         let full = planted(seed);
         let k = 4;
         let (base, held) = split(&full, 12);
-        let mut single = OnlineKnn::new(&base, OnlineConfig::new(k));
-        let mut sharded = ShardedOnlineKnn::new(
-            &base,
-            OnlineConfig::new(k),
-            ShardConfig::new(1),
-        );
+        let config = || OnlineConfig::new(k).with_repair_width(4);
+        let mut single = OnlineKnn::new(&base, config());
+        let mut sharded = ShardedOnlineKnn::new(&base, config(), ShardConfig::new(1));
         for chunk in held.chunks(64) {
             single.apply_batch(chunk.iter().copied());
             sharded.apply_batch(chunk.iter().copied());
