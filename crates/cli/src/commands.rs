@@ -10,7 +10,7 @@ use std::time::Instant;
 use kiff::core::KiffError;
 
 use kiff::online::{
-    CommunityPartitioner, ModuloPartitioner, OnlineConfig, OnlineKnn, RebalanceConfig, ShardConfig,
+    CommunityPartitioner, ModuloPartitioner, OnlineConfig, RebalanceConfig, ShardConfig,
     ShardedOnlineKnn, Update,
 };
 use kiff::prelude::*;
@@ -228,37 +228,31 @@ fn update(options: &UpdateOptions, out: &mut dyn Write) -> Result<(), CommandErr
     if let Some(width) = options.repair_width {
         config = config.with_repair_width(width);
     }
-    // Both engines ride behind `&mut dyn KnnEngine`; the concrete
-    // sharded handle stays reachable for its shard-only statistics.
-    let mut single: Option<OnlineKnn> = None;
-    let mut sharded: Option<ShardedOnlineKnn> = None;
     let build_start = Instant::now();
-    let engine: &mut dyn KnnEngine = if options.shards > 1 {
-        let mut shard_config = ShardConfig::new(options.shards);
-        shard_config.threads = options.threads;
-        shard_config = match options.partitioner {
-            PartitionerChoice::Hash => shard_config,
-            PartitionerChoice::Modulo => {
-                shard_config.with_partitioner(std::sync::Arc::new(ModuloPartitioner))
-            }
-            PartitionerChoice::Community => shard_config.with_partitioner(std::sync::Arc::new(
-                CommunityPartitioner::from_dataset(&base, options.shards),
-            )),
-        };
-        if let Some(ratio) = options.rebalance {
-            shard_config = shard_config.with_rebalance(RebalanceConfig::new(ratio));
+    let mut shard_config = ShardConfig::new(options.shards);
+    shard_config.threads = options.threads;
+    shard_config = match options.partitioner {
+        PartitionerChoice::Hash => shard_config,
+        PartitionerChoice::Modulo => {
+            shard_config.with_partitioner(std::sync::Arc::new(ModuloPartitioner))
         }
-        let s = ShardedOnlineKnn::new(&base, config, shard_config);
+        PartitionerChoice::Community => shard_config.with_partitioner(std::sync::Arc::new(
+            CommunityPartitioner::from_dataset(&base, options.shards),
+        )),
+    };
+    if let Some(ratio) = options.rebalance {
+        shard_config = shard_config.with_rebalance(RebalanceConfig::new(ratio));
+    }
+    let mut engine = ShardedOnlineKnn::new(&base, config, shard_config);
+    let sharded = options.shards > 1;
+    if sharded {
         report.shards(
-            s.num_shards(),
+            engine.num_shards(),
             options.partitioner,
-            &s.shard_sizes(),
+            &engine.shard_sizes(),
             options.rebalance,
         );
-        sharded.insert(s)
-    } else {
-        single.insert(OnlineKnn::new(&base, config))
-    };
+    }
     report.initial_build(build_start.elapsed());
 
     let replay_start = Instant::now();
@@ -272,17 +266,15 @@ fn update(options: &UpdateOptions, out: &mut dyn Write) -> Result<(), CommandErr
         }
     }
     let replay_time = replay_start.elapsed();
-    let life = *engine.stats();
+    let life = *engine.lifetime_stats();
     report.replay(&life, replay_time, options.batch);
-    // Materialise the engine reads now so the `dyn` borrow of the
-    // concrete engines ends before the shard-only reporting below.
     let final_dataset = engine.data().to_dataset();
     let live_graph = engine.graph();
-    if let Some(sharded) = &sharded {
+    if sharded {
         report.cross_shard(
-            sharded.cross_shard_messages(),
-            sharded.migrations_total(),
-            &sharded.shard_sizes(),
+            engine.cross_shard_messages(),
+            engine.migrations_total(),
+            &engine.shard_sizes(),
         );
     }
 
@@ -359,22 +351,19 @@ fn serve(options: &ServeOptions, out: &mut dyn Write) -> Result<(), CommandError
 
     let registry = Registry::new();
     let config = OnlineConfig::new(options.k).with_telemetry(registry.clone());
-    let shard_config = (options.shards > 1).then(|| {
-        let mut sc = ShardConfig::new(options.shards);
-        sc.threads = options.threads;
-        sc
-    });
+    let mut shard_config = ShardConfig::new(options.shards);
+    shard_config.threads = options.threads;
 
     // The volatile engine over a freshly built graph: the no-data-dir
     // path, and the `--degraded-ok` read-only fallback.
-    let volatile = |graph: &KnnGraph,
-                    config: OnlineConfig,
-                    shard_config: Option<ShardConfig>|
-     -> Box<dyn KnnEngine> {
-        match shard_config {
-            Some(sc) => Box::new(ShardedOnlineKnn::from_graph(&dataset, graph, config, sc)),
-            None => Box::new(OnlineKnn::from_graph(&dataset, graph, config)),
-        }
+    let volatile = |graph: &KnnGraph, config: OnlineConfig| -> Box<dyn KnnEngine> {
+        let shard_config = shard_config.clone();
+        Box::new(ShardedOnlineKnn::from_graph(
+            &dataset,
+            graph,
+            config,
+            shard_config,
+        ))
     };
 
     let mut read_only = false;
@@ -393,7 +382,7 @@ fn serve(options: &ServeOptions, out: &mut dyn Write) -> Result<(), CommandError
                 &dataset,
                 seed_graph.as_ref(),
                 config.clone(),
-                shard_config.clone(),
+                Some(shard_config.clone()),
             ) {
                 Ok(recovered) => {
                     let torn = if recovered.truncated {
@@ -433,7 +422,7 @@ fn serve(options: &ServeOptions, out: &mut dyn Write) -> Result<(), CommandError
                         Some(graph) => graph,
                         None => build_graph(out)?,
                     };
-                    (volatile(&graph, config, shard_config), None)
+                    (volatile(&graph, config), None)
                 }
                 Err(e) => return Err(e.into()),
             }
@@ -444,7 +433,7 @@ fn serve(options: &ServeOptions, out: &mut dyn Write) -> Result<(), CommandError
                 out,
                 "no --data-dir: running volatile, updates are lost on exit"
             )?;
-            (volatile(&graph, config, shard_config), None)
+            (volatile(&graph, config), None)
         }
     };
 

@@ -31,4 +31,4 @@ pub use io::{
 pub use knn::{EditStats, HeapChange, KnnGraph, KnnHeap, Neighbor, SharedKnn};
 pub use observer::{IterationObserver, IterationTrace, NoObserver};
 pub use recall::{recall, recall_per_user, recall_user};
-pub use reverse::{ReverseAdjacency, ShardReverse};
+pub use reverse::ShardReverse;

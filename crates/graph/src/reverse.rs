@@ -1,186 +1,108 @@
 //! Incrementally maintained reverse adjacency.
 //!
-//! [`KnnGraph::reverse`] materialises in-neighbour lists once, which is
-//! the right shape for batch algorithms. The online engine instead needs
-//! the invariant *`u ∈ incoming(v)` ⇔ `v ∈ knn_u`* kept live across
-//! thousands of single-edge mutations: when a user's profile changes,
-//! every user currently pointing *at* it holds a stale similarity and must
-//! be visited (the Debatty-style propagation step). This module provides
+//! [`KnnGraph::reverse`](crate::KnnGraph::reverse) materialises
+//! in-neighbour lists once, which is the right shape for batch
+//! algorithms. The online engine instead needs the invariant
+//! *`u ∈ incoming(v)` ⇔ `v ∈ knn_u`* kept live across thousands of
+//! single-edge mutations: when a user's profile changes, every user
+//! currently pointing *at* it holds a stale similarity and must be
+//! visited (the Debatty-style propagation step). This module provides
 //! that as hash-set rows with O(1) edge add/remove.
 
 use kiff_collections::FxHashSet;
 use kiff_dataset::UserId;
 
-use crate::knn::KnnGraph;
-
-/// Live in-neighbour sets: `incoming(v)` holds every `u` with `v ∈ knn_u`.
-#[derive(Debug, Clone, Default)]
-pub struct ReverseAdjacency {
-    incoming: Vec<FxHashSet<UserId>>,
-}
-
-impl ReverseAdjacency {
-    /// Empty sets for `n` users.
-    pub fn new(n: usize) -> Self {
-        Self {
-            incoming: vec![FxHashSet::default(); n],
-        }
-    }
-
-    /// Builds the live sets matching a snapshot graph.
-    pub fn from_graph(graph: &KnnGraph) -> Self {
-        let mut rev = Self::new(graph.num_users());
-        for u in 0..graph.num_users() as UserId {
-            for n in graph.neighbors(u) {
-                rev.add(u, n.id);
-            }
-        }
-        rev
-    }
-
-    /// Number of users covered.
-    pub fn num_users(&self) -> usize {
-        self.incoming.len()
-    }
-
-    /// Appends an isolated user, returning its id.
-    pub fn push_user(&mut self) -> UserId {
-        self.incoming.push(FxHashSet::default());
-        (self.incoming.len() - 1) as UserId
-    }
-
-    /// Records the directed KNN edge `u → v`.
-    pub fn add(&mut self, u: UserId, v: UserId) {
-        self.incoming[v as usize].insert(u);
-    }
-
-    /// Retracts the directed KNN edge `u → v`; returns whether it existed.
-    pub fn remove(&mut self, u: UserId, v: UserId) -> bool {
-        self.incoming[v as usize].remove(&u)
-    }
-
-    /// The users whose neighbourhoods contain `v` (unordered).
-    pub fn in_neighbors(&self, v: UserId) -> impl Iterator<Item = UserId> + '_ {
-        self.incoming[v as usize].iter().copied()
-    }
-
-    /// `|{u : v ∈ knn_u}|`.
-    pub fn in_degree(&self, v: UserId) -> usize {
-        self.incoming[v as usize].len()
-    }
-
-    /// Whether `u → v` is recorded.
-    pub fn contains(&self, u: UserId, v: UserId) -> bool {
-        self.incoming[v as usize].contains(&u)
-    }
-
-    /// Takes `u`'s in-neighbour set out of the structure by swapping the
-    /// last row into its place (the caller owns the re-indexing of the
-    /// displaced row). Building block of shard migration.
-    pub fn swap_remove_row(&mut self, u: UserId) -> FxHashSet<UserId> {
-        self.incoming.swap_remove(u as usize)
-    }
-
-    /// Appends a pre-built in-neighbour row, returning its id. The inverse
-    /// of [`ReverseAdjacency::swap_remove_row`].
-    pub fn push_row(&mut self, row: FxHashSet<UserId>) -> UserId {
-        self.incoming.push(row);
-        (self.incoming.len() - 1) as UserId
-    }
-}
-
 /// Reverse adjacency for one *shard* of users: rows are indexed by the
 /// shard's dense local slot, contents are **global** user ids.
 ///
-/// The sharded online engine partitions users across engines, and the
-/// invariant *`u ∈ incoming(v)` ⇔ `v ∈ knn_u`* crosses that partition:
-/// the owner of edge `u → v` lives on `shard(u)` while `incoming(v)`
-/// lives on `shard(v)`. Each shard keeps a `ShardReverse` covering only
-/// its owned targets; edge edits whose target lives elsewhere are routed
-/// to the owning shard as asynchronous messages and applied there. The
-/// source ids stay global because the pointing user can be anywhere.
+/// The online engine partitions users across shards, and the invariant
+/// *`u ∈ incoming(v)` ⇔ `v ∈ knn_u`* crosses that partition: the owner of
+/// edge `u → v` lives on `shard(u)` while `incoming(v)` lives on
+/// `shard(v)`. Each shard keeps a `ShardReverse` covering only its owned
+/// targets; edge edits whose target lives elsewhere are routed to the
+/// owning shard as asynchronous messages and applied there. The source
+/// ids stay global because the pointing user can be anywhere.
 #[derive(Debug, Clone, Default)]
 pub struct ShardReverse {
-    /// Row index = local slot, contents = global source ids; the slot/id
-    /// asymmetry is exactly what distinguishes this from the plain
-    /// [`ReverseAdjacency`] it delegates to.
-    rows: ReverseAdjacency,
+    /// Row index = local slot, contents = global source ids.
+    rows: Vec<FxHashSet<UserId>>,
 }
 
 impl ShardReverse {
     /// Empty in-neighbour sets for `slots` locally-owned users.
     pub fn new(slots: usize) -> Self {
         Self {
-            rows: ReverseAdjacency::new(slots),
+            rows: vec![FxHashSet::default(); slots],
         }
     }
 
     /// Number of locally-owned slots.
     pub fn num_slots(&self) -> usize {
-        self.rows.num_users()
+        self.rows.len()
     }
 
     /// Appends a slot for a newly-assigned user, returning its local index.
     pub fn push_slot(&mut self) -> usize {
-        self.rows.push_user() as usize
+        self.attach_slot(FxHashSet::default())
     }
 
     /// Records the KNN edge `source → (local) target`.
     pub fn add(&mut self, target_slot: usize, source: UserId) {
-        self.rows.add(source, target_slot as UserId);
+        self.rows[target_slot].insert(source);
     }
 
     /// Retracts the KNN edge `source → (local) target`; returns whether it
     /// was recorded.
     pub fn remove(&mut self, target_slot: usize, source: UserId) -> bool {
-        self.rows.remove(source, target_slot as UserId)
+        self.rows[target_slot].remove(&source)
     }
 
     /// The global ids of users whose neighbourhoods contain the local
     /// target (unordered).
     pub fn in_neighbors(&self, target_slot: usize) -> impl Iterator<Item = UserId> + '_ {
-        self.rows.in_neighbors(target_slot as UserId)
+        self.rows[target_slot].iter().copied()
     }
 
     /// In-degree of the local target.
     pub fn in_degree(&self, target_slot: usize) -> usize {
-        self.rows.in_degree(target_slot as UserId)
+        self.rows[target_slot].len()
     }
 
     /// Whether `source → (local) target` is recorded.
     pub fn contains(&self, target_slot: usize, source: UserId) -> bool {
-        self.rows.contains(source, target_slot as UserId)
+        self.rows[target_slot].contains(&source)
     }
 
     /// Detaches the in-neighbour row of the local target, swapping the
     /// shard's last slot into its place — the shard-migration primitive.
     /// The caller must re-index whichever user occupied the last slot.
     pub fn detach_slot(&mut self, target_slot: usize) -> FxHashSet<UserId> {
-        self.rows.swap_remove_row(target_slot as UserId)
+        self.rows.swap_remove(target_slot)
     }
 
     /// Attaches a detached in-neighbour row as a new local slot, returning
     /// its index. The inverse of [`ShardReverse::detach_slot`], applied on
     /// the migration's destination shard.
     pub fn attach_slot(&mut self, row: FxHashSet<UserId>) -> usize {
-        self.rows.push_row(row) as usize
+        self.rows.push(row);
+        self.rows.len() - 1
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::knn::Neighbor;
+    use crate::knn::{KnnGraph, Neighbor};
 
     #[test]
     fn add_remove_round_trip() {
-        let mut rev = ReverseAdjacency::new(3);
-        rev.add(0, 2);
-        rev.add(1, 2);
+        let mut rev = ShardReverse::new(3);
+        rev.add(2, 0);
+        rev.add(2, 1);
         assert_eq!(rev.in_degree(2), 2);
-        assert!(rev.contains(0, 2));
-        assert!(rev.remove(0, 2));
-        assert!(!rev.remove(0, 2));
+        assert!(rev.contains(2, 0));
+        assert!(rev.remove(2, 0));
+        assert!(!rev.remove(2, 0));
         assert_eq!(rev.in_degree(2), 1);
         let ins: Vec<u32> = rev.in_neighbors(2).collect();
         assert_eq!(ins, vec![1]);
@@ -188,6 +110,8 @@ mod tests {
 
     #[test]
     fn from_graph_matches_batch_reverse() {
+        // One shard owning every user in id order: slot == user id, so
+        // the live rows must equal the batch in-neighbour lists.
         let g = KnnGraph::from_neighbors(
             2,
             vec![
@@ -196,12 +120,16 @@ mod tests {
                 vec![],
             ],
         );
-        let rev = ReverseAdjacency::from_graph(&g);
-        let batch = g.reverse();
-        for v in 0..3u32 {
+        let mut rev = ShardReverse::new(g.num_users());
+        for u in 0..g.num_users() as UserId {
+            for n in g.neighbors(u) {
+                rev.add(n.id as usize, u);
+            }
+        }
+        for (v, batch) in g.reverse().iter().enumerate() {
             let mut live: Vec<u32> = rev.in_neighbors(v).collect();
             live.sort_unstable();
-            assert_eq!(live, batch[v as usize], "user {v}");
+            assert_eq!(&live, batch, "user {v}");
         }
     }
 
@@ -248,10 +176,10 @@ mod tests {
 
     #[test]
     fn push_user_extends() {
-        let mut rev = ReverseAdjacency::new(1);
-        assert_eq!(rev.push_user(), 1);
-        rev.add(1, 0);
+        let mut rev = ShardReverse::new(1);
+        assert_eq!(rev.push_slot(), 1);
+        rev.add(0, 1);
         assert_eq!(rev.in_degree(0), 1);
-        assert_eq!(rev.num_users(), 2);
+        assert_eq!(rev.num_slots(), 2);
     }
 }

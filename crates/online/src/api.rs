@@ -1,11 +1,9 @@
-//! [`KnnEngine`]: the unified façade over both live engines.
+//! [`KnnEngine`]: the object-safe surface of the live engine.
 //!
-//! PRs 1–5 grew two engines with the same surface — [`OnlineKnn`] and
-//! [`ShardedOnlineKnn`] — and every consumer (the CLI `update` replay,
-//! the bench harness, now the serving daemon) duplicated a two-armed
-//! enum to dispatch between them. This trait is that surface, made
-//! object-safe so a daemon can own a `Box<dyn KnnEngine + Send>` chosen
-//! at startup.
+//! There is one online engine, [`ShardedOnlineKnn`]; [`OnlineKnn`] is its
+//! one-shard configuration. Consumers that take either (the CLI `update`
+//! replay, the bench harness, the serving daemon) hold a
+//! `Box<dyn KnnEngine>` or a `&mut dyn KnnEngine` chosen at startup.
 //!
 //! Two deliberate deviations from the inherent methods:
 //!
@@ -66,9 +64,8 @@ impl ReadView {
 
 /// A live KNN engine: queryable, updatable, snapshottable.
 ///
-/// Implemented by [`OnlineKnn`] and [`ShardedOnlineKnn`]; consumers that
-/// work with either take `&mut dyn KnnEngine` (or a generic bound) and
-/// stop caring which one they were handed.
+/// Implemented by [`ShardedOnlineKnn`] and by its one-shard wrapper
+/// [`OnlineKnn`].
 pub trait KnnEngine: Send {
     /// Neighbourhood size `k`.
     fn k(&self) -> usize;
@@ -123,12 +120,9 @@ pub trait KnnEngine: Send {
     fn stats(&self) -> &UpdateStats;
 
     /// The engine's shared-item counters, exported for snapshot
-    /// persistence, or `None` when the engine cannot export them (a
-    /// restore then falls back to recounting from the dataset, which
-    /// yields the same values — counting is exact — just slower).
-    fn counters_snapshot(&self) -> Option<Vec<Vec<(UserId, u32)>>> {
-        None
-    }
+    /// persistence: one `(co_rater, count)` row per user, in user-id
+    /// order (see [`ShardedOnlineKnn::counters_snapshot`]).
+    fn counters_snapshot(&self) -> Vec<Vec<(UserId, u32)>>;
 }
 
 /// Bounds-checks a user id against the engine size.
@@ -142,44 +136,43 @@ fn check_user(u: UserId, num_users: usize) -> Result<(), KiffError> {
 
 impl KnnEngine for OnlineKnn {
     fn k(&self) -> usize {
-        OnlineKnn::k(self)
+        KnnEngine::k(&**self)
     }
 
     fn len(&self) -> usize {
-        self.num_users()
+        KnnEngine::len(&**self)
     }
 
     fn neighbors(&self, u: UserId) -> Result<Vec<Neighbor>, KiffError> {
-        check_user(u, self.num_users())?;
-        Ok(OnlineKnn::neighbors(self, u))
+        KnnEngine::neighbors(&**self, u)
     }
 
     fn graph(&self) -> Arc<KnnGraph> {
-        OnlineKnn::graph(self)
+        KnnEngine::graph(&**self)
     }
 
     fn dataset(&self) -> Arc<Dataset> {
-        OnlineKnn::dataset(self)
+        KnnEngine::dataset(&**self)
     }
 
     fn data(&self) -> &DeltaDataset {
-        OnlineKnn::data(self)
+        KnnEngine::data(&**self)
     }
 
     fn apply(&mut self, update: Update) -> UpdateStats {
-        OnlineKnn::apply(self, update)
+        KnnEngine::apply(&mut **self, update)
     }
 
     fn apply_batch(&mut self, updates: Vec<Update>) -> UpdateStats {
-        OnlineKnn::apply_batch(self, updates)
+        KnnEngine::apply_batch(&mut **self, updates)
     }
 
     fn stats(&self) -> &UpdateStats {
-        self.lifetime_stats()
+        KnnEngine::stats(&**self)
     }
 
-    fn counters_snapshot(&self) -> Option<Vec<Vec<(UserId, u32)>>> {
-        Some(OnlineKnn::counters_snapshot(self))
+    fn counters_snapshot(&self) -> Vec<Vec<(UserId, u32)>> {
+        KnnEngine::counters_snapshot(&**self)
     }
 }
 
@@ -219,6 +212,10 @@ impl KnnEngine for ShardedOnlineKnn {
 
     fn stats(&self) -> &UpdateStats {
         self.lifetime_stats()
+    }
+
+    fn counters_snapshot(&self) -> Vec<Vec<(UserId, u32)>> {
+        ShardedOnlineKnn::counters_snapshot(self)
     }
 }
 

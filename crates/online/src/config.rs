@@ -64,9 +64,9 @@ impl OnlineMetric {
     }
 }
 
-/// Knobs of the [`OnlineKnn`](crate::OnlineKnn) engine. Defaults follow
-/// the batch paper parameters where an analogue exists: the repair width
-/// is the online γ.
+/// Knobs of the online engine (sharding aside, see
+/// [`ShardConfig`](crate::ShardConfig)). Defaults follow the batch paper
+/// parameters where an analogue exists: the repair width is the online γ.
 #[derive(Debug, Clone)]
 pub struct OnlineConfig {
     /// Neighbourhood size `k`.
@@ -86,8 +86,8 @@ pub struct OnlineConfig {
     /// overlay profile. `1.0` effectively disables compaction.
     pub compaction_threshold: f64,
     /// Telemetry registry the engine records into (`online.*` apply and
-    /// repair instruments, per-shard `shard.N.*` instruments, and the
-    /// `similarity.*` scorer counters). Each config starts with its own
+    /// repair-round instruments, per-shard `shard.N.*` instruments, and
+    /// the `similarity.*` scorer counters). Each config starts with its own
     /// enabled registry; share one across engines with
     /// [`OnlineConfig::with_telemetry`].
     pub telemetry: Registry,

@@ -39,28 +39,26 @@
 //!   folded back into a fresh CSR when it covers
 //!   [`OnlineConfig::compaction_threshold`] of the users.
 //!
-//! [`OnlineKnn::apply_batch`] amortises repair across many updates — the
-//! realistic serving pattern — re-scoring each touched user once against
-//! the batch-final state.
+//! [`ShardedOnlineKnn::apply_batch`] amortises repair across many
+//! updates — the realistic serving pattern — re-scoring each touched user
+//! once against the batch-final state.
 //!
-//! # Scaling out
+//! # One engine, any number of shards
 //!
-//! [`ShardedOnlineKnn`] partitions users across shards (hash by default,
-//! pluggable via [`Partitioner`]) and runs the counter and repair phases
-//! on all shards in parallel, exchanging cross-shard heap and
-//! reverse-edge edits through asynchronous message queues. Same
-//! consistency model, `apply_batch` throughput scaling with cores.
+//! [`ShardedOnlineKnn`] is the engine: it partitions users across shards
+//! (hash by default, pluggable via [`Partitioner`]) and runs the counter
+//! and repair phases on all shards in parallel, exchanging cross-shard
+//! heap and reverse-edge edits through asynchronous message queues.
+//! [`OnlineKnn`] is its one-shard configuration. Same consistency model
+//! at every shard count, `apply_batch` throughput scaling with cores.
 //! Skewed streams are handled live: a [`RebalanceConfig`]-driven
 //! rebalancer migrates users out of overloaded shards during quiescent
 //! periods, and [`CommunityPartitioner`] co-locates co-raters to cut
 //! cross-shard message volume (see [`sharded`] for the mechanics).
-
 //!
-//! # One façade over both engines
-//!
-//! Consumers that work with either engine — the serving daemon, the CLI
+//! Consumers that take either type — the serving daemon, the CLI
 //! replay, the bench harness — dispatch through the object-safe
-//! [`KnnEngine`] trait instead of duplicating per-engine code paths.
+//! [`KnnEngine`] trait.
 
 pub mod api;
 pub mod config;

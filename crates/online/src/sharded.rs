@@ -1,10 +1,30 @@
-//! The [`ShardedOnlineKnn`] engine: the online KNN graph partitioned
-//! across user shards, repaired in parallel.
+//! The online engine: a live KNN graph under streaming mutations,
+//! partitioned across user shards and repaired in parallel.
+//! [`OnlineKnn`](crate::OnlineKnn) is its one-shard configuration.
 //!
-//! KIFF's per-user decomposition means [`OnlineKnn`]'s state splits
-//! naturally along user boundaries: shared-item counters, neighbour heaps
-//! and repair queues are all per-user. This module exploits that split to
-//! scale `apply_batch` throughput with cores:
+//! State per user: the live profile (in the [`DeltaDataset`] overlay), a
+//! [`SparseCounter`] of shared items with every co-rater (the live,
+//! unpivoted RCS of §II-C), a [`KnnHeap`] of current neighbours, and the
+//! in-neighbour set tying the heaps together. One batch flows through
+//! three steps:
+//!
+//! 1. **mutate** — the dataset view changes; only the co-raters of the
+//!    touched item get their shared-item counters adjusted (the
+//!    incremental counting phase).
+//! 2. **repair** — each updated user is re-scored against the co-raters
+//!    its mutations touched (capped at `repair_width`, best live shared
+//!    counts first, ties to the lower id), its refreshed RCS prefix (top
+//!    `repair_width` by live count) and its current and reverse
+//!    neighbours, because every stored similarity involving the user is
+//!    stale after a profile change.
+//! 3. **propagate** — any user whose neighbourhood *degraded* (an edge
+//!    removed, or a stored similarity revised downwards) is enqueued and
+//!    repaired in turn, Debatty-style, until no heap changes or the
+//!    propagation budget is exhausted.
+//!
+//! KIFF's per-user decomposition means all of this state splits along
+//! user boundaries, which the engine exploits to scale `apply_batch`
+//! throughput with cores:
 //!
 //! * **Partitioning** — every user belongs to exactly one shard, decided
 //!   by a pluggable [`Partitioner`] (hash by default). A shard privately
@@ -28,11 +48,12 @@
 //!   always reaches: repairs are budget-bounded and bookkeeping messages
 //!   generate no further work.
 //!
-//! The result preserves the single-engine consistency model — counters
-//! stay exact, the graph is eventually consistent with a bounded repair
-//! radius — while distributing the repair work. A property test
-//! (`tests/sharded_equivalence.rs`) holds the sharded replay to within ε
-//! of the single-engine replay's recall on the same stream.
+//! Counters stay exact at every shard count, and the graph is eventually
+//! consistent with a bounded repair radius. Replay is deterministic:
+//! snapshot plus replay reproduces an uninterrupted run exactly. Across
+//! shard counts the order in which cross-shard scores land differs, so a
+//! property test (`tests/sharded_equivalence.rs`) holds 2- and 4-shard
+//! replays to within ε of the one-shard replay's recall.
 //!
 //! # Rebalancing
 //!
@@ -60,7 +81,7 @@
 //!   [`ShardedOnlineKnn::repartition`]).
 //!
 //! `tests/rebalance_equivalence.rs` holds skewed replays with migrations
-//! enabled to within ε of the unsharded engine; `tests/shard_stress.rs`
+//! enabled to within ε of the one-shard engine; `tests/shard_stress.rs`
 //! pins the balance bound and the hash-vs-community message ordering.
 
 use std::collections::VecDeque;
@@ -68,15 +89,15 @@ use std::fmt;
 use std::sync::Arc;
 
 use kiff_collections::{FxHashMap, FxHashSet, SparseCounter};
-use kiff_core::{build_rcs, CountingConfig};
+use kiff_core::{build_rcs, CountingConfig, Kiff, KiffConfig, KiffError};
 use kiff_dataset::{Dataset, DeltaDataset, DeltaView, UserId};
 use kiff_graph::{HeapChange, KnnGraph, KnnHeap, Neighbor, ShardReverse};
 use kiff_parallel::{effective_threads, parallel_for_each_mut};
+use kiff_similarity as sim;
 use kiff_similarity::ScorerWorkspace;
 use kiff_telemetry::{Counter, Gauge, Histogram, Registry};
 
-use crate::config::OnlineConfig;
-use crate::engine::{batch_graph, OnlineKnn};
+use crate::config::{OnlineConfig, OnlineMetric};
 use crate::snapshot::ClockCache;
 use crate::update::{Update, UpdateStats};
 
@@ -751,8 +772,7 @@ impl Shard {
             }
         }
         if self.repaired >= self.budget {
-            // Budget exhausted: drop the remaining cascade, exactly as the
-            // single engine's propagation loop does.
+            // Budget exhausted: drop the remaining cascade.
             self.queue.clear();
             self.extras.clear();
         }
@@ -760,8 +780,7 @@ impl Shard {
     }
 
     /// Re-scores `u` (owned) against its targeted candidates, refreshed
-    /// counter prefix, current neighbours and in-neighbours — the same
-    /// candidate set as [`OnlineKnn`]'s repair.
+    /// counter prefix, current neighbours and in-neighbours.
     fn repair(
         &mut self,
         my: u32,
@@ -902,11 +921,12 @@ impl Shard {
 
 /// A KNN graph maintained incrementally by a pool of user shards.
 ///
-/// Same public contract as [`OnlineKnn`] — apply updates, read
-/// neighbourhoods, snapshot the graph — but `apply_batch` distributes
-/// repair across shards and threads. Construct via
-/// [`ShardedOnlineKnn::new`], [`ShardedOnlineKnn::from_graph`], or the
-/// facade's `KnnGraphBuilder::into_sharded`.
+/// Apply updates, read neighbourhoods, snapshot the graph; `apply_batch`
+/// distributes repair across shards and threads. Construct via
+/// [`ShardedOnlineKnn::new`], [`ShardedOnlineKnn::from_graph`],
+/// [`ShardedOnlineKnn::from_snapshot`], or the facade's
+/// `KnnGraphBuilder::into_sharded`; [`OnlineKnn`](crate::OnlineKnn)
+/// builds the one-shard configuration.
 #[derive(Debug)]
 pub struct ShardedOnlineKnn {
     config: OnlineConfig,
@@ -951,8 +971,8 @@ impl ShardedOnlineKnn {
     }
 
     /// Shards an already-built graph (any construction algorithm) for
-    /// streaming. Counters are seeded from one unpivoted batch counting
-    /// pass, exactly like [`OnlineKnn::from_graph`].
+    /// streaming. The live shared-item counters are seeded from one
+    /// unpivoted batch counting pass.
     pub fn from_graph(
         dataset: &Dataset,
         graph: &KnnGraph,
@@ -964,8 +984,6 @@ impl ShardedOnlineKnn {
             dataset.num_users(),
             "graph and dataset disagree on the user count"
         );
-        let n = dataset.num_users();
-        let num_shards = shard_config.num_shards;
         let rcs = build_rcs(
             dataset,
             &CountingConfig {
@@ -974,11 +992,103 @@ impl ShardedOnlineKnn {
                 ..Default::default()
             },
         );
+        let counters = (0..dataset.num_users() as UserId)
+            .map(|u| {
+                let ids = rcs.rcs(u);
+                let counts = rcs.counts(u).expect("keep_counts set");
+                let mut counter = SparseCounter::with_capacity(ids.len());
+                for (&v, &c) in ids.iter().zip(counts) {
+                    counter.add_n(v, c);
+                }
+                counter
+            })
+            .collect();
+        Self::assemble(dataset, graph, counters, config, shard_config)
+    }
+
+    /// Restores an engine from persisted state: the compacted dataset, the
+    /// graph snapshot, and the exported shared-item counters (see
+    /// [`ShardedOnlineKnn::counters_snapshot`]) — pure deserialization, no
+    /// counting pass, which is what makes snapshot recovery beat a
+    /// rebuild by a wide margin. The rows do not depend on the shard
+    /// layout, so any shard configuration restores any snapshot.
+    ///
+    /// Validates that the three sections agree on the user count and that
+    /// counter keys stay in range; inconsistencies surface as
+    /// [`KiffError::Corrupt`].
+    pub fn from_snapshot(
+        dataset: &Dataset,
+        graph: &KnnGraph,
+        counter_rows: Vec<Vec<(UserId, u32)>>,
+        config: OnlineConfig,
+        shard_config: ShardConfig,
+    ) -> Result<Self, KiffError> {
+        let n = dataset.num_users();
+        if graph.num_users() != n || counter_rows.len() != n {
+            return Err(KiffError::corrupt(
+                "engine snapshot",
+                format!(
+                    "user counts disagree: dataset {n}, graph {}, counters {}",
+                    graph.num_users(),
+                    counter_rows.len()
+                ),
+            ));
+        }
+        let mut counters = Vec::with_capacity(n);
+        for (u, row) in counter_rows.into_iter().enumerate() {
+            let mut counter = SparseCounter::with_capacity(row.len());
+            for (v, c) in row {
+                if v as usize >= n || v as usize == u {
+                    return Err(KiffError::corrupt(
+                        "engine snapshot",
+                        format!("counter row {u} references invalid co-rater {v}"),
+                    ));
+                }
+                counter.add_n(v, c);
+            }
+            counters.push(counter);
+        }
+        Ok(Self::assemble(
+            dataset,
+            graph,
+            counters,
+            config,
+            shard_config,
+        ))
+    }
+
+    /// Exports the live shared-item counters as per-user `(co_rater,
+    /// count)` rows, in user-id order whatever the shard layout, each
+    /// sorted by co-rater id — the deterministic form the snapshot codec
+    /// persists and [`ShardedOnlineKnn::from_snapshot`] accepts.
+    pub fn counters_snapshot(&self) -> Vec<Vec<(UserId, u32)>> {
+        self.assign
+            .iter()
+            .map(|slot| {
+                let counter = &self.shards[slot.shard as usize].counters[slot.idx as usize];
+                let mut row: Vec<(UserId, u32)> = counter.iter().collect();
+                row.sort_unstable_by_key(|&(v, _)| v);
+                row
+            })
+            .collect()
+    }
+
+    /// Shared tail of the constructors: places every user on its shard
+    /// with its counter (`counters[u]`) and its graph-seeded heap, then
+    /// mirrors the heaps into the owning shards' in-neighbour sets.
+    fn assemble(
+        dataset: &Dataset,
+        graph: &KnnGraph,
+        counters: Vec<SparseCounter>,
+        config: OnlineConfig,
+        shard_config: ShardConfig,
+    ) -> Self {
+        let num_shards = shard_config.num_shards;
         let mut shards: Vec<Shard> = (0..num_shards)
             .map(|s| Shard::new(num_shards, s, &config.telemetry))
             .collect();
-        let mut assign = Vec::with_capacity(n);
-        for u in 0..n as UserId {
+        let mut assign = Vec::with_capacity(counters.len());
+        for (u, counter) in (0..).zip(counters) {
             let s = shard_config.partitioner.shard_of(u, num_shards);
             let shard = &mut shards[s];
             let idx = shard.push_user(config.k, u, 1);
@@ -987,17 +1097,11 @@ impl ShardedOnlineKnn {
                 idx,
             });
             let slot = idx as usize;
-            let ids = rcs.rcs(u);
-            let counts = rcs.counts(u).expect("keep_counts set");
-            let counter = &mut shard.counters[slot];
-            for (&v, &c) in ids.iter().zip(counts) {
-                counter.add_n(v, c);
-            }
+            shard.counters[slot] = counter;
             for nb in graph.neighbors(u) {
                 shard.heaps[slot].update(nb.sim, nb.id);
             }
         }
-        // Mirror the heaps into the owning shards' in-neighbour sets.
         let rebalancer = shard_config.rebalance.clone().map(Rebalancer::new);
         let tele = &config.telemetry;
         let apply_ns = tele.histogram("online.apply_ns");
@@ -1020,7 +1124,9 @@ impl ShardedOnlineKnn {
             repair_round_ns,
             tele_migrations,
         };
-        for u in 0..n as UserId {
+        // Mirror from the heaps, not from `graph`: the heap capacity may
+        // be smaller than the snapshot's k.
+        for u in 0..engine.assign.len() as UserId {
             let slot = engine.assign[u as usize];
             for id in engine.shards[slot.shard as usize].heaps[slot.idx as usize].ids() {
                 let t = engine.assign[id as usize];
@@ -1124,8 +1230,12 @@ impl ShardedOnlineKnn {
         self.shards[slot.shard as usize].counters[slot.idx as usize].get(v)
     }
 
-    /// Snapshots the live graph, re-sorting only the rows edited since
-    /// the cached snapshot, like [`OnlineKnn::graph`].
+    /// Snapshots the live graph.
+    ///
+    /// The first call sorts every row (`O(|E|)`). Later calls start from
+    /// the cached snapshot and re-sort only the rows edited since, so a
+    /// batch costs the rows it changed plus one `Arc` clone per user;
+    /// calls between mutations return the same `Arc` for free.
     pub fn graph(&self) -> Arc<KnnGraph> {
         self.graph_snapshot
             .graph(self.clock, self.config.k, self.num_users(), |since| {
@@ -1144,8 +1254,9 @@ impl ShardedOnlineKnn {
             })
     }
 
-    /// Materializes the live dataset view as a frozen [`Dataset`], once
-    /// per dataset change, like [`OnlineKnn::dataset`].
+    /// Materializes the live dataset view as a frozen [`Dataset`]: one
+    /// copy of the ratings ([`DeltaDataset::to_dataset`]) per dataset
+    /// change, and the same `Arc` for free between changes.
     pub fn dataset(&self) -> Arc<Dataset> {
         self.dataset_snapshot
             .get(self.data.version(), |_| Arc::new(self.data.to_dataset()))
@@ -1167,7 +1278,8 @@ impl ShardedOnlineKnn {
         id
     }
 
-    /// Applies one mutation. Prefer [`ShardedOnlineKnn::apply_batch`]:
+    /// Applies one mutation and repairs the graph around it: a batch of
+    /// one. On several shards prefer [`ShardedOnlineKnn::apply_batch`]:
     /// single updates rarely have enough repair work to amortise the
     /// cross-shard coordination.
     pub fn apply(&mut self, update: Update) -> UpdateStats {
@@ -1177,6 +1289,8 @@ impl ShardedOnlineKnn {
     /// Applies a batch of mutations: serial dataset mutation, then
     /// parallel counter maintenance and repair across shards, with
     /// cross-shard work exchanged through message queues between rounds.
+    /// A user touched by many ratings in the batch is re-scored once,
+    /// against the batch-final state, which amortises repair.
     pub fn apply_batch(&mut self, updates: impl IntoIterator<Item = Update>) -> UpdateStats {
         let _span = self.apply_ns.span();
         self.clock += 1;
@@ -1284,11 +1398,14 @@ impl ShardedOnlineKnn {
         stats
     }
 
-    /// Applies one mutation to the dataset view, bucketing its counter
-    /// adjustments by owning shard, and returns the dirty user with its
-    /// targeted candidate chunk (uncapped: the owning shard caps against
-    /// live counts after the counter phase). Mirrors [`OnlineKnn`]'s
-    /// mutate step.
+    /// Step 1: applies one mutation to the dataset view, bucketing its
+    /// counter adjustments by owning shard, and returns the dirty user
+    /// with its *targeted* candidates: the co-raters of the touched item,
+    /// since `sim(user, v)` rose exactly for those `v`. Uncapped: the
+    /// owning shard caps them against live counts after the counter
+    /// phase. A removal has no targeted candidates: it only lowers
+    /// similarities, and every standing edge is already covered by the
+    /// heap and reverse sets.
     fn mutate(
         &mut self,
         update: Update,
@@ -1584,21 +1701,21 @@ impl ShardedOnlineKnn {
     }
 }
 
-/// Conversion that preserves the live graph: wraps a single engine's
-/// state into shards (used by the builder facade's `into_sharded`).
-impl ShardedOnlineKnn {
-    /// Shards the state of a single-threaded engine. The dataset view is
-    /// re-based on the engine's current state; the graph transfers
-    /// edge-for-edge.
-    pub fn from_online(engine: &OnlineKnn, shard_config: ShardConfig) -> Self {
-        let dataset = engine.data().to_dataset();
-        let graph = engine.graph();
-        Self::from_graph(&dataset, &graph, engine.config().clone(), shard_config)
+/// Builds the initial batch graph with KIFF under the online metric's
+/// batch twin.
+fn batch_graph(dataset: &Dataset, k: usize, metric: OnlineMetric) -> KnnGraph {
+    let kiff = Kiff::new(KiffConfig::new(k));
+    match metric {
+        OnlineMetric::Cosine => kiff.run(dataset, &sim::WeightedCosine::fit(dataset)).graph,
+        OnlineMetric::BinaryCosine => kiff.run(dataset, &sim::BinaryCosine).graph,
+        OnlineMetric::Jaccard => kiff.run(dataset, &sim::Jaccard).graph,
+        OnlineMetric::WeightedJaccard => kiff.run(dataset, &sim::WeightedJaccard).graph,
+        OnlineMetric::Dice => kiff.run(dataset, &sim::Dice).graph,
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use kiff_dataset::dataset::figure2_toy;
     use kiff_similarity::intersect_count;
@@ -1613,7 +1730,7 @@ mod tests {
 
     /// Counter + stored-similarity audit against brute force, plus the
     /// cross-shard invariants.
-    fn audit(engine: &ShardedOnlineKnn) {
+    pub(crate) fn audit(engine: &ShardedOnlineKnn) {
         engine.validate_invariants();
         let n = engine.num_users() as UserId;
         for u in 0..n {
@@ -1739,40 +1856,6 @@ mod tests {
     }
 
     #[test]
-    fn one_shard_matches_single_engine_exactly() {
-        let updates = vec![
-            Update::AddRating {
-                user: 2,
-                item: 1,
-                rating: 1.0,
-            },
-            Update::AddRating {
-                user: 0,
-                item: 2,
-                rating: 2.0,
-            },
-            Update::RemoveRating { user: 3, item: 3 },
-        ];
-        let mut single = OnlineKnn::new(&figure2_toy(), OnlineConfig::new(2));
-        let mut sharded = toy(1);
-        let single_stats = single.apply_batch(updates.clone());
-        let sharded_stats = sharded.apply_batch(updates);
-        for u in 0..single.num_users() as UserId {
-            assert_eq!(
-                single.neighbors(u),
-                sharded.neighbors(u),
-                "user {u} diverged"
-            );
-        }
-        assert_eq!(single_stats.sim_evals, sharded_stats.sim_evals);
-        assert_eq!(
-            single_stats.counter_adjustments,
-            sharded_stats.counter_adjustments
-        );
-        audit(&sharded);
-    }
-
-    #[test]
     fn batched_add_then_remove_interleaves_counter_ops_safely() {
         // Regression: Alice(0) and Carl(2) share nothing initially. In one
         // batch Alice picks up shopping(3) (scattered add on Carl's
@@ -1892,18 +1975,62 @@ mod tests {
     }
 
     #[test]
-    fn from_online_preserves_the_live_graph() {
-        let mut single = OnlineKnn::new(&figure2_toy(), OnlineConfig::new(2));
-        single.apply(Update::AddRating {
-            user: 2,
-            item: 1,
-            rating: 1.0,
-        });
-        let sharded = ShardedOnlineKnn::from_online(&single, ShardConfig::new(2));
-        for u in 0..single.num_users() as UserId {
-            assert_eq!(single.neighbors(u), sharded.neighbors(u), "user {u}");
+    fn counter_rows_restore_under_any_shard_layout() {
+        let updates = vec![
+            Update::AddRating {
+                user: 2,
+                item: 1,
+                rating: 1.0,
+            },
+            Update::AddUser,
+            Update::AddRating {
+                user: 4,
+                item: 3,
+                rating: 2.0,
+            },
+        ];
+        let mut one = toy(1);
+        one.apply_batch(updates.clone());
+        let rows = one.counters_snapshot();
+        for (u, row) in rows.iter().enumerate() {
+            for &(v, c) in row {
+                assert_eq!(one.shared_count(u as UserId, v), c, "pair ({u}, {v})");
+            }
         }
-        audit(&sharded);
+        let (dataset, graph) = (one.dataset(), one.graph());
+        for shards in [2, 3] {
+            let mut engine = toy(shards);
+            engine.apply_batch(updates.clone());
+            assert_eq!(engine.counters_snapshot(), rows, "{shards} shards");
+            let restored = ShardedOnlineKnn::from_snapshot(
+                &dataset,
+                &graph,
+                rows.clone(),
+                OnlineConfig::new(2),
+                ShardConfig::new(shards).with_partitioner(Arc::new(ModuloPartitioner)),
+            )
+            .expect("valid rows");
+            audit(&restored);
+            assert_eq!(restored.counters_snapshot(), rows, "{shards} shards");
+            assert_eq!(restored.graph().as_ref(), graph.as_ref(), "{shards} shards");
+        }
+        // Rows that disagree with the dataset are corrupt, not a panic.
+        let restore = |rows| {
+            ShardedOnlineKnn::from_snapshot(
+                &dataset,
+                &graph,
+                rows,
+                OnlineConfig::new(2),
+                ShardConfig::new(2),
+            )
+        };
+        let mut self_loop = rows.clone();
+        self_loop[0].push((0, 1));
+        let mut out_of_range = rows.clone();
+        out_of_range[1].push((99, 1));
+        for bad in [rows[1..].to_vec(), self_loop, out_of_range] {
+            assert!(matches!(restore(bad), Err(KiffError::Corrupt { .. })));
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Clock-tagged snapshot caches: how both engines publish their graph
-//! and dataset without rebuilding what a batch did not touch.
+//! Clock-tagged snapshot caches: how the engine publishes its graph and
+//! dataset without rebuilding what a batch did not touch.
 //!
-//! Each engine keeps a *mutation clock* that ticks at every mutation
+//! The engine keeps a *mutation clock* that ticks at every mutation
 //! entry point (a batch, a single update, a user admission). Every real
 //! heap edit stamps its row with the clock — one store per edit, never
 //! one per scored pair — so [`ClockCache::graph`] brings the cached
@@ -58,9 +58,9 @@ impl<T> ClockCache<T> {
 impl ClockCache<KnnGraph> {
     /// The graph at `clock` over `num_users` rows. `edited(since)` must
     /// list, sorted or not, the neighbours of every row stamped after
-    /// `since`; engines stamp every row at least 1, so `edited(0)` lists
-    /// them all for the first build. When no row changed, the previous
-    /// snapshot itself is returned.
+    /// `since`; the engine stamps every row at least 1, so `edited(0)`
+    /// lists them all for the first build. When no row changed, the
+    /// previous snapshot itself is returned.
     pub(crate) fn graph(
         &self,
         clock: u64,

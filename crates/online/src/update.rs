@@ -41,7 +41,7 @@ pub enum Update {
 /// mirrors [`UpdateStats::migrations`], the per-batch
 /// [`UpdateStats::cross_messages`] is *derived* from the per-shard
 /// `shard.N.cross_messages` counters (their delta across the batch), and
-/// `online.apply_ns` / `online.repair_ns` / `shard.N.repair_ns`
+/// `online.apply_ns` / `online.repair_round_ns` / `shard.N.repair_ns`
 /// histograms time what these counters only count.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct UpdateStats {
@@ -57,14 +57,14 @@ pub struct UpdateStats {
     /// Users re-scored against their candidate prefix (repair + Debatty
     /// propagation through reverse neighbours).
     pub repaired_users: u64,
-    /// Cross-shard messages sent (always 0 for the single engine): the
-    /// coordination cost a community-aware partitioner minimises. For
-    /// the sharded engine this is the per-batch delta of the
-    /// `shard.N.cross_messages` telemetry counters, so it reads 0 when
+    /// Cross-shard messages sent (always 0 on one shard): the
+    /// coordination cost a community-aware partitioner minimises. It is
+    /// the per-batch delta of the `shard.N.cross_messages` telemetry
+    /// counters, so it reads 0 when
     /// the engine records into a disabled registry.
     pub cross_messages: u64,
     /// Users migrated between shards (rebalancer moves plus requested
-    /// migrations applied during the call; 0 for the single engine).
+    /// migrations applied during the call; 0 on one shard).
     pub migrations: u64,
     /// Whether this call ended with a delta-storage re-compaction.
     pub compacted: bool,

@@ -50,6 +50,7 @@
 //! here, scoped by the listener address; a fired point kills only that
 //! connection, exactly like a real peer reset.
 
+use std::cell::Cell;
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -622,6 +623,13 @@ pub(crate) struct Shared {
     request_ns: RequestTimers,
     /// `serve.shed`, resolved at bind.
     shed: Counter,
+    /// `serve.queue_depth`, `serve.requests`, `serve.errors` and
+    /// `serve.read_wait_ns`, resolved at bind: a connection starts
+    /// without a registry lookup.
+    queue_depth: Gauge,
+    requests: Counter,
+    errors: Counter,
+    read_wait: Histogram,
     addr: SocketAddr,
     net_ctx: String,
     pub(crate) repl: Option<Arc<ReplState>>,
@@ -652,8 +660,42 @@ impl RequestTimers {
     }
 }
 
+thread_local! {
+    /// Whether this thread is answering from the lock-free view lane
+    /// (only ever set in debug builds, see [`ViewLane`]).
+    static IN_VIEW_LANE: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the current thread as answering from the lock-free view lane
+/// until dropped. In debug builds [`Shared::lock_host`] asserts that the
+/// mark is clear, so a read op that reaches for the host mutex fails
+/// every debug run that drives it, whether or not a writer holds the
+/// lock at that moment.
+struct ViewLane;
+
+impl ViewLane {
+    fn enter() -> Self {
+        if cfg!(debug_assertions) {
+            IN_VIEW_LANE.with(|lane| lane.set(true));
+        }
+        ViewLane
+    }
+}
+
+impl Drop for ViewLane {
+    fn drop(&mut self) {
+        if cfg!(debug_assertions) {
+            IN_VIEW_LANE.with(|lane| lane.set(false));
+        }
+    }
+}
+
 impl Shared {
     pub(crate) fn lock_host(&self) -> std::sync::MutexGuard<'_, EngineHost> {
+        debug_assert!(
+            !IN_VIEW_LANE.with(Cell::get),
+            "the lock-free view lane took the host lock"
+        );
         // A worker that panicked while holding the lock (a bug, but one
         // that must not cascade) leaves the engine in a valid state:
         // handle() mutates through &mut with no partial commits visible
@@ -726,6 +768,10 @@ impl Server {
                 config,
                 request_ns: RequestTimers::new(&telemetry),
                 shed: telemetry.counter("serve.shed"),
+                queue_depth: telemetry.gauge("serve.queue_depth"),
+                requests: telemetry.counter("serve.requests"),
+                errors: telemetry.counter("serve.errors"),
+                read_wait: telemetry.histogram("serve.read_wait_ns"),
                 telemetry,
                 addr,
                 net_ctx: addr.to_string(),
@@ -925,10 +971,6 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) -> Result<(), KiffE
             .set_write_timeout(Some(shared.config.write_timeout))
             .map_err(KiffError::Io)?;
     }
-    let queue_depth = shared.telemetry.gauge("serve.queue_depth");
-    let requests = shared.telemetry.counter("serve.requests");
-    let errors = shared.telemetry.counter("serve.errors");
-    let read_wait = shared.telemetry.histogram("serve.read_wait_ns");
     // Per-connection view memo: in the steady state a read op costs one
     // atomic epoch check, no lock of any kind.
     let mut view_cache: ViewCache<ServeView> = ViewCache::new();
@@ -941,39 +983,47 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) -> Result<(), KiffE
             Framed::Value(v) => v,
             Framed::Eof | Framed::ShuttingDown => return Ok(()),
         };
-        requests.incr();
+        shared.requests.incr();
         // RAII: every exit between here and the end of this iteration —
         // shed, handler error, write timeout, even a panicking handler
         // unwinding the worker — lowers the gauge again. A bare
         // add(1)/add(-1) pair leaked on exactly those paths.
-        let _depth = queue_depth.raise(1);
+        let _depth = shared.queue_depth.raise(1);
         let started = Instant::now();
         let (response, op, shutdown) = match Request::from_value(&value) {
             Ok(request) => {
                 let op = request.op();
                 let shutdown = matches!(request, Request::Shutdown);
-                let response = claim_slot(shared).and_then(|_slot| match request {
+                let response = claim_slot(shared).and_then(|_slot| {
                     // Lock-free lane: answered from the published view
                     // (or pure telemetry) without touching the host
                     // mutex — a writer mid-`apply_batch` cannot stall
-                    // these.
-                    Request::Ping => Ok(serde_json::json!({"ok": true})),
-                    Request::Metrics => metrics_value(&shared.telemetry),
-                    Request::Neighbors { .. }
-                    | Request::Recommend { .. }
-                    | Request::Predict { .. }
-                    | Request::Audience { .. }
-                    | Request::Search { .. }
-                    | Request::Stats => {
-                        let load_started = Instant::now();
-                        let view = shared.views.load_cached(&mut view_cache);
-                        read_wait.record(load_started.elapsed().as_nanos() as u64);
-                        answer_from_view(&view, &request)
-                            .expect("view-served ops are classified exhaustively")
+                    // these. The lane mark makes `lock_host` trip here.
+                    let lane = ViewLane::enter();
+                    match request {
+                        Request::Ping => Ok(serde_json::json!({"ok": true})),
+                        Request::Metrics => metrics_value(&shared.telemetry),
+                        Request::Neighbors { .. }
+                        | Request::Recommend { .. }
+                        | Request::Predict { .. }
+                        | Request::Audience { .. }
+                        | Request::Search { .. }
+                        | Request::Stats => {
+                            let load_started = Instant::now();
+                            let view = shared.views.load_cached(&mut view_cache);
+                            shared
+                                .read_wait
+                                .record(load_started.elapsed().as_nanos() as u64);
+                            answer_from_view(&view, &request)
+                                .expect("view-served ops are classified exhaustively")
+                        }
+                        // Serialized lane: writes, persistence, health,
+                        // shutdown — the host mutex path.
+                        _ => {
+                            drop(lane);
+                            shared.lock_host().handle(&request)
+                        }
                     }
-                    // Serialized lane: writes, persistence, health,
-                    // shutdown — the host mutex path.
-                    _ => shared.lock_host().handle(&request),
                 });
                 match response {
                     Ok(mut body) => {
@@ -986,13 +1036,13 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) -> Result<(), KiffE
                         (body, op, shutdown)
                     }
                     Err(e) => {
-                        errors.incr();
+                        shared.errors.incr();
                         (wire::error_value(&e, op), op, false)
                     }
                 }
             }
             Err(e) => {
-                errors.incr();
+                shared.errors.incr();
                 (wire::error_value(&e, ""), "invalid", false)
             }
         };
@@ -1020,27 +1070,19 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) -> Result<(), KiffE
 mod tests {
     use super::*;
     use crate::client::Client;
+    use crate::store::{recover, StoreConfig};
     use kiff_dataset::dataset::figure2_toy;
     use kiff_online::{OnlineConfig, OnlineKnn, Update};
 
     fn spawn_toy_server() -> (std::thread::JoinHandle<Result<(), KiffError>>, SocketAddr) {
-        let (handle, addr, _) = spawn_toy_server_with_registry();
-        (handle, addr)
-    }
-
-    fn spawn_toy_server_with_registry() -> (
-        std::thread::JoinHandle<Result<(), KiffError>>,
-        SocketAddr,
-        Registry,
-    ) {
         let ds = figure2_toy();
         let reg = Registry::new();
         let config = OnlineConfig::new(2).with_telemetry(reg.clone());
         let engine = Box::new(OnlineKnn::new(&ds, config));
-        let host = EngineHost::new(engine, None, reg.clone());
+        let host = EngineHost::new(engine, None, reg);
         let server = Server::bind("127.0.0.1:0", host).unwrap();
         let addr = server.local_addr();
-        (std::thread::spawn(move || server.run()), addr, reg)
+        (std::thread::spawn(move || server.run()), addr)
     }
 
     #[test]
@@ -1147,16 +1189,36 @@ mod tests {
     }
 
     /// Every instrument a request records into is resolved before the
-    /// request arrives: a view-lane request takes no registry lookup,
-    /// hence not the registry's global mutex either.
+    /// request arrives — at bind, at `Wal::open` and when the store is
+    /// built: a fresh connection, a durable update batch and a view-lane
+    /// request take no registry lookup, hence not the registry's global
+    /// mutex either.
     #[test]
     fn view_lane_requests_look_up_no_instruments() {
-        let (handle, addr, reg) = spawn_toy_server_with_registry();
-        let mut client = Client::connect(&addr.to_string()).unwrap();
-        // One round trip: the worker has resolved its per-connection
-        // instruments before it answers.
-        client.ping().unwrap();
+        let mut dir = std::env::temp_dir();
+        dir.push(format!("kiff-server-lookups-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let reg = Registry::new();
+        let config = OnlineConfig::new(2).with_telemetry(reg.clone());
+        let cfg = StoreConfig::new(&dir).with_snapshot_every(0);
+        let rec = recover(&cfg, &figure2_toy(), None, config, None).unwrap();
+        let host = EngineHost::new(rec.engine, Some(rec.store), reg.clone());
+        let server = Server::bind("127.0.0.1:0", host).unwrap();
+        let addr = server.local_addr();
+        let handle = std::thread::spawn(move || server.run());
+
         let before = reg.lookups();
+        let mut client = Client::connect(&addr.to_string()).unwrap();
+        client.ping().unwrap();
+        assert_eq!(reg.lookups(), before, "a fresh connection looked up");
+        client
+            .update(&[Update::AddRating {
+                user: 2,
+                item: 1,
+                rating: 2.0,
+            }])
+            .unwrap();
+        assert_eq!(reg.lookups(), before, "a durable update batch looked up");
         client.neighbors(0).unwrap();
         client.recommend(0, 3).unwrap();
         client
@@ -1175,6 +1237,21 @@ mod tests {
         assert_eq!(reg.lookups(), before, "a view-lane request looked up");
         client.shutdown().unwrap();
         handle.join().unwrap().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The lock-order tripwire: in debug builds, taking the host lock
+    /// from the lock-free view lane panics.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "the lock-free view lane took the host lock")]
+    fn the_view_lane_cannot_take_the_host_lock() {
+        let config = OnlineConfig::new(2);
+        let engine = Box::new(OnlineKnn::new(&figure2_toy(), config));
+        let host = EngineHost::new(engine, None, Registry::new());
+        let server = Server::bind("127.0.0.1:0", host).unwrap();
+        let _lane = ViewLane::enter();
+        let _host = server.shared.lock_host();
     }
 
     /// Regression (satellite 2): `serve.queue_depth` used to be a bare

@@ -2,11 +2,12 @@
 //!
 //! A snapshot freezes everything recovery needs to resume without a
 //! rebuild: the compacted dataset, the KNN graph (raw `f64` bits, so a
-//! restored engine's heaps are bit-identical), and — optionally — the
-//! per-user shared-item counters. Counters are a pure speed
-//! optimisation: recounting them from the dataset yields the same
-//! values (counting is exact), just slower, so a reader missing the
-//! section still recovers correctly via `OnlineKnn::from_graph`.
+//! restored engine's heaps are bit-identical), and the per-user
+//! shared-item counters. Counters are a pure speed optimisation:
+//! recounting them from the dataset yields the same values (counting is
+//! exact), just slower. The section is optional on disk because files
+//! from sharded daemons of earlier versions lack it; a reader missing it
+//! still recovers correctly via `ShardedOnlineKnn::from_graph`.
 //!
 //! ```text
 //! magic    b"KIFS"

@@ -26,8 +26,8 @@ use std::time::Instant;
 use kiff_core::KiffError;
 use kiff_dataset::Dataset;
 use kiff_graph::KnnGraph;
-use kiff_online::{KnnEngine, OnlineConfig, OnlineKnn, ShardConfig, ShardedOnlineKnn, Update};
-use kiff_telemetry::Registry;
+use kiff_online::{KnnEngine, OnlineConfig, ShardConfig, ShardedOnlineKnn, Update};
+use kiff_telemetry::{Gauge, Registry};
 
 use crate::snapshot::{latest_snapshot, load_snapshot, save_snapshot};
 use crate::wal::{Wal, DEFAULT_SEGMENT_BYTES};
@@ -77,6 +77,8 @@ pub struct Store {
     epoch: u64,
     last_append_at: Instant,
     last_snapshot_at: Instant,
+    /// `store.seq`, resolved at construction: every append sets it.
+    seq: Gauge,
     telemetry: Registry,
 }
 
@@ -114,24 +116,21 @@ pub struct Recovered {
     pub epoch: u64,
 }
 
+/// The engine for `dataset`: restored from `graph` plus exported
+/// counters when the snapshot carries them, recounted when it predates
+/// them, and built with KIFF when there is no graph yet.
 fn build_engine(
     dataset: &Dataset,
     graph: Option<&KnnGraph>,
     counters: Option<Vec<Vec<(u32, u32)>>>,
     config: OnlineConfig,
-    shards: Option<&ShardConfig>,
+    shards: ShardConfig,
 ) -> Result<Box<dyn KnnEngine>, KiffError> {
-    Ok(match shards {
-        Some(sc) => match graph {
-            Some(g) => Box::new(ShardedOnlineKnn::from_graph(dataset, g, config, sc.clone())),
-            None => Box::new(ShardedOnlineKnn::new(dataset, config, sc.clone())),
-        },
-        None => match (graph, counters) {
-            (Some(g), Some(rows)) => Box::new(OnlineKnn::from_snapshot(dataset, g, rows, config)?),
-            (Some(g), None) => Box::new(OnlineKnn::from_graph(dataset, g, config)),
-            (None, _) => Box::new(OnlineKnn::new(dataset, config)),
-        },
-    })
+    Ok(Box::new(match (graph, counters) {
+        (Some(g), Some(rows)) => ShardedOnlineKnn::from_snapshot(dataset, g, rows, config, shards)?,
+        (Some(g), None) => ShardedOnlineKnn::from_graph(dataset, g, config, shards),
+        (None, _) => ShardedOnlineKnn::new(dataset, config, shards),
+    }))
 }
 
 /// Rebuilds a live engine from the newest snapshot in `cfg.dir` plus the
@@ -139,7 +138,7 @@ fn build_engine(
 /// starts from `seed` (and `seed_graph`, when one was prebuilt) and the
 /// *whole* WAL is replayed on top — the seed is the state WAL sequence
 /// numbers count from, so it must be the same dataset the daemon was
-/// first started with.
+/// first started with. `shards` defaults to one shard.
 pub fn recover(
     cfg: &StoreConfig,
     seed: &Dataset,
@@ -148,6 +147,7 @@ pub fn recover(
     shards: Option<ShardConfig>,
 ) -> Result<Recovered, KiffError> {
     let telemetry = config.telemetry.clone();
+    let shards = shards.unwrap_or_else(|| ShardConfig::new(1));
     let (mut engine, after_seq, snapshot_seq, snapshot_hwm, epoch) =
         match latest_snapshot(&cfg.dir)? {
             Some((seq, path)) => {
@@ -157,12 +157,12 @@ pub fn recover(
                     Some(&snap.graph),
                     snap.counters,
                     config,
-                    shards.as_ref(),
+                    shards,
                 )?;
                 (engine, seq, Some(seq), snap.batch_hwm, snap.epoch)
             }
             None => {
-                let engine = build_engine(seed, seed_graph, None, config, shards.as_ref())?;
+                let engine = build_engine(seed, seed_graph, None, config, shards)?;
                 (engine, 0, None, 0, 0)
             }
         };
@@ -181,7 +181,8 @@ pub fn recover(
     }
     let wal =
         Wal::open(&cfg.dir, next_seq, telemetry.clone())?.with_segment_bytes(cfg.segment_bytes);
-    telemetry.gauge("store.seq").set((next_seq - 1) as i64);
+    let seq = telemetry.gauge("store.seq");
+    seq.set((next_seq - 1) as i64);
     Ok(Recovered {
         engine,
         store: Store {
@@ -193,6 +194,7 @@ pub fn recover(
             epoch,
             last_append_at: Instant::now(),
             last_snapshot_at: Instant::now(),
+            seq,
             telemetry,
         },
         snapshot_seq,
@@ -278,7 +280,7 @@ impl Store {
         let seq = self.wal.append_batch(updates, batch_id)?;
         self.batch_hwm = self.batch_hwm.max(batch_id);
         self.last_append_at = Instant::now();
-        self.telemetry.gauge("store.seq").set(seq as i64);
+        self.seq.set(seq as i64);
         Ok(Appended::Applied { seq })
     }
 
@@ -309,7 +311,7 @@ impl Store {
             self.epoch,
             &dataset,
             &graph,
-            counters.as_deref(),
+            Some(&counters),
         )?;
         self.last_snapshot_seq = seq;
         self.last_snapshot_at = Instant::now();
@@ -333,6 +335,7 @@ impl Store {
 mod tests {
     use super::*;
     use kiff_dataset::dataset::figure2_toy;
+    use kiff_online::OnlineKnn;
 
     fn tmp(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -450,14 +453,21 @@ mod tests {
         let rec = recover(&cfg, &seed, None, OnlineConfig::new(2), shards.clone()).unwrap();
         let (mut engine, mut store) = (rec.engine, rec.store);
         let stream = stream();
-        store.append(&stream, 0).unwrap();
-        engine.apply_batch(stream.clone());
-        store.snapshot(engine.as_ref()).unwrap();
+        for (i, chunk) in stream.chunks(4).enumerate() {
+            store.append(chunk, 0).unwrap();
+            engine.apply_batch(chunk.to_vec());
+            if i == 2 {
+                store.snapshot(engine.as_ref()).unwrap();
+            }
+        }
         let expected = engine.graph();
         drop((engine, store));
 
+        let snap = load_snapshot(&latest_snapshot(&dir).unwrap().unwrap().1).unwrap();
+        assert!(snap.counters.is_some(), "sharded snapshots carry counters");
         let rec = recover(&cfg, &seed, None, OnlineConfig::new(2), shards).unwrap();
-        assert_eq!(rec.replayed, 0, "everything was covered by the snapshot");
+        assert_eq!(rec.snapshot_seq, Some(12));
+        assert_eq!(rec.replayed, stream.len() as u64 - 12);
         assert_eq!(rec.engine.graph().as_ref(), expected.as_ref());
         std::fs::remove_dir_all(&dir).unwrap();
     }

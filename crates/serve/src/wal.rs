@@ -57,7 +57,7 @@ use std::sync::Arc;
 use kiff_core::fault::{self, points};
 use kiff_core::KiffError;
 use kiff_online::Update;
-use kiff_telemetry::Registry;
+use kiff_telemetry::{Counter, Gauge, Registry};
 
 /// Rotate to a fresh segment once the current one exceeds this size.
 pub const DEFAULT_SEGMENT_BYTES: u64 = 8 * 1024 * 1024;
@@ -294,6 +294,11 @@ pub struct Wal {
     /// Set by a failed append, cleared by [`Wal::reopen`]; shared with
     /// [`Wal::poisoned_flag`] watchers.
     poisoned: Arc<AtomicBool>,
+    /// `wal.appends`, `wal.fsyncs` and `wal.segments`, resolved at open
+    /// so an append takes no registry lookup.
+    appends: Counter,
+    fsyncs: Counter,
+    segments: Gauge,
     telemetry: Registry,
 }
 
@@ -336,6 +341,9 @@ impl Wal {
             segment_bytes: DEFAULT_SEGMENT_BYTES,
             next_seq,
             poisoned: Arc::default(),
+            appends: telemetry.counter("wal.appends"),
+            fsyncs: telemetry.counter("wal.fsyncs"),
+            segments: telemetry.gauge("wal.segments"),
             telemetry,
         };
         wal.update_segment_gauge()?;
@@ -404,10 +412,8 @@ impl Wal {
         }
         self.next_seq += updates.len() as u64;
         self.segment_len += buf.len() as u64;
-        self.telemetry
-            .counter("wal.appends")
-            .add(updates.len() as u64);
-        self.telemetry.counter("wal.fsyncs").incr();
+        self.appends.add(updates.len() as u64);
+        self.fsyncs.incr();
         Ok(self.next_seq - 1)
     }
 
@@ -488,7 +494,7 @@ impl Wal {
     /// Refreshes the `wal.segments` gauge from the directory listing.
     fn update_segment_gauge(&self) -> Result<(), KiffError> {
         let n = segments(&self.dir)?.len();
-        self.telemetry.gauge("wal.segments").set(n as i64);
+        self.segments.set(n as i64);
         Ok(())
     }
 

@@ -1,7 +1,7 @@
-//! Rebalance-vs-single equivalence: a *skewed* replay — a hot-community
+//! Rebalance-vs-one-shard equivalence: a *skewed* replay — a hot-community
 //! burst followed by a tail of brand-new users — with live migrations
 //! enabled (rebalancer plus explicit mid-batch migration requests) must
-//! reach recall within ε of the unsharded [`OnlineKnn`] replay, for shard
+//! reach recall within ε of the one-shard [`OnlineKnn`] replay, for shard
 //! counts 2, 4 and 8 and for both the hash and the community-aware
 //! partitioner. Migration moves ownership, never edges, so it must be
 //! invisible to what the repair computes (mirroring
@@ -79,7 +79,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(2))]
 
     /// Skewed batched replay with migrations enabled stays within ε of
-    /// the single-engine replay, for 2/4/8 shards × both partitioners,
+    /// the one-shard replay, for 2/4/8 shards × both partitioners,
     /// and ends with consistent cross-shard state and real migrations.
     #[test]
     fn skewed_replay_with_migrations_matches_single_engine(
@@ -145,7 +145,7 @@ proptest! {
                 prop_assert!(
                     sharded_recall >= single_recall - EPSILON,
                     "{shards} shards / {name}: recall {sharded_recall:.4} not within ε \
-                     of single-engine {single_recall:.4}"
+                     of one shard {single_recall:.4}"
                 );
             }
         }
