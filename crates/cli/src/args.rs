@@ -710,8 +710,8 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                     return Err(ParseError("--rebalance ratio must exceed 1.0".into()));
                 }
             }
-            // The single-engine path (shards = 1) has no placement or
-            // rebalancing; reject rather than silently ignore the flags.
+            // One shard (the default) has no placement to choose and
+            // nothing to rebalance; reject rather than ignore the flags.
             if shards == 1 && (partitioner != PartitionerChoice::Hash || rebalance.is_some()) {
                 return Err(ParseError(
                     "--partitioner/--rebalance require --shards > 1".into(),

@@ -357,13 +357,8 @@ fn serve(options: &ServeOptions, out: &mut dyn Write) -> Result<(), CommandError
     // The volatile engine over a freshly built graph: the no-data-dir
     // path, and the `--degraded-ok` read-only fallback.
     let volatile = |graph: &KnnGraph, config: OnlineConfig| -> Box<dyn KnnEngine> {
-        let shard_config = shard_config.clone();
-        Box::new(ShardedOnlineKnn::from_graph(
-            &dataset,
-            graph,
-            config,
-            shard_config,
-        ))
+        let engine = ShardedOnlineKnn::from_graph(&dataset, graph, config, shard_config.clone());
+        Box::new(engine)
     };
 
     let mut read_only = false;

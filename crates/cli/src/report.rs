@@ -42,7 +42,7 @@ impl UpdateReport {
         ));
     }
 
-    /// The sharded engine's layout (omitted for the single engine).
+    /// The shard layout (omitted on one shard).
     pub fn shards(
         &mut self,
         num: usize,
