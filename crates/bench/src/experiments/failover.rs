@@ -11,7 +11,8 @@
 //!    once the stream drains (**hard** — semi-sync shipping keeps the
 //!    replica at most one in-flight batch behind).
 //! 2. **Forced failover.** The primary is killed mid-stream; a
-//!    [`FailoverClient`] rides through the election. Gate:
+//!    [`SelfHealingClient`] given both members' endpoints rides through
+//!    the election. Gate:
 //!    client-observed unavailability — from the kill to the first
 //!    acknowledged write on the promoted replica — `<= 2s` (**hard**).
 //! 3. **Exactly-once verification.** The survivor's recovered state
@@ -31,7 +32,7 @@ use kiff_dataset::zipf::Zipf;
 use kiff_dataset::Dataset;
 use kiff_online::{OnlineConfig, OnlineKnn, Update};
 use kiff_serve::{
-    recover, Client, EngineHost, FailoverClient, ReplicationConfig, RetryPolicy, Server,
+    recover, Client, EngineHost, ReplicationConfig, RetryPolicy, SelfHealingClient, Server,
     ServerConfig, StoreConfig,
 };
 use kiff_telemetry::Registry;
@@ -91,13 +92,14 @@ fn scratch(tag: &str) -> PathBuf {
     p
 }
 
-/// Reserves a concrete loopback address (the peer lists must name every
-/// daemon up front, so ephemeral binding can't be used here).
-fn free_addr() -> String {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("reserve a port");
+/// Binds a member's client port. The peer lists must name every daemon
+/// up front, so both listeners are bound before either daemon is built
+/// and each is handed to its server: no other socket can take a port
+/// between choosing it and serving on it.
+fn listen() -> (TcpListener, String) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind a loopback port");
     let addr = listener.local_addr().expect("local addr").to_string();
-    drop(listener);
-    addr
+    (listener, addr)
 }
 
 fn p99_us(latencies: &mut [f64]) -> f64 {
@@ -116,7 +118,7 @@ struct Daemon {
 fn spawn_member(
     dir: &PathBuf,
     base: &Dataset,
-    addr: &str,
+    listener: TcpListener,
     replica_of: Option<&str>,
     peers: &[String],
 ) -> Daemon {
@@ -136,7 +138,8 @@ fn spawn_member(
         replication: Some(rc),
         ..ServerConfig::default()
     };
-    let server = Server::bind_with(addr, host, server_config).expect("bind reserved port");
+    let server =
+        Server::from_listener(listener, host, server_config).expect("serve on the listener");
     let addr = server.local_addr().to_string();
     let handle = std::thread::spawn(move || server.run());
     Daemon { addr, handle }
@@ -169,12 +172,12 @@ pub fn failover(ctx: &mut Ctx) -> String {
     let users = base.num_users() as u32;
     let config = || OnlineConfig::new(STREAM_K);
 
-    let (addr_a, addr_b) = (free_addr(), free_addr());
+    let ((listener_a, addr_a), (listener_b, addr_b)) = (listen(), listen());
     let peers = vec![addr_a.clone(), addr_b.clone()];
     let dir_a = scratch("primary");
     let dir_b = scratch("replica");
-    let primary = spawn_member(&dir_a, &base, &addr_a, None, &peers);
-    let replica = spawn_member(&dir_b, &base, &addr_b, Some(&addr_a), &peers);
+    let primary = spawn_member(&dir_a, &base, listener_a, None, &peers);
+    let replica = spawn_member(&dir_b, &base, listener_b, Some(&addr_a), &peers);
 
     // Phase 1: replicated load. Writes go to the primary; `neighbors`
     // probes hit both nodes so the read p99s compare like-for-like.
@@ -230,7 +233,7 @@ pub fn failover(ctx: &mut Ctx) -> String {
     let replicated_seq = replica_reader.health().expect("replica health").seq;
     drop((writer, primary_reader, replica_reader));
 
-    // Phase 2: forced failover. The failover client keeps writing; the
+    // Phase 2: forced failover. The retrying client keeps writing; the
     // primary dies; the gap until the next acknowledged write on the
     // promoted replica is the client-observed unavailability.
     let policy = RetryPolicy {
@@ -239,9 +242,9 @@ pub fn failover(ctx: &mut Ctx) -> String {
         max_delay: Duration::from_millis(200),
         seed: ctx.seed,
     };
-    let mut fc = FailoverClient::connect(&peers, policy).expect("failover client connects");
+    let mut client = SelfHealingClient::connect(&peers, policy).expect("retrying client connects");
     assert_eq!(
-        fc.leader(),
+        client.leader(),
         Some(addr_a.as_str()),
         "discovery finds the primary"
     );
@@ -250,16 +253,16 @@ pub fn failover(ctx: &mut Ctx) -> String {
     let killed = Instant::now();
     let mut unavailability_ms = f64::INFINITY;
     for batch in &stream[split..] {
-        let ack = fc.update(batch);
+        let ack = client.update(batch);
         assert!(ack.is_ok(), "post-kill batch must land: {:?}", ack.err());
         if unavailability_ms.is_infinite() {
             unavailability_ms = killed.elapsed().as_secs_f64() * 1e3;
         }
         acked.push(batch.clone());
     }
-    let failed_over = fc.leader() == Some(addr_b.as_str());
-    let failovers = fc.failovers();
-    let retries = fc.retries();
+    let failed_over = client.leader() == Some(addr_b.as_str());
+    let failovers = client.failovers();
+    let retries = client.retries();
 
     // The survivor must have promoted itself with a bumped epoch.
     let mut survivor = Client::connect(&addr_b).expect("connect survivor");

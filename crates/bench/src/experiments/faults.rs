@@ -138,7 +138,7 @@ fn drive(client: &mut SelfHealingClient, stream: &[Vec<Update>], users: u32) -> 
         for probe in 0..2u32 {
             let user = (i as u32 * 7 + probe * 13) % users;
             let t = Instant::now();
-            let got = client.neighbors(user).is_ok();
+            let got = client.call(|c| c.neighbors(user)).is_ok();
             out.latencies_us.push(t.elapsed().as_secs_f64() * 1e6);
             if got {
                 out.ok += 1;
@@ -216,7 +216,7 @@ pub fn faults(ctx: &mut Ctx) -> String {
     let clean_dir = scratch("clean");
     let daemon = spawn_daemon(&clean_dir, &base, STREAM_K);
     let mut client =
-        SelfHealingClient::connect(&daemon.addr, retry_policy(ctx.seed)).expect("connect clean");
+        SelfHealingClient::connect(&[&daemon.addr], retry_policy(ctx.seed)).expect("connect clean");
     let mut clean = drive(&mut client, &stream, users);
     drop(client);
     shutdown_daemon(daemon);
@@ -230,8 +230,8 @@ pub fn faults(ctx: &mut Ctx) -> String {
     let fault_dir = scratch("faulted");
     let fault_scope = fault_dir.to_string_lossy().into_owned();
     let daemon = spawn_daemon(&fault_dir, &base, STREAM_K);
-    let mut client =
-        SelfHealingClient::connect(&daemon.addr, retry_policy(ctx.seed)).expect("connect faulted");
+    let mut client = SelfHealingClient::connect(&[&daemon.addr], retry_policy(ctx.seed))
+        .expect("connect faulted");
     fault::arm_scoped(
         points::WAL_FSYNC,
         Trigger::Prob {
@@ -264,7 +264,7 @@ pub fn faults(ctx: &mut Ctx) -> String {
     // The daemon must settle back to healthy after the stream.
     let settle = Instant::now();
     let settled = loop {
-        match client.health() {
+        match client.call(Client::health) {
             Ok(h) if h.status == "healthy" => break true,
             _ if settle.elapsed() > Duration::from_secs(5) => break false,
             _ => std::thread::sleep(Duration::from_millis(5)),

@@ -128,10 +128,10 @@ impl KiffError {
     /// `Io` covers torn connections and transient disk errors;
     /// `Unavailable` clears when the daemon's WAL recovers;
     /// `Overloaded` clears when in-flight load drains; `NotPrimary`
-    /// clears by retrying against the hinted leader (the failover
+    /// clears by retrying against the hinted leader (the retrying
     /// client re-routes rather than re-sending blindly). A `Remote`
     /// error is retryable exactly when its server-side class is — so
-    /// the self-healing client applies one policy on both sides of the
+    /// the retrying client applies one policy on both sides of the
     /// wire. Everything else (bad request, corruption, protocol
     /// violation) would fail identically on retry.
     pub fn is_retryable(&self) -> bool {

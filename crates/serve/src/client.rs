@@ -1,31 +1,41 @@
 //! Clients for the `kiff-serve` wire protocol.
 //!
-//! [`Client`] is the raw blocking connection: one request in flight,
-//! [`Client::request`] writes a frame and blocks for the answer.
-//! Server-side failures come back as [`KiffError::Remote`] carrying the
-//! server's error `kind` tag *and* the failing op, so a caller can
-//! branch on the failure class — `unavailable` vs `overloaded` vs
-//! `corrupt` — across the wire.
+//! [`Client`] is the raw blocking connection and the one home of the
+//! typed helpers (`neighbors`, `health`, `update_batch`, …): one request
+//! in flight, [`Client::request`] writes a frame and blocks for the
+//! answer. Server-side failures come back as [`KiffError::Remote`]
+//! carrying the server's error `kind` tag *and* the failing op, so a
+//! caller can branch on the failure class — `unavailable` vs
+//! `overloaded` vs `corrupt` — across the wire.
 //!
-//! [`SelfHealingClient`] wraps it with the retry discipline a client of
-//! a degradable daemon needs:
+//! [`SelfHealingClient`] is the retrying client. It takes the client
+//! ports of a replication group — a standalone daemon is a group of
+//! one — and runs any `Client` helper through one retried entry point,
+//! [`SelfHealingClient::call`]:
 //!
+//! * **Leader routing** — discovery polls every endpoint's `health` and
+//!   takes the `primary` with the newest epoch (a standalone daemon,
+//!   which reports no role, counts). A `NotPrimary` refusal's leader
+//!   hint routes the next attempt; a transport error forgets the
+//!   leader, so the next attempt discovers it again.
 //! * **Backoff** — exponential with deterministic seeded jitter
 //!   ([`RetryPolicy`]); the same seed reproduces the same retry timing,
 //!   which keeps chaos tests replayable.
 //! * **Reconnect** — a torn connection (server killed it, network blip)
 //!   is dropped and redialled on the next attempt.
 //! * **Idempotent writes** — every update batch carries a
-//!   client-assigned id from a monotonic counter seeded off the
-//!   server's applied high-water mark (via `health`) at connect. If an
-//!   acknowledgement is lost and the batch is retried, the server
-//!   recognises the id and answers `deduped` instead of applying it
-//!   twice — the exactly-once half of the fault-tolerance story,
-//!   proven by the chaos proptest in `tests/serve_faults.rs`.
+//!   client-assigned id from a monotonic counter seeded once, off the
+//!   first leader's applied high-water mark (via `health`). If an
+//!   acknowledgement is lost and the batch is retried — on the same
+//!   daemon or on a newly promoted one — the server recognises the id
+//!   and answers `deduped` instead of applying it twice: the
+//!   exactly-once half of the fault-tolerance story, proven by the
+//!   chaos proptests in `tests/serve_faults.rs` and
+//!   `tests/serve_replica.rs`.
 //!
 //! Only [`KiffError::is_retryable`] failures are retried: a malformed
 //! request or an unknown user fails identically every time and is
-//! returned immediately.
+//! returned immediately, on the connection it arrived on.
 
 use std::net::TcpStream;
 use std::time::Duration;
@@ -362,17 +372,23 @@ impl RetryPolicy {
     }
 }
 
-/// A client that survives daemon degradation, overload, and torn
-/// connections (see the module docs for the full discipline).
+/// The retrying client: survives daemon degradation, overload, torn
+/// connections and primary failover (see the module docs for the full
+/// discipline).
 #[derive(Debug)]
 pub struct SelfHealingClient {
-    addr: String,
+    endpoints: Vec<String>,
     policy: RetryPolicy,
+    leader: Option<String>,
+    // Survives `leader = None` forgets, so a crash-failover (forget →
+    // rediscover) still counts as a leader change.
+    last_leader: Option<String>,
     conn: Option<Client>,
     next_batch: u64,
     rng: u64,
     retries: u64,
     reconnects: u64,
+    failovers: u64,
     delays: Vec<Duration>,
 }
 
@@ -380,24 +396,39 @@ pub struct SelfHealingClient {
 const DELAY_LOG_CAP: usize = 64;
 
 impl SelfHealingClient {
-    /// Connects to `addr` and seeds the batch-id counter just past the
-    /// server's applied high-water mark, so this client's ids never
-    /// collide with batches a previous client already landed.
-    pub fn connect(addr: &str, policy: RetryPolicy) -> Result<Self, KiffError> {
+    /// Connects to a group given its client-port `endpoints` (one
+    /// endpoint for a standalone daemon: `&[&addr]`), finds the leader,
+    /// and seeds the batch-id counter just past its applied high-water
+    /// mark, so this client's ids never collide with batches a previous
+    /// client already landed.
+    pub fn connect(endpoints: &[impl AsRef<str>], policy: RetryPolicy) -> Result<Self, KiffError> {
         let rng = policy.seed | 1;
         let mut client = Self {
-            addr: addr.to_string(),
+            endpoints: endpoints.iter().map(|e| e.as_ref().to_string()).collect(),
             policy,
+            leader: None,
+            last_leader: None,
             conn: None,
             next_batch: 1,
             rng,
             retries: 0,
             reconnects: 0,
+            failovers: 0,
             delays: Vec::new(),
         };
-        let health = client.health()?;
+        let health = client.call(Client::health)?;
         client.next_batch = health.batch_hwm + 1;
         Ok(client)
+    }
+
+    /// The client address requests currently route to, if known.
+    pub fn leader(&self) -> Option<&str> {
+        self.leader.as_deref()
+    }
+
+    /// Leader changes observed since connect.
+    pub fn failovers(&self) -> u64 {
+        self.failovers
     }
 
     /// Retries attempted so far (observability for tests and benches).
@@ -405,7 +436,8 @@ impl SelfHealingClient {
         self.retries
     }
 
-    /// Reconnects performed so far.
+    /// Dials of the leader connection so far, the first one included
+    /// (discovery probes are not counted).
     pub fn reconnects(&self) -> u64 {
         self.reconnects
     }
@@ -422,36 +454,95 @@ impl SelfHealingClient {
         &self.delays
     }
 
-    fn conn(&mut self) -> Result<&mut Client, KiffError> {
+    fn note_leader(&mut self, addr: String) {
+        if self.last_leader.as_deref().is_some_and(|old| old != addr) {
+            self.failovers += 1;
+        }
+        if self.leader.as_deref() != Some(addr.as_str()) {
+            self.conn = None;
+        }
+        self.last_leader = Some(addr.clone());
+        self.leader = Some(addr);
+    }
+
+    /// Polls every endpoint's `health` and elects the answer with the
+    /// newest epoch whose role is `primary` (a standalone daemon — no
+    /// role — also counts: the group may not be replicated yet).
+    fn discover(&mut self) -> Result<(), KiffError> {
+        let mut best: Option<(u64, &String)> = None;
+        for addr in &self.endpoints {
+            let Ok(health) = Client::connect(addr).and_then(|mut probe| probe.health()) else {
+                continue;
+            };
+            let leads = matches!(health.role.as_deref(), Some("primary") | None);
+            if leads && best.is_none_or(|(epoch, _)| health.epoch > epoch) {
+                best = Some((health.epoch, addr));
+            }
+        }
+        let (_, addr) = best.ok_or_else(|| KiffError::Unavailable {
+            op: "discover".into(),
+            detail: "no primary reachable on any endpoint".into(),
+        })?;
+        self.note_leader(addr.clone());
+        Ok(())
+    }
+
+    fn leader_conn(&mut self) -> Result<&mut Client, KiffError> {
+        if self.leader.is_none() {
+            self.discover()?;
+        }
         if self.conn.is_none() {
-            self.conn = Some(Client::connect(&self.addr)?);
-            self.reconnects += 1;
+            let addr = self.leader.as_deref().expect("discovered above");
+            match Client::connect(addr) {
+                Ok(conn) => {
+                    self.conn = Some(conn);
+                    self.reconnects += 1;
+                }
+                Err(e) => {
+                    // The believed leader is unreachable; forget it so
+                    // the next attempt re-discovers.
+                    self.leader = None;
+                    return Err(e);
+                }
+            }
         }
         Ok(self.conn.as_mut().expect("just connected"))
     }
 
-    /// Runs `f` against a live connection, retrying retryable failures
-    /// with backoff and reconnecting after transport errors. The final
-    /// error is returned once attempts are exhausted.
-    fn with_retry<T>(
+    /// Runs `op` — any [`Client`] helper, e.g. `call(|c| c.neighbors(u))`
+    /// — against the leader, retrying retryable failures with backoff.
+    /// A `NotPrimary` hint routes the next attempt; a transport error
+    /// drops the connection and forgets the leader. A non-retryable
+    /// error returns at once, and a remote one (the server answered)
+    /// leaves the connection in place. The last error is returned once
+    /// attempts are exhausted.
+    pub fn call<T>(
         &mut self,
-        mut f: impl FnMut(&mut Client) -> Result<T, KiffError>,
+        mut op: impl FnMut(&mut Client) -> Result<T, KiffError>,
     ) -> Result<T, KiffError> {
         let mut retry = 0u32;
         loop {
-            let result = match self.conn() {
-                Ok(conn) => f(conn),
-                Err(e) => Err(e),
-            };
-            let err = match result {
+            let err = match self.leader_conn().and_then(&mut op) {
                 Ok(v) => return Ok(v),
                 Err(e) => e,
             };
-            // A Remote error means the server answered — the connection
-            // is fine; anything else (io, protocol) means the stream
-            // state is unknown, so redial.
-            if !matches!(err, KiffError::Remote { .. }) {
-                self.conn = None;
+            match &err {
+                KiffError::NotPrimary { leader } => {
+                    self.conn = None;
+                    match leader {
+                        Some(addr) => self.note_leader(addr.clone()),
+                        None => self.leader = None,
+                    }
+                }
+                // The server answered; the connection and leadership
+                // are fine — the failure is the op's own.
+                KiffError::Remote { .. } => {}
+                // Transport trouble: the stream state is unknown and the
+                // leader may be the casualty.
+                _ => {
+                    self.conn = None;
+                    self.leader = None;
+                }
             }
             retry += 1;
             if !err.is_retryable() || retry >= self.policy.max_attempts {
@@ -467,336 +558,17 @@ impl SelfHealingClient {
         }
     }
 
-    /// Applies `updates` exactly once: the batch carries a fresh id, and
-    /// a retry after a lost acknowledgement is deduped server-side. The
-    /// counter only advances after success, so a batch that exhausts its
-    /// retries can be re-submitted under the same id.
+    /// Applies `updates` exactly once, across retries and failovers: the
+    /// batch id is assigned up front and the counter advances only after
+    /// success, so a batch replayed after a lost acknowledgement — to the
+    /// same daemon or a newly promoted one — is deduped by the
+    /// replicated high-water mark, and a batch that exhausts its retries
+    /// can be re-submitted under the same id.
     pub fn update(&mut self, updates: &[Update]) -> Result<UpdateAck, KiffError> {
         let batch = self.next_batch;
-        let ack = self.with_retry(|c| c.update_batch(updates, batch))?;
+        let ack = self.call(|c| c.update_batch(updates, batch))?;
         self.next_batch = batch + 1;
         Ok(ack)
-    }
-
-    /// Liveness probe, with retry.
-    pub fn ping(&mut self) -> Result<(), KiffError> {
-        self.with_retry(Client::ping)
-    }
-
-    /// `user`'s neighbours, with retry.
-    pub fn neighbors(&mut self, user: u32) -> Result<Vec<Neighbor>, KiffError> {
-        self.with_retry(|c| c.neighbors(user))
-    }
-
-    /// Recommendations, with retry.
-    pub fn recommend(&mut self, user: u32, top: usize) -> Result<Vec<(u32, f64)>, KiffError> {
-        self.with_retry(|c| c.recommend(user, top))
-    }
-
-    /// Rating prediction, with retry.
-    pub fn predict(&mut self, user: u32, item: u32) -> Result<Option<f64>, KiffError> {
-        self.with_retry(|c| c.predict(user, item))
-    }
-
-    /// Daemon health, with retry.
-    pub fn health(&mut self) -> Result<Health, KiffError> {
-        self.with_retry(Client::health)
-    }
-
-    /// Engine statistics, with retry.
-    pub fn stats(&mut self) -> Result<Value, KiffError> {
-        self.with_retry(Client::stats)
-    }
-
-    /// Telemetry snapshot, with retry.
-    pub fn metrics(&mut self) -> Result<Value, KiffError> {
-        self.with_retry(Client::metrics)
-    }
-
-    /// Graceful shutdown — *not* retried: after a transport failure the
-    /// daemon may already be stopping, and a redial would just hang on
-    /// a dead listener.
-    pub fn shutdown(&mut self) -> Result<(), KiffError> {
-        self.conn()?.shutdown()
-    }
-}
-
-/// A client for a whole replication group: it discovers the leader via
-/// each endpoint's `health`, routes writes to it, optionally spreads
-/// reads round-robin across every reachable daemon, and fails over
-/// automatically.
-///
-/// On [`KiffError::NotPrimary`] the carried leader hint re-routes the
-/// very next attempt; on a transport error the leader is re-discovered
-/// from scratch (it may have just died). The batch-id counter is
-/// seeded **once**, from the first leader's applied high-water mark,
-/// and only ever moves forward — so a batch retried across a failover
-/// reuses its original id and the new leader's dedup high-water mark
-/// makes the write exactly-once even when the ack was lost mid-kill.
-#[derive(Debug)]
-pub struct FailoverClient {
-    endpoints: Vec<String>,
-    policy: RetryPolicy,
-    spread_reads: bool,
-    leader: Option<String>,
-    // Survives `leader = None` forgets, so a crash-failover (forget →
-    // rediscover) still counts as a leader change.
-    last_leader: Option<String>,
-    conn: Option<Client>,
-    read_conns: Vec<Option<Client>>,
-    next_read: usize,
-    next_batch: u64,
-    rng: u64,
-    retries: u64,
-    failovers: u64,
-}
-
-impl FailoverClient {
-    /// Connects to a group given its client-port `endpoints`, finds the
-    /// leader, and seeds the batch-id counter past its applied
-    /// high-water mark.
-    pub fn connect(endpoints: &[String], policy: RetryPolicy) -> Result<Self, KiffError> {
-        let rng = policy.seed | 1;
-        let mut client = Self {
-            endpoints: endpoints.to_vec(),
-            policy,
-            spread_reads: false,
-            leader: None,
-            last_leader: None,
-            conn: None,
-            read_conns: endpoints.iter().map(|_| None).collect(),
-            next_read: 0,
-            next_batch: 1,
-            rng,
-            retries: 0,
-            failovers: 0,
-        };
-        let health = client.with_write_retry(Client::health)?;
-        client.next_batch = client.next_batch.max(health.batch_hwm + 1);
-        Ok(client)
-    }
-
-    /// Spreads read ops round-robin across every endpoint instead of
-    /// pinning them to the leader. Replica reads may trail the leader
-    /// by the reported replication lag.
-    pub fn spread_reads(mut self, spread: bool) -> Self {
-        self.spread_reads = spread;
-        self
-    }
-
-    /// The client address writes currently route to, if known.
-    pub fn leader(&self) -> Option<&str> {
-        self.leader.as_deref()
-    }
-
-    /// Leader changes observed since connect.
-    pub fn failovers(&self) -> u64 {
-        self.failovers
-    }
-
-    /// Retries attempted so far.
-    pub fn retries(&self) -> u64 {
-        self.retries
-    }
-
-    /// The id the next update batch will carry.
-    pub fn next_batch(&self) -> u64 {
-        self.next_batch
-    }
-
-    fn note_leader(&mut self, addr: String) {
-        if self.last_leader.as_deref().is_some_and(|old| old != addr) {
-            self.failovers += 1;
-        }
-        if self.leader.as_deref() != Some(addr.as_str()) {
-            self.conn = None;
-        }
-        self.last_leader = Some(addr.clone());
-        self.leader = Some(addr);
-    }
-
-    /// Polls every endpoint's `health` and elects the answer with the
-    /// newest epoch whose role is `primary` (a standalone daemon —
-    /// no role — also counts: the group may not be replicated yet).
-    fn discover(&mut self) -> Result<(), KiffError> {
-        let mut best: Option<(u64, String)> = None;
-        for addr in self.endpoints.clone() {
-            let Ok(mut probe) = Client::connect(&addr) else {
-                continue;
-            };
-            let Ok(health) = probe.health() else {
-                continue;
-            };
-            let leads = matches!(health.role.as_deref(), Some("primary") | None);
-            let newer = match &best {
-                Some((epoch, _)) => health.epoch > *epoch,
-                None => true,
-            };
-            if leads && newer {
-                best = Some((health.epoch, addr));
-            }
-        }
-        match best {
-            Some((_, addr)) => {
-                self.note_leader(addr);
-                Ok(())
-            }
-            None => Err(KiffError::Unavailable {
-                op: "discover".into(),
-                detail: "no primary reachable on any endpoint".into(),
-            }),
-        }
-    }
-
-    fn leader_conn(&mut self) -> Result<&mut Client, KiffError> {
-        if self.leader.is_none() {
-            self.discover()?;
-        }
-        if self.conn.is_none() {
-            let addr = self.leader.clone().expect("discovered above");
-            match Client::connect(&addr) {
-                Ok(conn) => self.conn = Some(conn),
-                Err(e) => {
-                    // The believed leader is unreachable; forget it so
-                    // the next attempt re-discovers.
-                    self.leader = None;
-                    return Err(e);
-                }
-            }
-        }
-        Ok(self.conn.as_mut().expect("just connected"))
-    }
-
-    fn backoff(&mut self, retry: u32) {
-        self.retries += 1;
-        std::thread::sleep(self.policy.delay(retry, &mut self.rng));
-    }
-
-    /// Runs `f` against the leader, following `NotPrimary` hints and
-    /// re-discovering after transport failures.
-    fn with_write_retry<T>(
-        &mut self,
-        mut f: impl FnMut(&mut Client) -> Result<T, KiffError>,
-    ) -> Result<T, KiffError> {
-        let mut retry = 0u32;
-        loop {
-            let result = match self.leader_conn() {
-                Ok(conn) => f(conn),
-                Err(e) => Err(e),
-            };
-            let err = match result {
-                Ok(v) => return Ok(v),
-                Err(e) => e,
-            };
-            match &err {
-                KiffError::NotPrimary { leader } => {
-                    self.conn = None;
-                    match leader {
-                        Some(addr) => self.note_leader(addr.clone()),
-                        None => self.leader = None,
-                    }
-                }
-                // The server answered; the connection and leadership
-                // are fine — the failure is the op's own.
-                KiffError::Remote { .. } => {}
-                // Transport trouble: the leader may be the casualty.
-                _ => {
-                    self.conn = None;
-                    self.leader = None;
-                }
-            }
-            retry += 1;
-            if !err.is_retryable() || retry >= self.policy.max_attempts {
-                return Err(err);
-            }
-            self.backoff(retry);
-        }
-    }
-
-    /// Runs `f` against some live endpoint (round-robin when read
-    /// spreading is on, the leader otherwise).
-    fn with_read_retry<T>(
-        &mut self,
-        mut f: impl FnMut(&mut Client) -> Result<T, KiffError>,
-    ) -> Result<T, KiffError> {
-        if !self.spread_reads {
-            return self.with_write_retry(f);
-        }
-        let mut retry = 0u32;
-        loop {
-            let mut last_err = None;
-            for _ in 0..self.endpoints.len() {
-                let i = self.next_read % self.endpoints.len();
-                self.next_read = self.next_read.wrapping_add(1);
-                if self.read_conns[i].is_none() {
-                    match Client::connect(&self.endpoints[i]) {
-                        Ok(conn) => self.read_conns[i] = Some(conn),
-                        Err(e) => {
-                            last_err = Some(e);
-                            continue;
-                        }
-                    }
-                }
-                match f(self.read_conns[i].as_mut().expect("just connected")) {
-                    Ok(v) => return Ok(v),
-                    Err(e) => {
-                        if !matches!(e, KiffError::Remote { .. }) {
-                            self.read_conns[i] = None;
-                        }
-                        if !e.is_retryable() {
-                            return Err(e);
-                        }
-                        last_err = Some(e);
-                    }
-                }
-            }
-            let err = last_err.unwrap_or(KiffError::Unavailable {
-                op: "read".into(),
-                detail: "no endpoints configured".into(),
-            });
-            retry += 1;
-            if !err.is_retryable() || retry >= self.policy.max_attempts {
-                return Err(err);
-            }
-            self.backoff(retry);
-        }
-    }
-
-    /// Applies `updates` exactly once across failovers: the id is
-    /// assigned up front and the counter advances only after success,
-    /// so a batch replayed against a new leader is deduped by the
-    /// replicated high-water mark.
-    pub fn update(&mut self, updates: &[Update]) -> Result<UpdateAck, KiffError> {
-        let batch = self.next_batch;
-        let ack = self.with_write_retry(|c| c.update_batch(updates, batch))?;
-        self.next_batch = batch + 1;
-        Ok(ack)
-    }
-
-    /// `user`'s neighbours, from any live endpoint.
-    pub fn neighbors(&mut self, user: u32) -> Result<Vec<Neighbor>, KiffError> {
-        self.with_read_retry(|c| c.neighbors(user))
-    }
-
-    /// Recommendations, from any live endpoint.
-    pub fn recommend(&mut self, user: u32, top: usize) -> Result<Vec<(u32, f64)>, KiffError> {
-        self.with_read_retry(|c| c.recommend(user, top))
-    }
-
-    /// Rating prediction, from any live endpoint.
-    pub fn predict(&mut self, user: u32, item: u32) -> Result<Option<f64>, KiffError> {
-        self.with_read_retry(|c| c.predict(user, item))
-    }
-
-    /// The leader's health (goes to the leader even when reads spread:
-    /// callers use it for authoritative seq/hwm marks).
-    pub fn health(&mut self) -> Result<Health, KiffError> {
-        self.with_write_retry(Client::health)
-    }
-
-    /// Engine statistics from the leader.
-    pub fn stats(&mut self) -> Result<Value, KiffError> {
-        self.with_write_retry(Client::stats)
     }
 }
 
@@ -854,12 +626,12 @@ mod tests {
     fn backoff_schedule_resets_after_success() {
         let (daemon, addr) = spawn_toy_daemon();
         let policy = fast_policy(7);
-        let mut client = SelfHealingClient::connect(&addr, policy.clone()).unwrap();
+        let mut client = SelfHealingClient::connect(&[&addr], policy.clone()).unwrap();
         for round in 0..2usize {
             // One torn response per round: the ping retries once, then
             // lands on a fresh connection.
             fault::arm_scoped(points::NET_WRITE, Trigger::Nth(1), &addr);
-            client.ping().unwrap();
+            client.call(Client::ping).unwrap();
             assert_eq!(client.delay_log().len(), round + 1, "one retry per tear");
         }
         // Both sleeps used retry number 1: the success between them
@@ -871,7 +643,7 @@ mod tests {
                 "{d:?} is not a first-retry delay"
             );
         }
-        client.shutdown().unwrap();
+        Client::connect(&addr).unwrap().shutdown().unwrap();
         daemon.join().unwrap().unwrap();
     }
 
@@ -879,10 +651,10 @@ mod tests {
     fn seeded_jitter_replays_across_identical_schedules() {
         let (daemon, addr) = spawn_toy_daemon();
         let run = |addr: &str| {
-            let mut client = SelfHealingClient::connect(addr, fast_policy(99)).unwrap();
+            let mut client = SelfHealingClient::connect(&[addr], fast_policy(99)).unwrap();
             for _ in 0..3 {
                 fault::arm_scoped(points::NET_WRITE, Trigger::Nth(1), addr);
-                client.ping().unwrap();
+                client.call(Client::ping).unwrap();
             }
             client.delay_log().to_vec()
         };
@@ -893,8 +665,45 @@ mod tests {
             first, second,
             "same seed and fault schedule must sleep identically"
         );
-        let mut c = Client::connect(&addr).unwrap();
-        c.shutdown().unwrap();
+        Client::connect(&addr).unwrap().shutdown().unwrap();
+        daemon.join().unwrap().unwrap();
+    }
+
+    /// The one retry loop's classification: a non-retryable remote error
+    /// (the server answered, the op itself is at fault) returns at once,
+    /// without a retry or a sleep, and keeps the connection for the next
+    /// call.
+    #[test]
+    fn non_retryable_remote_errors_return_at_once_on_the_same_connection() {
+        let (daemon, addr) = spawn_toy_daemon();
+        let mut client = SelfHealingClient::connect(&[&addr], fast_policy(5)).unwrap();
+        assert_eq!(
+            client.leader(),
+            Some(addr.as_str()),
+            "a daemon of one leads"
+        );
+        assert_eq!(client.reconnects(), 1, "connect dialled the leader once");
+
+        let err = client.call(|c| c.neighbors(99)).unwrap_err();
+        match &err {
+            KiffError::Remote { kind, op, .. } => {
+                assert_eq!(kind, "unknown_user");
+                assert_eq!(op, "neighbors");
+            }
+            other => panic!("expected a remote unknown_user error, got {other}"),
+        }
+        assert!(!err.is_retryable());
+        assert_eq!(client.retries(), 0, "a non-retryable error is not retried");
+        assert!(client.delay_log().is_empty(), "and never slept on");
+
+        assert_eq!(client.call(|c| c.neighbors(0)).unwrap()[0].id, 1);
+        assert_eq!(
+            client.reconnects(),
+            1,
+            "the next call reused the connection"
+        );
+        assert_eq!(client.failovers(), 0);
+        Client::connect(&addr).unwrap().shutdown().unwrap();
         daemon.join().unwrap().unwrap();
     }
 }

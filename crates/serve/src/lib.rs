@@ -12,7 +12,7 @@
 //! | [`snapshot`] | atomic point-in-time dumps of dataset + graph + counters |
 //! | [`store`] | the WAL + snapshot lifecycle; [`store::recover`] |
 //! | [`server`] | the TCP daemon: [`server::Server`], [`server::EngineHost`], degraded mode, load shedding |
-//! | [`client`] | a blocking [`client::Client`], a [`client::SelfHealingClient`], and a multi-endpoint [`client::FailoverClient`] |
+//! | [`client`] | the blocking [`client::Client`] with the typed helpers, and [`client::SelfHealingClient`], the one retrying client for a daemon or a replication group |
 //! | [`replication`] | primary/replica WAL shipping, epoch fencing, automatic failover |
 //!
 //! The durability contract: an acknowledged update is on disk (WAL,
@@ -61,7 +61,7 @@ pub mod store;
 pub mod wal;
 pub mod wire;
 
-pub use client::{Client, FailoverClient, Health, RetryPolicy, SelfHealingClient, UpdateAck};
+pub use client::{Client, Health, RetryPolicy, SelfHealingClient, UpdateAck};
 pub use replication::{ReplState, ReplicationConfig, Role};
 pub use server::{EngineHost, ServeView, Server, ServerConfig};
 pub use snapshot::{latest_snapshot, load_snapshot, save_snapshot, Snapshot};

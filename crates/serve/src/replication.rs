@@ -54,7 +54,7 @@
 //! (`serve.elections_inconclusive`) instead of splitting the brain.
 //! Because acknowledged writes were replicated
 //! semi-synchronously, the winner owns every acked batch, and
-//! [`crate::client::FailoverClient`] replays un-acked batch ids
+//! [`crate::client::SelfHealingClient`] replays un-acked batch ids
 //! against the new leader where the applied-batch high-water mark
 //! dedups them — exactly-once across a primary kill.
 //!

@@ -724,8 +724,20 @@ impl Server {
         host: EngineHost,
         config: ServerConfig,
     ) -> Result<Self, KiffError> {
-        let telemetry = host.telemetry.clone();
         let listener = TcpListener::bind(addr).map_err(KiffError::Io)?;
+        Self::from_listener(listener, host, config)
+    }
+
+    /// Serves on an already bound `listener`. A replication group whose
+    /// peer list must name every member's port up front binds all the
+    /// listeners first, so no other socket can take a port between
+    /// choosing it and serving on it.
+    pub fn from_listener(
+        listener: TcpListener,
+        host: EngineHost,
+        config: ServerConfig,
+    ) -> Result<Self, KiffError> {
+        let telemetry = host.telemetry.clone();
         let addr = listener.local_addr().map_err(KiffError::Io)?;
         let mut host = host;
         let (repl_listener, repl) = match &config.replication {

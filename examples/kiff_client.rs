@@ -102,7 +102,7 @@ fn main() {
     // applied it, the retry dedupes against the WAL high-water mark
     // instead of double-applying.
     let mut healing =
-        SelfHealingClient::connect(&addr, RetryPolicy::default()).expect("self-healing connect");
+        SelfHealingClient::connect(&[&addr], RetryPolicy::default()).expect("self-healing connect");
     fault::arm_scoped(points::NET_WRITE, Trigger::Nth(1), &addr);
     let ack = healing
         .update(&[Update::AddRating {
@@ -128,7 +128,7 @@ fn main() {
         healing.reconnects() >= 1,
         "the torn connection forced a reconnect"
     );
-    let health = healing.health().expect("health");
+    let health = healing.call(Client::health).expect("health");
     println!(
         "health  : {} at seq {:?}, batch high-water mark {}",
         health.status, health.seq, health.batch_hwm

@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 
 use kiff::prelude::*;
-use kiff::serve::{recover, RetryPolicy, SelfHealingClient, ServerConfig, StoreConfig};
+use kiff::serve::{recover, Client, RetryPolicy, SelfHealingClient, ServerConfig, StoreConfig};
 use kiff_core::fault::{self, points, Trigger};
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -97,7 +97,7 @@ fn arb_faults() -> impl Strategy<Value = Vec<(u8, u64)>> {
 /// already stopped (a torn shutdown ack still shuts down).
 fn shutdown_daemon(addr: &str) {
     for _ in 0..20 {
-        match kiff::serve::Client::connect(addr) {
+        match Client::connect(addr) {
             Ok(mut c) => {
                 if c.shutdown().is_ok() {
                     return;
@@ -157,7 +157,7 @@ proptest! {
             max_delay: Duration::from_millis(30),
             seed: 7,
         };
-        let mut client = SelfHealingClient::connect(&addr, policy).unwrap();
+        let mut client = SelfHealingClient::connect(&[&addr], policy).unwrap();
         prop_assert_eq!(client.next_batch(), 1, "fresh store starts below batch 1");
 
         for (point, nth) in &faults {
@@ -184,7 +184,7 @@ proptest! {
         // The daemon must heal before the (bounded) patience runs out.
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
-            let health = client.health().unwrap();
+            let health = client.call(Client::health).unwrap();
             if health.status == "healthy" {
                 prop_assert_eq!(health.batch_hwm, batches);
                 break;
@@ -281,7 +281,7 @@ fn killed_ack_retries_without_double_apply() {
     let addr = server.local_addr().to_string();
     let daemon = std::thread::spawn(move || server.run());
 
-    let mut client = SelfHealingClient::connect(&addr, RetryPolicy::default()).unwrap();
+    let mut client = SelfHealingClient::connect(&[&addr], RetryPolicy::default()).unwrap();
     // Fire on the write of the *next* response: the update below is
     // applied server-side, but its ack never reaches the client.
     fault::arm_scoped(points::NET_WRITE, Trigger::Nth(1), &addr);
@@ -298,7 +298,7 @@ fn killed_ack_retries_without_double_apply() {
     assert!(client.reconnects() >= 1);
 
     // The batch landed exactly once despite the retry.
-    let health = client.health().unwrap();
+    let health = client.call(Client::health).unwrap();
     assert_eq!(health.status, "healthy");
     assert_eq!(health.batch_hwm, 1);
     assert_eq!(health.seq, Some(1));

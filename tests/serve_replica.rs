@@ -6,7 +6,7 @@
 //! as typed `NotPrimary` with a leader hint, torn replication streams
 //! and acks redial and catch up, and a stale primary's frames are
 //! fenced by epoch after a promotion. The proptest drives arbitrary
-//! update streams through a [`FailoverClient`] with the primary killed
+//! update streams through a [`SelfHealingClient`] with the primary killed
 //! at an arbitrary batch index and proves the promoted replica ends
 //! bit-exact against a fault-free single-engine reference with every
 //! batch applied exactly once.
@@ -25,7 +25,7 @@ use serde_json::{json, Value};
 
 use kiff::prelude::*;
 use kiff::serve::{
-    recover, replication, Client, FailoverClient, ReplicationConfig, RetryPolicy, ServerConfig,
+    recover, replication, Client, ReplicationConfig, RetryPolicy, SelfHealingClient, ServerConfig,
     StoreConfig,
 };
 use kiff_core::fault::{self, points, Trigger};
@@ -86,14 +86,14 @@ fn arb_stream() -> impl Strategy<Value = Vec<Update>> {
     })
 }
 
-/// Reserves a concrete loopback address: the peer lists must name every
-/// daemon before any of them is bound, so ephemeral `:0` binding can't
-/// be used for the client ports.
-fn free_addr() -> String {
+/// Binds a node's client port. The peer lists must name every daemon
+/// before any of them runs, so each test binds all its listeners first
+/// and hands each one to its server: no other socket can take a port
+/// between choosing it and serving on it.
+fn listen() -> (TcpListener, String) {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
-    drop(listener);
-    addr
+    (listener, addr)
 }
 
 struct Node {
@@ -104,17 +104,17 @@ struct Node {
 
 fn spawn_node(
     dir: &Path,
-    addr: &str,
+    listener: TcpListener,
     replica_of: Option<&str>,
     peers: &[String],
     heartbeat_ms: u64,
 ) -> Node {
-    spawn_node_min_sync(dir, addr, replica_of, peers, heartbeat_ms, 0)
+    spawn_node_min_sync(dir, listener, replica_of, peers, heartbeat_ms, 0)
 }
 
 fn spawn_node_min_sync(
     dir: &Path,
-    addr: &str,
+    listener: TcpListener,
     replica_of: Option<&str>,
     peers: &[String],
     heartbeat_ms: u64,
@@ -137,7 +137,7 @@ fn spawn_node_min_sync(
         replication: Some(rc),
         ..ServerConfig::default()
     };
-    let server = kiff::serve::Server::bind_with(addr, host, server_config).unwrap();
+    let server = kiff::serve::Server::from_listener(listener, host, server_config).unwrap();
     let repl_addr = server.repl_addr().unwrap().to_string();
     Node {
         repl_addr,
@@ -188,10 +188,10 @@ fn recovered_graph(dir: &Path) -> (std::sync::Arc<kiff_graph::KnnGraph>, u64, u6
 
 #[test]
 fn replica_follows_serves_reads_and_refuses_writes() {
-    let (a, b) = (free_addr(), free_addr());
+    let ((la, a), (lb, b)) = (listen(), listen());
     let peers = vec![a.clone(), b.clone()];
-    let primary = spawn_node(&scratch("basics-a"), &a, None, &peers, 50);
-    let replica = spawn_node(&scratch("basics-b"), &b, Some(&a), &peers, 50);
+    let primary = spawn_node(&scratch("basics-a"), la, None, &peers, 50);
+    let replica = spawn_node(&scratch("basics-b"), lb, Some(&a), &peers, 50);
 
     let mut reference = OnlineKnn::new(&seed_dataset(), OnlineConfig::new(3));
     let stream: Vec<Update> = (0..24u32)
@@ -251,7 +251,7 @@ fn replica_follows_serves_reads_and_refuses_writes() {
         }
         other => panic!("expected NotPrimary, got {other}"),
     }
-    assert!(err.is_retryable(), "a failover client can re-route this");
+    assert!(err.is_retryable(), "the retrying client can re-route this");
 
     shutdown_daemon(&a);
     primary.handle.join().unwrap().unwrap();
@@ -269,10 +269,10 @@ fn replica_follows_serves_reads_and_refuses_writes() {
 
 #[test]
 fn torn_stream_and_torn_ack_redial_and_converge() {
-    let (a, b) = (free_addr(), free_addr());
+    let ((la, a), (lb, b)) = (listen(), listen());
     let peers = vec![a.clone(), b.clone()];
-    let primary = spawn_node(&scratch("torn-a"), &a, None, &peers, 50);
-    let replica = spawn_node(&scratch("torn-b"), &b, Some(&a), &peers, 50);
+    let primary = spawn_node(&scratch("torn-a"), la, None, &peers, 50);
+    let replica = spawn_node(&scratch("torn-b"), lb, Some(&a), &peers, 50);
 
     // Wait for the stream to come up before arming, so the handshake
     // itself isn't the casualty.
@@ -322,10 +322,10 @@ fn torn_stream_and_torn_ack_redial_and_converge() {
 
 #[test]
 fn primary_kill_promotes_replica_and_fences_the_old_epoch() {
-    let (a, b) = (free_addr(), free_addr());
+    let ((la, a), (lb, b)) = (listen(), listen());
     let peers = vec![a.clone(), b.clone()];
-    let primary = spawn_node(&scratch("fence-a"), &a, None, &peers, 25);
-    let replica = spawn_node(&scratch("fence-b"), &b, Some(&a), &peers, 25);
+    let primary = spawn_node(&scratch("fence-a"), la, None, &peers, 25);
+    let replica = spawn_node(&scratch("fence-b"), lb, Some(&a), &peers, 25);
 
     let mut client = Client::connect(&a).unwrap();
     client
@@ -432,9 +432,9 @@ fn update_until_acked(
 /// batch dedups and fresh writes ack normally.
 #[test]
 fn min_sync_replicas_gates_acks_until_a_replica_attaches() {
-    let (a, b) = (free_addr(), free_addr());
+    let ((la, a), (lb, b)) = (listen(), listen());
     let peers = vec![a.clone(), b.clone()];
-    let primary = spawn_node_min_sync(&scratch("isr-a"), &a, None, &peers, 25, 1);
+    let primary = spawn_node_min_sync(&scratch("isr-a"), la, None, &peers, 25, 1);
 
     let mut client = Client::connect(&a).unwrap();
     let err = client.update_batch(&[Update::AddUser], 1).unwrap_err();
@@ -449,7 +449,7 @@ fn min_sync_replicas_gates_acks_until_a_replica_attaches() {
 
     // The refused batch still landed in the primary's WAL, so the
     // replica picks it up through the reconnect catch-up.
-    let replica = spawn_node(&scratch("isr-b"), &b, Some(&a), &peers, 25);
+    let replica = spawn_node(&scratch("isr-b"), lb, Some(&a), &peers, 25);
     let mut replica_client = Client::connect(&b).unwrap();
     wait_for(5, "replica catch-up", || {
         replica_client.health().unwrap().seq == Some(1)
@@ -486,42 +486,50 @@ fn min_sync_replicas_gates_acks_until_a_replica_attaches() {
 }
 
 #[test]
-fn failover_client_discovers_routes_and_spreads_reads() {
-    let (a, b) = (free_addr(), free_addr());
+fn retrying_client_discovers_and_routes_to_the_leader() {
+    let ((la, a), (lb, b)) = (listen(), listen());
     let peers = vec![a.clone(), b.clone()];
-    let primary = spawn_node(&scratch("fc-a"), &a, None, &peers, 50);
-    let replica = spawn_node(&scratch("fc-b"), &b, Some(&a), &peers, 50);
+    let primary = spawn_node(&scratch("route-a"), la, None, &peers, 50);
+    let replica = spawn_node(&scratch("route-b"), lb, Some(&a), &peers, 50);
 
-    let mut fc = FailoverClient::connect(&peers, retry_policy(3))
-        .unwrap()
-        .spread_reads(true);
+    // The replica is listed first: discovery must pick the primary by
+    // its role, not by the order of the endpoints.
+    let mut client = SelfHealingClient::connect(&[&b, &a], retry_policy(3)).unwrap();
     assert_eq!(
-        fc.leader(),
+        client.leader(),
         Some(a.as_str()),
         "health discovery finds the primary"
     );
-    assert_eq!(fc.next_batch(), 1);
+    assert_eq!(client.next_batch(), 1);
 
-    // Writes land on the primary even though this client also reads
-    // from the replica.
+    // Writes land on the primary.
     for i in 0..6u32 {
-        fc.update(&[Update::AddRating {
-            user: i % 8,
-            item: i % 10,
-            rating: 1.5,
-        }])
-        .unwrap();
+        client
+            .update(&[Update::AddRating {
+                user: i % 8,
+                item: i % 10,
+                rating: 1.5,
+            }])
+            .unwrap();
     }
-    // Wait until the replica caught up, then spread reads: both
-    // endpoints must answer consistently.
+    // Once the replica caught up, a leader-routed read and a direct
+    // read of the replica agree.
     let mut replica_client = Client::connect(&b).unwrap();
     wait_for(5, "replica catch-up", || {
         replica_client.health().unwrap().seq == Some(6)
     });
-    let first = fc.neighbors(0).unwrap();
-    let second = fc.neighbors(0).unwrap(); // round-robins to the other endpoint
-    assert_eq!(first, second, "spread reads agree once caught up");
-    assert_eq!(fc.failovers(), 0);
+    let routed = client.call(|c| c.neighbors(0)).unwrap();
+    assert_eq!(
+        routed,
+        replica_client.neighbors(0).unwrap(),
+        "the caught-up replica agrees with the leader"
+    );
+    assert_eq!(
+        client.leader(),
+        Some(a.as_str()),
+        "reads route to the leader"
+    );
+    assert_eq!(client.failovers(), 0);
 
     shutdown_daemon(&a);
     primary.handle.join().unwrap().unwrap();
@@ -535,7 +543,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Arbitrary streams, the primary killed at an arbitrary batch
-    /// index: the failover client lands every batch exactly once on
+    /// index: the retrying client lands every batch exactly once on
     /// the surviving node, whose recovered state is bit-exact against
     /// a fault-free single-engine reference.
     #[test]
@@ -549,19 +557,19 @@ proptest! {
         let chunks: Vec<Vec<Update>> = stream.chunks(batch).map(<[Update]>::to_vec).collect();
         let kill_at = ((chunks.len() as f64) * kill_frac) as usize;
 
-        let (a, b) = (free_addr(), free_addr());
+        let ((la, a), (lb, b)) = (listen(), listen());
         let peers = vec![a.clone(), b.clone()];
-        let primary = spawn_node(&scratch("chaos-a"), &a, None, &peers, 25);
-        let replica = spawn_node(&scratch("chaos-b"), &b, Some(&a), &peers, 25);
+        let primary = spawn_node(&scratch("chaos-a"), la, None, &peers, 25);
+        let replica = spawn_node(&scratch("chaos-b"), lb, Some(&a), &peers, 25);
 
-        let mut fc = FailoverClient::connect(&peers, retry_policy(11)).unwrap();
-        prop_assert_eq!(fc.leader(), Some(a.as_str()));
-        prop_assert_eq!(fc.next_batch(), 1);
+        let mut client = SelfHealingClient::connect(&peers, retry_policy(11)).unwrap();
+        prop_assert_eq!(client.leader(), Some(a.as_str()));
+        prop_assert_eq!(client.next_batch(), 1);
 
         // Prime the channel: semi-sync only covers writes made while a
         // subscriber is attached, so let the replica connect and ship
         // one batch before any kill can happen.
-        fc.update(&[Update::AddUser]).unwrap();
+        client.update(&[Update::AddUser]).unwrap();
         reference.apply_batch(vec![Update::AddUser]);
         let mut survivor = Client::connect(&b).unwrap();
         {
@@ -584,7 +592,7 @@ proptest! {
                 shutdown_daemon(&a);
                 primary_handle.take().unwrap().join().unwrap().unwrap();
             }
-            let ack = fc.update(chunk);
+            let ack = client.update(chunk);
             prop_assert!(ack.is_ok(), "batch {i} must land within the retry budget: {:?}", ack.err());
             reference.apply_batch(chunk.clone());
         }
@@ -593,10 +601,10 @@ proptest! {
             handle.join().unwrap().unwrap();
         }
         let batches = chunks.len() as u64 + 1; // priming batch + the stream
-        prop_assert_eq!(fc.next_batch(), batches + 1);
+        prop_assert_eq!(client.next_batch(), batches + 1);
         if kill_at < chunks.len() {
-            prop_assert_eq!(fc.leader(), Some(b.as_str()), "writes re-routed to the survivor");
-            prop_assert!(fc.failovers() >= 1);
+            prop_assert_eq!(client.leader(), Some(b.as_str()), "writes re-routed to the survivor");
+            prop_assert!(client.failovers() >= 1);
         }
 
         // The survivor ends up primary and owns the whole stream.
