@@ -96,10 +96,17 @@ bench-failover:
 	$(CARGO) run --release -p kiff-bench --bin experiments -- \
 		failover --scale 0.1 --threads 4 --seed 42 --out $(BENCH_OUT)
 
-# The chaos suite: proptest fault schedules and replication failovers
-# against live daemons, with failpoints at elevated probability.
+# The chaos suite, as CI's chaos job runs it: proptest fault schedules
+# and replication failovers against live daemons under ambient
+# replication failpoints at elevated probability (fixed seeds, so a
+# failing run replays), then the gated failover bench (replica read p99,
+# steady-state lag, unavailability across a primary kill, exactly-once).
+CHAOS_FAILPOINTS := repl.stream=prob:0.05@1101,repl.ack=prob:0.05@1102,repl.heartbeat=prob:0.05@1103
+
 chaos:
-	$(CARGO) test --test serve_faults --test serve_replica --test serve_reads
+	KIFF_FAILPOINTS="$(CHAOS_FAILPOINTS)" $(CARGO) test --test serve_faults --test serve_replica --test serve_reads
+	$(CARGO) run --release -p kiff-bench --bin experiments -- \
+		failover --scale 0.1 --threads 4 --seed 42 --out chaos-results
 
 clean-bench:
 	rm -rf $(BENCH_OUT)

@@ -263,6 +263,7 @@ pub fn failover(ctx: &mut Ctx) -> String {
     let failed_over = client.leader() == Some(addr_b.as_str());
     let failovers = client.failovers();
     let retries = client.retries();
+    let reconnects = client.reconnects();
 
     // The survivor must have promoted itself with a bumped epoch.
     let mut survivor = Client::connect(&addr_b).expect("connect survivor");
@@ -318,7 +319,8 @@ pub fn failover(ctx: &mut Ctx) -> String {
     out.push_str(&format!(
         "phase 2: forced failover ({} batches ride through)\n\
          {:>24}: {unavailability_ms:>10.1} ms (gate <= {MAX_UNAVAILABILITY_MS:.0})\n\
-         {:>24}: {:>10} (leader now {}; {failovers} failover(s), {retries} retries)\n\
+         {:>24}: {:>10} (leader now {}; {failovers} failover(s), {retries} retries, \
+         {reconnects} reconnects)\n\
          {:>24}: epoch {} role {}\n\n\
          exactly-once: bit_exact={bit_exact} hwm_exact={hwm_exact} \
          (hwm {} == acked {})\n",
@@ -391,6 +393,7 @@ pub fn failover(ctx: &mut Ctx) -> String {
         "re_routed": failed_over,
         "failovers": failovers,
         "retries": retries,
+        "reconnects": reconnects,
         "survivor_epoch": health.epoch,
         "survivor_role": health.role
     });

@@ -1,27 +1,33 @@
 //! Fault-tolerance benchmark: `BENCH_faults.json`.
 //!
-//! The robustness counterpart to the `serve` experiment: the same kind
-//! of durable daemon, but driven through the [`SelfHealingClient`]
-//! while seeded-deterministic failpoints (see [`kiff_core::fault`])
-//! inject a ~1% fault rate into the WAL fsync path and the socket in
-//! both directions. Three phases:
+//! The robustness counterpart to the `serve` experiment and the
+//! end-to-end exercise of the retrying client: the same kind of durable
+//! daemon, but driven through a [`SelfHealingClient`] while
+//! deterministic failpoints (see [`kiff_core::fault`]) fail every 100th
+//! WAL fsync (1%) and every 200th socket check in each direction
+//! (0.5%). Three phases:
 //!
 //! 1. **Clean baseline.** The workload — update batches interleaved
 //!    with `neighbors` queries — against an unfaulted daemon, for the
 //!    latency yardstick.
 //! 2. **Faulted run.** The identical workload with failpoints armed.
-//!    Every operation goes through the self-healing retry discipline
-//!    (reconnect, backoff, idempotent batch replay). Gates: success
-//!    rate `>= MIN_SUCCESS_RATE` (**hard**), client-observed p99 —
-//!    retries, backoff and reconnects included — `<= MAX_P99_US`
-//!    (**hard**), and the recovered state must be bit-exact against a
-//!    fault-free in-process replay of the acknowledged batches with
-//!    the applied high-water mark at the last batch id — the
-//!    exactly-once gate (**hard**).
-//! 3. **Forced outage.** The WAL is held down (`wal.fsync` firing on
-//!    every probe) until the daemon reports degraded, then released;
-//!    the time until the background recovery task reports `healthy`
-//!    again is gated `<= MAX_RECOVERY_MS` (**hard**).
+//!    Every armed point fires by construction: each batch is at least
+//!    one fsync and each round at least three requests, and the stream
+//!    is at least two fsync periods long. Every operation goes through
+//!    the retry discipline (reconnect, leader rediscovery, backoff,
+//!    idempotent batch replay). Gates: every armed point fired and the
+//!    client retried (**hard** — otherwise the phase measured a clean
+//!    run), success rate `>= MIN_SUCCESS_RATE` (**hard**),
+//!    client-observed p99 — retries, backoff and reconnects included —
+//!    `<= MAX_P99_US` (**hard**), and the recovered state must be
+//!    bit-exact against a fault-free in-process replay of the
+//!    acknowledged batches with the applied high-water mark at the last
+//!    batch id — the exactly-once gate (**hard**).
+//! 3. **Forced outage.** With the phase-2 failpoints disarmed, every WAL
+//!    append fails (`wal.append` always firing) until a write is refused
+//!    and the daemon reports degraded, then the WAL is released; the
+//!    time until the background recovery task reports `healthy` again is
+//!    gated `<= MAX_RECOVERY_MS` (**hard**).
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -42,10 +48,14 @@ use kiff_telemetry::Registry;
 use super::{Ctx, STREAM_K};
 
 const BATCH: usize = 8;
-/// Injected fault probability on the WAL fsync path.
-const WAL_FAULT_P: f64 = 0.01;
-/// Injected fault probability per socket direction.
-const NET_FAULT_P: f64 = 0.005;
+/// Injected fault period on the WAL fsync path: every 100th fsync
+/// fails (1%).
+const WAL_FAULT_EVERY: u64 = 100;
+/// Injected fault period per socket direction: every 200th check fails
+/// (0.5%).
+const NET_FAULT_EVERY: u64 = 200;
+/// The failpoints armed in the faulted phase; each must fire.
+const PHASE_2_POINTS: [&str; 3] = [points::WAL_FSYNC, points::NET_READ, points::NET_WRITE];
 /// Hard gate: operations that succeed within the retry budget.
 const MIN_SUCCESS_RATE: f64 = 0.999;
 /// Hard gate: client-observed p99 under faults, retries included.
@@ -114,7 +124,7 @@ struct DriveOutcome {
     acked: Vec<Vec<Update>>,
 }
 
-/// Pushes the workload through a self-healing client: one update batch,
+/// Pushes the workload through the retrying client: one update batch,
 /// then two `neighbors` probes, per round.
 fn drive(client: &mut SelfHealingClient, stream: &[Vec<Update>], users: u32) -> DriveOutcome {
     let mut out = DriveOutcome {
@@ -207,7 +217,10 @@ fn retry_policy(seed: u64) -> RetryPolicy {
 /// Runs the fault-tolerance benchmark and writes `BENCH_faults.json`.
 pub fn faults(ctx: &mut Ctx) -> String {
     let base = faults_dataset(ctx.scale.multiplier, ctx.seed);
-    let batches = ((150.0 * ctx.scale.multiplier.clamp(0.05, 2.0)) as usize).max(60);
+    // At least two fsync periods: every batch fsyncs at least once and
+    // every round makes three requests, so each armed point fires.
+    let batches = ((150.0 * ctx.scale.multiplier.clamp(0.05, 2.0)) as usize)
+        .max(2 * WAL_FAULT_EVERY as usize);
     let stream = faults_stream(&base, ctx.seed, batches);
     let users = base.num_users() as u32;
     let config = || OnlineConfig::new(STREAM_K);
@@ -224,9 +237,9 @@ pub fn faults(ctx: &mut Ctx) -> String {
     let clean_p99 = p99_us(&mut clean.latencies_us);
     assert_eq!(clean.failed, 0, "the clean run must not fail");
 
-    // Phase 2: the same workload under a ~1% injected fault rate. The
-    // failpoints are scoped to this daemon's WAL directory and socket,
-    // and seeded so the fire pattern reproduces run-to-run.
+    // Phase 2: the same workload under a 1% WAL and 0.5% socket fault
+    // rate. The failpoints are scoped to this daemon's WAL directory and
+    // socket, and periodic, so the fire pattern reproduces run-to-run.
     let fault_dir = scratch("faulted");
     let fault_scope = fault_dir.to_string_lossy().into_owned();
     let daemon = spawn_daemon(&fault_dir, &base, STREAM_K);
@@ -234,26 +247,17 @@ pub fn faults(ctx: &mut Ctx) -> String {
         .expect("connect faulted");
     fault::arm_scoped(
         points::WAL_FSYNC,
-        Trigger::Prob {
-            p: WAL_FAULT_P,
-            seed: ctx.seed,
-        },
+        Trigger::Every(WAL_FAULT_EVERY),
         &fault_scope,
     );
     fault::arm_scoped(
         points::NET_READ,
-        Trigger::Prob {
-            p: NET_FAULT_P,
-            seed: ctx.seed ^ 1,
-        },
+        Trigger::Every(NET_FAULT_EVERY),
         &daemon.addr,
     );
     fault::arm_scoped(
         points::NET_WRITE,
-        Trigger::Prob {
-            p: NET_FAULT_P,
-            seed: ctx.seed ^ 2,
-        },
+        Trigger::Every(NET_FAULT_EVERY),
         &daemon.addr,
     );
     let mut faulted = drive(&mut client, &stream, users);
@@ -271,15 +275,18 @@ pub fn faults(ctx: &mut Ctx) -> String {
         }
     };
 
-    // Phase 3: forced outage. Hold the WAL down until a write fails
-    // (degraded), release it, and time the flip back to healthy.
+    // Phase 3: forced outage. Disarm the phase-2 faults (their counters
+    // stay readable), hold the WAL down until a write fails (degraded),
+    // release it, and time the flip back to healthy.
+    for point in PHASE_2_POINTS {
+        fault::disarm(point);
+    }
     fault::arm_scoped(points::WAL_APPEND, Trigger::Always, &fault_scope);
     let mut prober = Client::connect(&daemon.addr).expect("prober connects");
     let outage_batch = faulted.acked.len() as u64 + 1;
     let refused = prober.update_batch(&stream[0], outage_batch).is_err();
     let healing = Instant::now();
     fault::disarm(points::WAL_APPEND);
-    fault::disarm(points::WAL_FSYNC); // release the probabilistic fault too
     let mut recovery_ms = f64::INFINITY;
     while healing.elapsed() < Duration::from_secs(10) {
         if let Ok(h) = prober.health() {
@@ -298,6 +305,14 @@ pub fn faults(ctx: &mut Ctx) -> String {
         .map(|c| (c.name, c.checks, c.fires))
         .collect();
     let injected: u64 = fault_counters.iter().map(|(_, _, fires)| fires).sum();
+    let silent: Vec<&str> = PHASE_2_POINTS
+        .into_iter()
+        .filter(|point| {
+            !fault_counters
+                .iter()
+                .any(|(name, _, fires)| name == point && *fires > 0)
+        })
+        .collect();
 
     shutdown_daemon(daemon);
     fault::disarm_all();
@@ -319,10 +334,11 @@ pub fn faults(ctx: &mut Ctx) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "Fault-tolerance benchmark on {}: {} users, {} update batches of {BATCH} \
-         + {} queries, ~{:.1}% injected fault rate\n\n\
+         + {} queries, {:.1}% injected WAL fault rate\n\n\
          phase 1: clean baseline\n\
          {:>24}: {clean_p99:>10.0} us\n\n\
-         phase 2: faulted run (wal.fsync p={WAL_FAULT_P}, net.read/net.write p={NET_FAULT_P})\n\
+         phase 2: faulted run (wal.fsync every {WAL_FAULT_EVERY}th, \
+         net.read/net.write every {NET_FAULT_EVERY}th)\n\
          {:>24}: {:>10} of {total_ops} ops ({success_rate:.5}, gate >= {MIN_SUCCESS_RATE})\n\
          {:>24}: {faulted_p99:>10.0} us ({:.1}x clean, gate <= {MAX_P99_US:.0} us)\n\
          {:>24}: {:>10} retries, {} reconnects, {injected} faults fired\n\
@@ -331,13 +347,13 @@ pub fn faults(ctx: &mut Ctx) -> String {
         base.num_users(),
         stream.len(),
         2 * stream.len(),
-        100.0 * WAL_FAULT_P,
+        100.0 / WAL_FAULT_EVERY as f64,
         "op p99",
         "succeeded",
         faulted.ok,
         "faulted op p99",
         faulted_p99 / clean_p99.max(1e-9),
-        "self-healing",
+        "retrying client",
         faulted.retries,
         faulted.reconnects,
         "settled healthy",
@@ -361,6 +377,13 @@ pub fn faults(ctx: &mut Ctx) -> String {
         out.push_str(&format!("VIOLATION: {msg}\n"));
         ctx.violations.push(msg);
     };
+    if !silent.is_empty() || faulted.retries == 0 {
+        fail(format!(
+            "faults/injection: armed point(s) {silent:?} never fired and the client \
+             retried {} time(s); the faulted phase must inject faults and retry",
+            faulted.retries
+        ));
+    }
     if success_rate < MIN_SUCCESS_RATE {
         fail(format!(
             "faults/success: {success_rate:.5} below {MIN_SUCCESS_RATE} \
@@ -399,7 +422,12 @@ pub fn faults(ctx: &mut Ctx) -> String {
         "update_batches": stream.len(),
         "batch": BATCH
     });
-    let rates_v = serde_json::json!({ "wal_fsync_p": WAL_FAULT_P, "net_p": NET_FAULT_P });
+    let rates_v = serde_json::json!({
+        "wal_fsync_p": 1.0 / WAL_FAULT_EVERY as f64,
+        "net_p": 1.0 / NET_FAULT_EVERY as f64,
+        "wal_fsync_every": WAL_FAULT_EVERY,
+        "net_every": NET_FAULT_EVERY
+    });
     let clean_v = serde_json::json!({ "p99_us": clean_p99, "ops": clean.ok });
     let faulted_v = serde_json::json!({
         "ops": total_ops,
@@ -412,6 +440,7 @@ pub fn faults(ctx: &mut Ctx) -> String {
         "p99_vs_clean": faulted_p99 / clean_p99.max(1e-9),
         "retries": faulted.retries,
         "reconnects": faulted.reconnects,
+        "silent_points": silent,
         "settled_healthy": settled
     });
     let outage_v = serde_json::json!({
@@ -446,7 +475,7 @@ pub fn faults(ctx: &mut Ctx) -> String {
     }
     ctx.finish(
         "faults",
-        "Fault tolerance: self-healing client under injected faults; degraded-mode recovery",
+        "Fault tolerance: retrying client under injected faults; degraded-mode recovery",
         out,
         &payload,
     )

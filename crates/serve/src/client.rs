@@ -454,12 +454,11 @@ impl SelfHealingClient {
         &self.delays
     }
 
+    /// Routes the next attempt to `addr`. Only called without a live
+    /// connection: a forgotten leader never keeps one.
     fn note_leader(&mut self, addr: String) {
         if self.last_leader.as_deref().is_some_and(|old| old != addr) {
             self.failovers += 1;
-        }
-        if self.leader.as_deref() != Some(addr.as_str()) {
-            self.conn = None;
         }
         self.last_leader = Some(addr.clone());
         self.leader = Some(addr);
@@ -488,25 +487,18 @@ impl SelfHealingClient {
     }
 
     fn leader_conn(&mut self) -> Result<&mut Client, KiffError> {
-        if self.leader.is_none() {
-            self.discover()?;
-        }
         if self.conn.is_none() {
-            let addr = self.leader.as_deref().expect("discovered above");
-            match Client::connect(addr) {
-                Ok(conn) => {
-                    self.conn = Some(conn);
-                    self.reconnects += 1;
-                }
-                Err(e) => {
-                    // The believed leader is unreachable; forget it so
-                    // the next attempt re-discovers.
-                    self.leader = None;
-                    return Err(e);
-                }
+            if self.leader.is_none() {
+                self.discover()?;
             }
+            let addr = self.leader.as_deref().expect("discovered above");
+            // An unreachable leader is forgotten, so the next attempt
+            // re-discovers.
+            let conn = Client::connect(addr).inspect_err(|_| self.leader = None)?;
+            self.conn = Some(conn);
+            self.reconnects += 1;
         }
-        Ok(self.conn.as_mut().expect("just connected"))
+        Ok(self.conn.as_mut().expect("connected above"))
     }
 
     /// Runs `op` — any [`Client`] helper, e.g. `call(|c| c.neighbors(u))`
@@ -527,18 +519,17 @@ impl SelfHealingClient {
                 Err(e) => e,
             };
             match &err {
-                KiffError::NotPrimary { leader } => {
-                    self.conn = None;
-                    match leader {
-                        Some(addr) => self.note_leader(addr.clone()),
-                        None => self.leader = None,
-                    }
-                }
                 // The server answered; the connection and leadership
                 // are fine — the failure is the op's own.
                 KiffError::Remote { .. } => {}
-                // Transport trouble: the stream state is unknown and the
-                // leader may be the casualty.
+                // A refusal naming the leader routes the next attempt.
+                KiffError::NotPrimary { leader: Some(addr) } => {
+                    self.conn = None;
+                    self.note_leader(addr.clone());
+                }
+                // Transport trouble, or a refusal without a hint: the
+                // stream state is unknown and the leader may be the
+                // casualty, so the next attempt re-discovers.
                 _ => {
                     self.conn = None;
                     self.leader = None;

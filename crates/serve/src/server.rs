@@ -1200,6 +1200,74 @@ mod tests {
         handle.join().unwrap().unwrap();
     }
 
+    /// A bounded in-flight window sheds with a typed, retryable
+    /// `Overloaded` instead of queueing: an update holding the only slot
+    /// parks on the host mutex, a second update is shed at once, and the
+    /// first lands when the mutex is released.
+    #[test]
+    fn overload_sheds_typed_retryable_errors() {
+        let reg = Registry::new();
+        let config = OnlineConfig::new(2).with_telemetry(reg.clone());
+        let engine = Box::new(OnlineKnn::new(&figure2_toy(), config));
+        let host = EngineHost::new(engine, None, reg.clone());
+        let server_config = ServerConfig {
+            max_inflight: 1,
+            ..ServerConfig::default()
+        };
+        let server = Server::bind_with("127.0.0.1:0", host, server_config).unwrap();
+        let addr = server.local_addr().to_string();
+        let shared = Arc::clone(&server.shared);
+        let handle = std::thread::spawn(move || server.run());
+        let update = [Update::AddRating {
+            user: 2,
+            item: 1,
+            rating: 2.0,
+        }];
+
+        // The first update claims the only slot, then parks on the host
+        // mutex this thread holds.
+        let guard = shared.lock_host();
+        let first = std::thread::spawn({
+            let addr = addr.clone();
+            move || Client::connect(&addr).unwrap().update(&update)
+        });
+        let deadline = Instant::now() + std::time::Duration::from_secs(5);
+        while shared.inflight.load(Ordering::SeqCst) == 0 {
+            assert!(Instant::now() < deadline, "the first update never arrived");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+
+        // The second is shed at once; were it queued instead, it would
+        // wait on the held mutex and miss the timeout.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn({
+            let addr = addr.clone();
+            move || tx.send(Client::connect(&addr).unwrap().update(&update))
+        });
+        let err = rx
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("the second update must be shed, not queued")
+            .unwrap_err();
+        match &err {
+            KiffError::Remote { kind, op, .. } => {
+                assert_eq!(kind, "overloaded");
+                assert_eq!(op, "update");
+            }
+            other => panic!("expected a remote overloaded error, got {other}"),
+        }
+        assert!(err.is_retryable(), "a shed must invite a retry");
+        assert_eq!(reg.counter("serve.shed").get(), 1, "one shed, counted");
+
+        drop(guard);
+        assert_eq!(
+            first.join().unwrap().unwrap(),
+            1,
+            "the limit sheds excess load, not all load"
+        );
+        Client::connect(&addr).unwrap().shutdown().unwrap();
+        handle.join().unwrap().unwrap();
+    }
+
     /// Every instrument a request records into is resolved before the
     /// request arrives — at bind, at `Wal::open` and when the store is
     /// built: a fresh connection, a durable update batch and a view-lane

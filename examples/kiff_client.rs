@@ -125,8 +125,8 @@ fn main() {
         ack.applied
     );
     assert!(
-        healing.reconnects() >= 1,
-        "the torn connection forced a reconnect"
+        healing.reconnects() >= 2,
+        "the torn connection forced a redial past the first dial"
     );
     let health = healing.call(Client::health).expect("health");
     println!(
