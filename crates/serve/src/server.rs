@@ -1240,7 +1240,7 @@ mod tests {
         // The second is shed at once; were it queued instead, it would
         // wait on the held mutex and miss the timeout.
         let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn({
+        let second = std::thread::spawn({
             let addr = addr.clone();
             move || tx.send(Client::connect(&addr).unwrap().update(&update))
         });
@@ -1248,6 +1248,7 @@ mod tests {
             .recv_timeout(std::time::Duration::from_secs(5))
             .expect("the second update must be shed, not queued")
             .unwrap_err();
+        second.join().unwrap().unwrap();
         match &err {
             KiffError::Remote { kind, op, .. } => {
                 assert_eq!(kind, "overloaded");
