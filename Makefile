@@ -80,9 +80,10 @@ bench-reads:
 	$(CARGO) run --release -p kiff-bench --bin experiments -- \
 		reads --scale 0.1 --threads 4 --seed 42 --out $(BENCH_OUT)
 
-# Fault tolerance only (BENCH_faults.json): the self-healing client
-# under a ~1% injected fault rate (success rate >= 0.999 and bounded
-# p99, both gated), plus degraded-mode recovery time and the
+# Fault tolerance only (BENCH_faults.json): the retrying client while
+# every 100th WAL fsync and every 200th socket check fail (every armed
+# point must fire and the client must retry; success rate >= 0.999 and
+# bounded p99; all gated), plus degraded-mode recovery time and the
 # exactly-once bit-exactness check.
 bench-faults:
 	$(CARGO) run --release -p kiff-bench --bin experiments -- \
@@ -101,10 +102,9 @@ bench-failover:
 # replication failpoints at elevated probability (fixed seeds, so a
 # failing run replays), then the gated failover bench (replica read p99,
 # steady-state lag, unavailability across a primary kill, exactly-once).
-CHAOS_FAILPOINTS := repl.stream=prob:0.05@1101,repl.ack=prob:0.05@1102,repl.heartbeat=prob:0.05@1103
-
 chaos:
-	KIFF_FAILPOINTS="$(CHAOS_FAILPOINTS)" $(CARGO) test --test serve_faults --test serve_replica --test serve_reads
+	KIFF_FAILPOINTS="repl.stream=prob:0.05@1101,repl.ack=prob:0.05@1102,repl.heartbeat=prob:0.05@1103" \
+		$(CARGO) test --test serve_faults --test serve_replica --test serve_reads
 	$(CARGO) run --release -p kiff-bench --bin experiments -- \
 		failover --scale 0.1 --threads 4 --seed 42 --out chaos-results
 

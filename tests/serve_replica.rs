@@ -448,7 +448,9 @@ fn min_sync_replicas_gates_acks_until_a_replica_attaches() {
     assert!(err.is_retryable(), "the client should retry, not give up");
 
     // The refused batch still landed in the primary's WAL, so the
-    // replica picks it up through the reconnect catch-up.
+    // replica picks it up through the reconnect catch-up. (Until now
+    // the replica's port was bound but not served: the primary's health
+    // poll of it waited in the listener's backlog.)
     let replica = spawn_node(&scratch("isr-b"), lb, Some(&a), &peers, 25);
     let mut replica_client = Client::connect(&b).unwrap();
     wait_for(5, "replica catch-up", || {
