@@ -6,10 +6,16 @@
 //!
 //! * **user side** — mutated users' full profiles live in a hash overlay
 //!   (sorted item/rating vectors); untouched users keep serving borrowed
-//!   [`ProfileRef`]s straight from the base CSR.
-//! * **item side** — per-item *added* / *removed* rater deltas, so the
-//!   current raters of an item (the only co-rater set a single rating
-//!   update can affect) stream without rebuilding the transpose.
+//!   [`ProfileRef`]s straight from the base CSR. Every user's
+//!   [`ProfileStats`] are cached and recomputed on each profile change.
+//! * **item side** — one delta per mutated item, carrying live ratings:
+//!   raters the base row lacks with their ratings, and base raters whose
+//!   rating changed or who stopped rating the item. The current raters
+//!   of an item, each with its current rating, stream from the base
+//!   item row plus that one delta
+//!   ([`DeltaDataset::for_each_item_rater`]) without rebuilding the
+//!   transpose. That walk is both the co-rater set a rating update
+//!   affects and the item-at-a-time pass the online repair scores with.
 //!
 //! When the overlay grows past the caller's threshold,
 //! [`DeltaDataset::compact`] folds everything back into a fresh CSR —
@@ -18,7 +24,7 @@
 //! so materialising ([`DeltaDataset::to_dataset`]) concatenates rows
 //! instead of sorting ratings.
 
-use kiff_collections::{Csr, FxHashMap, FxHashSet};
+use kiff_collections::{Csr, FxHashMap};
 
 use crate::dataset::Dataset;
 use crate::types::{ItemId, ProfileRef, Rating, UserId};
@@ -39,6 +45,44 @@ impl OverlayProfile {
     }
 }
 
+/// One item's raters as they differ from its base CSR row.
+#[derive(Debug, Clone, Default)]
+struct ItemDelta {
+    /// Raters the base row lacks, with their current ratings.
+    added: FxHashMap<UserId, Rating>,
+    /// Base raters whose state changed, sorted by user id as base rows
+    /// are: `Some` holds the current rating (after a repeated add, or a
+    /// re-add after a removal), `None` marks a removal.
+    changed: Vec<(UserId, Option<Rating>)>,
+}
+
+/// Statistics of one profile that similarity formulas need beyond the
+/// shared items: cached per user by [`DeltaDataset`], so a score can be
+/// finished without reading the profile again.
+#[derive(Debug, Clone, Copy)]
+pub struct ProfileStats {
+    /// `|UP_u|`.
+    pub len: usize,
+    /// The rating vector's Euclidean norm, as [`ProfileRef::norm`]
+    /// computes it.
+    pub norm: f64,
+    /// The sum of the ratings, widened to `f64` and summed in item order.
+    pub total: f64,
+}
+
+impl ProfileStats {
+    /// Computes the statistics of `p` with the same expressions the
+    /// similarity functions use, so cached values equal fresh ones bit
+    /// for bit.
+    pub fn of(p: ProfileRef<'_>) -> Self {
+        Self {
+            len: p.len(),
+            norm: p.norm(),
+            total: p.ratings.iter().map(|&r| f64::from(r)).sum(),
+        }
+    }
+}
+
 /// A [`Dataset`] plus a mutation overlay. See the module docs.
 #[derive(Debug, Clone)]
 pub struct DeltaDataset {
@@ -49,8 +93,10 @@ pub struct DeltaDataset {
     /// Content mutations applied so far (see [`DeltaDataset::version`]).
     version: u64,
     overlay: FxHashMap<UserId, OverlayProfile>,
-    item_added: FxHashMap<ItemId, FxHashSet<UserId>>,
-    item_removed: FxHashMap<ItemId, FxHashSet<UserId>>,
+    /// Rater deltas of the items mutated since the last compaction.
+    items: FxHashMap<ItemId, ItemDelta>,
+    /// Cached statistics of every user's current profile.
+    stats: Vec<ProfileStats>,
 }
 
 impl DeltaDataset {
@@ -62,6 +108,9 @@ impl DeltaDataset {
         // The base item profiles back every rater scan; build them once up
         // front so the first update does not pay the transpose.
         let _ = base.item_profiles();
+        let stats = (0..num_users as UserId)
+            .map(|u| ProfileStats::of(base.user_profile(u)))
+            .collect();
         Self {
             base,
             num_users,
@@ -69,8 +118,8 @@ impl DeltaDataset {
             num_ratings,
             version: 0,
             overlay: FxHashMap::default(),
-            item_added: FxHashMap::default(),
-            item_removed: FxHashMap::default(),
+            items: FxHashMap::default(),
+            stats,
         }
     }
 
@@ -129,12 +178,20 @@ impl DeltaDataset {
         }
     }
 
+    /// The cached statistics of `u`'s current profile; equal, bit for
+    /// bit, to [`ProfileStats::of`] on [`DeltaDataset::profile`].
+    #[inline]
+    pub fn stats(&self, u: UserId) -> ProfileStats {
+        self.stats[u as usize]
+    }
+
     /// Appends a user with an empty profile, returning its id.
     pub fn add_user(&mut self) -> UserId {
         let id = self.num_users as UserId;
         self.num_users += 1;
         self.version += 1;
         self.overlay.insert(id, OverlayProfile::default());
+        self.stats.push(ProfileStats::of(self.profile(id)));
         id
     }
 
@@ -157,19 +214,23 @@ impl DeltaDataset {
         self.num_items = self.num_items.max(i as usize + 1);
         self.version += 1;
         let profile = self.overlay_entry(u);
-        match profile.items.binary_search(&i) {
+        let (current, newly) = match profile.items.binary_search(&i) {
             Ok(pos) => {
                 profile.ratings[pos] += rating;
-                false
+                (profile.ratings[pos], false)
             }
             Err(pos) => {
                 profile.items.insert(pos, i);
                 profile.ratings.insert(pos, rating);
-                self.num_ratings += 1;
-                self.record_item_add(u, i);
-                true
+                (rating, true)
             }
+        };
+        if newly {
+            self.num_ratings += 1;
         }
+        self.record_item(u, i, Some(current));
+        self.refresh_stats(u);
+        newly
     }
 
     /// Deletes the rating `(u, i)`; returns whether it existed.
@@ -184,24 +245,40 @@ impl DeltaDataset {
         profile.ratings.remove(pos);
         self.num_ratings -= 1;
         self.version += 1;
-        self.record_item_remove(u, i);
+        self.record_item(u, i, None);
+        self.refresh_stats(u);
         true
     }
 
-    /// Streams the current raters of `i` (base row minus removals, plus
-    /// additions), in no particular order.
-    pub fn for_each_item_rater(&self, i: ItemId, mut f: impl FnMut(UserId)) {
-        let removed = self.item_removed.get(&i);
+    /// Streams the current raters of `i` with their current ratings, in
+    /// no particular order: the base row's raters with their base
+    /// ratings, except that removed ones are skipped and re-rated ones
+    /// carry their new rating, then the raters the base row lacks. One
+    /// hash probe per item; none per rater.
+    #[inline]
+    pub fn for_each_item_rater(&self, i: ItemId, mut f: impl FnMut(UserId, Rating)) {
+        let delta = self.items.get(&i);
         if (i as usize) < self.base.num_items() {
-            for &u in self.base.item_profiles().row(i) {
-                if !removed.is_some_and(|r| r.contains(&u)) {
-                    f(u);
+            let (users, ratings) = self.base.item_profiles().row_entries(i);
+            // Both the row and `changed` ascend by user, and `changed`
+            // names base raters only: one cursor merges them.
+            let mut changed = delta.map_or(&[][..], |d| &d.changed[..]).iter();
+            let mut next = changed.next();
+            for (&v, &r) in users.iter().zip(ratings) {
+                match next {
+                    Some(&(w, current)) if w == v => {
+                        next = changed.next();
+                        if let Some(r) = current {
+                            f(v, r);
+                        }
+                    }
+                    _ => f(v, r),
                 }
             }
         }
-        if let Some(added) = self.item_added.get(&i) {
-            for &u in added {
-                f(u);
+        if let Some(delta) = delta {
+            for (&v, &r) in &delta.added {
+                f(v, r);
             }
         }
     }
@@ -210,7 +287,7 @@ impl DeltaDataset {
     /// [`DeltaDataset::for_each_item_rater`]).
     pub fn item_raters(&self, i: ItemId) -> Vec<UserId> {
         let mut out = Vec::new();
-        self.for_each_item_rater(i, |u| out.push(u));
+        self.for_each_item_rater(i, |u, _| out.push(u));
         out
     }
 
@@ -240,8 +317,7 @@ impl DeltaDataset {
         self.base = self.to_dataset();
         let _ = self.base.item_profiles();
         self.overlay.clear();
-        self.item_added.clear();
-        self.item_removed.clear();
+        self.items.clear();
     }
 
     fn overlay_entry(&mut self, u: UserId) -> &mut OverlayProfile {
@@ -263,25 +339,29 @@ impl DeltaDataset {
         DeltaView { data: self }
     }
 
-    /// Marks `u` as a rater of `i`, cancelling a prior removal first.
-    fn record_item_add(&mut self, u: UserId, i: ItemId) {
-        if let Some(removed) = self.item_removed.get_mut(&i) {
-            if removed.remove(&u) {
-                return;
+    /// Records `u`'s current rating of `i` on the item side (`None` once
+    /// removed): as an override when the base row holds `u`, else among
+    /// the added raters. A re-add after a removal overrides with the
+    /// fresh value.
+    fn record_item(&mut self, u: UserId, i: ItemId, rating: Option<Rating>) {
+        let in_base =
+            (u as usize) < self.base.num_users() && self.base.user_profile(u).rating(i).is_some();
+        let delta = self.items.entry(i).or_default();
+        if in_base {
+            match delta.changed.binary_search_by_key(&u, |&(v, _)| v) {
+                Ok(pos) => delta.changed[pos].1 = rating,
+                Err(pos) => delta.changed.insert(pos, (u, rating)),
             }
+        } else if let Some(r) = rating {
+            delta.added.insert(u, r);
+        } else {
+            delta.added.remove(&u);
         }
-        self.item_added.entry(i).or_default().insert(u);
     }
 
-    /// Marks `u` as no longer rating `i`, cancelling a prior addition
-    /// first.
-    fn record_item_remove(&mut self, u: UserId, i: ItemId) {
-        if let Some(added) = self.item_added.get_mut(&i) {
-            if added.remove(&u) {
-                return;
-            }
-        }
-        self.item_removed.entry(i).or_default().insert(u);
+    /// Recomputes `u`'s cached statistics after its profile changed.
+    fn refresh_stats(&mut self, u: UserId) {
+        self.stats[u as usize] = ProfileStats::of(self.profile(u));
     }
 }
 
@@ -320,9 +400,17 @@ impl<'a> DeltaView<'a> {
         self.data.profile(u)
     }
 
-    /// Streams the current raters of `i` (see
+    /// The cached statistics of `u`'s current profile (see
+    /// [`DeltaDataset::stats`]).
+    #[inline]
+    pub fn stats(self, u: UserId) -> ProfileStats {
+        self.data.stats(u)
+    }
+
+    /// Streams the current raters of `i` with their current ratings (see
     /// [`DeltaDataset::for_each_item_rater`]).
-    pub fn for_each_item_rater(self, i: ItemId, f: impl FnMut(UserId)) {
+    #[inline]
+    pub fn for_each_item_rater(self, i: ItemId, f: impl FnMut(UserId, Rating)) {
         self.data.for_each_item_rater(i, f)
     }
 }
@@ -407,6 +495,31 @@ mod tests {
         assert!(d.item_raters(7).is_empty());
     }
 
+    /// Checks every item's rating-aware walk, sorted, against the
+    /// materialised item profile (ids and rating bits), and every cached
+    /// statistic against a fresh computation on the materialised user
+    /// profile, bit for bit.
+    fn assert_live(d: &DeltaDataset) {
+        let frozen = d.to_dataset();
+        assert_eq!(frozen.num_items(), d.num_items());
+        for i in 0..d.num_items() as ItemId {
+            let mut live = Vec::new();
+            d.for_each_item_rater(i, |u, r| live.push((u, r.to_bits())));
+            live.sort_unstable();
+            let want: Vec<_> = frozen
+                .item_profile(i)
+                .iter()
+                .map(|(u, r)| (u, r.to_bits()))
+                .collect();
+            assert_eq!(live, want, "item {i}");
+        }
+        let bits = |s: ProfileStats| (s.len, s.norm.to_bits(), s.total.to_bits());
+        for u in 0..d.num_users() as UserId {
+            let fresh = ProfileStats::of(frozen.user_profile(u));
+            assert_eq!(bits(d.stats(u)), bits(fresh), "user {u}");
+        }
+    }
+
     #[test]
     fn to_dataset_round_trips_all_mutations() {
         let mut d = DeltaDataset::new(figure2_toy());
@@ -414,18 +527,22 @@ mod tests {
         d.add_rating(2, 0, 2.0);
         let u = d.add_user();
         d.add_rating(u, 3, 1.0);
+        // A reinforced base rating, a reinforced added one, and a base
+        // rating removed then re-added with a fresh value.
+        d.add_rating(0, 1, 2.5);
+        d.add_rating(u, 3, 0.5);
+        d.remove_rating(3, 3);
+        d.add_rating(3, 3, 4.0);
         let frozen = d.to_dataset();
         assert_eq!(frozen.num_users(), 5);
         assert_eq!(frozen.num_ratings(), d.num_ratings());
         assert_eq!(frozen.user_profile(1).items, &[1]);
         assert_eq!(frozen.user_profile(2).items, &[0, 3]);
         assert_eq!(frozen.user_profile(4).items, &[3]);
-        // The item side of the frozen dataset agrees with the live deltas.
-        for i in 0..frozen.num_items() as ItemId {
-            let mut live = d.item_raters(i);
-            live.sort_unstable();
-            assert_eq!(frozen.item_profile(i).items, &live[..], "item {i}");
-        }
+        // The item side agrees with the frozen dataset, ratings included.
+        assert_live(&d);
+        let shopping: Vec<_> = frozen.item_profile(3).iter().collect();
+        assert_eq!(shopping, vec![(2, 1.0), (3, 4.0), (4, 1.5)]);
     }
 
     #[test]
@@ -461,9 +578,74 @@ mod tests {
         assert_eq!(v.num_ratings(), 7);
         assert_eq!(v.profile(2).items, &[1, 3]);
         let mut raters = Vec::new();
-        v.for_each_item_rater(1, |u| raters.push(u));
-        raters.sort_unstable();
-        assert_eq!(raters, vec![0, 1, 2]);
+        v.for_each_item_rater(1, |u, r| raters.push((u, r)));
+        raters.sort_unstable_by_key(|&(u, _)| u);
+        assert_eq!(raters, vec![(0, 1.0), (1, 1.0), (2, 2.0)]);
+    }
+
+    mod properties {
+        use super::*;
+        use crate::dataset::DatasetBuilder;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        /// Six users over five items, about two ratings in three, with
+        /// ratings other than 1.0 so that rating mix-ups show.
+        fn base() -> Dataset {
+            let mut b = DatasetBuilder::new("delta-props", 6, 5);
+            for u in 0..6u32 {
+                for i in 0..5u32 {
+                    if (u * 7 + i * 3) % 3 != 0 {
+                        b.add_rating(u, i, 1.0 + ((u + i) % 4) as f32 * 0.5);
+                    }
+                }
+            }
+            b.build()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// New pairs (on new items too), repeated adds, removals,
+            /// re-adds of removed pairs, new users and compactions, in
+            /// any order, keep the item side and the statistics live
+            /// after every step.
+            #[test]
+            fn item_side_and_stats_stay_live(
+                ops in vec((0u32..8, 0u32..16, 0u32..16, 1u32..8), 0..48)
+            ) {
+                let mut d = DeltaDataset::new(base());
+                let mut removed: Vec<(UserId, ItemId)> = Vec::new();
+                for (kind, user, pick, rating) in ops {
+                    let u = user % d.num_users() as UserId;
+                    let rating = rating as Rating * 0.5;
+                    let owned = d.profile(u).items.get(pick as usize % d.profile(u).len().max(1));
+                    match (kind, owned.copied()) {
+                        (0, _) => {
+                            d.add_user();
+                        }
+                        (1, _) => d.compact(),
+                        (2, Some(i)) => {
+                            prop_assert!(d.remove_rating(u, i));
+                            removed.push((u, i));
+                        }
+                        (3, _) => {
+                            // Usually a re-add; a new-pair step may
+                            // have re-added it already.
+                            if let Some((v, i)) = removed.pop() {
+                                d.add_rating(v, i, rating);
+                            }
+                        }
+                        (4, Some(i)) => prop_assert!(!d.add_rating(u, i, rating)),
+                        _ => {
+                            let i = pick % (d.num_items() as ItemId + 2);
+                            d.add_rating(u, i, rating);
+                        }
+                    }
+                    assert_live(&d);
+                }
+            }
+        }
     }
 
     #[test]

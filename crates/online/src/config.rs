@@ -1,7 +1,7 @@
 //! Online engine configuration.
 
 use kiff_dataset::ProfileRef;
-use kiff_similarity::{functions, ScoreKind};
+use kiff_similarity::functions;
 use kiff_telemetry::Registry;
 
 /// Which metric the online engine evaluates during repair.
@@ -47,19 +47,6 @@ impl OnlineMetric {
             OnlineMetric::Jaccard => "jaccard",
             OnlineMetric::WeightedJaccard => "weighted-jaccard",
             OnlineMetric::Dice => "dice",
-        }
-    }
-
-    /// The [`ScoreKind`] driving prepared repair scoring
-    /// ([`kiff_similarity::ScorerWorkspace::prepare`]); the prepared
-    /// scorer reproduces [`OnlineMetric::eval`] exactly.
-    pub fn kind(self) -> ScoreKind {
-        match self {
-            OnlineMetric::Cosine => ScoreKind::Cosine,
-            OnlineMetric::BinaryCosine => ScoreKind::BinaryCosine,
-            OnlineMetric::Jaccard => ScoreKind::Jaccard,
-            OnlineMetric::WeightedJaccard => ScoreKind::WeightedJaccard,
-            OnlineMetric::Dice => ScoreKind::Dice,
         }
     }
 }

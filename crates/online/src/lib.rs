@@ -63,6 +63,7 @@
 pub mod api;
 pub mod config;
 pub mod engine;
+mod scoring;
 pub mod sharded;
 mod snapshot;
 pub mod update;

@@ -94,10 +94,10 @@ use kiff_dataset::{Dataset, DeltaDataset, DeltaView, UserId};
 use kiff_graph::{HeapChange, KnnGraph, KnnHeap, Neighbor, ShardReverse};
 use kiff_parallel::{effective_threads, parallel_for_each_mut};
 use kiff_similarity as sim;
-use kiff_similarity::ScorerWorkspace;
 use kiff_telemetry::{Counter, Gauge, Histogram, Registry};
 
 use crate::config::{OnlineConfig, OnlineMetric};
+use crate::scoring::RepairScorer;
 use crate::snapshot::ClockCache;
 use crate::update::{Update, UpdateStats};
 
@@ -525,11 +525,12 @@ struct UserShardState {
     extras: Vec<Arc<Vec<UserId>>>,
 }
 
-/// One in this many repairs is timed into `shard.N.repair_ns`. Repair
-/// latency is the hottest per-event instrument in the stack; sampling
-/// keeps the enabled-registry cost inside the telemetry bench's 3%
-/// overhead gate while a uniform 1-in-8 sample still estimates the
-/// same latency distribution (and its p99).
+/// One in this many repairs is timed into `shard.N.repair_ns`, and its
+/// scoring stage into `shard.N.score_ns`. Repair latency is the hottest
+/// per-event instrument in the stack; sampling keeps the
+/// enabled-registry cost inside the telemetry bench's 3% overhead gate
+/// while a uniform 1-in-8 sample still estimates the same latency
+/// distribution (and its p99).
 const SPAN_SAMPLE: u64 = 8;
 
 /// A shard: the private online-engine state of the users it owns.
@@ -582,13 +583,19 @@ struct Shard {
     /// shard (same registry cell), mirroring the engine-wide
     /// `UpdateStats::sim_evals` total. Flushed in bulk at batch end.
     tele_sims: Counter,
+    /// `similarity.scores`: the same evaluations, counted beside the
+    /// batch build's and the baselines' scores. Flushed with `tele_sims`.
+    tele_scores: Counter,
     /// `shard.N.repair_ns`: repair wall-clock latency, sampled 1 in
     /// [`SPAN_SAMPLE`] repairs.
     repair_ns: Histogram,
+    /// `shard.N.score_ns`: the scoring stage of the same sampled
+    /// repairs.
+    score_ns: Histogram,
     /// `shard.N.queue_depth`: repair-queue depth at the last round end.
     queue_depth: Gauge,
-    /// Prepared-scorer arena for this shard's repairs.
-    scorer_ws: ScorerWorkspace,
+    /// Item-at-a-time scoring scratch for this shard's repairs.
+    scorer: RepairScorer,
     /// Reusable repair staging buffer of `(candidate, similarity)`.
     scored: Vec<(UserId, f64)>,
 }
@@ -600,9 +607,10 @@ impl Shard {
             cross_messages: tele.counter(&format!("shard.{my}.cross_messages")),
             tele_repairs: tele.counter(&format!("shard.{my}.repairs")),
             tele_sims: tele.counter("online.sims"),
+            tele_scores: tele.counter("similarity.scores"),
             repair_ns: tele.histogram(&format!("shard.{my}.repair_ns")),
+            score_ns: tele.histogram(&format!("shard.{my}.score_ns")),
             queue_depth: tele.gauge(&format!("shard.{my}.queue_depth")),
-            scorer_ws: ScorerWorkspace::with_telemetry(tele),
             ..Self::default()
         }
     }
@@ -763,7 +771,7 @@ impl Shard {
             // a uniform sample estimates the same distribution. The
             // repairs counter itself stays exact — it is flushed in
             // bulk at batch end alongside the sims counter.
-            if self.repaired % SPAN_SAMPLE == 1 {
+            if self.sampled() {
                 let span = self.repair_ns.span();
                 self.repair(my, u, targeted, view, assign, config);
                 span.finish();
@@ -777,6 +785,12 @@ impl Shard {
             self.extras.clear();
         }
         self.queue_depth.set(self.queue.len() as i64);
+    }
+
+    /// Whether the repair under way is one of the 1 in [`SPAN_SAMPLE`]
+    /// that are timed.
+    fn sampled(&self) -> bool {
+        self.repaired % SPAN_SAMPLE == 1
     }
 
     /// Re-scores `u` (owned) against its targeted candidates, refreshed
@@ -820,21 +834,18 @@ impl Shard {
         );
         candidates.sort_unstable();
         candidates.dedup();
-        // Prepared scoring: `u`'s profile is preprocessed once, each
-        // candidate scores in O(|UP_v|) — identical values to
-        // `config.metric.eval` (the audits hold both to 1e-12).
+        if let Ok(pos) = candidates.binary_search(&u) {
+            candidates.remove(pos);
+        }
+        // Item-at-a-time scoring (see `crate::scoring`): one walk over
+        // `u`'s items and their live raters scores every candidate,
+        // equal to `config.metric.eval` bit for bit.
         let mut scored = std::mem::take(&mut self.scored);
         scored.clear();
         {
-            let scorer = self
-                .scorer_ws
-                .prepare(config.metric.kind(), view.profile(u));
-            for v in candidates {
-                if v == u {
-                    continue;
-                }
-                scored.push((v, scorer.score(view.profile(v))));
-            }
+            let _span = self.sampled().then(|| self.score_ns.span());
+            self.scorer
+                .score(config.metric, view, u, &candidates, &mut scored);
         }
         self.stats.sim_evals += scored.len() as u64;
         for &(v, s) in &scored {
@@ -1376,12 +1387,12 @@ impl ShardedOnlineKnn {
             // without a single shared-cell RMW inside the repair loop.
             shard.tele_repairs.add(shard.repaired);
             shard.tele_sims.add(shard.stats.sim_evals);
+            shard.tele_scores.add(shard.stats.sim_evals);
             if shard.pending_cross > 0 {
                 shard
                     .cross_messages
                     .add(std::mem::take(&mut shard.pending_cross));
             }
-            shard.scorer_ws.flush_telemetry();
             stats.merge(&std::mem::take(&mut shard.stats));
             stats.repaired_users += shard.repaired;
             stats.cross_messages += shard.cross_messages.get() - cross_before[s];
