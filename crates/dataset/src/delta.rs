@@ -74,7 +74,7 @@ impl ProfileStats {
     /// Computes the statistics of `p` with the same expressions the
     /// similarity functions use, so cached values equal fresh ones bit
     /// for bit.
-    pub fn of(p: ProfileRef<'_>) -> Self {
+    pub(crate) fn of(p: ProfileRef<'_>) -> Self {
         Self {
             len: p.len(),
             norm: p.norm(),
@@ -178,8 +178,8 @@ impl DeltaDataset {
         }
     }
 
-    /// The cached statistics of `u`'s current profile; equal, bit for
-    /// bit, to [`ProfileStats::of`] on [`DeltaDataset::profile`].
+    /// The cached statistics of `u`'s current profile, equal bit for bit
+    /// to a fresh computation on [`DeltaDataset::profile`].
     #[inline]
     pub fn stats(&self, u: UserId) -> ProfileStats {
         self.stats[u as usize]
@@ -255,7 +255,6 @@ impl DeltaDataset {
     /// ratings, except that removed ones are skipped and re-rated ones
     /// carry their new rating, then the raters the base row lacks. One
     /// hash probe per item; none per rater.
-    #[inline]
     pub fn for_each_item_rater(&self, i: ItemId, mut f: impl FnMut(UserId, Rating)) {
         let delta = self.items.get(&i);
         if (i as usize) < self.base.num_items() {
@@ -409,7 +408,6 @@ impl<'a> DeltaView<'a> {
 
     /// Streams the current raters of `i` with their current ratings (see
     /// [`DeltaDataset::for_each_item_rater`]).
-    #[inline]
     pub fn for_each_item_rater(self, i: ItemId, f: impl FnMut(UserId, Rating)) {
         self.data.for_each_item_rater(i, f)
     }

@@ -74,7 +74,7 @@ pub struct OnlineConfig {
     pub compaction_threshold: f64,
     /// Telemetry registry the engine records into (`online.*` apply and
     /// repair-round instruments, per-shard `shard.N.*` instruments, and
-    /// the `similarity.*` scorer counters). Each config starts with its own
+    /// the `similarity.scores` counter). Each config starts with its own
     /// enabled registry; share one across engines with
     /// [`OnlineConfig::with_telemetry`].
     pub telemetry: Registry,

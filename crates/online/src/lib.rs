@@ -35,6 +35,9 @@
 //!   A single update can only change similarities incident to the updated
 //!   user, so this radius recovers almost all of the batch recall at a
 //!   small, bounded fraction of a rebuild's similarity evaluations.
+//! * A repair scores all its candidates in one item-at-a-time pass over
+//!   the repaired user's items and their live raters, and every score
+//!   equals [`OnlineMetric::eval`] on the two live profiles bit for bit.
 //! * Storage re-compacts in batches: mutated profiles live in an overlay
 //!   folded back into a fresh CSR when it covers
 //!   [`OnlineConfig::compaction_threshold`] of the users.

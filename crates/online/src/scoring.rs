@@ -89,7 +89,6 @@ impl RepairScorer {
     /// free slot, which only a candidate claims. The candidates' terms
     /// are then added in a second, branch-free loop. A candidate rates
     /// an item at most once, so the order within an item is free.
-    #[inline]
     fn walk(&mut self, view: DeltaView<'_>, u: UserId, term: impl Fn(Rating, Rating) -> f64) {
         let (mark, sums, hits) = (&self.mark, &mut self.sums, &mut self.hits);
         // An item has at most one rater per user.

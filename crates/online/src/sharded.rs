@@ -16,7 +16,10 @@
 //!    counts first, ties to the lower id), its refreshed RCS prefix (top
 //!    `repair_width` by live count) and its current and reverse
 //!    neighbours, because every stored similarity involving the user is
-//!    stale after a profile change.
+//!    stale after a profile change. One item-at-a-time pass scores all
+//!    the candidates: it walks the user's items and each item's live
+//!    raters once, rather than every candidate's whole profile (see
+//!    `crate::scoring`), and equals [`OnlineMetric::eval`] bit for bit.
 //! 3. **propagate** — any user whose neighbourhood *degraded* (an edge
 //!    removed, or a stored similarity revised downwards) is enqueued and
 //!    repaired in turn, Debatty-style, until no heap changes or the

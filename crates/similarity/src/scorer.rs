@@ -1,9 +1,10 @@
 //! Prepared similarity scorers: preprocess one profile, score many.
 //!
-//! Both KIFF hot loops score one *reference* user against a stream of
-//! candidates — `refine` pops up to `γ` RCS candidates per user per
-//! iteration, and the online engines re-score a repaired user against its
-//! whole candidate set. The pairwise entry points
+//! KIFF's refinement and the baselines' candidate loops score one
+//! *reference* user against a stream of candidates — `refine` pops up to
+//! `γ` RCS candidates per user per iteration. (The online engine's repair
+//! scores item-at-a-time instead, from live item profiles; see
+//! `kiff_online`.) The pairwise entry points
 //! ([`crate::functions`], [`crate::Similarity::sim`]) rediscover the
 //! reference profile on every call: a fresh sorted-merge walk, plus — for
 //! cosine — a fresh `O(|UP_u|)` norm pass.

@@ -180,7 +180,7 @@ impl KnnGraphBuilder {
     /// registry; pass [`kiff_telemetry::Registry::disabled`] to reduce
     /// every instrument operation to a single relaxed load. The greedy
     /// baselines only record `similarity.*` through their shared scorer
-    /// workspaces.
+    /// workspaces; online repair adds its scores to `similarity.scores`.
     pub fn telemetry(mut self, registry: Registry) -> Self {
         self.telemetry = Some(registry);
         self
