@@ -12,6 +12,13 @@
 //!   (1 in 64 scheduling chunks) by default so the per-user timestamp
 //!   syscalls disappear from the steady state; totals are rescaled by the
 //!   timed fraction and reported with their coverage in [`KiffStats`].
+//!
+//! Each evaluated pair is offered to both users' heaps through
+//! [`SharedKnn::update`]. Most offers in a converging build lose to the
+//! heap's worst entry, and a per-user admission hint turns those away
+//! after one atomic load, without the heap's mutex or its duplicate scan.
+//! `update` returns what the locked path would, so change counts, β
+//! termination and graphs do not depend on the hint.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};

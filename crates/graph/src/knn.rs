@@ -1,8 +1,10 @@
 //! Bounded neighbour heaps and graph snapshots.
 
+use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use kiff_dataset::UserId;
 
@@ -46,9 +48,13 @@ pub enum HeapChange {
         evicted: Option<UserId>,
     },
     /// The id is already a neighbour; the offer was ignored (use
-    /// [`KnnHeap::reprioritize`] to refresh a stale similarity).
+    /// [`KnnHeap::reprioritize`] to refresh a stale similarity). A full
+    /// heap checks its worst entry before it scans for the id, so this is
+    /// reported only for offers that would otherwise enter; a known id
+    /// whose offer loses to a full heap's worst entry is
+    /// [`HeapChange::Rejected`].
     AlreadyPresent,
-    /// The offer did not beat the current worst entry.
+    /// The heap was full and the offer did not beat its worst entry.
     Rejected,
 }
 
@@ -143,34 +149,49 @@ impl KnnHeap {
     /// UPDATENN with full outcome reporting: like [`KnnHeap::update`] but
     /// returns what happened, including the evicted id — which incremental
     /// maintainers need to keep reverse adjacency consistent.
+    ///
+    /// A full heap compares the offer with its worst entry first and
+    /// turns away one that does not beat it without scanning for the id:
+    /// in a converging build most offers lose to the worst entry. Only an
+    /// offer that would enter pays the `O(k)` duplicate scan.
     pub fn offer(&mut self, sim: f64, id: UserId) -> HeapChange {
         debug_assert!(!sim.is_nan());
+        let full = self.entries.len() == self.capacity;
+        if full {
+            let root = self.entries[0];
+            if !better((sim, id), (root.sim, root.id)) {
+                return HeapChange::Rejected;
+            }
+        }
         if self.contains(id) {
             return HeapChange::AlreadyPresent;
         }
-        if self.entries.len() < self.capacity {
-            self.entries.push(HeapEntry {
-                sim,
-                id,
-                is_new: true,
-            });
+        let entry = HeapEntry {
+            sim,
+            id,
+            is_new: true,
+        };
+        if full {
+            let evicted = self.entries[0].id;
+            self.entries[0] = entry;
+            self.sift_down(0);
+            HeapChange::Inserted {
+                evicted: Some(evicted),
+            }
+        } else {
+            self.entries.push(entry);
             self.sift_up(self.entries.len() - 1);
             HeapChange::Inserted { evicted: None }
-        } else {
-            let root = self.entries[0];
-            if better((sim, id), (root.sim, root.id)) {
-                self.entries[0] = HeapEntry {
-                    sim,
-                    id,
-                    is_new: true,
-                };
-                self.sift_down(0);
-                HeapChange::Inserted {
-                    evicted: Some(root.id),
-                }
-            } else {
-                HeapChange::Rejected
-            }
+        }
+    }
+
+    /// The similarity an offer must at least reach to enter: the worst
+    /// retained similarity of a full heap, −∞ while the heap has room.
+    /// An offer equal to it may still enter on a smaller id.
+    fn admission_floor(&self) -> f64 {
+        match self.entries.first() {
+            Some(root) if self.entries.len() == self.capacity => root.sim,
+            _ => f64::NEG_INFINITY,
         }
     }
 
@@ -312,10 +333,31 @@ impl KnnHeap {
 }
 
 /// The mutable, thread-shared state of a KNN construction: one lock-guarded
-/// heap per user.
+/// heap per user, and beside it one lock-free admission hint per user.
+///
+/// The hint is the worst similarity of a full heap, −∞ while the heap has
+/// room. [`SharedKnn::update`] reads it first and turns away an offer
+/// strictly below it without taking the heap's mutex; an equal offer takes
+/// the lock, because the id breaks the tie. In a converging build most
+/// offers lose to the worst entry, so most updates never touch the heap.
+///
+/// `update` republishes the hint after an edit, and the [`HeapGuard`] that
+/// [`SharedKnn::lock`] hands out republishes it when dropped, so a guard
+/// may edit the heap in any way (insert, `remove`, demote through
+/// `reprioritize`, retag flags) without leaving the hint above the heap's
+/// worst entry.
 #[derive(Debug)]
 pub struct SharedKnn {
     heaps: Vec<Mutex<KnnHeap>>,
+    /// Per-user admission hints, as `f64` bits. `Relaxed` ordering is
+    /// enough: a hint publishes no other data; every store happens under
+    /// its heap's mutex, so a reader holding the lock sees the last one;
+    /// and while a heap is full its worst entry only rises through
+    /// `update`, so a hint read without the lock is never above the true
+    /// worst and a stale one can only send an offer down the locked path.
+    /// (A guard that lowers the worst republishes before it unlocks; an
+    /// offer still reading the older hint raced that guard.)
+    hints: Vec<AtomicU64>,
     k: usize,
 }
 
@@ -324,6 +366,9 @@ impl SharedKnn {
     pub fn new(n: usize, k: usize) -> Self {
         Self {
             heaps: (0..n).map(|_| Mutex::new(KnnHeap::new(k))).collect(),
+            hints: (0..n)
+                .map(|_| AtomicU64::new(f64::NEG_INFINITY.to_bits()))
+                .collect(),
             k,
         }
     }
@@ -339,17 +384,32 @@ impl SharedKnn {
     }
 
     /// UPDATENN on `u`'s heap; returns 1 if it changed, 0 otherwise (the
-    /// integer form matches Algorithm 1's change counting).
+    /// integer form matches Algorithm 1's change counting). An offer
+    /// strictly below `u`'s admission hint returns 0 without locking.
     #[inline]
     pub fn update(&self, u: UserId, v: UserId, sim: f64) -> u64 {
         debug_assert_ne!(u, v, "self-loops are not valid KNN edges");
-        u64::from(self.heaps[u as usize].lock().update(sim, v))
+        let hint = &self.hints[u as usize];
+        if sim < f64::from_bits(hint.load(Ordering::Relaxed)) {
+            return 0;
+        }
+        let mut heap = self.heaps[u as usize].lock();
+        debug_check_hint(hint, &heap);
+        let changed = heap.update(sim, v);
+        if changed {
+            publish_hint(hint, &heap);
+        }
+        u64::from(changed)
     }
 
     /// Locks and returns `u`'s heap guard (for bulk operations by the
-    /// owner's worker).
-    pub fn lock(&self, u: UserId) -> parking_lot::MutexGuard<'_, KnnHeap> {
-        self.heaps[u as usize].lock()
+    /// owner's worker). Dropping the guard republishes `u`'s admission
+    /// hint from the heap.
+    pub fn lock(&self, u: UserId) -> HeapGuard<'_> {
+        let hint = &self.hints[u as usize];
+        let heap = self.heaps[u as usize].lock();
+        debug_check_hint(hint, &heap);
+        HeapGuard { heap, hint }
     }
 
     /// Snapshots the current state as an immutable [`KnnGraph`].
@@ -364,6 +424,56 @@ impl SharedKnn {
             neighbors,
         }
     }
+}
+
+/// Exclusive access to one user's heap, from [`SharedKnn::lock`].
+///
+/// The guard may edit the heap in any way. Dropping it stores the heap's
+/// admission floor as the user's hint before the mutex is released, so a
+/// `remove` or a demotion lowers the hint with the worst entry, and a
+/// read-only guard stores the value already there.
+pub struct HeapGuard<'a> {
+    heap: MutexGuard<'a, KnnHeap>,
+    hint: &'a AtomicU64,
+}
+
+impl Deref for HeapGuard<'_> {
+    type Target = KnnHeap;
+
+    fn deref(&self) -> &KnnHeap {
+        &self.heap
+    }
+}
+
+impl DerefMut for HeapGuard<'_> {
+    fn deref_mut(&mut self) -> &mut KnnHeap {
+        &mut self.heap
+    }
+}
+
+impl Drop for HeapGuard<'_> {
+    fn drop(&mut self) {
+        publish_hint(self.hint, &self.heap);
+    }
+}
+
+/// Stores `heap`'s admission floor as its hint. Call with the heap's mutex
+/// held.
+#[inline]
+fn publish_hint(hint: &AtomicU64, heap: &KnnHeap) {
+    hint.store(heap.admission_floor().to_bits(), Ordering::Relaxed);
+}
+
+/// Debug-build tripwire, checked with the heap's mutex held: a hint is
+/// never above a full heap's worst similarity, and is −∞ while the heap
+/// has room. A hint above the heap's admission floor would turn away
+/// offers that belong in the heap.
+#[inline]
+fn debug_check_hint(hint: &AtomicU64, heap: &KnnHeap) {
+    debug_assert!(
+        f64::from_bits(hint.load(Ordering::Relaxed)) <= heap.admission_floor(),
+        "admission hint above the heap's floor"
+    );
 }
 
 /// Sorts a neighbour list best-first: decreasing similarity, ties by
@@ -591,6 +701,34 @@ mod tests {
     }
 
     #[test]
+    fn shared_knn_ties_at_the_worst_entry_take_the_lock() {
+        let shared = SharedKnn::new(1, 2);
+        assert_eq!(shared.update(0, 5, 0.5), 1);
+        assert_eq!(shared.update(0, 6, 0.7), 1);
+        assert_eq!(shared.update(0, 7, 0.4), 0, "below the worst entry");
+        assert_eq!(shared.update(0, 8, 0.5), 0, "tie lost on the id");
+        assert_eq!(shared.update(0, 4, 0.5), 1, "tie won on the id");
+        let want = [Neighbor { id: 6, sim: 0.7 }, Neighbor { id: 4, sim: 0.5 }];
+        assert_eq!(shared.snapshot().neighbors(0), &want);
+    }
+
+    #[test]
+    fn guard_edits_republish_the_hint() {
+        let shared = SharedKnn::new(1, 2);
+        shared.update(0, 1, 0.5);
+        shared.update(0, 2, 0.7);
+        // A demotion lowers the worst entry below the published 0.5.
+        assert_eq!(shared.lock(0).reprioritize(2, 0.1), Some(0.7));
+        assert_eq!(shared.update(0, 3, 0.3), 1, "0.3 beats the demoted 0.1");
+        assert_eq!(shared.update(0, 4, 0.2), 0, "0.2 loses to the worst, 0.3");
+        // A removal leaves room, so any offer enters again.
+        assert!(shared.lock(0).remove(1));
+        assert_eq!(shared.update(0, 5, 0.05), 1);
+        let want = [Neighbor { id: 3, sim: 0.3 }, Neighbor { id: 5, sim: 0.05 }];
+        assert_eq!(shared.snapshot().neighbors(0), &want);
+    }
+
+    #[test]
     fn graph_reverse_edges() {
         let g = KnnGraph::from_neighbors(
             2,
@@ -666,14 +804,16 @@ mod tests {
     fn concurrent_updates_preserve_invariants() {
         use kiff_parallel::parallel_for;
         let n = 200u32;
-        let shared = SharedKnn::new(n as usize, 5);
+        let k = 5;
+        // Deterministic pseudo-similarity, symmetric in the pair.
+        let sim_of =
+            |u: u32, v: u32| f64::from((u ^ v).wrapping_mul(2_654_435_761) % 1000) / 1000.0;
+        let shared = SharedKnn::new(n as usize, k);
         parallel_for(4, n as usize, 8, |range| {
             for u in range {
                 for v in 0..n {
                     if v != u as u32 {
-                        // Deterministic pseudo-similarity.
-                        let sim =
-                            f64::from((u as u32 ^ v).wrapping_mul(2_654_435_761) % 1000) / 1000.0;
+                        let sim = sim_of(u as u32, v);
                         shared.update(u as u32, v, sim);
                         shared.update(v, u as u32, sim);
                     }
@@ -682,15 +822,18 @@ mod tests {
         });
         let g = shared.snapshot();
         for u in 0..n {
-            let ns = g.neighbors(u);
-            assert_eq!(ns.len(), 5);
-            // Sorted, unique ids, no self-loop.
-            assert!(ns.windows(2).all(|w| w[0].sim >= w[1].sim));
-            let mut ids: Vec<u32> = ns.iter().map(|x| x.id).collect();
-            ids.sort_unstable();
-            ids.dedup();
-            assert_eq!(ids.len(), 5);
-            assert!(!ids.contains(&u));
+            // Every other user was offered with a fixed similarity, so the
+            // row is the sequential top-k whatever the interleaving.
+            let mut expected: Vec<Neighbor> = (0..n)
+                .filter(|&v| v != u)
+                .map(|v| Neighbor {
+                    id: v,
+                    sim: sim_of(u, v),
+                })
+                .collect();
+            sort_best_first(&mut expected);
+            expected.truncate(k);
+            assert_eq!(g.neighbors(u), &expected[..], "row of user {u}");
         }
     }
 
@@ -728,6 +871,62 @@ mod tests {
                     .map(|n| (n.sim, n.id))
                     .collect();
                 prop_assert_eq!(got, model);
+            }
+
+            /// `SharedKnn` — admission hints, lock-free rejection and
+            /// guards — answers every operation as plain `KnnHeap`s do and
+            /// ends with the same rows. Offered similarities are a fixed
+            /// function of the id on a coarse grid, so ids repeat and ties
+            /// at the worst entry are common; guards remove entries, move
+            /// them (demotions included) through `reprioritize`, insert and
+            /// read, interleaved with the offers.
+            #[test]
+            fn shared_knn_matches_plain_heaps(
+                ops in proptest::collection::vec((0u8..10, 0u32..3, 0u32..40, 0u32..8), 1..300),
+                k in 1usize..8,
+            ) {
+                const USERS: u32 = 3;
+                let sim_of = |id: u32| f64::from(id.wrapping_mul(2_654_435_761) % 8) / 8.0;
+                let shared = SharedKnn::new(USERS as usize, k);
+                let mut model: Vec<KnnHeap> = (0..USERS).map(|_| KnnHeap::new(k)).collect();
+                for (kind, u, pick, level) in ops {
+                    let heap = &mut model[u as usize];
+                    // Offers go to ids past the users (never a self-loop);
+                    // guard edits target an entry of the heap when it has one.
+                    let offered = USERS + pick;
+                    let ids = heap.ids();
+                    let present = ids.get(pick as usize % ids.len().max(1)).copied();
+                    match (kind, present) {
+                        (0..=5, _) => {
+                            let sim = sim_of(offered);
+                            let got = shared.update(u, offered, sim);
+                            prop_assert_eq!(got, u64::from(heap.update(sim, offered)));
+                        }
+                        (6, Some(id)) => {
+                            let got = shared.lock(u).remove(id);
+                            prop_assert_eq!(got, heap.remove(id));
+                        }
+                        (7, Some(id)) => {
+                            let sim = f64::from(level) / 8.0;
+                            let got = shared.lock(u).reprioritize(id, sim);
+                            prop_assert_eq!(got, heap.reprioritize(id, sim));
+                        }
+                        (8, _) => {
+                            let sim = sim_of(offered);
+                            let got = shared.lock(u).update(sim, offered);
+                            prop_assert_eq!(got, heap.update(sim, offered));
+                        }
+                        _ => {
+                            let got = shared.lock(u).ids();
+                            prop_assert_eq!(got, ids);
+                        }
+                    }
+                }
+                let graph = shared.snapshot();
+                for u in 0..USERS {
+                    let want = model[u as usize].sorted_neighbors();
+                    prop_assert_eq!(graph.neighbors(u), &want[..]);
+                }
             }
         }
     }

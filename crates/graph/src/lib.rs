@@ -7,6 +7,9 @@
 //! values. During construction the algorithms share a [`SharedKnn`] — one
 //! bounded [`KnnHeap`] per user behind a `parking_lot` mutex, because the
 //! pivot strategy (§II-D) makes user `u`'s worker update user `v`'s heap.
+//! Beside each mutex sits a lock-free admission hint, the worst similarity
+//! of a full heap, so an offer that cannot enter is turned away after one
+//! atomic load instead of a lock and a scan.
 //!
 //! [`exact`] builds ground truth two ways: an exhaustive `O(|U|²)` scan and
 //! an inverted-index construction that only evaluates pairs sharing an item
@@ -28,7 +31,7 @@ pub use exact::{exact_knn, exact_knn_brute, exact_knn_brute_with, exact_knn_with
 pub use io::{
     load_edges_tsv, save_edges_tsv, save_json as save_graph_json, write_edges_tsv, GraphLoadError,
 };
-pub use knn::{EditStats, HeapChange, KnnGraph, KnnHeap, Neighbor, SharedKnn};
+pub use knn::{EditStats, HeapChange, HeapGuard, KnnGraph, KnnHeap, Neighbor, SharedKnn};
 pub use observer::{IterationObserver, IterationTrace, NoObserver};
 pub use recall::{recall, recall_per_user, recall_user};
 pub use reverse::ShardReverse;
