@@ -5,7 +5,7 @@ CARGO ?= cargo
 BENCH_OUT ?= bench-results
 RECALL_FLOOR ?= 0.90
 
-.PHONY: ci fmt clippy build test examples doc bench-smoke bench-counting bench-baselines bench-rebalance bench-telemetry bench-serve bench-reads bench-faults bench-failover chaos clean-bench
+.PHONY: ci fmt clippy build test examples doc bench-smoke bench-counting bench-baselines bench-telemetry bench-serve bench-reads bench-faults bench-failover chaos clean-bench
 
 ci: fmt clippy build test examples doc bench-smoke
 
@@ -32,7 +32,7 @@ doc:
 # $(RECALL_FLOOR). Reports land in $(BENCH_OUT)/.
 bench-smoke:
 	$(CARGO) run --release -p kiff-bench --bin experiments -- \
-		online sharded counting baselines rebalance telemetry serve reads faults failover \
+		online sharded counting baselines telemetry serve reads faults failover \
 		--scale 0.1 \
 		--threads 4 --seed 42 --recall-floor $(RECALL_FLOOR) --out $(BENCH_OUT)
 
@@ -49,14 +49,6 @@ bench-counting:
 bench-baselines:
 	$(CARGO) run --release -p kiff-bench --bin experiments -- \
 		baselines --scale 0.1 --threads 4 --seed 42 --out $(BENCH_OUT)
-
-# Shard rebalancing under skew only (BENCH_rebalance.json): skewed-stream
-# throughput and cross-shard message count per partitioner, with the
-# community-beats-hash and size-ratio <= 2.0 gates.
-bench-rebalance:
-	$(CARGO) run --release -p kiff-bench --bin experiments -- \
-		rebalance --scale 0.1 --threads 4 --seed 42 \
-		--recall-floor $(RECALL_FLOOR) --out $(BENCH_OUT)
 
 # Telemetry overhead only (BENCH_telemetry.json): instrumented vs
 # disabled-registry replay throughput (gated within 3%), plus the

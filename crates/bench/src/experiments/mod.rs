@@ -15,7 +15,6 @@ pub mod failover;
 pub mod faults;
 pub mod online;
 pub mod reads;
-pub mod rebalance;
 pub mod sensitivity;
 pub mod serve;
 pub mod sharded;
@@ -236,7 +235,7 @@ impl Ctx {
 }
 
 /// Every experiment id, in the paper's presentation order.
-pub const ALL: [&str; 31] = [
+pub const ALL: [&str; 30] = [
     "table1",
     "fig4",
     "fig1",
@@ -262,7 +261,6 @@ pub const ALL: [&str; 31] = [
     "sharded",
     "counting",
     "baselines",
-    "rebalance",
     "telemetry",
     "serve",
     "reads",
@@ -298,7 +296,6 @@ pub fn run_experiment(id: &str, ctx: &mut Ctx) -> Result<String, String> {
         "sharded" => Ok(sharded::sharded(ctx)),
         "counting" => Ok(counting_perf::counting(ctx)),
         "baselines" => Ok(baseline_scoring::baselines(ctx)),
-        "rebalance" => Ok(rebalance::rebalance(ctx)),
         "telemetry" => Ok(telemetry::telemetry(ctx)),
         "serve" => Ok(serve::serve(ctx)),
         "reads" => Ok(reads::reads(ctx)),

@@ -173,11 +173,6 @@ pub struct UpdateOptions {
     /// Shard the engine across this many user partitions (1 = the
     /// single-threaded engine).
     pub shards: usize,
-    /// User-to-shard placement policy of the sharded engine.
-    pub partitioner: PartitionerChoice,
-    /// When set, enable live shard rebalancing with this max/min
-    /// shard-size ratio bound.
-    pub rebalance: Option<f64>,
     /// Worker threads for the sharded engine and rebuild comparison.
     pub threads: Option<usize>,
     /// When set, capture the replay's telemetry (per-shard counters,
@@ -238,19 +233,6 @@ pub struct ServeOptions {
     /// semi-sync); below it the write is refused as retryable
     /// `Unavailable`.
     pub min_sync_replicas: Option<usize>,
-}
-
-/// `--partitioner` values of `kiff update`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PartitionerChoice {
-    /// Fibonacci-hash spread (the default).
-    #[default]
-    Hash,
-    /// Round-robin `user % shards`.
-    Modulo,
-    /// Community-aware: co-raters share a shard (seeded from the base
-    /// dataset's co-rating structure).
-    Community,
 }
 
 /// A parsed subcommand.
@@ -324,7 +306,6 @@ commands:
              through the online engine and report repair cost vs rebuild
              --input BASE --updates STREAM [--k N] [--batch N]
              [--repair-width N] [--shards N] [--threads N]
-             [--partitioner hash|modulo|community] [--rebalance RATIO]
              [--metrics-out FILE [--metrics-format json|prom]]
   serve      build a graph, then answer queries and accept updates over
              a TCP socket; with --data-dir, persist updates to a WAL and
@@ -351,17 +332,6 @@ where
 {
     raw.parse()
         .map_err(|e| ParseError(format!("bad {flag} '{raw}': {e}")))
-}
-
-fn parse_partitioner(raw: &str) -> Result<PartitionerChoice, ParseError> {
-    match raw {
-        "hash" => Ok(PartitionerChoice::Hash),
-        "modulo" => Ok(PartitionerChoice::Modulo),
-        "community" => Ok(PartitionerChoice::Community),
-        other => Err(ParseError(format!(
-            "unknown partitioner '{other}' (expected hash, modulo or community)"
-        ))),
-    }
 }
 
 fn parse_metrics_format(raw: &str) -> Result<MetricsFormat, ParseError> {
@@ -494,8 +464,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
     let mut batch: Option<usize> = None;
     let mut repair_width: Option<usize> = None;
     let mut shards: Option<usize> = None;
-    let mut partitioner = PartitionerChoice::default();
-    let mut rebalance: Option<f64> = None;
     let mut algorithms: Option<Vec<Algorithm>> = None;
     let mut brute = false;
     let mut metrics_out: Option<PathBuf> = None;
@@ -543,12 +511,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 )?)
             }
             "--shards" => shards = Some(parse_num("--shards", &value("--shards", &mut iter)?)?),
-            "--partitioner" => {
-                partitioner = parse_partitioner(&value("--partitioner", &mut iter)?)?
-            }
-            "--rebalance" => {
-                rebalance = Some(parse_num("--rebalance", &value("--rebalance", &mut iter)?)?)
-            }
             "--algorithms" => {
                 algorithms = Some(parse_algorithms(&value("--algorithms", &mut iter)?)?)
             }
@@ -705,18 +667,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
             if shards == 0 {
                 return Err(ParseError("--shards must be positive".into()));
             }
-            if let Some(r) = rebalance {
-                if r.is_nan() || r <= 1.0 {
-                    return Err(ParseError("--rebalance ratio must exceed 1.0".into()));
-                }
-            }
-            // One shard (the default) has no placement to choose and
-            // nothing to rebalance; reject rather than ignore the flags.
-            if shards == 1 && (partitioner != PartitionerChoice::Hash || rebalance.is_some()) {
-                return Err(ParseError(
-                    "--partitioner/--rebalance require --shards > 1".into(),
-                ));
-            }
             Ok(Command::Update(UpdateOptions {
                 input: need_input(input)?,
                 updates: updates.ok_or_else(|| ParseError("--updates is required".into()))?,
@@ -724,8 +674,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 batch,
                 repair_width,
                 shards,
-                partitioner,
-                rebalance,
                 threads,
                 metrics_out,
                 metrics_format: metrics_format.unwrap_or_default(),
@@ -951,7 +899,7 @@ mod tests {
     fn parses_update() {
         let cmd = parse(&argv(
             "update --input base.tsv --updates stream.tsv --k 5 --batch 20 --repair-width 64 \
-             --shards 4 --partitioner community --rebalance 2.0",
+             --shards 4",
         ))
         .unwrap();
         match cmd {
@@ -962,8 +910,6 @@ mod tests {
                 assert_eq!(u.batch, 20);
                 assert_eq!(u.repair_width, Some(64));
                 assert_eq!(u.shards, 4);
-                assert_eq!(u.partitioner, PartitionerChoice::Community);
-                assert_eq!(u.rebalance, Some(2.0));
             }
             other => panic!("expected Update, got {other:?}"),
         }
@@ -974,8 +920,6 @@ mod tests {
         match parse(&argv("update --input b.tsv --updates s.tsv")).unwrap() {
             Command::Update(u) => {
                 assert_eq!(u.shards, 1);
-                assert_eq!(u.partitioner, PartitionerChoice::Hash);
-                assert_eq!(u.rebalance, None);
             }
             other => panic!("expected Update, got {other:?}"),
         }
@@ -987,34 +931,22 @@ mod tests {
         assert!(parse(&argv("update --input b.tsv")).is_err());
         assert!(parse(&argv("update --input b.tsv --updates s.tsv --batch 0")).is_err());
         assert!(parse(&argv("update --input b.tsv --updates s.tsv --shards 0")).is_err());
-        assert!(
-            parse(&argv(
-                "update --input b.tsv --updates s.tsv --partitioner nope"
-            ))
-            .is_err(),
-            "unknown partitioner rejected"
-        );
-        assert!(
-            parse(&argv(
-                "update --input b.tsv --updates s.tsv --shards 2 --rebalance 1.0"
-            ))
-            .is_err(),
-            "degenerate rebalance ratio rejected"
-        );
-        assert!(
-            parse(&argv(
-                "update --input b.tsv --updates s.tsv --partitioner community"
-            ))
-            .is_err(),
-            "placement flags without shards rejected, not ignored"
-        );
-        assert!(
-            parse(&argv(
-                "update --input b.tsv --updates s.tsv --rebalance 2.0"
-            ))
-            .is_err(),
-            "rebalance without shards rejected, not ignored"
-        );
+    }
+
+    #[test]
+    fn update_rejects_removed_placement_flags() {
+        // Users are always placed by a hash of their id; scripts that
+        // still pass a placement or rebalancing flag fail loudly.
+        for flags in [
+            "--shards 2 --partitioner hash",
+            "--shards 2 --rebalance 2.0",
+        ] {
+            let err = parse(&argv(&format!(
+                "update --input b.tsv --updates s.tsv {flags}"
+            )))
+            .expect_err(flags);
+            assert!(err.0.contains("unknown option"), "{flags}: {err}");
+        }
     }
 
     #[test]

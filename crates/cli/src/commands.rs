@@ -9,10 +9,7 @@ use std::time::Instant;
 
 use kiff::core::KiffError;
 
-use kiff::online::{
-    CommunityPartitioner, ModuloPartitioner, OnlineConfig, RebalanceConfig, ShardConfig,
-    ShardedOnlineKnn, Update,
-};
+use kiff::online::{OnlineConfig, ShardConfig, ShardedOnlineKnn, Update};
 use kiff::prelude::*;
 use kiff::{Algorithm, Metric};
 use kiff_dataset::io::{load_json, load_movielens, load_snap_tsv, load_updates_tsv, save_snap_tsv};
@@ -23,7 +20,7 @@ use kiff_graph::{exact_knn_brute_with, exact_knn_with, write_edges_tsv};
 
 use crate::args::{
     BuildOptions, Command, CompareOptions, ExactOptions, Format, GenerateOptions, InputOptions,
-    PartitionerChoice, RecommendOptions, SearchOptions, ServeOptions, UpdateOptions,
+    RecommendOptions, SearchOptions, ServeOptions, UpdateOptions,
 };
 use crate::report::UpdateReport;
 
@@ -231,27 +228,10 @@ fn update(options: &UpdateOptions, out: &mut dyn Write) -> Result<(), CommandErr
     let build_start = Instant::now();
     let mut shard_config = ShardConfig::new(options.shards);
     shard_config.threads = options.threads;
-    shard_config = match options.partitioner {
-        PartitionerChoice::Hash => shard_config,
-        PartitionerChoice::Modulo => {
-            shard_config.with_partitioner(std::sync::Arc::new(ModuloPartitioner))
-        }
-        PartitionerChoice::Community => shard_config.with_partitioner(std::sync::Arc::new(
-            CommunityPartitioner::from_dataset(&base, options.shards),
-        )),
-    };
-    if let Some(ratio) = options.rebalance {
-        shard_config = shard_config.with_rebalance(RebalanceConfig::new(ratio));
-    }
     let mut engine = ShardedOnlineKnn::new(&base, config, shard_config);
     let sharded = options.shards > 1;
     if sharded {
-        report.shards(
-            engine.num_shards(),
-            options.partitioner,
-            &engine.shard_sizes(),
-            options.rebalance,
-        );
+        report.shards(&engine.shard_sizes());
     }
     report.initial_build(build_start.elapsed());
 
@@ -271,11 +251,7 @@ fn update(options: &UpdateOptions, out: &mut dyn Write) -> Result<(), CommandErr
     let final_dataset = engine.data().to_dataset();
     let live_graph = engine.graph();
     if sharded {
-        report.cross_shard(
-            engine.cross_shard_messages(),
-            engine.migrations_total(),
-            &engine.shard_sizes(),
-        );
+        report.cross_shard(engine.cross_shard_messages(), &engine.shard_sizes());
     }
 
     // Export the replay's telemetry before the rebuild below muddies it
@@ -1173,24 +1149,6 @@ mod tests {
         ))
         .unwrap();
         assert!(out.contains("shards  : 2"), "{out}");
-        assert!(out.contains("recall vs rebuild"), "{out}");
-        std::fs::remove_file(updates).ok();
-    }
-
-    #[test]
-    fn update_sharded_with_community_partitioner_and_rebalance() {
-        let input = fixture();
-        let updates = tmp("updates-rebalance.tsv");
-        std::fs::write(&updates, "2\t1\t1.0\t30\n0\t2\t1.0\t10\n9\t3\t1.0\t20\n").unwrap();
-        let out = run_str(&format!(
-            "update --input {} --updates {} --k 2 --batch 2 --shards 2 --threads 2 \
-             --partitioner community --rebalance 2.0",
-            input.display(),
-            updates.display()
-        ))
-        .unwrap();
-        assert!(out.contains("Community partitioner"), "{out}");
-        assert!(out.contains("rebalance at ratio 2"), "{out}");
         assert!(out.contains("cross-shard:"), "{out}");
         assert!(out.contains("recall vs rebuild"), "{out}");
         std::fs::remove_file(updates).ok();

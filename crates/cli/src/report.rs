@@ -14,8 +14,6 @@ use std::time::Duration;
 use kiff::online::UpdateStats;
 use kiff::telemetry::MetricsFormat;
 
-use crate::args::PartitionerChoice;
-
 /// Accumulates the `kiff update` report; see the module docs.
 #[derive(Debug, Default)]
 pub struct UpdateReport {
@@ -43,20 +41,9 @@ impl UpdateReport {
     }
 
     /// The shard layout (omitted on one shard).
-    pub fn shards(
-        &mut self,
-        num: usize,
-        partitioner: PartitionerChoice,
-        sizes: &[usize],
-        rebalance: Option<f64>,
-    ) {
-        self.lines.push(format!(
-            "shards  : {num} ({partitioner:?} partitioner, sizes {sizes:?}{})",
-            match rebalance {
-                Some(r) => format!(", rebalance at ratio {r}"),
-                None => String::new(),
-            }
-        ));
+    pub fn shards(&mut self, sizes: &[usize]) {
+        self.lines
+            .push(format!("shards  : {} (sizes {sizes:?})", sizes.len()));
     }
 
     /// Wall time of the initial graph construction.
@@ -80,9 +67,9 @@ impl UpdateReport {
     }
 
     /// Cross-shard coordination cost (sharded engine only).
-    pub fn cross_shard(&mut self, messages: u64, migrations: u64, sizes: &[usize]) {
+    pub fn cross_shard(&mut self, messages: u64, sizes: &[usize]) {
         self.lines.push(format!(
-            "cross-shard: {messages} messages, {migrations} migrations (final sizes {sizes:?})"
+            "cross-shard: {messages} messages (final sizes {sizes:?})"
         ));
     }
 
@@ -130,7 +117,7 @@ mod tests {
         let mut report = UpdateReport::new();
         report.base(4, 4, 8);
         report.stream(3, 1, 0);
-        report.shards(2, PartitionerChoice::Community, &[2, 2], Some(2.0));
+        report.shards(&[2, 2]);
         report.initial_build(Duration::from_millis(5));
         let life = UpdateStats {
             updates: 3,
@@ -139,7 +126,7 @@ mod tests {
             ..Default::default()
         };
         report.replay(&life, Duration::from_millis(10), 2);
-        report.cross_shard(7, 1, &[3, 2]);
+        report.cross_shard(7, &[3, 2]);
         report.rebuild(100, Duration::from_millis(8), 0.95, 10.0);
         report.metrics_written(Path::new("m.json"), MetricsFormat::Json, 12);
         let mut out = Vec::new();
@@ -148,11 +135,11 @@ mod tests {
         let expect_in_order = [
             "base    : 4 users, 4 items, 8 ratings",
             "stream  : 3 updates (1 new users, 0 new items)",
-            "shards  : 2 (Community partitioner, sizes [2, 2], rebalance at ratio 2)",
+            "shards  : 2 (sizes [2, 2])",
             "initial build:",
             "replayed 3 updates",
             "work/update: 10.0 sim evals",
-            "cross-shard: 7 messages, 1 migrations (final sizes [3, 2])",
+            "cross-shard: 7 messages (final sizes [3, 2])",
             "full rebuild: 100 sim evals",
             "recall vs rebuild: 0.9500",
             "per-update work is 10x below one rebuild",

@@ -43,7 +43,8 @@ impl ShardReverse {
 
     /// Appends a slot for a newly-assigned user, returning its local index.
     pub fn push_slot(&mut self) -> usize {
-        self.attach_slot(FxHashSet::default())
+        self.rows.push(FxHashSet::default());
+        self.rows.len() - 1
     }
 
     /// Records the KNN edge `source → (local) target`.
@@ -71,21 +72,6 @@ impl ShardReverse {
     /// Whether `source → (local) target` is recorded.
     pub fn contains(&self, target_slot: usize, source: UserId) -> bool {
         self.rows[target_slot].contains(&source)
-    }
-
-    /// Detaches the in-neighbour row of the local target, swapping the
-    /// shard's last slot into its place — the shard-migration primitive.
-    /// The caller must re-index whichever user occupied the last slot.
-    pub fn detach_slot(&mut self, target_slot: usize) -> FxHashSet<UserId> {
-        self.rows.swap_remove(target_slot)
-    }
-
-    /// Attaches a detached in-neighbour row as a new local slot, returning
-    /// its index. The inverse of [`ShardReverse::detach_slot`], applied on
-    /// the migration's destination shard.
-    pub fn attach_slot(&mut self, row: FxHashSet<UserId>) -> usize {
-        self.rows.push(row);
-        self.rows.len() - 1
     }
 }
 
@@ -149,29 +135,6 @@ mod tests {
         assert_eq!(rev.push_slot(), 2);
         rev.add(2, 3);
         assert_eq!(rev.in_degree(2), 1);
-    }
-
-    #[test]
-    fn detach_attach_round_trip() {
-        let mut rev = ShardReverse::new(3);
-        rev.add(0, 10);
-        rev.add(1, 11);
-        rev.add(1, 12);
-        rev.add(2, 13);
-        // Detaching slot 0 swaps the last slot (2) into its place.
-        let row = rev.detach_slot(0);
-        let mut sources: Vec<u32> = row.iter().copied().collect();
-        sources.sort_unstable();
-        assert_eq!(sources, vec![10]);
-        assert_eq!(rev.num_slots(), 2);
-        assert!(rev.contains(0, 13), "last slot swapped into the hole");
-        assert!(rev.contains(1, 11));
-        // Attaching on another shard restores the row verbatim.
-        let mut dest = ShardReverse::new(1);
-        let slot = dest.attach_slot(row);
-        assert_eq!(slot, 1);
-        assert!(dest.contains(1, 10));
-        assert_eq!(dest.in_degree(1), 1);
     }
 
     #[test]

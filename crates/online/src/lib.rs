@@ -48,16 +48,13 @@
 //!
 //! # One engine, any number of shards
 //!
-//! [`ShardedOnlineKnn`] is the engine: it partitions users across shards
-//! (hash by default, pluggable via [`Partitioner`]) and runs the counter
-//! and repair phases on all shards in parallel, exchanging cross-shard
-//! heap and reverse-edge edits through asynchronous message queues.
-//! [`OnlineKnn`] is its one-shard configuration. Same consistency model
-//! at every shard count, `apply_batch` throughput scaling with cores.
-//! Skewed streams are handled live: a [`RebalanceConfig`]-driven
-//! rebalancer migrates users out of overloaded shards during quiescent
-//! periods, and [`CommunityPartitioner`] co-locates co-raters to cut
-//! cross-shard message volume (see [`sharded`] for the mechanics).
+//! [`ShardedOnlineKnn`] is the engine: it places each user on a shard by
+//! a hash of its id and runs the counter and repair phases on all shards
+//! in parallel, exchanging cross-shard heap and reverse-edge edits
+//! through asynchronous message queues (see [`sharded`] for the
+//! mechanics). [`OnlineKnn`] is its one-shard configuration. Same
+//! consistency model at every shard count, `apply_batch` throughput
+//! scaling with cores.
 //!
 //! Consumers that take either type — the serving daemon, the CLI
 //! replay, the bench harness — dispatch through the object-safe
@@ -74,8 +71,5 @@ pub mod update;
 pub use api::{KnnEngine, ReadView};
 pub use config::{OnlineConfig, OnlineMetric};
 pub use engine::OnlineKnn;
-pub use sharded::{
-    CommunityPartitioner, HashPartitioner, ModuloPartitioner, Partitioner, RangePartitioner,
-    RebalanceConfig, RebalanceStats, ShardConfig, ShardedOnlineKnn,
-};
+pub use sharded::{ShardConfig, ShardedOnlineKnn};
 pub use update::{Update, UpdateStats};

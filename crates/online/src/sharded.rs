@@ -30,8 +30,9 @@
 //! throughput with cores:
 //!
 //! * **Partitioning** — every user belongs to exactly one shard, decided
-//!   by a pluggable [`Partitioner`] (hash by default). A shard privately
-//!   owns its users' counters, heaps and in-neighbour sets.
+//!   by a multiplicative hash of its id when it is admitted and never
+//!   changed afterwards. A shard privately owns its users' counters,
+//!   heaps and in-neighbour sets.
 //! * **Serial mutate, parallel repair** — dataset mutations are applied
 //!   serially, and every counter adjustment is *pre-bucketed* to its
 //!   owning shard while the mutation's point-in-time rater list is in
@@ -57,38 +58,8 @@
 //! shard counts the order in which cross-shard scores land differs, so a
 //! property test (`tests/sharded_equivalence.rs`) holds 2- and 4-shard
 //! replays to within ε of the one-shard replay's recall.
-//!
-//! # Rebalancing
-//!
-//! Shard assignment is decided at admission, so a skewed stream (hot
-//! communities, power-law arrivals) can unbalance the shards long after
-//! the initial partitioning was fair. Two mechanisms push back:
-//!
-//! * **Live migration** — [`ShardedOnlineKnn::migrate_user`] extracts a
-//!   user's counters, heap and in-neighbour row into a portable
-//!   `UserShardState` and replays it into the target shard, re-routing
-//!   any cross-shard messages still in flight for that user so readers
-//!   never observe a half-moved user. A `Rebalancer` (enabled via
-//!   [`RebalanceConfig`]) watches [`ShardedOnlineKnn::shard_sizes`] and
-//!   the per-shard cross-traffic counters after every batch and migrates
-//!   users out of overloaded shards during quiescent periods, preferring
-//!   migrants with the most neighbours on the receiving shard.
-//! * **Community-aware placement** — [`CommunityPartitioner`] buckets
-//!   users by their dominant co-rating neighbourhood (union-find over
-//!   each user's top co-raters, capped at a per-community size bound,
-//!   then bin-packed onto shards), so co-raters land on the same shard
-//!   and cross-shard [`ShardMsg`](self) volume drops — the locality
-//!   argument of Cluster-and-Conquer applied to the online engine. It
-//!   seeds from the RCS ranking and refreshes from the live graph
-//!   (`CommunityPartitioner::from_graph` +
-//!   [`ShardedOnlineKnn::repartition`]).
-//!
-//! `tests/rebalance_equivalence.rs` holds skewed replays with migrations
-//! enabled to within ε of the one-shard engine; `tests/shard_stress.rs`
-//! pins the balance bound and the hash-vs-community message ordering.
 
 use std::collections::VecDeque;
-use std::fmt;
 use std::sync::Arc;
 
 use kiff_collections::{FxHashMap, FxHashSet, SparseCounter};
@@ -104,276 +75,13 @@ use crate::scoring::RepairScorer;
 use crate::snapshot::ClockCache;
 use crate::update::{Update, UpdateStats};
 
-/// Assigns every user to a shard. Implementations must be deterministic
-/// per call — routing consults the partitioner once per user (at
-/// admission, or on [`ShardedOnlineKnn::repartition`]) and caches the
-/// result; migrations may later move the user, so the cached assignment,
-/// not the partitioner, is authoritative.
-pub trait Partitioner: fmt::Debug + Send + Sync {
-    /// The shard (in `0..num_shards`) owning `user`.
-    fn shard_of(&self, user: UserId, num_shards: usize) -> usize;
-}
-
-/// Default partitioner: a Fibonacci multiplicative hash of the user id.
-/// Spreads dense id ranges (the common case: ids are admission order)
-/// evenly across shards with no state.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HashPartitioner;
-
-impl Partitioner for HashPartitioner {
-    fn shard_of(&self, user: UserId, num_shards: usize) -> usize {
-        (user.wrapping_mul(0x9E37_79B9) >> 16) as usize % num_shards
-    }
-}
-
-/// Round-robin partitioner: `user % num_shards`. Deterministic and easy
-/// to reason about in tests and when replaying incidents; clusters less
-/// evenly than [`HashPartitioner`] when user ids carry structure.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ModuloPartitioner;
-
-impl Partitioner for ModuloPartitioner {
-    fn shard_of(&self, user: UserId, num_shards: usize) -> usize {
-        user as usize % num_shards
-    }
-}
-
-/// Range partitioner: shard `i` owns the contiguous id block
-/// `[i·block, (i+1)·block)`, with the last shard absorbing everything
-/// beyond. Contiguous cohorts (ids are admission order, so id ranges are
-/// temporal cohorts) co-locate — but for exactly that reason every *new*
-/// user lands on the newest shard: the classic hot-tail of range
-/// sharding, and the skew scenario the `Rebalancer` exists for.
-#[derive(Debug, Clone, Copy)]
-pub struct RangePartitioner {
-    /// Users per shard block.
-    pub block: usize,
-}
-
-impl RangePartitioner {
-    /// Blocks sized so `num_users` ids spread over `num_shards` shards.
-    pub fn for_population(num_users: usize, num_shards: usize) -> Self {
-        assert!(num_shards > 0, "num_shards must be positive");
-        Self {
-            block: num_users.div_ceil(num_shards).max(1),
-        }
-    }
-}
-
-impl Partitioner for RangePartitioner {
-    fn shard_of(&self, user: UserId, num_shards: usize) -> usize {
-        (user as usize / self.block.max(1)).min(num_shards - 1)
-    }
-}
-
-/// Community-aware partitioner: places each user on the shard holding its
-/// dominant co-rating neighbourhood, so the pairs a repair re-scores are
-/// mostly shard-local and cross-shard message volume drops.
-///
-/// Construction is deterministic: a union-find over every user's top
-/// co-raters (ranked by shared-item count — the RCS ordering of §II-C),
-/// with each community capped at `ceil(n / num_shards)` members so one
-/// giant component cannot swallow the balance; the resulting communities
-/// are bin-packed largest-first onto the least-loaded shard. Seed it from
-/// a dataset ([`CommunityPartitioner::from_dataset`]) or refresh it from
-/// the live graph ([`CommunityPartitioner::from_graph`] +
-/// [`ShardedOnlineKnn::repartition`]).
-///
-/// Users beyond the mapped id range (admitted after construction) fall
-/// back to [`HashPartitioner`]; the `Rebalancer` pulls them toward
-/// their community as their edges appear.
-#[derive(Debug, Clone)]
-pub struct CommunityPartitioner {
-    /// `assignment[u]` = shard of user `u` at construction time.
-    assignment: Vec<u32>,
-}
-
-/// Top co-raters / neighbours each user contributes as union-find edges.
-const COMMUNITY_SEED_EDGES: usize = 3;
-
-impl CommunityPartitioner {
-    /// Seeds communities from the dataset's co-rating structure: each
-    /// user's three top co-raters by shared-item count.
-    pub fn from_dataset(dataset: &Dataset, num_shards: usize) -> Self {
-        assert!(num_shards > 0, "num_shards must be positive");
-        let rcs = build_rcs(
-            dataset,
-            &CountingConfig {
-                pivot: false,
-                keep_counts: false,
-                ..Default::default()
-            },
-        );
-        let n = dataset.num_users();
-        let mut edges = Vec::with_capacity(n * COMMUNITY_SEED_EDGES);
-        for u in 0..n as UserId {
-            for &v in rcs.rcs(u).iter().take(COMMUNITY_SEED_EDGES) {
-                edges.push((u, v));
-            }
-        }
-        Self::from_edges(n, &edges, num_shards)
-    }
-
-    /// Refreshes communities from a live KNN graph: each user's top
-    /// three neighbours by similarity.
-    pub fn from_graph(graph: &KnnGraph, num_shards: usize) -> Self {
-        assert!(num_shards > 0, "num_shards must be positive");
-        let n = graph.num_users();
-        let mut edges = Vec::with_capacity(n * COMMUNITY_SEED_EDGES);
-        for u in 0..n as UserId {
-            for nb in graph.neighbors(u).iter().take(COMMUNITY_SEED_EDGES) {
-                edges.push((u, nb.id));
-            }
-        }
-        Self::from_edges(n, &edges, num_shards)
-    }
-
-    /// Shared tail: capped union-find over `edges`, then largest-first
-    /// bin-packing of the communities onto `num_shards` shards.
-    fn from_edges(n: usize, edges: &[(UserId, UserId)], num_shards: usize) -> Self {
-        let cap = n.div_ceil(num_shards).max(1) as u32;
-        let mut parent: Vec<u32> = (0..n as u32).collect();
-        let mut size = vec![1u32; n];
-        fn find(parent: &mut [u32], mut x: u32) -> u32 {
-            while parent[x as usize] != x {
-                parent[x as usize] = parent[parent[x as usize] as usize];
-                x = parent[x as usize];
-            }
-            x
-        }
-        for &(u, v) in edges {
-            if (v as usize) >= n {
-                continue;
-            }
-            let (ru, rv) = (find(&mut parent, u), find(&mut parent, v));
-            if ru != rv && size[ru as usize] + size[rv as usize] <= cap {
-                // Smaller root id wins: construction order independent.
-                let (keep, gone) = if ru < rv { (ru, rv) } else { (rv, ru) };
-                parent[gone as usize] = keep;
-                size[keep as usize] += size[gone as usize];
-            }
-        }
-        // Communities sorted largest first (ties by root id), each placed
-        // on the least-loaded shard (ties by shard id).
-        let mut roots: Vec<u32> = (0..n as u32).filter(|&u| parent[u as usize] == u).collect();
-        roots.sort_unstable_by_key(|&r| (std::cmp::Reverse(size[r as usize]), r));
-        let mut shard_of_root = vec![0u32; n];
-        let mut load = vec![0usize; num_shards];
-        for &r in &roots {
-            let target = (0..num_shards)
-                .min_by_key(|&s| (load[s], s))
-                .expect(">0 shards");
-            shard_of_root[r as usize] = target as u32;
-            load[target] += size[r as usize] as usize;
-        }
-        let assignment = (0..n as u32)
-            .map(|u| shard_of_root[find(&mut parent, u) as usize])
-            .collect();
-        Self { assignment }
-    }
-
-    /// Number of users mapped at construction time.
-    pub fn mapped_users(&self) -> usize {
-        self.assignment.len()
-    }
-}
-
-impl Partitioner for CommunityPartitioner {
-    fn shard_of(&self, user: UserId, num_shards: usize) -> usize {
-        match self.assignment.get(user as usize) {
-            Some(&s) => s as usize % num_shards,
-            None => HashPartitioner.shard_of(user, num_shards),
-        }
-    }
-}
-
-/// Knobs of the live shard `Rebalancer`. The defaults trigger a check
-/// after every batch and keep the max/min shard-size ratio at 2.0 — the
-/// bound the bench-smoke gate enforces on the skewed stream.
-#[derive(Debug, Clone)]
-pub struct RebalanceConfig {
-    /// Rebalance when `max(shard_sizes) > max_ratio * min(shard_sizes)`
-    /// (the min is floored at 1 so empty shards trigger, not divide).
-    pub max_ratio: f64,
-    /// Batches between balance checks (1 = after every batch).
-    pub check_every: usize,
-    /// Migration cap per rebalance cycle, bounding the quiescent-period
-    /// work a single batch can absorb.
-    pub max_moves: usize,
-}
-
-impl Default for RebalanceConfig {
-    fn default() -> Self {
-        Self {
-            max_ratio: 2.0,
-            check_every: 1,
-            max_moves: 64,
-        }
-    }
-}
-
-impl RebalanceConfig {
-    /// A config keeping the shard-size ratio under `max_ratio`, with the
-    /// default cadence and move cap.
-    ///
-    /// # Panics
-    /// Panics unless `max_ratio > 1.0` (a ratio of 1 can never be met for
-    /// sizes that do not divide evenly).
-    pub fn new(max_ratio: f64) -> Self {
-        assert!(max_ratio > 1.0, "max_ratio must exceed 1.0");
-        Self {
-            max_ratio,
-            ..Self::default()
-        }
-    }
-
-    /// Sets how many batches pass between balance checks.
-    pub fn with_check_every(mut self, batches: usize) -> Self {
-        assert!(batches > 0, "check cadence must be positive");
-        self.check_every = batches;
-        self
-    }
-
-    /// Sets the per-cycle migration cap.
-    pub fn with_max_moves(mut self, moves: usize) -> Self {
-        self.max_moves = moves;
-        self
-    }
-}
-
-/// Lifetime accounting of the `Rebalancer`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RebalanceStats {
-    /// Rebalance cycles that moved at least one user.
-    pub cycles: u64,
-    /// Users migrated by the rebalancer only. Migrations requested
-    /// during a batch additionally land in [`UpdateStats::migrations`];
-    /// direct [`ShardedOnlineKnn::migrate_user`] /
-    /// [`ShardedOnlineKnn::repartition`] calls outside a batch are
-    /// visible only in [`ShardedOnlineKnn::migrations_total`], which
-    /// counts every cause.
-    pub migrations: u64,
-}
-
-/// Watches shard sizes and cross-shard traffic after each batch and
-/// migrates users out of overloaded shards during quiescent periods.
-/// Owned by the engine; enable via [`ShardConfig::with_rebalance`].
-#[derive(Debug)]
-struct Rebalancer {
-    config: RebalanceConfig,
-    /// Batches applied since the last check.
-    batches: usize,
-    stats: RebalanceStats,
-}
-
-impl Rebalancer {
-    fn new(config: RebalanceConfig) -> Self {
-        Self {
-            config,
-            batches: 0,
-            stats: RebalanceStats::default(),
-        }
-    }
+/// The shard (in `0..num_shards`) owning `user`: a Fibonacci
+/// multiplicative hash of the id, which spreads dense id ranges (ids are
+/// admission order) evenly across shards with no state. Placement by
+/// co-rating community was measured against it on a stream and lost on
+/// updates per second: it balanced users, not repair work.
+fn home_shard(user: UserId, num_shards: usize) -> usize {
+    (user.wrapping_mul(0x9E37_79B9) >> 16) as usize % num_shards
 }
 
 /// Sharding knobs of the [`ShardedOnlineKnn`] engine.
@@ -384,41 +92,22 @@ pub struct ShardConfig {
     /// Worker threads driving the shards (`None` = all available). More
     /// threads than shards is never useful; the engine caps internally.
     pub threads: Option<usize>,
-    /// User-to-shard assignment policy.
-    pub partitioner: Arc<dyn Partitioner>,
-    /// Live rebalancing policy (`None` = assignment stays fixed at
-    /// admission, the pre-rebalancer behaviour).
-    pub rebalance: Option<RebalanceConfig>,
 }
 
 impl ShardConfig {
-    /// `num_shards` shards, hash partitioning, all available threads, no
-    /// rebalancing.
+    /// `num_shards` shards on all available threads. Users are placed by
+    /// a hash of their id.
     pub fn new(num_shards: usize) -> Self {
         assert!(num_shards > 0, "num_shards must be positive");
         Self {
             num_shards,
             threads: None,
-            partitioner: Arc::new(HashPartitioner),
-            rebalance: None,
         }
     }
 
     /// Sets the worker thread count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
-        self
-    }
-
-    /// Sets the user-to-shard assignment policy.
-    pub fn with_partitioner(mut self, partitioner: Arc<dyn Partitioner>) -> Self {
-        self.partitioner = partitioner;
-        self
-    }
-
-    /// Enables live shard rebalancing under `config`.
-    pub fn with_rebalance(mut self, config: RebalanceConfig) -> Self {
-        self.rebalance = Some(config);
         self
     }
 }
@@ -447,17 +136,6 @@ enum ShardMsg {
     ReverseAdd { target: UserId, source: UserId },
     /// The KNN edge `source → target` was retracted on `source`'s shard.
     ReverseRemove { target: UserId, source: UserId },
-}
-
-impl ShardMsg {
-    /// The user whose owning shard must apply this message — the routing
-    /// key, re-consulted when a migration moves pending messages.
-    fn subject(&self) -> UserId {
-        match *self {
-            ShardMsg::Scored { owner, .. } => owner,
-            ShardMsg::ReverseAdd { target, .. } | ShardMsg::ReverseRemove { target, .. } => target,
-        }
-    }
 }
 
 /// One counter adjustment owned by a specific shard, bucketed serially at
@@ -503,31 +181,6 @@ enum CounterAdj {
     },
 }
 
-/// One user's complete per-shard state, detached into portable form for
-/// migration: everything [`Shard`] holds about the user, including the
-/// repair work still pending this batch. Produced by `Shard::detach_user`
-/// on the donor and consumed by `Shard::attach_user` on the target.
-#[derive(Debug)]
-struct UserShardState {
-    /// The migrating user's global id.
-    user: UserId,
-    /// Live shared-item counter.
-    counter: SparseCounter,
-    /// Neighbour heap.
-    heap: KnnHeap,
-    /// Clock of the heap's last edit: the row's content did not change
-    /// by moving, so the stamp moves with it.
-    stamp: u64,
-    /// In-neighbour row (global source ids).
-    incoming: FxHashSet<UserId>,
-    /// Whether the user was queued for repair on the donor.
-    queued: bool,
-    /// Whether the donor already repaired the user this batch.
-    visited: bool,
-    /// Targeted repair candidates accumulated this batch.
-    extras: Vec<Arc<Vec<UserId>>>,
-}
-
 /// One in this many repairs is timed into `shard.N.repair_ns`, and its
 /// scoring stage into `shard.N.score_ns`. Repair latency is the hottest
 /// per-event instrument in the stack; sampling keeps the
@@ -570,8 +223,8 @@ struct Shard {
     outbox: Vec<Vec<ShardMsg>>,
     /// `shard.N.cross_messages`: cross-shard messages sent over the
     /// shard's lifetime — the single source of truth for cross-traffic;
-    /// the rebalancer, [`ShardedOnlineKnn::shard_cross_traffic`] and the
-    /// per-batch [`UpdateStats::cross_messages`] delta all read it.
+    /// [`ShardedOnlineKnn::shard_cross_traffic`] and the per-batch
+    /// [`UpdateStats::cross_messages`] delta both read it.
     /// Flushed in bulk at batch end, before any of those reads.
     cross_messages: Counter,
     /// Messages sent this batch, not yet flushed into `cross_messages`:
@@ -641,63 +294,6 @@ impl Shard {
         self.pending_cross += 1;
     }
 
-    /// Extracts `user`'s complete per-shard state (swap-remove: the last
-    /// slot fills the hole). Returns the state and the user displaced
-    /// into `slot`, whose cached assignment the caller must patch.
-    fn detach_user(&mut self, slot: usize, user: UserId) -> (UserShardState, Option<UserId>) {
-        debug_assert_eq!(self.users[slot], user, "slot map corrupt");
-        let last = self.users.len() - 1;
-        let displaced = (slot != last).then(|| self.users[last]);
-        self.users.swap_remove(slot);
-        let counter = self.counters.swap_remove(slot);
-        let heap = self.heaps.swap_remove(slot);
-        let stamp = self.stamps.swap_remove(slot);
-        let incoming = self.incoming.detach_slot(slot);
-        let queued = if let Some(pos) = self.queue.iter().position(|&q| q == user) {
-            self.queue.remove(pos);
-            true
-        } else {
-            false
-        };
-        (
-            UserShardState {
-                user,
-                counter,
-                heap,
-                stamp,
-                incoming,
-                queued,
-                visited: self.visited.remove(&user),
-                extras: self.extras.remove(&user).unwrap_or_default(),
-            },
-            displaced,
-        )
-    }
-
-    /// Replays a detached user into this shard, returning its local slot.
-    /// The inverse of [`Shard::detach_user`]: pending repair work (queue
-    /// membership, targeted candidates, visited mark) transfers with the
-    /// state so a mid-batch migration neither loses nor repeats repairs.
-    fn attach_user(&mut self, state: UserShardState) -> u32 {
-        let idx = self.users.len() as u32;
-        self.users.push(state.user);
-        self.counters.push(state.counter);
-        self.heaps.push(state.heap);
-        self.stamps.push(state.stamp);
-        let islot = self.incoming.attach_slot(state.incoming);
-        debug_assert_eq!(islot, idx as usize);
-        if state.queued {
-            self.queue.push_back(state.user);
-        }
-        if state.visited {
-            self.visited.insert(state.user);
-        }
-        if !state.extras.is_empty() {
-            self.extras.insert(state.user, state.extras);
-        }
-        idx
-    }
-
     /// Applies this shard's pre-bucketed counter adjustments — exactly the
     /// ones it owns, in mutation order (see [`CounterAdj`] on why the
     /// order matters).
@@ -735,14 +331,12 @@ impl Shard {
     /// One repair round: drain the inbox, then repair queued users within
     /// the batch budget, emitting cross-shard messages into the outbox.
     fn step(&mut self, my: u32, view: DeltaView<'_>, assign: &[Slot], config: &OnlineConfig) {
-        // Reverse edits first: they mirror heap edits of the last round,
-        // while landing a score edits a heap now and may mirror it here
-        // at once. After a migration brought a target to its source's
-        // shard, the inbox can hold an older edit of the same pair behind
-        // such a score; applied in inbox order, the older edit would win.
-        let inbox = std::mem::take(&mut self.inbox);
-        for msg in &inbox {
-            match *msg {
+        // One pass in message order: a reverse edit names a pair whose
+        // source lives on another shard, while landing a score here only
+        // mirrors pairs whose source is ours, so the two never touch the
+        // same pair.
+        for msg in std::mem::take(&mut self.inbox) {
+            match msg {
                 ShardMsg::ReverseAdd { target, source } => {
                     self.incoming
                         .add(assign[target as usize].idx as usize, source);
@@ -751,12 +345,9 @@ impl Shard {
                     self.incoming
                         .remove(assign[target as usize].idx as usize, source);
                 }
-                ShardMsg::Scored { .. } => {}
-            }
-        }
-        for msg in inbox {
-            if let ShardMsg::Scored { owner, other, sim } = msg {
-                self.land(my, owner, other, sim, assign);
+                ShardMsg::Scored { owner, other, sim } => {
+                    self.land(my, owner, other, sim, assign);
+                }
             }
         }
         while self.repaired < self.budget {
@@ -946,17 +537,10 @@ pub struct ShardedOnlineKnn {
     config: OnlineConfig,
     shard_config: ShardConfig,
     data: DeltaDataset,
-    /// Shard/slot of every user: seeded by the partitioner at admission,
-    /// thereafter authoritative — migrations rewrite it.
+    /// Shard/slot of every user, fixed at admission: the shard is
+    /// [`home_shard`], the slot its admission order on that shard.
     assign: Vec<Slot>,
     shards: Vec<Shard>,
-    /// Migrations requested while a batch may be in flight; applied
-    /// between repair rounds (and drained at quiescence).
-    pending_migrations: Vec<(UserId, u32)>,
-    /// Live rebalancing policy, when enabled.
-    rebalancer: Option<Rebalancer>,
-    /// Users migrated over the engine's lifetime (all causes).
-    migrations_total: u64,
     lifetime: UpdateStats,
     /// Mutation clock: ticks at every mutation entry point; shards stamp
     /// edited rows with it.
@@ -971,9 +555,6 @@ pub struct ShardedOnlineKnn {
     /// `online.repair_round_ns`: wall-clock of each parallel repair
     /// round (inbox drain + budgeted repairs across all shards).
     repair_round_ns: Histogram,
-    /// `online.migrations`: users migrated between shards, all causes —
-    /// the registry twin of [`ShardedOnlineKnn::migrations_total`].
-    tele_migrations: Counter,
 }
 
 impl ShardedOnlineKnn {
@@ -1103,7 +684,7 @@ impl ShardedOnlineKnn {
             .collect();
         let mut assign = Vec::with_capacity(counters.len());
         for (u, counter) in (0..).zip(counters) {
-            let s = shard_config.partitioner.shard_of(u, num_shards);
+            let s = home_shard(u, num_shards);
             let shard = &mut shards[s];
             let idx = shard.push_user(config.k, u, 1);
             assign.push(Slot {
@@ -1116,27 +697,21 @@ impl ShardedOnlineKnn {
                 shard.heaps[slot].update(nb.sim, nb.id);
             }
         }
-        let rebalancer = shard_config.rebalance.clone().map(Rebalancer::new);
         let tele = &config.telemetry;
         let apply_ns = tele.histogram("online.apply_ns");
         let repair_round_ns = tele.histogram("online.repair_round_ns");
-        let tele_migrations = tele.counter("online.migrations");
         let mut engine = Self {
             config,
             shard_config,
             data: DeltaDataset::new(dataset.clone()),
             assign,
             shards,
-            pending_migrations: Vec::new(),
-            rebalancer,
-            migrations_total: 0,
             lifetime: UpdateStats::default(),
             clock: 1,
             graph_snapshot: ClockCache::new(),
             dataset_snapshot: ClockCache::new(),
             apply_ns,
             repair_round_ns,
-            tele_migrations,
         };
         // Mirror from the heaps, not from `graph`: the heap capacity may
         // be smaller than the snapshot's k.
@@ -1192,8 +767,7 @@ impl ShardedOnlineKnn {
         self.assign[u as usize].shard as usize
     }
 
-    /// Users owned per shard — the balance signal the `Rebalancer` acts
-    /// on.
+    /// Users owned per shard.
     pub fn shard_sizes(&self) -> Vec<usize> {
         self.shards.iter().map(|s| s.users.len()).collect()
     }
@@ -1208,27 +782,10 @@ impl ShardedOnlineKnn {
     }
 
     /// Total cross-shard messages sent over the engine's lifetime — the
-    /// coordination cost a community-aware partitioner minimises. The sum
-    /// of [`ShardedOnlineKnn::shard_cross_traffic`].
+    /// coordination cost of sharding. The sum of
+    /// [`ShardedOnlineKnn::shard_cross_traffic`].
     pub fn cross_shard_messages(&self) -> u64 {
         self.shards.iter().map(|s| s.cross_messages.get()).sum()
-    }
-
-    /// Lifetime accounting of the rebalancer (all zeros when rebalancing
-    /// is disabled).
-    pub fn rebalance_stats(&self) -> RebalanceStats {
-        self.rebalancer
-            .as_ref()
-            .map(|r| r.stats)
-            .unwrap_or_default()
-    }
-
-    /// Users migrated between shards over the engine's lifetime, from
-    /// every cause: rebalancer moves, requested migrations and direct
-    /// [`ShardedOnlineKnn::migrate_user`] / [`ShardedOnlineKnn::repartition`]
-    /// calls.
-    pub fn migrations_total(&self) -> u64 {
-        self.migrations_total
     }
 
     /// `u`'s current neighbours, best first.
@@ -1279,10 +836,7 @@ impl ShardedOnlineKnn {
     /// Appends a user with an empty profile, returning its id.
     pub fn add_user(&mut self) -> UserId {
         let id = self.data.add_user();
-        let s = self
-            .shard_config
-            .partitioner
-            .shard_of(id, self.shards.len());
+        let s = home_shard(id, self.shards.len());
         self.clock += 1;
         let idx = self.shards[s].push_user(self.config.k, id, self.clock);
         self.assign.push(Slot {
@@ -1353,36 +907,26 @@ impl ShardedOnlineKnn {
 
         // Phase 3 (parallel rounds): repair until quiescence. Each round
         // drains inboxes and queues shard-locally; produced messages are
-        // routed between rounds, and requested migrations execute in the
-        // same gap — the serial moment when shard state is unborrowed but
-        // cross-shard messages may still be in flight.
-        loop {
-            let has_work = self.shards.iter().any(Shard::has_work);
-            if !has_work && self.pending_migrations.is_empty() {
-                break;
-            }
-            if has_work {
-                let round_span = self.repair_round_ns.span();
-                let view = self.data.view();
-                let assign = &self.assign;
-                let config = &self.config;
-                parallel_for_each_mut(threads, &mut self.shards, |my, shard| {
-                    shard.step(my as u32, view, assign, config);
-                });
-                round_span.finish();
-                for s in 0..self.shards.len() {
-                    for d in 0..self.shards.len() {
-                        let msgs = std::mem::take(&mut self.shards[s].outbox[d]);
-                        self.shards[d].inbox.extend(msgs);
-                    }
+        // routed between rounds.
+        while self.shards.iter().any(Shard::has_work) {
+            let round_span = self.repair_round_ns.span();
+            let view = self.data.view();
+            let assign = &self.assign;
+            let config = &self.config;
+            parallel_for_each_mut(threads, &mut self.shards, |my, shard| {
+                shard.step(my as u32, view, assign, config);
+            });
+            round_span.finish();
+            for s in 0..self.shards.len() {
+                for d in 0..self.shards.len() {
+                    let msgs = std::mem::take(&mut self.shards[s].outbox[d]);
+                    self.shards[d].inbox.extend(msgs);
                 }
             }
-            self.drain_pending_migrations(&mut stats);
         }
 
         // Phase 4 (serial): merge accounting, reset per-batch state,
-        // rebalance if the batch skewed the shards, re-compact storage if
-        // the overlay grew past the threshold.
+        // re-compact storage if the overlay grew past the threshold.
         for (s, shard) in self.shards.iter_mut().enumerate() {
             // Publish the batch's accumulated telemetry in one add per
             // instrument — shards outlive snapshots, so flushing here
@@ -1402,7 +946,6 @@ impl ShardedOnlineKnn {
             shard.repaired = 0;
             shard.visited.clear();
         }
-        stats.migrations += self.maybe_rebalance();
         let n = self.data.num_users().max(1);
         if (self.data.overlay_users() as f64) >= self.config.compaction_threshold * n as f64 {
             self.data.compact();
@@ -1484,203 +1027,11 @@ impl ShardedOnlineKnn {
         }
     }
 
-    /// Moves `user` to `target` immediately: detaches its counters, heap
-    /// row and reverse edges into a portable `UserShardState`, replays
-    /// them into the target shard, and re-routes any cross-shard messages
-    /// still in flight for the user — from the reader's perspective the
-    /// user's neighbourhood never changes, only its owner does. Returns
-    /// whether a move happened (`false` when already on `target`).
-    ///
-    /// Safe at any quiescent point; during a batch the engine calls it
-    /// between repair rounds (see
-    /// [`ShardedOnlineKnn::request_migration`]). Pending repair work
-    /// (queue membership, targeted candidates) transfers with the user.
-    ///
-    /// # Panics
-    /// Panics when `target` is out of range or `user` does not exist.
-    pub fn migrate_user(&mut self, user: UserId, target: usize) -> bool {
-        assert!(target < self.shards.len(), "shard {target} out of range");
-        assert!(
-            (user as usize) < self.assign.len(),
-            "user {user} does not exist"
-        );
-        let from = self.assign[user as usize].shard as usize;
-        if from == target {
-            return false;
-        }
-        let slot = self.assign[user as usize].idx as usize;
-        let (state, displaced) = self.shards[from].detach_user(slot, user);
-        if let Some(d) = displaced {
-            self.assign[d as usize].idx = slot as u32;
-        }
-        // Patch the pending queues: every in-flight message for the user
-        // — parked in the donor's inbox or still in some outbox bound for
-        // the donor — follows it to the target's inbox, oldest first, so
-        // it is applied by the new owner exactly once.
-        fn extract(queue: &mut Vec<ShardMsg>, user: UserId, carried: &mut Vec<ShardMsg>) {
-            queue.retain(|m| {
-                if m.subject() == user {
-                    carried.push(*m);
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        let mut carried: Vec<ShardMsg> = Vec::new();
-        extract(&mut self.shards[from].inbox, user, &mut carried);
-        for s in 0..self.shards.len() {
-            extract(&mut self.shards[s].outbox[from], user, &mut carried);
-        }
-        let idx = self.shards[target].attach_user(state);
-        self.assign[user as usize] = Slot {
-            shard: target as u32,
-            idx,
-        };
-        self.shards[target].inbox.extend(carried);
-        self.migrations_total += 1;
-        self.tele_migrations.incr();
-        true
-    }
-
-    /// Requests that `user` move to `target` at the next safe point: the
-    /// engine applies pending migrations between the repair rounds of the
-    /// next `apply_batch` (so migration composes with in-flight
-    /// cross-shard messages), or immediately on
-    /// [`ShardedOnlineKnn::flush_migrations`].
-    pub fn request_migration(&mut self, user: UserId, target: usize) {
-        assert!(target < self.shards.len(), "shard {target} out of range");
-        assert!(
-            (user as usize) < self.assign.len(),
-            "user {user} does not exist"
-        );
-        self.pending_migrations.push((user, target as u32));
-    }
-
-    /// Applies requested migrations now (outside any batch), returning
-    /// the number of users moved.
-    pub fn flush_migrations(&mut self) -> u64 {
-        let mut moved = 0;
-        for (user, target) in std::mem::take(&mut self.pending_migrations) {
-            if self.migrate_user(user, target as usize) {
-                moved += 1;
-            }
-        }
-        moved
-    }
-
-    /// Re-partitions the engine under a fresh policy — typically a
-    /// [`CommunityPartitioner`] refreshed from the live graph — migrating
-    /// every user whose current shard disagrees with it. Returns the
-    /// number of users moved. `O(n + moved·k)`; a quiescent-period
-    /// operation.
-    pub fn repartition(&mut self, partitioner: Arc<dyn Partitioner>) -> u64 {
-        self.shard_config.partitioner = partitioner;
-        let mut moved = 0;
-        for u in 0..self.assign.len() as UserId {
-            let want = self.shard_config.partitioner.shard_of(u, self.shards.len());
-            if want != self.assign[u as usize].shard as usize && self.migrate_user(u, want) {
-                moved += 1;
-            }
-        }
-        moved
-    }
-
-    /// One rebalance pass, when enabled and due: while the shard-size
-    /// ratio exceeds the bound (and the move cap allows), migrate the
-    /// user with the strongest affinity for the smallest shard out of the
-    /// largest shard. Called at the end of `apply_batch`, after the
-    /// queues have drained — the quiescent period.
-    fn maybe_rebalance(&mut self) -> u64 {
-        let Some(rb) = self.rebalancer.as_mut() else {
-            return 0;
-        };
-        rb.batches += 1;
-        if rb.batches % rb.config.check_every != 0 {
-            return 0;
-        }
-        let config = rb.config.clone();
-        let mut moved = 0u64;
-        while moved < config.max_moves as u64 {
-            let sizes = self.shard_sizes();
-            // Donor: largest shard, ties broken toward the heavier
-            // cross-traffic sender (worse co-location), then lower id.
-            let donor = (0..sizes.len())
-                .max_by_key(|&s| {
-                    (
-                        sizes[s],
-                        self.shards[s].cross_messages.get(),
-                        std::cmp::Reverse(s),
-                    )
-                })
-                .expect(">0 shards");
-            let recipient = (0..sizes.len())
-                .min_by_key(|&s| (sizes[s], s))
-                .expect(">0 shards");
-            if sizes[donor] as f64 <= config.max_ratio * sizes[recipient].max(1) as f64 {
-                break;
-            }
-            let Some(user) = self.best_migrant(donor, recipient) else {
-                break;
-            };
-            self.migrate_user(user, recipient);
-            moved += 1;
-        }
-        let rb = self.rebalancer.as_mut().expect("checked above");
-        if moved > 0 {
-            rb.stats.cycles += 1;
-            rb.stats.migrations += moved;
-        }
-        moved
-    }
-
-    /// The donor user best suited to move to `recipient`: maximal
-    /// neighbour affinity for the recipient net of ties to the donor
-    /// (community-aware migration), ties to the smaller id. `O(size·k)`.
-    fn best_migrant(&self, donor: usize, recipient: usize) -> Option<UserId> {
-        let shard = &self.shards[donor];
-        let mut best: Option<(i64, std::cmp::Reverse<UserId>, UserId)> = None;
-        for (slot, &u) in shard.users.iter().enumerate() {
-            let mut score = 0i64;
-            for v in shard.heaps[slot]
-                .ids()
-                .into_iter()
-                .chain(shard.incoming.in_neighbors(slot))
-            {
-                let s = self.assign[v as usize].shard as usize;
-                if s == recipient {
-                    score += 1;
-                } else if s == donor {
-                    score -= 1;
-                }
-            }
-            let key = (score, std::cmp::Reverse(u), u);
-            if best.is_none_or(|b| key > b) {
-                best = Some(key);
-            }
-        }
-        best.map(|(_, _, u)| u)
-    }
-
-    /// Applies any pending migration requests mid-batch (between repair
-    /// rounds), folding the moves into the batch statistics.
-    fn drain_pending_migrations(&mut self, stats: &mut UpdateStats) {
-        if self.pending_migrations.is_empty() {
-            return;
-        }
-        for (user, target) in std::mem::take(&mut self.pending_migrations) {
-            if self.migrate_user(user, target as usize) {
-                stats.migrations += 1;
-            }
-        }
-    }
-
     /// Exhaustively checks the cross-shard invariants (`O(n·k)`; tests
-    /// and tools only): every user's cached slot maps back to it, every
-    /// heap edge `u → v` is mirrored in the in-neighbour set held by
-    /// `v`'s shard, and every recorded in-neighbour points back. (The
-    /// partitioner is *not* re-consulted: migrations legitimately move
-    /// users away from their admission shard.)
+    /// and tools only): every user sits on the shard its id hashes to,
+    /// its cached slot maps back to it, every heap edge `u → v` is
+    /// mirrored in the in-neighbour set held by `v`'s shard, and every
+    /// recorded in-neighbour points back.
     ///
     /// # Panics
     /// Panics on the first violated invariant.
@@ -1692,6 +1043,11 @@ impl ShardedOnlineKnn {
         );
         for u in 0..self.num_users() as UserId {
             let slot = self.assign[u as usize];
+            assert_eq!(
+                slot.shard as usize,
+                home_shard(u, self.shards.len()),
+                "user {u} left its home shard"
+            );
             let shard = &self.shards[slot.shard as usize];
             assert_eq!(shard.users[slot.idx as usize], u, "slot map corrupt at {u}");
             for id in shard.heaps[slot.idx as usize].ids() {
@@ -1791,16 +1147,9 @@ pub(crate) mod tests {
 
     #[test]
     fn add_rating_connects_cross_shard_pairs() {
-        // Modulo partitioning on the toy puts Carl(2) and Alice(0)/Bob(1)
-        // on different shards, so the new edges must flow through the
-        // message queue.
-        let mut engine = ShardedOnlineKnn::new(
-            &figure2_toy(),
-            OnlineConfig::new(2),
-            ShardConfig::new(2)
-                .with_threads(2)
-                .with_partitioner(Arc::new(ModuloPartitioner)),
-        );
+        // Two shards put Carl(2) and Bob(1) apart on the toy, so the new
+        // edges must flow through the message queue.
+        let mut engine = toy(2);
         assert_ne!(engine.shard_of(2), engine.shard_of(1));
         let stats = engine.apply(Update::AddRating {
             user: 2,
@@ -1839,8 +1188,8 @@ pub(crate) mod tests {
         assert_eq!(u, 4);
         assert_eq!(
             engine.shard_of(u),
-            HashPartitioner.shard_of(u, 2),
-            "partitioner decides placement"
+            home_shard(u, 2),
+            "id hash decides placement"
         );
         engine.apply(Update::AddRating {
             user: u,
@@ -2021,9 +1370,14 @@ pub(crate) mod tests {
                 &graph,
                 rows.clone(),
                 OnlineConfig::new(2),
-                ShardConfig::new(shards).with_partitioner(Arc::new(ModuloPartitioner)),
+                ShardConfig::new(shards),
             )
             .expect("valid rows");
+            assert_ne!(
+                restored.shard_of(1),
+                restored.shard_of(2),
+                "{shards} shards"
+            );
             audit(&restored);
             assert_eq!(restored.counters_snapshot(), rows, "{shards} shards");
             assert_eq!(restored.graph().as_ref(), graph.as_ref(), "{shards} shards");
@@ -2071,172 +1425,14 @@ pub(crate) mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "max_ratio must exceed 1.0")]
-    fn degenerate_rebalance_ratio_rejected() {
-        let _ = RebalanceConfig::new(1.0);
-    }
-
-    #[test]
-    fn migration_preserves_graph_and_invariants() {
-        let mut engine = toy(3);
-        let before: Vec<Vec<Neighbor>> = (0..4).map(|u| engine.neighbors(u)).collect();
-        let snapshot = engine.graph();
-        let mut moved = 0u64;
-        for u in 0..4 {
-            // Everyone moves to shard 0, wherever they started.
-            moved += u64::from(engine.migrate_user(u, 0));
-            assert_eq!(engine.shard_of(u), 0);
-        }
-        assert_eq!(engine.shard_sizes(), vec![4, 0, 0]);
-        assert_eq!(engine.migrations_total(), moved);
-        assert!(moved > 0, "toy spreads users over at least two shards");
-        audit(&engine);
-        for u in 0..4u32 {
-            assert_eq!(engine.neighbors(u), before[u as usize], "user {u}");
-        }
-        // Migration moves ownership, not edges: the snapshot stays valid.
-        assert!(Arc::ptr_eq(&snapshot, &engine.graph()));
-        // Moving to the current shard is a no-op.
-        assert!(!engine.migrate_user(0, 0));
-        // Updates keep working after the moves.
-        engine.apply(Update::AddRating {
-            user: 2,
-            item: 1,
-            rating: 1.0,
-        });
-        audit(&engine);
-    }
-
-    #[test]
-    fn migration_transfers_pending_work_mid_batch() {
-        // Request a migration, then apply a batch that dirties the moving
-        // user: the migration executes between repair rounds and the
-        // user's queued repair must neither be lost nor duplicated.
-        let mut engine = ShardedOnlineKnn::new(
-            &figure2_toy(),
-            OnlineConfig::new(2),
-            ShardConfig::new(2)
-                .with_threads(2)
-                .with_partitioner(Arc::new(ModuloPartitioner)),
-        );
-        let from = engine.shard_of(2);
-        let target = 1 - from;
-        engine.request_migration(2, target);
-        let stats = engine.apply_batch(vec![Update::AddRating {
-            user: 2,
-            item: 1,
-            rating: 1.0,
-        }]);
-        assert_eq!(stats.migrations, 1);
-        assert_eq!(engine.shard_of(2), target);
-        audit(&engine);
-        let ids: Vec<UserId> = engine.neighbors(2).iter().map(|nb| nb.id).collect();
-        assert!(ids.contains(&0) || ids.contains(&1), "repair still ran");
-    }
-
-    #[test]
-    fn rebalancer_restores_balance_on_skewed_admissions() {
-        // All-to-shard-0 partitioner: every new user floods shard 0; the
-        // rebalancer must keep the ratio in bound anyway.
-        #[derive(Debug)]
-        struct Hot;
-        impl Partitioner for Hot {
-            fn shard_of(&self, _user: UserId, _num_shards: usize) -> usize {
-                0
-            }
-        }
-        let mut engine = ShardedOnlineKnn::new(
-            &figure2_toy(),
-            OnlineConfig::new(2),
-            ShardConfig::new(2)
-                .with_threads(2)
-                .with_partitioner(Arc::new(Hot))
-                .with_rebalance(RebalanceConfig::new(1.5)),
-        );
-        for i in 0..12u32 {
-            engine.apply_batch(vec![Update::AddRating {
-                user: 4 + i,
-                item: i % 4,
-                rating: 1.0,
-            }]);
-        }
-        let sizes = engine.shard_sizes();
-        let (max, min) = (
-            *sizes.iter().max().unwrap(),
-            *sizes.iter().min().unwrap().max(&1),
-        );
-        assert!(
-            (max as f64) <= 1.5 * (min as f64),
-            "unbalanced after rebalancing: {sizes:?}"
-        );
-        let rb = engine.rebalance_stats();
-        assert!(rb.cycles > 0 && rb.migrations > 0, "{rb:?}");
-        assert!(engine.lifetime_stats().migrations >= rb.migrations);
-        audit(&engine);
-    }
-
-    #[test]
-    fn community_partitioner_co_locates_co_raters() {
-        // The toy has two disjoint communities: {Alice, Bob} share coffee
-        // and {Carl, Dave} share shopping. Two shards must split exactly
-        // along that boundary.
-        let ds = figure2_toy();
-        let p = CommunityPartitioner::from_dataset(&ds, 2);
-        assert_eq!(p.mapped_users(), 4);
-        assert_eq!(p.shard_of(0, 2), p.shard_of(1, 2), "coffee drinkers");
-        assert_eq!(p.shard_of(2, 2), p.shard_of(3, 2), "shoppers");
-        assert_ne!(p.shard_of(0, 2), p.shard_of(2, 2), "communities split");
-        // Unknown users fall back to hashing, inside range.
-        assert!(p.shard_of(1000, 2) < 2);
-        // Refreshing from the equivalent live graph agrees.
-        let engine = ShardedOnlineKnn::new(
-            &ds,
-            OnlineConfig::new(2),
-            ShardConfig::new(2).with_partitioner(Arc::new(p)),
-        );
-        let g = CommunityPartitioner::from_graph(&engine.graph(), 2);
-        assert_eq!(g.shard_of(0, 2), g.shard_of(1, 2));
-        assert_ne!(g.shard_of(0, 2), g.shard_of(2, 2));
-        audit(&engine);
-    }
-
-    #[test]
-    fn repartition_moves_users_to_their_community_shard() {
-        let ds = figure2_toy();
-        let mut engine = ShardedOnlineKnn::new(
-            &ds,
-            OnlineConfig::new(2),
-            ShardConfig::new(2)
-                .with_threads(2)
-                .with_partitioner(Arc::new(ModuloPartitioner)),
-        );
-        let community = Arc::new(CommunityPartitioner::from_dataset(&ds, 2));
-        let moved = engine.repartition(Arc::clone(&community) as Arc<dyn Partitioner>);
-        assert!(moved > 0, "modulo split both communities");
-        for u in 0..4 {
-            assert_eq!(engine.shard_of(u), community.shard_of(u, 2), "user {u}");
-        }
-        audit(&engine);
-        // Co-located communities exchange no messages on an intra-community
-        // update.
-        let stats = engine.apply(Update::AddRating {
-            user: 0,
-            item: 1,
-            rating: 2.0,
-        });
-        assert_eq!(stats.cross_messages, 0, "coffee update stayed local");
-    }
-
-    #[test]
     fn telemetry_counters_are_the_cross_traffic_source_of_truth() {
         let registry = Registry::new();
         let mut engine = ShardedOnlineKnn::new(
             &figure2_toy(),
             OnlineConfig::new(2).with_telemetry(registry.clone()),
-            ShardConfig::new(2)
-                .with_threads(2)
-                .with_partitioner(Arc::new(ModuloPartitioner)),
+            ShardConfig::new(2).with_threads(2),
         );
+        assert_ne!(engine.shard_of(2), engine.shard_of(1));
         let stats = engine.apply(Update::AddRating {
             user: 2,
             item: 1,
@@ -2261,11 +1457,6 @@ pub(crate) mod tests {
         assert_eq!(snap.counter("online.sims"), Some(stats.sim_evals));
         assert!(snap.histogram("online.repair_round_ns").unwrap().count > 0);
         assert_eq!(snap.histogram("online.apply_ns").unwrap().count, 1);
-        assert_eq!(snap.counter("online.migrations"), Some(0));
-        let target = 1 - engine.shard_of(0);
-        assert!(engine.migrate_user(0, target));
-        assert_eq!(registry.snapshot().counter("online.migrations"), Some(1));
-        assert_eq!(engine.migrations_total(), 1);
     }
 
     #[test]
@@ -2275,17 +1466,14 @@ pub(crate) mod tests {
             item: 1,
             rating: 1.0,
         };
-        let shards = || {
-            ShardConfig::new(2)
-                .with_threads(2)
-                .with_partitioner(Arc::new(ModuloPartitioner))
-        };
+        let shards = || ShardConfig::new(2).with_threads(2);
         let mut on = ShardedOnlineKnn::new(&figure2_toy(), OnlineConfig::new(2), shards());
         let mut off = ShardedOnlineKnn::new(
             &figure2_toy(),
             OnlineConfig::new(2).with_telemetry(Registry::disabled()),
             shards(),
         );
+        assert_ne!(on.shard_of(2), on.shard_of(1));
         let on_stats = on.apply(update);
         let off_stats = off.apply(update);
         // The graphs agree edge-for-edge; only the derived traffic
@@ -2302,14 +1490,9 @@ pub(crate) mod tests {
 
     #[test]
     fn cross_traffic_is_counted() {
-        let mut engine = ShardedOnlineKnn::new(
-            &figure2_toy(),
-            OnlineConfig::new(2),
-            ShardConfig::new(2)
-                .with_threads(2)
-                .with_partitioner(Arc::new(ModuloPartitioner)),
-        );
+        let mut engine = toy(2);
         // Carl joins the coffee drinkers: endpoints straddle shards.
+        assert_ne!(engine.shard_of(2), engine.shard_of(1));
         let stats = engine.apply(Update::AddRating {
             user: 2,
             item: 1,

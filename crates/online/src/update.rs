@@ -37,8 +37,7 @@ pub enum Update {
 /// The [`kiff_telemetry::Registry`] the engine records into (see
 /// `OnlineConfig::telemetry`) carries the lifetime twins of these
 /// per-call figures plus latency distributions the struct cannot hold:
-/// `online.sims` mirrors [`UpdateStats::sim_evals`], `online.migrations`
-/// mirrors [`UpdateStats::migrations`], the per-batch
+/// `online.sims` mirrors [`UpdateStats::sim_evals`], the per-batch
 /// [`UpdateStats::cross_messages`] is *derived* from the per-shard
 /// `shard.N.cross_messages` counters (their delta across the batch), and
 /// `online.apply_ns` / `online.repair_round_ns` / `shard.N.repair_ns`
@@ -58,14 +57,10 @@ pub struct UpdateStats {
     /// propagation through reverse neighbours).
     pub repaired_users: u64,
     /// Cross-shard messages sent (always 0 on one shard): the
-    /// coordination cost a community-aware partitioner minimises. It is
-    /// the per-batch delta of the `shard.N.cross_messages` telemetry
-    /// counters, so it reads 0 when
+    /// coordination cost of sharding. It is the per-batch delta of the
+    /// `shard.N.cross_messages` telemetry counters, so it reads 0 when
     /// the engine records into a disabled registry.
     pub cross_messages: u64,
-    /// Users migrated between shards (rebalancer moves plus requested
-    /// migrations applied during the call; 0 on one shard).
-    pub migrations: u64,
     /// Whether this call ended with a delta-storage re-compaction.
     pub compacted: bool,
 }
@@ -79,7 +74,6 @@ impl UpdateStats {
         self.edits.merge(&other.edits);
         self.repaired_users += other.repaired_users;
         self.cross_messages += other.cross_messages;
-        self.migrations += other.migrations;
         self.compacted |= other.compacted;
     }
 
@@ -120,7 +114,6 @@ mod tests {
             },
             repaired_users: 2,
             cross_messages: 5,
-            migrations: 1,
             compacted: false,
         };
         let b = UpdateStats {
@@ -133,7 +126,6 @@ mod tests {
         assert_eq!(a.updates, 4);
         assert_eq!(a.sim_evals, 12);
         assert_eq!(a.cross_messages, 5);
-        assert_eq!(a.migrations, 1);
         assert!(a.compacted);
         assert!((a.sim_evals_per_update() - 3.0).abs() < 1e-12);
         assert!((a.edits_per_update() - 1.5).abs() < 1e-12);

@@ -4,13 +4,11 @@
 //! intersections, every stored edge must carry a fresh similarity, and
 //! the cross-shard reverse-edge invariant must hold exactly.
 
-use std::sync::Arc;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use kiff_dataset::generators::bipartite::{generate_bipartite, BipartiteConfig};
-use kiff_online::{ModuloPartitioner, OnlineConfig, ShardConfig, ShardedOnlineKnn, Update};
+use kiff_online::{OnlineConfig, ShardConfig, ShardedOnlineKnn, Update};
 use kiff_similarity::intersect_count;
 
 /// Checks counters and stored similarities against the live profiles,
@@ -97,14 +95,12 @@ fn long_mixed_stream_stays_consistent_across_shards() {
 }
 
 #[test]
-fn batched_mixed_stream_stays_consistent_with_modulo_partitioning() {
+fn batched_stream_stays_consistent_across_four_shards() {
     let base = generate_bipartite(&BipartiteConfig::tiny("shard-audit-batch", 123));
     let mut engine = ShardedOnlineKnn::new(
         &base,
         OnlineConfig::new(4),
-        ShardConfig::new(4)
-            .with_threads(2)
-            .with_partitioner(Arc::new(ModuloPartitioner)),
+        ShardConfig::new(4).with_threads(2),
     );
     let mut rng = StdRng::seed_from_u64(11);
 

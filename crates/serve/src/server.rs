@@ -594,7 +594,6 @@ fn answer_from_view(view: &ServeView, request: &Request) -> Option<Result<Value,
                 "updates": stats.updates,
                 "sim_evals": stats.sim_evals,
                 "repaired_users": stats.repaired_users,
-                "migrations": stats.migrations,
                 "cross_messages": stats.cross_messages,
                 "view": version
             }))

@@ -1,15 +1,10 @@
 //! High-level builder facade over the workspace's algorithms.
 
-use std::sync::Arc;
-
 use kiff_baselines::{GreedyConfig, HyRec, L2Knng, L2KnngConfig, Lsh, LshConfig, NnDescent};
 use kiff_core::{CountStrategy, Kiff, KiffConfig, ScoringMode};
 use kiff_dataset::Dataset;
 use kiff_graph::{exact_knn_with, KnnGraph};
-use kiff_online::{
-    OnlineConfig, OnlineKnn, OnlineMetric, Partitioner, RebalanceConfig, ShardConfig,
-    ShardedOnlineKnn,
-};
+use kiff_online::{OnlineConfig, OnlineKnn, OnlineMetric, ShardConfig, ShardedOnlineKnn};
 use kiff_similarity::{
     AdamicAdar, BinaryCosine, Dice, Jaccard, Similarity, WeightedCosine, WeightedJaccard,
 };
@@ -75,8 +70,6 @@ pub struct KnnGraphBuilder {
     seed: u64,
     count_strategy: CountStrategy,
     scoring: ScoringMode,
-    partitioner: Option<Arc<dyn Partitioner>>,
-    rebalance: Option<RebalanceConfig>,
     telemetry: Option<Registry>,
 }
 
@@ -95,8 +88,6 @@ impl KnnGraphBuilder {
             seed: 42,
             count_strategy: CountStrategy::default(),
             scoring: ScoringMode::default(),
-            partitioner: None,
-            rebalance: None,
             telemetry: None,
         }
     }
@@ -147,26 +138,6 @@ impl KnnGraphBuilder {
     /// [`CountStrategy`]). Ignored by the baselines.
     pub fn count_strategy(mut self, strategy: CountStrategy) -> Self {
         self.count_strategy = strategy;
-        self
-    }
-
-    /// Sets the user-to-shard placement policy of
-    /// [`KnnGraphBuilder::into_sharded`] (default: hash). Pass a
-    /// [`kiff_online::CommunityPartitioner`] to co-locate co-raters and
-    /// cut cross-shard message volume. Ignored by the batch and
-    /// single-engine paths.
-    pub fn partitioner(mut self, partitioner: Arc<dyn Partitioner>) -> Self {
-        self.partitioner = Some(partitioner);
-        self
-    }
-
-    /// Enables live shard rebalancing for
-    /// [`KnnGraphBuilder::into_sharded`]: the engine migrates users out
-    /// of overloaded shards during quiescent periods (see
-    /// [`RebalanceConfig`]). Ignored by the batch and single-engine
-    /// paths.
-    pub fn rebalance(mut self, config: RebalanceConfig) -> Self {
-        self.rebalance = Some(config);
         self
     }
 
@@ -231,11 +202,10 @@ impl KnnGraphBuilder {
         OnlineKnn::from_graph(dataset, &graph, config)
     }
 
-    /// Like [`KnnGraphBuilder::into_online`], but partitions users across
-    /// `num_shards` shards repaired in parallel (hash partitioning, all
-    /// available threads — see [`kiff_online::ShardConfig`] for custom
-    /// partitioners and thread caps via
-    /// [`ShardedOnlineKnn::from_graph`]):
+    /// Like [`KnnGraphBuilder::into_online`], but places users across
+    /// `num_shards` shards by a hash of their id and repairs the shards in
+    /// parallel on the builder's [`KnnGraphBuilder::threads`] (all
+    /// available by default):
     ///
     /// ```
     /// use kiff::KnnGraphBuilder;
@@ -254,12 +224,6 @@ impl KnnGraphBuilder {
     pub fn into_sharded(self, dataset: &Dataset, num_shards: usize) -> ShardedOnlineKnn {
         let mut shard_config = ShardConfig::new(num_shards);
         shard_config.threads = self.threads;
-        if let Some(p) = self.partitioner.clone() {
-            shard_config = shard_config.with_partitioner(p);
-        }
-        if let Some(r) = self.rebalance.clone() {
-            shard_config = shard_config.with_rebalance(r);
-        }
         let (graph, config) = self.online_parts(dataset);
         ShardedOnlineKnn::from_graph(dataset, &graph, config, shard_config)
     }
@@ -400,29 +364,6 @@ mod tests {
         for u in 0..ds.num_users() as u32 {
             assert_eq!(single.neighbors(u), sharded.neighbors(u), "user {u}");
         }
-    }
-
-    #[test]
-    fn into_sharded_honours_partitioner_and_rebalance() {
-        use kiff_online::{CommunityPartitioner, RebalanceConfig, Update};
-        let ds = figure2_toy();
-        let partitioner = Arc::new(CommunityPartitioner::from_dataset(&ds, 2));
-        let mut live = KnnGraphBuilder::new(2)
-            .threads(2)
-            .partitioner(Arc::clone(&partitioner) as Arc<dyn Partitioner>)
-            .rebalance(RebalanceConfig::new(3.0))
-            .into_sharded(&ds, 2);
-        for u in 0..4 {
-            assert_eq!(live.shard_of(u), partitioner.shard_of(u, 2), "user {u}");
-        }
-        // An intra-community update crosses no shard boundary.
-        let stats = live.apply(Update::AddRating {
-            user: 0,
-            item: 1,
-            rating: 2.0,
-        });
-        assert_eq!(stats.cross_messages, 0);
-        assert!(live.shard_config().rebalance.is_some());
     }
 
     #[test]

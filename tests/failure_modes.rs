@@ -181,173 +181,6 @@ fn loader_missing_file() {
     assert!(matches!(err, kiff_dataset::io::LoadError::Io(_)));
 }
 
-mod rebalancing {
-    //! Rebalancing edge cases: migrations racing in-flight cross-shard
-    //! messages, shards emptied to zero users, and deletions landing on a
-    //! user whose migration is pending.
-
-    use std::sync::Arc;
-
-    use kiff::dataset::dataset::figure2_toy;
-    use kiff::online::{
-        ModuloPartitioner, OnlineConfig, RebalanceConfig, ShardConfig, ShardedOnlineKnn, Update,
-    };
-    use kiff::similarity::intersect_count;
-
-    /// Counter + stored-similarity audit against brute force, plus the
-    /// engine's own cross-shard invariants.
-    fn audit(engine: &ShardedOnlineKnn) {
-        engine.validate_invariants();
-        let n = engine.num_users() as u32;
-        for u in 0..n {
-            for v in 0..n {
-                if u != v {
-                    let shared = intersect_count(
-                        engine.data().profile(u).items,
-                        engine.data().profile(v).items,
-                    );
-                    assert_eq!(engine.shared_count(u, v) as usize, shared, "({u}, {v})");
-                }
-            }
-            for nb in engine.neighbors(u) {
-                let fresh = engine
-                    .config()
-                    .metric
-                    .eval(engine.data().profile(u), engine.data().profile(nb.id));
-                assert!(
-                    (nb.sim - fresh).abs() < 1e-12,
-                    "stale edge {u} -> {}",
-                    nb.id
-                );
-            }
-        }
-    }
-
-    fn modulo_engine(shards: usize) -> ShardedOnlineKnn {
-        ShardedOnlineKnn::new(
-            &figure2_toy(),
-            OnlineConfig::new(2),
-            ShardConfig::new(shards)
-                .with_threads(2)
-                .with_partitioner(Arc::new(ModuloPartitioner)),
-        )
-    }
-
-    /// A user migrates while cross-shard messages naming it are still in
-    /// flight: the batch dirties Carl (who straddles shards with the
-    /// coffee drinkers), a pending migration moves him between repair
-    /// rounds, and the rerouted messages must land exactly once on the
-    /// new owner.
-    #[test]
-    fn migration_with_in_flight_messages() {
-        let mut engine = modulo_engine(2);
-        let from = engine.shard_of(2);
-        engine.request_migration(2, 1 - from);
-        let stats = engine.apply_batch(vec![
-            // Carl joins the coffee drinkers on the other shard — the
-            // repair exchanges Scored/ReverseAdd messages for him.
-            Update::AddRating {
-                user: 2,
-                item: 1,
-                rating: 1.0,
-            },
-            Update::AddRating {
-                user: 0,
-                item: 2,
-                rating: 2.0,
-            },
-        ]);
-        assert_eq!(stats.migrations, 1);
-        assert!(stats.cross_messages > 0, "nothing was in flight");
-        assert_eq!(engine.shard_of(2), 1 - from);
-        audit(&engine);
-        let ids: Vec<u32> = engine.neighbors(2).iter().map(|nb| nb.id).collect();
-        assert!(ids.contains(&0) || ids.contains(&1), "repair completed");
-    }
-
-    /// Migrating the only user of a shard leaves it empty; the engine —
-    /// and a subsequent rebalance cycle dividing by the (floored) minimum
-    /// size — must keep working, and the user must be able to come back.
-    #[test]
-    fn migrating_the_only_user_of_a_shard() {
-        // Modulo over 4 shards: shard 3 owns exactly Dave (user 3).
-        let mut engine = modulo_engine(4);
-        assert_eq!(engine.shard_sizes()[3], 1);
-        assert!(engine.migrate_user(3, 0));
-        assert_eq!(engine.shard_sizes()[3], 0, "shard 3 emptied");
-        audit(&engine);
-        // Updates for the moved user repair on the new shard.
-        let stats = engine.apply(Update::AddRating {
-            user: 3,
-            item: 0,
-            rating: 1.0,
-        });
-        assert!(stats.sim_evals > 0);
-        audit(&engine);
-        // And the empty shard can be repopulated.
-        assert!(engine.migrate_user(3, 3));
-        assert_eq!(engine.shard_sizes()[3], 1);
-        audit(&engine);
-    }
-
-    /// A `RemoveRating` arrives for a user whose migration is pending in
-    /// the same batch: counters are adjusted on the admission shard
-    /// (phase 2 precedes migration), the repair runs on the target shard,
-    /// and no state is lost in between.
-    #[test]
-    fn remove_rating_for_a_user_mid_migration() {
-        let mut engine = modulo_engine(2);
-        let from = engine.shard_of(1);
-        engine.request_migration(1, 1 - from);
-        // Bob drops coffee: his edge to Alice must dissolve on whichever
-        // shard ends up owning him.
-        let stats = engine.apply_batch(vec![Update::RemoveRating { user: 1, item: 1 }]);
-        assert_eq!(stats.migrations, 1);
-        assert!(stats.edits.removals > 0);
-        assert_eq!(engine.shard_of(1), 1 - from);
-        audit(&engine);
-        assert!(!engine.neighbors(0).iter().any(|nb| nb.id == 1));
-        assert!(!engine.neighbors(1).iter().any(|nb| nb.id == 0));
-        // Removing again is a no-op even after the move.
-        let stats = engine.apply(Update::RemoveRating { user: 1, item: 1 });
-        assert_eq!(stats.counter_adjustments, 0);
-    }
-
-    /// An empty shard never deadlocks the rebalancer: the ratio check
-    /// floors the minimum at 1 and pulls users in rather than dividing by
-    /// zero.
-    #[test]
-    fn rebalancer_handles_empty_shards() {
-        let ds = figure2_toy();
-        let mut engine = ShardedOnlineKnn::new(
-            &ds,
-            OnlineConfig::new(2),
-            ShardConfig::new(4)
-                .with_threads(2)
-                .with_partitioner(Arc::new(ModuloPartitioner))
-                .with_rebalance(RebalanceConfig::new(2.0)),
-        );
-        // Concentrate everyone on shard 0, leaving three empty shards.
-        for u in 0..4 {
-            engine.migrate_user(u, 0);
-        }
-        let stats = engine.apply(Update::AddRating {
-            user: 2,
-            item: 1,
-            rating: 1.0,
-        });
-        // 4 users vs floored minimum 1 violates the 2.0 bound: the cycle
-        // must spread users back out.
-        assert!(stats.migrations > 0, "rebalancer ignored the empty shards");
-        let sizes = engine.shard_sizes();
-        assert!(
-            *sizes.iter().max().unwrap() <= 2,
-            "still concentrated: {sizes:?}"
-        );
-        audit(&engine);
-    }
-}
-
 /// The rating-threshold heuristic (§VII) composes with the full pipeline
 /// and preserves the neighbours that rated things positively. The data
 /// must be *sparse* for the threshold to remove whole candidate pairs —
@@ -386,71 +219,46 @@ fn rating_threshold_end_to_end() {
 }
 
 mod telemetry {
-    //! Telemetry accounting under mid-batch migration. Requested
-    //! migrations execute *between the repair rounds* of the next
-    //! `apply_batch`, so a user can be dirtied, repaired on its old
-    //! shard, moved, and repaired again on its new shard — all inside
-    //! one batch. The per-shard `shard.N.repairs` counters are flushed
-    //! from plain per-batch tallies at batch end, and a migration must
-    //! neither carry the old shard's tally along (double count once both
-    //! shards flush) nor drop the queued repair the user had in flight
-    //! when it moved.
-
-    use std::sync::Arc;
+    //! Telemetry accounting over a sharded replay. The per-shard
+    //! `shard.N.repairs` and `shard.N.cross_messages` counters and the
+    //! shared `online.sims` counter are flushed from plain per-batch
+    //! tallies at batch end; after every batch they must reconcile
+    //! exactly with the engine's own accounting.
 
     use kiff::dataset::generators::bipartite::{generate_bipartite, BipartiteConfig};
-    use kiff::online::{ModuloPartitioner, OnlineConfig, ShardConfig, ShardedOnlineKnn, Update};
+    use kiff::online::{OnlineConfig, ShardConfig, ShardedOnlineKnn, Update};
     use kiff::telemetry::Registry;
 
     #[test]
-    fn mid_batch_migration_neither_drops_nor_double_counts_repairs() {
+    fn per_shard_counters_reconcile_with_batch_accounting() {
         let base = generate_bipartite(&BipartiteConfig::tiny("failure-modes", 41));
         let registry = Registry::new();
-        let shards = 3;
         let mut engine = ShardedOnlineKnn::new(
             &base,
             OnlineConfig::new(5).with_telemetry(registry.clone()),
-            ShardConfig::new(shards)
-                .with_threads(2)
-                .with_partitioner(Arc::new(ModuloPartitioner)),
+            ShardConfig::new(3).with_threads(2),
         );
         let users = engine.num_users() as u32;
         let items = engine.data().num_items() as u32;
 
         let mut total_repaired = 0u64;
         let mut total_sims = 0u64;
-        let mut total_migrations = 0u64;
         for round in 0..12u32 {
-            // The mover is also the first user dirtied by the batch, so
-            // its repair is in flight when the migration executes between
-            // repair rounds. Rotate movers so every shard both donates
-            // and receives.
-            let mover = round % users;
-            let target = (engine.shard_of(mover) + 1) % shards;
-            engine.request_migration(mover, target);
+            let first = round % users;
             let batch: Vec<Update> = (0..16)
                 .map(|i| Update::AddRating {
-                    user: (mover + i) % users,
+                    user: (first + i) % users,
                     item: (round * 7 + i) % items,
                     rating: 1.0 + (i % 5) as f32,
                 })
                 .collect();
             let stats = engine.apply_batch(batch);
-            assert_eq!(stats.migrations, 1, "round {round}: requested move ran");
-            assert_eq!(
-                engine.shard_of(mover),
-                target,
-                "round {round}: mover landed"
-            );
             total_repaired += stats.repaired_users;
             total_sims += stats.sim_evals;
-            total_migrations += stats.migrations;
 
             // Whichever shard performed each repair owns it in the
             // registry: the per-shard sums must reconcile exactly with
-            // the engine's own batch accounting — a dropped in-flight
-            // repair leaves the sum short, a tally carried along with the
-            // migrating user overshoots.
+            // the engine's own batch accounting.
             let snap = registry.snapshot();
             assert_eq!(
                 snap.counter_sum_matching("shard.", ".repairs"),
@@ -462,7 +270,6 @@ mod telemetry {
                 Some(total_sims),
                 "round {round}: similarity count diverged"
             );
-            assert_eq!(snap.counter("online.migrations"), Some(total_migrations));
             assert_eq!(
                 snap.counter_sum_matching("shard.", ".cross_messages"),
                 engine.cross_shard_messages(),
@@ -470,7 +277,19 @@ mod telemetry {
             );
         }
         assert!(total_repaired > 0, "batches must have repaired someone");
-        assert_eq!(engine.migrations_total(), total_migrations);
+        // The lifetime figure is the sum of per-batch counter deltas.
+        assert!(
+            engine.cross_shard_messages() > 0,
+            "no traffic crossed shards"
+        );
+        assert_eq!(
+            engine.lifetime_stats().cross_messages,
+            engine.cross_shard_messages()
+        );
+        assert_eq!(
+            engine.shard_cross_traffic().iter().sum::<u64>(),
+            engine.cross_shard_messages()
+        );
         engine.validate_invariants();
     }
 }

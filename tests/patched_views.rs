@@ -7,9 +7,8 @@
 //! stale neighbourhood, and a serving-level test cannot see that, because
 //! its reference engine publishes through the same path. So this replays
 //! arbitrary batches of every update kind on both engines — compacting
-//! the overlay, migrating users between shards mid-batch and at batch
-//! end — and checks every view against an oracle built from the live
-//! engine state alone.
+//! the overlay, and exchanging edits between shards — and checks every
+//! view against an oracle built from the live engine state alone.
 
 use std::sync::Arc;
 
@@ -21,8 +20,7 @@ use kiff::dataset::generators::planted::{generate_planted, PlantedConfig};
 use kiff::dataset::{Dataset, DatasetBuilder, DeltaDataset, UserId};
 use kiff::graph::KnnGraph;
 use kiff::online::{
-    KnnEngine, OnlineConfig, OnlineKnn, Partitioner, ReadView, RebalanceConfig, ShardConfig,
-    ShardedOnlineKnn, Update,
+    KnnEngine, OnlineConfig, OnlineKnn, ReadView, ShardConfig, ShardedOnlineKnn, Update,
 };
 
 /// Overlay share that triggers compaction: three users of the base's 60.
@@ -33,16 +31,6 @@ const COMPACT_AT: f64 = 0.05;
 /// the sparser base keeps heaps short; the denser one moves more edges
 /// between shards.
 const SHAPES: [(usize, usize); 2] = [(4, 6), (8, 4)];
-
-/// Admits every user to shard 0, so the rebalancer keeps migrating.
-#[derive(Debug)]
-struct FirstShard;
-
-impl Partitioner for FirstShard {
-    fn shard_of(&self, _user: UserId, _num_shards: usize) -> usize {
-        0
-    }
-}
 
 fn base(seed: u64, ratings_per_user: usize) -> Dataset {
     generate_planted(&PlantedConfig {
@@ -160,28 +148,13 @@ fn replay(seed: u64, (k, ratings_per_user): (usize, usize), shards: usize, batch
     let base = base(seed, ratings_per_user);
     let config = OnlineConfig::new(k).with_compaction_threshold(COMPACT_AT);
     let mut single = OnlineKnn::new(&base, config.clone());
-    let mut sharded = ShardedOnlineKnn::new(
-        &base,
-        config,
-        ShardConfig::new(shards)
-            .with_threads(2)
-            .with_partitioner(Arc::new(FirstShard))
-            .with_rebalance(RebalanceConfig::new(1.5).with_max_moves(8)),
-    );
+    let mut sharded =
+        ShardedOnlineKnn::new(&base, config, ShardConfig::new(shards).with_threads(2));
     let mut single_view = check_view(&single, &single.read_view(), 0, "single, initial view");
     let mut sharded_view = check_view(&sharded, &sharded.read_view(), 0, "sharded, initial view");
     let mut compactions = 0;
     for (b, raw) in batches.iter().enumerate() {
         let batch: Vec<Update> = raw.iter().map(|&t| decode(single.data(), t)).collect();
-        // Move the batch's first rated user mid-batch, with its repair
-        // work still pending.
-        if let Some(Update::AddRating { user, .. }) = batch.first() {
-            if (*user as usize) < sharded.num_users() {
-                let away = (sharded.shard_of(*user) + 1) % shards;
-                sharded.request_migration(*user, away);
-            }
-        }
-
         let stats = KnnEngine::apply_batch(&mut single, batch.clone());
         compactions += u64::from(stats.compacted);
         let label = format!("k={k}, single, batch {b}");
@@ -193,7 +166,6 @@ fn replay(seed: u64, (k, ratings_per_user): (usize, usize), shards: usize, batch
     }
     sharded.validate_invariants();
     assert!(compactions > 0, "k={k}: no batch compacted the overlay");
-    assert!(sharded.migrations_total() > 0, "k={k}: no user migrated");
 }
 
 proptest! {
