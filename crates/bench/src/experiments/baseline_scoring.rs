@@ -11,8 +11,9 @@
 //! Two hard gates ride along, mirroring the `counting` experiment:
 //!
 //! * per algorithm, prepared and pairwise runs must build *identical*
-//!   graphs (recall ratio exactly 1.0 both ways) — same seeds, same
-//!   similarity values, same updates;
+//!   graphs, row by row with the same similarity bits, over equal
+//!   evaluation counts — same seeds, same similarity values, same
+//!   updates;
 //! * the identity must hold for every metric family, not just the cosine
 //!   the timings use (spot-checked with Jaccard and Adamic–Adar).
 //!
@@ -29,10 +30,10 @@ use kiff::{Algorithm, KnnGraphBuilder, Metric};
 use kiff_dataset::generators::bipartite::{generate_bipartite, BipartiteConfig};
 use kiff_dataset::generators::RatingModel;
 use kiff_dataset::Dataset;
-use kiff_graph::{recall, KnnGraph};
+use kiff_graph::KnnGraph;
 use kiff_similarity::ScoringMode;
 
-use super::Ctx;
+use super::{graphs_bit_identical, Ctx};
 
 /// Timing repetitions per measured configuration (minimum taken).
 const REPS: usize = 3;
@@ -82,11 +83,6 @@ fn time_best<R>(mut f: impl FnMut() -> R) -> (Duration, R) {
     (best, out.expect("REPS > 0"))
 }
 
-fn graphs_identical(a: &KnnGraph, b: &KnnGraph) -> bool {
-    a.num_users() == b.num_users()
-        && (0..a.num_users() as u32).all(|u| a.neighbors(u) == b.neighbors(u))
-}
-
 struct AlgoRun {
     label: &'static str,
     pairwise_s: f64,
@@ -95,7 +91,6 @@ struct AlgoRun {
     /// Candidate pairs scored per run (both modes score the same set).
     sim_evals: u64,
     identical: bool,
-    recall_ratio: f64,
 }
 
 /// One timed run of `algorithm` under `scoring`, through the per-algorithm
@@ -194,14 +189,11 @@ pub fn baselines(ctx: &mut Ctx) -> String {
         });
         let pairwise_s = pairwise_t.as_secs_f64().max(1e-9);
         let prepared_s = prepared_t.as_secs_f64().max(1e-9);
-        // Both modes must score the same pair set; identical graphs (the
-        // gate below) plus equal eval counts pin that down.
-        let identical =
-            graphs_identical(&pairwise_graph, &prepared_graph) && pairwise_evals == prepared_evals;
-        // Identity is the gate; the tie-aware ratio is reported because
-        // it is the quantity the streaming gates already speak.
-        let recall_ratio =
-            recall(&pairwise_graph, &prepared_graph).min(recall(&prepared_graph, &pairwise_graph));
+        // Both modes must score the same pair set to the same bits;
+        // bit-identical graphs (the gate below) plus equal eval counts
+        // pin that down.
+        let identical = graphs_bit_identical(&pairwise_graph, &prepared_graph)
+            && pairwise_evals == prepared_evals;
         runs.push(AlgoRun {
             label,
             pairwise_s,
@@ -209,7 +201,6 @@ pub fn baselines(ctx: &mut Ctx) -> String {
             speedup: pairwise_s / prepared_s,
             sim_evals: prepared_evals.unwrap_or(exact_evals),
             identical,
-            recall_ratio,
         });
     }
 
@@ -224,7 +215,11 @@ pub fn baselines(ctx: &mut Ctx) -> String {
             ] {
                 let prepared = build(algorithm, metric, ScoringMode::Prepared);
                 let pairwise = build(algorithm, metric, ScoringMode::Pairwise);
-                checks.push((label, metric_label, graphs_identical(&prepared, &pairwise)));
+                checks.push((
+                    label,
+                    metric_label,
+                    graphs_bit_identical(&prepared, &pairwise),
+                ));
             }
         }
         checks
@@ -270,13 +265,10 @@ pub fn baselines(ctx: &mut Ctx) -> String {
 
     // Hard gates, like the counting experiment's: divergent graphs fail
     // the suite.
-    for r in runs
-        .iter()
-        .filter(|r| !r.identical || r.recall_ratio < 1.0 - 1e-12)
-    {
+    for r in runs.iter().filter(|r| !r.identical) {
         let msg = format!(
-            "baselines/{}: prepared vs pairwise graphs diverged (recall ratio {:.6})",
-            r.label, r.recall_ratio
+            "baselines/{}: prepared vs pairwise graphs or evaluation counts diverged",
+            r.label
         );
         eprintln!("AGREEMENT VIOLATION: {msg}");
         out.push_str(&format!("VIOLATION: {msg}\n"));
@@ -306,8 +298,7 @@ pub fn baselines(ctx: &mut Ctx) -> String {
                 "pairwise": pairwise_v,
                 "prepared": prepared_v,
                 "prepared_speedup_vs_pairwise": r.speedup,
-                "identical_graphs": r.identical,
-                "recall_ratio": r.recall_ratio
+                "identical_graphs": r.identical
             })
         })
         .collect();

@@ -10,9 +10,9 @@
 //! 2. **Refinement scoring** — [`refine`] under
 //!    [`ScoringMode::Prepared`] (one profile preparation per user, each
 //!    candidate scored in `O(|UP_v|)`) vs [`ScoringMode::Pairwise`] (the
-//!    old per-candidate profile merge), with a graph-identity check
-//!    (recall ratio must be exactly 1.0 — both modes compute the same
-//!    similarities).
+//!    old per-candidate profile merge), with a graph-identity check:
+//!    both modes compute the same similarities, so the graphs must match
+//!    row by row, ids and similarity bits, over equal evaluation counts.
 //!
 //! The JSON payload is the machine-readable baseline future PRs diff
 //! against; the bench-smoke CI job uploads it next to the streaming
@@ -28,10 +28,9 @@ use kiff_core::{
 use kiff_dataset::generators::bipartite::{generate_bipartite, BipartiteConfig};
 use kiff_dataset::generators::RatingModel;
 use kiff_dataset::Dataset;
-use kiff_graph::recall;
 use kiff_similarity::WeightedCosine;
 
-use super::Ctx;
+use super::{graphs_bit_identical, Ctx};
 
 /// Timing repetitions per measured configuration (minimum taken).
 const REPS: usize = 5;
@@ -195,9 +194,10 @@ pub fn counting(ctx: &mut Ctx) -> String {
         },
     ];
     let refine_speedup = refine_runs[0].wall_s / refine_runs[1].wall_s;
-    // Both modes evaluate identical similarities: the graphs must match
-    // exactly, so the recall ratio is 1.0 by construction — verified.
-    let recall_ratio = recall(&pairwise_graph, &prepared_graph);
+    // Both modes evaluate identical similarities over the same pairs:
+    // the graphs must match bit for bit, and the evaluation counts too.
+    let identical = graphs_bit_identical(&pairwise_graph, &prepared_graph)
+        && pairwise_stats.sim_evals == prepared_stats.sim_evals;
 
     let mut out = String::new();
     out.push_str(&format!(
@@ -231,8 +231,9 @@ pub fn counting(ctx: &mut Ctx) -> String {
         ));
     }
     out.push_str(&format!(
-        "\nprepared-vs-pairwise speedup {refine_speedup:.2}x, graph recall \
-         ratio {recall_ratio:.4} (must be 1.0)\n"
+        "\nprepared-vs-pairwise speedup {refine_speedup:.2}x, graphs and \
+         evaluation counts {} (must be identical)\n",
+        if identical { "identical" } else { "MISMATCH" }
     ));
     // Correctness checks are hard gates, like the streaming experiments'
     // recall floors: a strategy diverging from the reference, or the two
@@ -246,10 +247,9 @@ pub fn counting(ctx: &mut Ctx) -> String {
         out.push_str(&format!("VIOLATION: {msg}\n"));
         ctx.violations.push(msg);
     }
-    if recall_ratio < 1.0 - 1e-12 {
-        let msg = format!(
-            "counting/scoring: prepared vs pairwise graphs diverged (recall ratio {recall_ratio})"
-        );
+    if !identical {
+        let msg = "counting/scoring: prepared vs pairwise graphs or evaluation counts diverged"
+            .to_string();
         eprintln!("AGREEMENT VIOLATION: {msg}");
         out.push_str(&format!("VIOLATION: {msg}\n"));
         ctx.violations.push(msg);
@@ -295,7 +295,7 @@ pub fn counting(ctx: &mut Ctx) -> String {
         "k": 10,
         "runs": refine_runs_v,
         "prepared_speedup_vs_pairwise": refine_speedup,
-        "recall_ratio": recall_ratio
+        "identical_graphs": identical
     });
     let payload = serde_json::json!({
         "dataset": dataset_v,

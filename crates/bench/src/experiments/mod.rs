@@ -37,6 +37,21 @@ use kiff_similarity::WeightedCosine;
 use crate::datasets::SuiteScale;
 use crate::runner::{self, RunOptions};
 
+/// Whether two graphs hold the same rows: the same neighbour ids with
+/// the same similarity bits, in the same order. The scoring-identity
+/// gates use it where `recall` would forgive any similarity change
+/// within `SIM_EPSILON`.
+pub fn graphs_bit_identical(a: &KnnGraph, b: &KnnGraph) -> bool {
+    a.num_users() == b.num_users()
+        && (0..a.num_users() as u32).all(|u| {
+            let (x, y) = (a.neighbors(u), b.neighbors(u));
+            x.len() == y.len()
+                && x.iter()
+                    .zip(y)
+                    .all(|(p, q)| p.id == q.id && p.sim.to_bits() == q.sim.to_bits())
+        })
+}
+
 /// Neighbourhood size of the streaming experiments (`online`, `sharded`).
 pub const STREAM_K: usize = 10;
 

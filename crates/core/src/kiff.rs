@@ -128,6 +128,8 @@ mod tests {
     use kiff_graph::{exact_knn, recall};
     use kiff_similarity::{Jaccard, WeightedCosine};
 
+    use crate::config::ScoringMode;
+
     #[test]
     fn facade_runs_end_to_end() {
         let ds = figure2_toy();
@@ -168,37 +170,50 @@ mod tests {
     fn telemetry_registry_mirrors_stats() {
         let ds = generate_bipartite(&BipartiteConfig::tiny("tele", 71));
         let sim = WeightedCosine::fit(&ds);
-        let registry = kiff_telemetry::Registry::new();
-        let result = Kiff::new(KiffConfig::new(5).with_telemetry(registry.clone())).run(&ds, &sim);
-        let snap = registry.snapshot();
-        assert_eq!(
-            snap.counter("core.refine.sims"),
-            Some(result.stats.sim_evals),
-            "registry sims disagree with KiffStats"
-        );
-        assert_eq!(
-            snap.counter("core.refine.iterations"),
-            Some(result.stats.iterations as u64)
-        );
-        assert_eq!(
-            snap.counter("core.refine.heap_offers"),
-            Some(2 * result.stats.sim_evals)
-        );
-        for phase in [
-            "core.phase.item_profiles_ns",
-            "core.phase.rcs_ns",
-            "core.phase.refine_ns",
-            "core.phase.total_ns",
-        ] {
-            assert_eq!(snap.histogram(phase).unwrap().count, 1, "{phase}");
+        for scoring in [ScoringMode::Prepared, ScoringMode::Pairwise] {
+            let registry = kiff_telemetry::Registry::new();
+            let config = KiffConfig::new(5)
+                .with_scoring(scoring)
+                .with_telemetry(registry.clone());
+            let result = Kiff::new(config).run(&ds, &sim);
+            let snap = registry.snapshot();
+            assert_eq!(
+                snap.counter("core.refine.sims"),
+                Some(result.stats.sim_evals),
+                "registry sims disagree with KiffStats"
+            );
+            // Every refine evaluation is one score, under either mode and
+            // on both sides of `PREPARED_MIN_BATCH`.
+            assert_eq!(
+                snap.counter("similarity.scores"),
+                snap.counter("core.refine.sims"),
+                "{scoring:?}"
+            );
+            assert_eq!(
+                snap.counter("core.refine.iterations"),
+                Some(result.stats.iterations as u64)
+            );
+            assert_eq!(
+                snap.counter("core.refine.heap_offers"),
+                Some(2 * result.stats.sim_evals)
+            );
+            for phase in [
+                "core.phase.item_profiles_ns",
+                "core.phase.rcs_ns",
+                "core.phase.refine_ns",
+                "core.phase.total_ns",
+            ] {
+                assert_eq!(snap.histogram(phase).unwrap().count, 1, "{phase}");
+            }
+            // A disabled registry records nothing but still runs correctly.
+            let off = kiff_telemetry::Registry::disabled();
+            let config = KiffConfig::new(5)
+                .with_scoring(scoring)
+                .with_telemetry(off.clone());
+            let result2 = Kiff::new(config).run(&ds, &sim);
+            assert_eq!(result2.stats.sim_evals, result.stats.sim_evals);
+            assert_eq!(off.snapshot().counter("core.refine.sims"), Some(0));
         }
-        // Prepared scoring routed through the instrumented workspaces.
-        assert!(snap.counter("similarity.scores").unwrap_or(0) > 0);
-        // A disabled registry records nothing but still runs correctly.
-        let off = kiff_telemetry::Registry::disabled();
-        let result2 = Kiff::new(KiffConfig::new(5).with_telemetry(off.clone())).run(&ds, &sim);
-        assert_eq!(result2.stats.sim_evals, result.stats.sim_evals);
-        assert_eq!(off.snapshot().counter("core.refine.sims"), Some(0));
     }
 
     #[test]

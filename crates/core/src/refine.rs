@@ -4,10 +4,13 @@
 //! Two hot-loop policies hang off [`KiffConfig`]:
 //!
 //! * [`ScoringMode`] — by default every user's profile is prepared once
-//!   per iteration through [`Similarity::scorer`] and each popped
-//!   candidate scores in `O(|UP_v|)`; the pairwise mode re-merges raw
-//!   profiles per candidate (the pre-scorer behaviour, kept as the
-//!   `counting` bench baseline). Both modes produce identical graphs.
+//!   per iteration through [`Similarity::scorer`] and each popped batch
+//!   is scored along the shorter side of the bipartite graph (the
+//!   candidates' profiles or the user's item rows, see
+//!   `kiff_similarity::scorer`); the pairwise mode re-merges raw profiles
+//!   per candidate (the pre-scorer behaviour, kept as the `counting`
+//!   bench baseline). Both modes produce identical graphs, and every
+//!   evaluation counts once in `similarity.scores`.
 //! * [`TimingMode`] — per-activity wall-clock accumulation is sampled
 //!   (1 in 64 scheduling chunks) by default so the per-user timestamp
 //!   syscalls disappear from the steady state; totals are rescaled by the
@@ -198,6 +201,7 @@ pub fn refine<S: Similarity + ?Sized>(
                             scorer.score_into(cs, sims);
                         }
                         ScoringMode::Prepared | ScoringMode::Pairwise => {
+                            ws.count_scores(cs.len());
                             sims.clear();
                             sims.extend(cs.iter().map(|&v| sim.sim(dataset, uid, v)));
                         }

@@ -1,7 +1,7 @@
 //! Online engine configuration.
 
 use kiff_dataset::ProfileRef;
-use kiff_similarity::functions;
+use kiff_similarity::{functions, ScoreKind};
 use kiff_telemetry::Registry;
 
 /// Which metric the online engine evaluates during repair.
@@ -36,6 +36,18 @@ impl OnlineMetric {
             OnlineMetric::Jaccard => functions::jaccard(a, b),
             OnlineMetric::WeightedJaccard => functions::weighted_jaccard(a, b),
             OnlineMetric::Dice => functions::dice(a, b),
+        }
+    }
+
+    /// The metric's [`ScoreKind`]: repair scores close with its formula
+    /// in [`kiff_similarity::scorer::finish`], as the batch scorers do.
+    pub(crate) fn kind(self) -> ScoreKind {
+        match self {
+            OnlineMetric::Cosine => ScoreKind::Cosine,
+            OnlineMetric::BinaryCosine => ScoreKind::BinaryCosine,
+            OnlineMetric::Jaccard => ScoreKind::Jaccard,
+            OnlineMetric::WeightedJaccard => ScoreKind::WeightedJaccard,
+            OnlineMetric::Dice => ScoreKind::Dice,
         }
     }
 

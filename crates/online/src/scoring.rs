@@ -10,7 +10,7 @@
 //! ([`DeltaView::for_each_item_rater`]), adding the metric's shared-item
 //! term into the candidates marked in a dense scratch array: `Σ_{i∈UP_u}
 //! |IP_i|` entries. Each score is then finished from the two users'
-//! cached [`ProfileStats`].
+//! cached [`ProfileStats`](kiff_dataset::ProfileStats).
 //!
 //! The scores are [`OnlineMetric::eval`]'s, bit for bit. The outer loop
 //! runs over `u`'s items in ascending order, so every pair's terms are
@@ -18,8 +18,13 @@
 //! functions of `kiff_similarity::functions` sum them, and
 //! [`finish`] applies their closing formulas to the same statistics.
 //! Debug builds assert the equality on every score.
+//!
+//! The batch build's prepared scorers (`kiff_similarity::scorer`) walk
+//! the same way, and close with the same [`finish`], on the batches where
+//! the walk reads fewer entries than scanning; a repair always walks.
 
-use kiff_dataset::{DeltaView, ProfileStats, Rating, UserId};
+use kiff_dataset::{DeltaView, Rating, UserId};
+use kiff_similarity::scorer::finish;
 
 use crate::config::OnlineMetric;
 
@@ -67,10 +72,10 @@ impl RepairScorer {
                 self.walk(view, u, |_, _| 1.0)
             }
         }
-        let stats_u = view.stats(u);
+        let (kind, stats_u) = (metric.kind(), view.stats(u));
         for (&v, &sum) in candidates.iter().zip(&self.sums) {
             self.mark[v as usize] = 0;
-            let s = finish(metric, sum, stats_u, view.stats(v));
+            let s = finish(kind, sum, stats_u, view.stats(v));
             debug_assert_eq!(
                 s.to_bits(),
                 metric.eval(view.profile(u), view.profile(v)).to_bits(),
@@ -106,28 +111,6 @@ impl RepairScorer {
                 sums[pos as usize - 1] += term(rating_u, rating_v);
             }
         }
-    }
-}
-
-/// Finishes `metric.eval(a, b)` from the pair's shared-item sum — of
-/// rating products for cosine, of rating minima for weighted Jaccard, of
-/// ones (the shared count) otherwise — and the two profiles' statistics,
-/// with the closing formulas of the pairwise functions. A pair sharing
-/// no item scores exactly `0.0`, as every metric does there; so no
-/// formula below meets an empty profile.
-fn finish(metric: OnlineMetric, sum: f64, a: ProfileStats, b: ProfileStats) -> f64 {
-    if sum == 0.0 {
-        return 0.0;
-    }
-    match metric {
-        OnlineMetric::Cosine => sum / (a.norm * b.norm),
-        OnlineMetric::BinaryCosine => sum / ((a.len as f64) * (b.len as f64)).sqrt(),
-        OnlineMetric::Jaccard => {
-            let union = a.len + b.len - sum as usize;
-            sum / union as f64
-        }
-        OnlineMetric::WeightedJaccard => sum / (a.total + b.total - sum),
-        OnlineMetric::Dice => 2.0 * sum / (a.len + b.len) as f64,
     }
 }
 

@@ -15,8 +15,10 @@
 //!   [`kernels`];
 //! * [`scorer`] — prepared scorers: preprocess one reference profile
 //!   (dense epoch-stamped lookup for high-degree users, pairwise fallback
-//!   for small ones), then score each candidate in `O(|UP_v|)` — the fast
-//!   path of KIFF's refinement loop and the baselines;
+//!   for small ones), then score each candidate in `O(|UP_v|)`, or a
+//!   whole batch by walking the reference's item rows when those are
+//!   shorter — the fast path of KIFF's refinement loop and the
+//!   baselines;
 //! * [`Similarity`] — the object-safe trait the graph-construction
 //!   algorithms are generic over. Implementations may carry precomputed
 //!   state (per-user norms, per-item Adamic–Adar weights) keyed by the

@@ -5,10 +5,12 @@
 //! and may consult state fitted on the dataset (precomputed norms, item
 //! degree weights).
 
-use kiff_dataset::{Dataset, UserId};
+use kiff_dataset::{Dataset, ProfileStats, UserId};
 
 use crate::functions;
-use crate::scorer::{PairwiseScorer, ProfileKindScorer, ScoreKind, Scorer, ScorerWorkspace};
+use crate::scorer::{
+    finish, PairwiseScorer, ProfileKindScorer, ScoreKind, Scorer, ScorerWorkspace,
+};
 
 /// An item-based similarity over users of a dataset.
 ///
@@ -44,11 +46,11 @@ pub trait Similarity: Sync {
         u: UserId,
         ws: &'a mut ScorerWorkspace,
     ) -> Box<dyn Scorer + 'a> {
-        let _ = ws;
         Box::new(PairwiseScorer {
             sim: self,
             dataset,
             u,
+            ws,
         })
     }
 }
@@ -191,6 +193,37 @@ impl Scorer for CosineScorer<'_> {
             }
             _ => self.inner.score(b),
         }
+    }
+
+    fn score_into(&mut self, candidates: &[UserId], out: &mut Vec<f64>) {
+        let dataset = self.dataset;
+        let (Some(norm_u), Some(norms)) = (self.norm_u, self.norms) else {
+            // Unfitted: each candidate's norm reads its whole profile, so
+            // a walk would save nothing.
+            return self
+                .inner
+                .scan_batch(candidates, out, |s, v| s.scan(dataset.user_profile(v)));
+        };
+        let a = ProfileStats {
+            len: self.inner.reference().len(),
+            norm: norm_u,
+            total: 0.0,
+        };
+        self.inner.score_batch(
+            dataset,
+            candidates,
+            out,
+            |_, rating_u, rating_v| f64::from(rating_u) * f64::from(rating_v),
+            |dot, v| {
+                let b = ProfileStats {
+                    len: dataset.user_degree(v),
+                    norm: norms[v as usize],
+                    total: 0.0,
+                };
+                finish(ScoreKind::Cosine, dot, a, b)
+            },
+            |s, v| s.scan_with_norms(dataset.user_profile(v), norm_u, norms[v as usize]),
+        );
     }
 }
 
@@ -361,8 +394,22 @@ struct AdamicAdarScorer<'a> {
 
 impl Scorer for AdamicAdarScorer<'_> {
     fn score(&mut self, v: UserId) -> f64 {
+        self.inner.count(1);
         self.inner
             .weighted_shared(self.dataset.user_profile(v), self.weights)
+    }
+
+    fn score_into(&mut self, candidates: &[UserId], out: &mut Vec<f64>) {
+        let (dataset, weights) = (self.dataset, self.weights);
+        // The score is the weight sum itself: nothing to close.
+        self.inner.score_batch(
+            dataset,
+            candidates,
+            out,
+            |i, _, _| weights[i as usize],
+            |sum, _| sum,
+            |s, v| s.weighted_shared(dataset.user_profile(v), weights),
+        );
     }
 }
 

@@ -8,6 +8,10 @@
 //! * every metric's prepared [`Scorer`] reproduces its pairwise
 //!   [`Similarity::sim`] within [`SIM_EPSILON`], on both the dense and
 //!   the low-degree fallback paths;
+//! * every metric's batch entry point, [`Scorer::score_into`], equals
+//!   [`Similarity::sim`] bit for bit on every position of any batch,
+//!   whether the batch scans the candidates' profiles or walks the
+//!   reference's item rows — and both paths run;
 //! * every *algorithm* of the comparison suite — NN-Descent, HyRec, LSH,
 //!   the random initialisation and both exact constructions — builds the
 //!   identical graph under [`ScoringMode::Prepared`] and
@@ -19,8 +23,12 @@ use kiff::prelude::*;
 use kiff::{Algorithm, KnnGraphBuilder, Metric};
 use kiff_baselines::random_graph_with;
 use kiff_core::{build_rcs, build_rcs_reference, CountStrategy, CountingConfig};
+use kiff_dataset::generators::bipartite::{generate_bipartite, BipartiteConfig};
+use kiff_dataset::generators::RatingModel;
 use kiff_graph::{exact_knn_brute_with, exact_knn_with};
 use kiff_similarity::{ScorerWorkspace, ScoringMode, SIM_EPSILON};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// A small random dataset strategy: up to 40 users, 30 items, star
 /// ratings so the rating threshold has something to prune.
@@ -37,6 +45,114 @@ fn arb_dataset() -> impl Strategy<Value = Dataset> {
             }
             b.build()
         })
+}
+
+/// [`arb_dataset`] with one more user, user 0, who rates nothing. The
+/// empty profile takes the lowest id so that a batch's largest id is
+/// mostly a user who rates something.
+fn arb_dataset_with_empty_user() -> impl Strategy<Value = Dataset> {
+    arb_dataset().prop_map(|ds| {
+        let mut b = DatasetBuilder::new("prop-empty", ds.num_users() + 1, ds.num_items());
+        for (u, i, r) in ds.iter_ratings() {
+            b.add_rating(u + 1, i, r);
+        }
+        b.build()
+    })
+}
+
+/// Scores `batch` against every reference user through
+/// [`Scorer::score_into`] and checks each position's bits against
+/// [`Similarity::sim`]; `batch_of(u)` builds the batch for reference `u`.
+fn check_batches(
+    ds: &Dataset,
+    metric: &dyn Similarity,
+    ws: &mut ScorerWorkspace,
+    batch_of: &mut dyn FnMut(u32) -> Vec<u32>,
+) -> Result<(), String> {
+    let mut out = Vec::new();
+    for u in 0..ds.num_users() as u32 {
+        let batch = batch_of(u);
+        metric.scorer(ds, u, ws).score_into(&batch, &mut out);
+        if out.len() != batch.len() {
+            return Err(format!(
+                "{}: {} scores for {} candidates",
+                metric.name(),
+                out.len(),
+                batch.len()
+            ));
+        }
+        for (&v, &s) in batch.iter().zip(&out) {
+            let expected = metric.sim(ds, u, v);
+            if s.to_bits() != expected.to_bits() {
+                return Err(format!(
+                    "{}: ({u}, {v}) batch score {s} vs pairwise {expected}",
+                    metric.name()
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Every metric of the crate, fitted and unfitted cosine included, each
+/// with whether its scorer can walk: the unfitted cosine and weighted
+/// Jaccard close on whole-profile state (a norm, a rating total), so
+/// they always scan.
+fn all_metrics(ds: &Dataset) -> Vec<(Box<dyn Similarity>, bool)> {
+    vec![
+        (Box::new(WeightedCosine::fit(ds)), true),
+        (Box::new(WeightedCosine::new()), false),
+        (Box::new(BinaryCosine), true),
+        (Box::new(Jaccard), true),
+        (Box::new(WeightedJaccard), false),
+        (Box::new(Dice), true),
+        (Box::new(CommonItems), true),
+        (Box::new(AdamicAdar::fit(ds)), true),
+    ]
+}
+
+/// Over random batches of every reference of a few generated datasets,
+/// both batch paths run for each metric that can walk: the item walk
+/// scores some candidates and the scan the rest (`similarity.walks`
+/// against `similarity.scores`). Every score equals `sim` bit for bit.
+#[test]
+fn batch_scoring_takes_both_paths() {
+    let datasets: Vec<Dataset> = (0..4)
+        .map(|seed| {
+            generate_bipartite(&BipartiteConfig {
+                rating_model: RatingModel::Stars { half_steps: true },
+                ..BipartiteConfig::tiny("batches", seed)
+            })
+        })
+        .collect();
+    for index in 0..all_metrics(&datasets[0]).len() {
+        let registry = kiff_telemetry::Registry::new();
+        let (mut name, mut can_walk) = ("", false);
+        for (seed, ds) in datasets.iter().enumerate() {
+            let (metric, walks) = all_metrics(ds).swap_remove(index);
+            (name, can_walk) = (metric.name(), walks);
+            let mut ws = ScorerWorkspace::with_telemetry(&registry);
+            let mut rng = StdRng::seed_from_u64(seed as u64);
+            let n = ds.num_users() as u32;
+            let mut batch_of = |_| {
+                let len = rng.gen_range(1..48usize);
+                (0..len).map(|_| rng.gen_range(0..n)).collect()
+            };
+            check_batches(ds, metric.as_ref(), &mut ws, &mut batch_of).unwrap();
+        }
+        let snap = registry.snapshot();
+        let scores = snap.counter("similarity.scores").unwrap_or(0);
+        let walks = snap.counter("similarity.walks").unwrap_or(0);
+        assert!(scores > 0, "{name}");
+        if can_walk {
+            assert!(
+                0 < walks && walks < scores,
+                "{name}: {walks} of {scores} walked"
+            );
+        } else {
+            assert_eq!(walks, 0, "{name}");
+        }
+    }
 }
 
 proptest! {
@@ -115,6 +231,24 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+
+    /// Batch scoring equals `sim` bit for bit for every metric, on
+    /// batches holding unsorted and repeated ids, the reference itself,
+    /// users sharing nothing with it and a user with an empty profile —
+    /// who is also a reference.
+    #[test]
+    fn batch_scores_equal_sim_bit_for_bit(
+        ds in arb_dataset_with_empty_user(),
+        raw in proptest::collection::vec(0u32..64, 0..24),
+    ) {
+        let n = ds.num_users() as u32;
+        let mut ws = ScorerWorkspace::new();
+        for (metric, _) in all_metrics(&ds) {
+            let mut batch_of = |u| raw.iter().map(|&v| v % n).chain([u, 0]).collect();
+            let checked = check_batches(&ds, metric.as_ref(), &mut ws, &mut batch_of);
+            prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
         }
     }
 
