@@ -5,9 +5,9 @@ CARGO ?= cargo
 BENCH_OUT ?= bench-results
 RECALL_FLOOR ?= 0.90
 
-.PHONY: ci fmt clippy build test examples doc bench-smoke bench-counting bench-baselines bench-telemetry bench-serve bench-reads bench-faults bench-failover chaos clean-bench
+.PHONY: ci fmt clippy build test test-release examples doc bench-smoke bench-counting bench-baselines bench-telemetry bench-serve bench-reads bench-faults bench-failover chaos clean-bench
 
-ci: fmt clippy build test examples doc bench-smoke
+ci: fmt clippy build test test-release examples doc bench-smoke
 
 fmt:
 	$(CARGO) fmt --check
@@ -20,6 +20,11 @@ build:
 
 test:
 	$(CARGO) test -q --no-fail-fast
+
+# The neighbour-heap crates again, optimized: the heap slab's unsafe code
+# and its concurrent tests also run as release code does.
+test-release:
+	$(CARGO) test --release -q -p kiff-graph -p kiff-core -p kiff-baselines
 
 examples:
 	$(CARGO) build --examples

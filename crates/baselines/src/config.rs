@@ -1,6 +1,7 @@
 //! Shared configuration for the greedy baselines.
 
 use kiff_similarity::ScoringMode;
+use kiff_telemetry::Registry;
 
 /// Parameters shared by NN-Descent and HyRec.
 #[derive(Debug, Clone)]
@@ -21,6 +22,10 @@ pub struct GreedyConfig {
     /// scorers — each pivot/reference profile is prepared once per batch;
     /// both modes build identical graphs).
     pub scoring: ScoringMode,
+    /// Telemetry registry the run's scorers count into
+    /// (`similarity.*`). Each config starts with its own enabled
+    /// registry; share one with [`GreedyConfig::with_telemetry`].
+    pub telemetry: Registry,
 }
 
 impl GreedyConfig {
@@ -33,12 +38,19 @@ impl GreedyConfig {
             seed: 42,
             max_iterations: 200,
             scoring: ScoringMode::default(),
+            telemetry: Registry::new(),
         }
     }
 
     /// Sets how candidate loops evaluate similarities.
     pub fn with_scoring(mut self, scoring: ScoringMode) -> Self {
         self.scoring = scoring;
+        self
+    }
+
+    /// Records the run's scores into `registry` (shared, not copied).
+    pub fn with_telemetry(mut self, registry: Registry) -> Self {
+        self.telemetry = registry;
         self
     }
 }

@@ -77,14 +77,15 @@ impl HyRec {
         let mut stats = GreedyStats::default();
 
         let init_start = Instant::now();
-        let init_evals = random_init(dataset, sim, &shared, self.config.seed, self.config.scoring);
+        let init_evals = random_init(dataset, sim, &shared, &self.config);
         stats.init_time = init_start.elapsed();
 
         let sim_evals = Counter::new();
         let candidate_time = TimeAccumulator::new();
         let similarity_time = TimeAccumulator::new();
         // Scorer-preparation arenas, reused across chunks and iterations.
-        let workspaces: ScratchPool<ScorerWorkspace> = ScratchPool::new();
+        let registry = self.config.telemetry.clone();
+        let workspaces = ScratchPool::with_init(move || ScorerWorkspace::with_telemetry(&registry));
         let mut cumulative = init_evals;
 
         for iteration in 1..=self.config.max_iterations {
@@ -149,16 +150,14 @@ impl HyRec {
                             scorer.score_into(&candidates, &mut sims);
                         }
                         ScoringMode::Prepared | ScoringMode::Pairwise => {
+                            ws.count_scores(candidates.len());
                             sims.clear();
                             sims.extend(candidates.iter().map(|&v| sim.sim(dataset, uid, v)));
                         }
                     }
                     drop(sim_guard);
                     sim_evals.add(candidates.len() as u64);
-                    for (&v, &s) in candidates.iter().zip(sims.iter()) {
-                        shared.update(uid, v, s);
-                        shared.update(v, uid, s);
-                    }
+                    shared.update_batch(uid, &candidates, &sims);
                 }
             });
 

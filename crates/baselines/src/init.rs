@@ -9,18 +9,20 @@ use kiff_graph::{KnnGraph, SharedKnn};
 use kiff_parallel::Counter;
 use kiff_similarity::{ScorerWorkspace, ScoringMode, Similarity, PREPARED_MIN_BATCH};
 
+use crate::config::GreedyConfig;
+
 /// Fills `shared` with `k` distinct random neighbours per user, scored with
 /// the real metric (entries carry the `new` flag for NN-Descent's first
-/// join). Under [`ScoringMode::Prepared`] each user's profile is prepared
-/// once and all of her `k` draws stream through the prepared scorer; both
-/// modes score identically. Returns the number of similarity evaluations
-/// spent.
+/// join). Draws come from `config.seed`, and scores count into
+/// `config.telemetry`. Under [`ScoringMode::Prepared`] each user's profile
+/// is prepared once and all of her `k` draws stream through the prepared
+/// scorer; both modes score identically. Returns the number of similarity
+/// evaluations spent.
 pub fn random_init<S: Similarity + ?Sized>(
     dataset: &Dataset,
     sim: &S,
     shared: &SharedKnn,
-    seed: u64,
-    scoring: ScoringMode,
+    config: &GreedyConfig,
 ) -> u64 {
     let n = dataset.num_users();
     let k = shared.k();
@@ -28,11 +30,11 @@ pub fn random_init<S: Similarity + ?Sized>(
         return 0;
     }
     let evals = Counter::new();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut ws = ScorerWorkspace::new();
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut ws = ScorerWorkspace::with_telemetry(&config.telemetry);
     // Below the batch threshold a user scores too few draws to amortise
     // preparation — same fallback as every other call site.
-    let prepare = scoring == ScoringMode::Prepared && k.min(n - 1) >= PREPARED_MIN_BATCH;
+    let prepare = config.scoring == ScoringMode::Prepared && k.min(n - 1) >= PREPARED_MIN_BATCH;
     for u in 0..n as u32 {
         let mut scorer = prepare.then(|| sim.scorer(dataset, u, &mut ws));
         let mut picked = 0usize;
@@ -58,6 +60,10 @@ pub fn random_init<S: Similarity + ?Sized>(
             picked += 1;
         }
     }
+    if !prepare {
+        // The prepared scorers counted their own scores.
+        ws.count_scores(evals.get() as usize);
+    }
     evals.get()
 }
 
@@ -82,7 +88,12 @@ pub fn random_graph_with<S: Similarity + ?Sized>(
     scoring: ScoringMode,
 ) -> KnnGraph {
     let shared = SharedKnn::new(dataset.num_users(), k);
-    random_init(dataset, sim, &shared, seed, scoring);
+    let config = GreedyConfig {
+        seed,
+        scoring,
+        ..GreedyConfig::new(k)
+    };
+    random_init(dataset, sim, &shared, &config);
     shared.snapshot()
 }
 

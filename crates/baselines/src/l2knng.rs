@@ -41,7 +41,7 @@
 use std::time::{Duration, Instant};
 
 use kiff_dataset::{Dataset, UserId};
-use kiff_graph::{KnnGraph, KnnHeap, SharedKnn};
+use kiff_graph::{HeapEntry, KnnGraph, KnnHeap, SharedKnn};
 
 /// Parameters of [`L2Knng`].
 #[derive(Debug, Clone)]
@@ -395,7 +395,7 @@ impl L2Knng {
         let mut stamp: Vec<u32> = vec![u32::MAX; n];
         let mut cands: Vec<u32> = Vec::new();
 
-        let theta = |heap: &KnnHeap| -> f64 {
+        let theta = |heap: &KnnHeap<&mut [HeapEntry]>| -> f64 {
             if heap.len() == k {
                 heap.worst().map_or(0.0, |(s, _)| s)
             } else {

@@ -32,6 +32,7 @@ use kiff_dataset::{Dataset, UserId};
 use kiff_graph::{KnnGraph, SharedKnn};
 use kiff_parallel::{effective_threads, parallel_fold, parallel_for, Counter, ScratchPool};
 use kiff_similarity::{ScorerWorkspace, ScoringMode, Similarity, PREPARED_MIN_BATCH};
+use kiff_telemetry::Registry;
 
 /// The signature family used by [`Lsh`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,6 +102,10 @@ pub struct LshConfig {
     /// prepared — each bucket member is prepared once and scores all its
     /// bucket partners; both modes build identical graphs).
     pub scoring: ScoringMode,
+    /// Telemetry registry the run's scorers count into
+    /// (`similarity.*`). Each config starts with its own enabled
+    /// registry; share one with [`LshConfig::with_telemetry`].
+    pub telemetry: Registry,
 }
 
 impl LshConfig {
@@ -116,6 +121,7 @@ impl LshConfig {
             threads: None,
             seed: 42,
             scoring: ScoringMode::default(),
+            telemetry: Registry::new(),
         }
     }
 
@@ -131,7 +137,14 @@ impl LshConfig {
             threads: None,
             seed: 42,
             scoring: ScoringMode::default(),
+            telemetry: Registry::new(),
         }
+    }
+
+    /// Records the run's scores into `registry` (shared, not copied).
+    pub fn with_telemetry(mut self, registry: Registry) -> Self {
+        self.telemetry = registry;
+        self
     }
 }
 
@@ -283,7 +296,8 @@ impl Lsh {
         let evals = Counter::new();
         let threads = effective_threads(self.config.threads);
         // Scorer-preparation arenas, reused across chunks and bands.
-        let workspaces: ScratchPool<ScorerWorkspace> = ScratchPool::new();
+        let registry = self.config.telemetry.clone();
+        let workspaces = ScratchPool::with_init(move || ScorerWorkspace::with_telemetry(&registry));
 
         for band in 0..bands {
             let mut buckets: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
@@ -339,6 +353,7 @@ impl Lsh {
                             scorer.score_into(group, &mut sims);
                         }
                         ScoringMode::Prepared | ScoringMode::Pairwise => {
+                            ws.count_scores(group.len());
                             sims.clear();
                             sims.extend(group.iter().map(|&b| sim.sim(dataset, a, b)));
                         }

@@ -107,7 +107,7 @@ impl NnDescent {
 
         // Random initial k-degree graph, flagged new.
         let init_start = Instant::now();
-        let init_evals = random_init(dataset, sim, &shared, self.config.seed, self.config.scoring);
+        let init_evals = random_init(dataset, sim, &shared, &self.config);
         stats.init_time = init_start.elapsed();
         stats.sim_evals = init_evals;
 
@@ -115,7 +115,8 @@ impl NnDescent {
         let candidate_time = TimeAccumulator::new();
         let similarity_time = TimeAccumulator::new();
         // Scorer-preparation arenas, reused across chunks and iterations.
-        let workspaces: ScratchPool<ScorerWorkspace> = ScratchPool::new();
+        let registry = self.config.telemetry.clone();
+        let workspaces = ScratchPool::with_init(move || ScorerWorkspace::with_telemetry(&registry));
         let sample_budget = self
             .sample_rate
             .map(|rho| ((rho * k as f64).ceil() as usize).max(1));
@@ -232,16 +233,14 @@ impl NnDescent {
                                 scorer.score_into(&partners, &mut sims);
                             }
                             ScoringMode::Prepared | ScoringMode::Pairwise => {
+                                ws.count_scores(partners.len());
                                 sims.clear();
                                 sims.extend(partners.iter().map(|&b| sim.sim(dataset, a, b)));
                             }
                         }
                         drop(sim_guard);
                         sim_evals.add(partners.len() as u64);
-                        for (&b, &s) in partners.iter().zip(sims.iter()) {
-                            shared.update(a, b, s);
-                            shared.update(b, a, s);
-                        }
+                        shared.update_batch(a, &partners, &sims);
                     }
                 }
             });

@@ -3,7 +3,7 @@
 use std::fmt;
 use std::path::PathBuf;
 
-use kiff::core::{CountStrategy, ScoringMode};
+use kiff::core::CountStrategy;
 use kiff::telemetry::MetricsFormat;
 use kiff::{Algorithm, Metric};
 use kiff_dataset::PaperDataset;
@@ -57,9 +57,6 @@ pub struct BuildOptions {
     pub beta: Option<f64>,
     /// KIFF's shared-item counting strategy (default: adaptive).
     pub count_strategy: CountStrategy,
-    /// How KIFF's refinement evaluates similarities (default: prepared
-    /// scorers).
-    pub scoring: ScoringMode,
     /// Worker threads.
     pub threads: Option<usize>,
     /// RNG seed for randomised algorithms.
@@ -95,8 +92,6 @@ pub struct ExactOptions {
     pub k: usize,
     /// Similarity metric.
     pub metric: Metric,
-    /// How rows are scored (prepared scorers by default).
-    pub scoring: ScoringMode,
     /// Exhaustive `O(|U|²)` scan instead of the inverted index.
     pub brute: bool,
     /// Worker threads.
@@ -117,8 +112,6 @@ pub struct CompareOptions {
     pub metric: Metric,
     /// Algorithms to run (default: kiff, nndescent, hyrec, lsh).
     pub algorithms: Vec<Algorithm>,
-    /// How every algorithm's candidate loops are scored.
-    pub scoring: ScoringMode,
     /// Worker threads.
     pub threads: Option<usize>,
     /// RNG seed for randomised algorithms.
@@ -283,16 +276,15 @@ commands:
              [--algorithm kiff|nndescent|hyrec|l2knng|lsh|exact]
              [--metric cosine|binary-cosine|jaccard|weighted-jaccard|dice|adamic-adar]
              [--gamma N] [--beta F] [--threads N] [--seed N] [--output FILE]
-             [--count-strategy auto|dense|sort|hash] [--scoring prepared|pairwise]
+             [--count-strategy auto|dense|sort|hash]
              [--metrics-out FILE [--metrics-format json|prom]]
   exact      build the exact ground-truth graph (inverted index, or
              --brute for the exhaustive O(|U|^2) scan)
-             --input FILE --k N [--metric ...] [--scoring prepared|pairwise]
-             [--threads N] [--output FILE]
+             --input FILE --k N [--metric ...] [--threads N] [--output FILE]
   compare    run the algorithm suite and report recall against exact
              ground truth, wall time and edges per algorithm
              --input FILE --k N [--metric ...] [--algorithms kiff,nndescent,...]
-             [--scoring prepared|pairwise] [--threads N] [--seed N]
+             [--threads N] [--seed N]
              [--metrics-out FILE [--metrics-format json|prom]]
   stats      print dataset statistics (Table I columns)
              --input FILE [--format ...]
@@ -385,14 +377,6 @@ fn parse_count_strategy(raw: &str) -> Result<CountStrategy, ParseError> {
     }
 }
 
-fn parse_scoring(raw: &str) -> Result<ScoringMode, ParseError> {
-    match raw {
-        "prepared" => Ok(ScoringMode::Prepared),
-        "pairwise" => Ok(ScoringMode::Pairwise),
-        other => Err(ParseError(format!("unknown scoring mode '{other}'"))),
-    }
-}
-
 fn parse_preset(raw: &str) -> Result<PaperDataset, ParseError> {
     match raw {
         "wikipedia" => Ok(PaperDataset::Wikipedia),
@@ -452,7 +436,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
     let mut gamma: Option<usize> = None;
     let mut beta: Option<f64> = None;
     let mut count_strategy = CountStrategy::default();
-    let mut scoring = ScoringMode::default();
     let mut threads: Option<usize> = None;
     let mut seed = 42u64;
     let mut scale = 1.0f64;
@@ -494,7 +477,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
             "--count-strategy" => {
                 count_strategy = parse_count_strategy(&value("--count-strategy", &mut iter)?)?
             }
-            "--scoring" => scoring = parse_scoring(&value("--scoring", &mut iter)?)?,
             "--threads" => threads = Some(parse_num("--threads", &value("--threads", &mut iter)?)?),
             "--seed" => seed = parse_num("--seed", &value("--seed", &mut iter)?)?,
             "--scale" => scale = parse_num("--scale", &value("--scale", &mut iter)?)?,
@@ -590,7 +572,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
             gamma,
             beta,
             count_strategy,
-            scoring,
             threads,
             seed,
             output,
@@ -603,7 +584,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 input: need_input(input)?,
                 k: k.ok_or_else(|| ParseError("--k is required".into()))?,
                 metric,
-                scoring,
                 brute,
                 threads,
                 output,
@@ -621,7 +601,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                     Algorithm::Lsh,
                 ]
             }),
-            scoring,
             threads,
             seed,
             metrics_out,
@@ -781,52 +760,40 @@ mod tests {
     }
 
     #[test]
-    fn parses_count_strategy_and_scoring() {
-        let cmd = parse(&argv(
-            "build --input r.tsv --k 5 --count-strategy dense --scoring pairwise",
-        ))
-        .unwrap();
+    fn parses_count_strategy() {
+        let cmd = parse(&argv("build --input r.tsv --k 5 --count-strategy dense")).unwrap();
         match cmd {
-            Command::Build(b) => {
-                assert_eq!(b.count_strategy, CountStrategy::Dense);
-                assert_eq!(b.scoring, ScoringMode::Pairwise);
-            }
+            Command::Build(b) => assert_eq!(b.count_strategy, CountStrategy::Dense),
             other => panic!("expected Build, got {other:?}"),
         }
-        // Defaults: adaptive counting, prepared scorers.
+        // Default: adaptive counting.
         match parse(&argv("build --input r.tsv --k 5")).unwrap() {
-            Command::Build(b) => {
-                assert_eq!(b.count_strategy, CountStrategy::Auto);
-                assert_eq!(b.scoring, ScoringMode::Prepared);
-            }
+            Command::Build(b) => assert_eq!(b.count_strategy, CountStrategy::Auto),
             other => panic!("expected Build, got {other:?}"),
         }
         assert!(parse(&argv("build --input r.tsv --k 5 --count-strategy magic")).is_err());
-        assert!(parse(&argv("build --input r.tsv --k 5 --scoring magic")).is_err());
+        // Pairwise scoring is a library oracle, not a CLI option.
+        assert!(parse(&argv("build --input r.tsv --k 5 --scoring pairwise")).is_err());
     }
 
     #[test]
     fn parses_exact() {
         let cmd = parse(&argv(
-            "exact --input r.tsv --k 10 --metric jaccard --scoring pairwise --brute --threads 2",
+            "exact --input r.tsv --k 10 --metric jaccard --brute --threads 2",
         ))
         .unwrap();
         match cmd {
             Command::Exact(e) => {
                 assert_eq!(e.k, 10);
                 assert_eq!(e.metric, Metric::Jaccard);
-                assert_eq!(e.scoring, ScoringMode::Pairwise);
                 assert!(e.brute);
                 assert_eq!(e.threads, Some(2));
             }
             other => panic!("expected Exact, got {other:?}"),
         }
-        // Defaults: prepared scoring, inverted index.
+        // Default: inverted index.
         match parse(&argv("exact --input r.tsv --k 5")).unwrap() {
-            Command::Exact(e) => {
-                assert_eq!(e.scoring, ScoringMode::Prepared);
-                assert!(!e.brute);
-            }
+            Command::Exact(e) => assert!(!e.brute),
             other => panic!("expected Exact, got {other:?}"),
         }
         assert!(parse(&argv("exact --input r.tsv")).is_err(), "needs --k");
@@ -835,22 +802,18 @@ mod tests {
     #[test]
     fn parses_compare() {
         let cmd = parse(&argv(
-            "compare --input r.tsv --k 5 --algorithms nndescent,hyrec --scoring pairwise",
+            "compare --input r.tsv --k 5 --algorithms nndescent,hyrec",
         ))
         .unwrap();
         match cmd {
             Command::Compare(c) => {
                 assert_eq!(c.algorithms, vec![Algorithm::NnDescent, Algorithm::HyRec]);
-                assert_eq!(c.scoring, ScoringMode::Pairwise);
             }
             other => panic!("expected Compare, got {other:?}"),
         }
         // Default suite: kiff + the approximate baselines.
         match parse(&argv("compare --input r.tsv --k 5")).unwrap() {
-            Command::Compare(c) => {
-                assert_eq!(c.algorithms.len(), 4);
-                assert_eq!(c.scoring, ScoringMode::Prepared);
-            }
+            Command::Compare(c) => assert_eq!(c.algorithms.len(), 4),
             other => panic!("expected Compare, got {other:?}"),
         }
         assert!(parse(&argv("compare --input r.tsv --k 5 --algorithms magic")).is_err());

@@ -16,7 +16,7 @@ use kiff_dataset::io::{load_json, load_movielens, load_snap_tsv, load_updates_ts
 use kiff_dataset::stats::{item_profile_sizes, user_profile_sizes};
 use kiff_dataset::{Dataset, DatasetStats};
 use kiff_eval::percentile;
-use kiff_graph::{exact_knn_brute_with, exact_knn_with, write_edges_tsv};
+use kiff_graph::{exact_knn, exact_knn_brute, write_edges_tsv};
 
 use crate::args::{
     BuildOptions, Command, CompareOptions, ExactOptions, Format, GenerateOptions, InputOptions,
@@ -496,7 +496,6 @@ fn build(options: &BuildOptions, out: &mut dyn Write) -> Result<(), CommandError
         .algorithm(options.algorithm)
         .metric(options.metric)
         .count_strategy(options.count_strategy)
-        .scoring(options.scoring)
         .seed(options.seed);
     if let Some(g) = options.gamma {
         builder = builder.gamma(g);
@@ -573,21 +572,9 @@ fn exact(options: &ExactOptions, out: &mut dyn Write) -> Result<(), CommandError
     let sim = metric_object(options.metric, &dataset);
     let start = Instant::now();
     let graph = if options.brute {
-        exact_knn_brute_with(
-            &dataset,
-            sim.as_ref(),
-            options.k,
-            options.threads,
-            options.scoring,
-        )
+        exact_knn_brute(&dataset, sim.as_ref(), options.k, options.threads)
     } else {
-        exact_knn_with(
-            &dataset,
-            sim.as_ref(),
-            options.k,
-            options.threads,
-            options.scoring,
-        )
+        exact_knn(&dataset, sim.as_ref(), options.k, options.threads)
     };
     let elapsed = start.elapsed();
     match &options.output {
@@ -618,13 +605,7 @@ fn compare(options: &CompareOptions, out: &mut dyn Write) -> Result<(), CommandE
     let dataset = load_dataset(&options.input)?;
     let sim = metric_object(options.metric, &dataset);
     let exact_start = Instant::now();
-    let exact = exact_knn_with(
-        &dataset,
-        sim.as_ref(),
-        options.k,
-        options.threads,
-        options.scoring,
-    );
+    let exact = exact_knn(&dataset, sim.as_ref(), options.k, options.threads);
     writeln!(
         out,
         "exact ground truth: {} users, k={}, {:.1?}",
@@ -644,7 +625,6 @@ fn compare(options: &CompareOptions, out: &mut dyn Write) -> Result<(), CommandE
         let mut builder = KnnGraphBuilder::new(options.k)
             .algorithm(algorithm)
             .metric(options.metric)
-            .scoring(options.scoring)
             .seed(options.seed);
         if let Some(t) = options.threads {
             builder = builder.threads(t);
@@ -850,12 +830,6 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(inverted, brute, "inverted index must match brute force");
-        let pairwise = run_str(&format!(
-            "exact --input {} --k 2 --threads 1 --scoring pairwise",
-            input.display()
-        ))
-        .unwrap();
-        assert_eq!(inverted, pairwise, "scoring modes must agree");
     }
 
     #[test]
@@ -871,7 +845,7 @@ mod tests {
             assert!(out.contains(algo), "missing {algo}: {out}");
         }
         let subset = run_str(&format!(
-            "compare --input {} --k 1 --threads 1 --algorithms kiff --scoring pairwise",
+            "compare --input {} --k 1 --threads 1 --algorithms kiff",
             input.display()
         ))
         .unwrap();

@@ -16,12 +16,16 @@
 //!   syscalls disappear from the steady state; totals are rescaled by the
 //!   timed fraction and reported with their coverage in [`KiffStats`].
 //!
-//! Each evaluated pair is offered to both users' heaps through
-//! [`SharedKnn::update`]. Most offers in a converging build lose to the
-//! heap's worst entry, and a per-user admission hint turns those away
-//! after one atomic load, without the heap's mutex or its duplicate scan.
-//! `update` returns what the locked path would, so change counts, β
-//! termination and graphs do not depend on the hint.
+//! Each popped batch is offered to both users' heaps through
+//! [`SharedKnn::update_batch`]: the owner's heap takes the batch under one
+//! lock, and every candidate's heap takes its reverse offer, each heap in
+//! candidate order as a pair-by-pair loop would offer them. Most offers
+//! in a converging build lose to the heap's worst entry, and a per-user
+//! admission hint turns those away after one atomic load, without the
+//! row's lock or its duplicate scan; the reverse side filters a batch by
+//! hint first and prefetches the rows of the offers that pass. The batch
+//! counts what the locked path would, so change counts, β termination and
+//! graphs do not depend on the hint.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -65,9 +69,13 @@ pub struct KiffStats {
     pub item_profile_time: Duration,
     /// Wall time of RCS construction (Table V).
     pub rcs_time: Duration,
-    /// Aggregated worker time selecting candidates (pops + heap updates).
-    /// Under [`TimingMode::Sampled`] this is an estimate: the measured
-    /// total rescaled by [`KiffStats::timing_coverage`].
+    /// Aggregated worker time selecting candidates: RCS pops and the
+    /// heap offers of [`SharedKnn::update_batch`], almost all of it the
+    /// offers, and mostly memory stalls on the reverse side's random
+    /// rows (on the DBLP stand-in, about as long as
+    /// [`KiffStats::similarity_time`]). Under [`TimingMode::Sampled`] this
+    /// is an estimate: the measured total rescaled by
+    /// [`KiffStats::timing_coverage`].
     pub candidate_selection_time: Duration,
     /// Aggregated worker time evaluating similarities (same sampling
     /// caveat as [`KiffStats::candidate_selection_time`]).
@@ -218,11 +226,9 @@ pub fn refine<S: Similarity + ?Sized>(
 
                     // UPDATENN both ways (pivot symmetry, lines 10–12).
                     let _update_guard = timed.then(|| candidate_time.start());
-                    for (&v, &s) in cs.iter().zip(sims.iter()) {
-                        let c = shared.update(uid, v, s) + shared.update(v, uid, s);
-                        if c > 0 {
-                            changes.add(c);
-                        }
+                    let c = shared.update_batch(uid, cs, sims);
+                    if c > 0 {
+                        changes.add(c);
                     }
                 }
             },
@@ -304,7 +310,7 @@ mod tests {
     use crate::counting::{build_rcs, CountingConfig};
     use kiff_dataset::dataset::figure2_toy;
     use kiff_dataset::generators::bipartite::{generate_bipartite, BipartiteConfig};
-    use kiff_graph::exact_knn;
+    use kiff_graph::{exact_knn, Neighbor};
     use kiff_similarity::WeightedCosine;
 
     fn run(dataset: &kiff_dataset::Dataset, config: &KiffConfig) -> (KnnGraph, KiffStats) {
@@ -446,6 +452,67 @@ mod tests {
         assert_eq!(s_off.timing_coverage, 0.0);
         assert_eq!(s_off.similarity_time, Duration::ZERO);
         assert_eq!(s_off.candidate_selection_time, Duration::ZERO);
+    }
+
+    /// Tripwire for the offer order: one-threaded `refine` equals an
+    /// oracle that pops the same RCS batches and offers every scored pair
+    /// interleaved, `u ← v` then `v ← u`, to plain [`KnnHeap`]s: the same
+    /// graph (ids and similarity bits), evaluations, iterations and
+    /// per-iteration change counts. Change counts depend on the order
+    /// each heap sees its offers in, so a batch path that reorders any
+    /// heap's offers shows here even where the final graph would not.
+    #[test]
+    fn one_thread_refine_equals_interleaved_heap_offers() {
+        use kiff_graph::KnnHeap;
+        for (name, seed) in [("order-a", 71), ("order-b", 73), ("order-c", 79)] {
+            let ds = generate_bipartite(&BipartiteConfig::tiny(name, seed));
+            let sim = WeightedCosine::fit(&ds);
+            let n = ds.num_users();
+            let rcs = build_rcs(&ds, &CountingConfig::default());
+            for k in [1, 5] {
+                for beta in [0.0, 0.001] {
+                    let config = KiffConfig::new(k).with_beta(beta).with_threads(1);
+                    let (graph, stats) = refine(&ds, &sim, &rcs, &config, &mut NoObserver);
+
+                    let mut heaps: Vec<KnnHeap> = (0..n).map(|_| KnnHeap::new(k)).collect();
+                    let mut cursors = vec![0usize; n];
+                    let (mut evals, mut changes) = (0u64, Vec::new());
+                    for _ in 0..config.max_iterations {
+                        let (mut iter_changes, mut iter_evals) = (0u64, 0u64);
+                        for u in 0..n as u32 {
+                            let list = rcs.rcs(u);
+                            let start = cursors[u as usize];
+                            let end = start.saturating_add(config.gamma.budget()).min(list.len());
+                            cursors[u as usize] = end;
+                            for &v in &list[start..end] {
+                                let s = sim.sim(&ds, u, v);
+                                iter_changes += u64::from(heaps[u as usize].update(s, v));
+                                iter_changes += u64::from(heaps[v as usize].update(s, u));
+                                iter_evals += 1;
+                            }
+                        }
+                        evals += iter_evals;
+                        changes.push(iter_changes);
+                        if iter_evals == 0 || (iter_changes as f64) / (n as f64) < beta {
+                            break;
+                        }
+                    }
+
+                    let case = format!("{name}, k = {k}, β = {beta}");
+                    assert_eq!(stats.sim_evals, evals, "{case}");
+                    assert_eq!(stats.iterations, changes.len(), "{case}");
+                    let traced: Vec<u64> = stats.per_iteration.iter().map(|t| t.changes).collect();
+                    assert_eq!(traced, changes, "{case}");
+                    for u in 0..n as u32 {
+                        let bits = |row: &[Neighbor]| -> Vec<(u32, u64)> {
+                            row.iter().map(|e| (e.id, e.sim.to_bits())).collect()
+                        };
+                        let want = heaps[u as usize].sorted_neighbors();
+                        assert_eq!(bits(graph.neighbors(u)), bits(&want), "{case}, user {u}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

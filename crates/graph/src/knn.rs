@@ -1,5 +1,13 @@
 //! Bounded neighbour heaps and graph snapshots.
+//!
+//! The heap algorithm is written once, as [`KnnHeap<S>`] over a row of
+//! `k` slots and a length. Two kinds of storage use it: a [`KnnHeap`]
+//! owns its slots (the online engine keeps one per user), and
+//! [`SharedKnn`] keeps every user's slots in one flat slab and lends a
+//! row at a time under that row's lock.
 
+use std::cell::UnsafeCell;
+use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -29,6 +37,13 @@ pub struct HeapEntry {
     /// True until the entry has been sampled by NN-Descent's join step.
     pub is_new: bool,
 }
+
+/// What fills a slot no entry occupies yet; never read as a neighbour.
+const VACANT: HeapEntry = HeapEntry {
+    sim: 0.0,
+    id: 0,
+    is_new: false,
+};
 
 /// `a` strictly better than `b`: higher similarity, ties to smaller id.
 #[inline]
@@ -93,10 +108,16 @@ impl EditStats {
 ///
 /// The worst retained entry sits at the root; duplicate ids are rejected so
 /// re-evaluated pairs cannot inflate change counts.
+///
+/// The heap lives in `S`, a row of `k` slots of which the first
+/// [`KnnHeap::len`] hold entries. The default, `Box<[HeapEntry]>`, is a
+/// heap that owns its row ([`KnnHeap::new`]); `&mut [HeapEntry]` is a row
+/// of [`SharedKnn`]'s slab, read through the [`HeapGuard`] that holds
+/// the row's lock.
 #[derive(Debug, Clone)]
-pub struct KnnHeap {
-    entries: Vec<HeapEntry>,
-    capacity: usize,
+pub struct KnnHeap<S = Box<[HeapEntry]>> {
+    slots: S,
+    len: usize,
 }
 
 impl KnnHeap {
@@ -104,37 +125,45 @@ impl KnnHeap {
     pub fn new(k: usize) -> Self {
         assert!(k > 0, "k must be positive");
         Self {
-            entries: Vec::with_capacity(k),
-            capacity: k,
+            slots: vec![VACANT; k].into_boxed_slice(),
+            len: 0,
         }
     }
+}
 
+impl<S: DerefMut<Target = [HeapEntry]>> KnnHeap<S> {
     /// Maximum neighbourhood size `k`.
     #[inline]
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.slots.len()
     }
 
     /// Current number of neighbours.
     #[inline]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// Whether the neighbourhood is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
+    }
+
+    /// The occupied slots, in heap order.
+    #[inline]
+    fn entries(&self) -> &[HeapEntry] {
+        &self.slots[..self.len]
     }
 
     /// The worst retained (similarity, id), if any.
     pub fn worst(&self) -> Option<(f64, UserId)> {
-        self.entries.first().map(|e| (e.sim, e.id))
+        self.entries().first().map(|e| (e.sim, e.id))
     }
 
     /// Whether `id` is currently a neighbour (linear scan — `k ≤ 50`).
     pub fn contains(&self, id: UserId) -> bool {
-        self.entries.iter().any(|e| e.id == id)
+        self.entries().iter().any(|e| e.id == id)
     }
 
     /// The paper's UPDATENN (Algorithm 1, lines 14–16): offers `(sim, id)`
@@ -153,17 +182,24 @@ impl KnnHeap {
     /// A full heap compares the offer with its worst entry first and
     /// turns away one that does not beat it without scanning for the id:
     /// in a converging build most offers lose to the worst entry. Only an
-    /// offer that would enter pays the `O(k)` duplicate scan.
+    /// offer that would enter pays the `O(k)` duplicate scan, which reads
+    /// every id without an early exit: KIFF never offers a known id, so
+    /// the scan almost always runs to the end, and a loop without a
+    /// branch per id runs it faster.
     pub fn offer(&mut self, sim: f64, id: UserId) -> HeapChange {
         debug_assert!(!sim.is_nan());
-        let full = self.entries.len() == self.capacity;
+        let full = self.len == self.capacity();
         if full {
-            let root = self.entries[0];
+            let root = self.slots[0];
             if !better((sim, id), (root.sim, root.id)) {
                 return HeapChange::Rejected;
             }
         }
-        if self.contains(id) {
+        if self
+            .entries()
+            .iter()
+            .fold(false, |seen, e| seen | (e.id == id))
+        {
             return HeapChange::AlreadyPresent;
         }
         let entry = HeapEntry {
@@ -172,15 +208,16 @@ impl KnnHeap {
             is_new: true,
         };
         if full {
-            let evicted = self.entries[0].id;
-            self.entries[0] = entry;
+            let evicted = self.slots[0].id;
+            self.slots[0] = entry;
             self.sift_down(0);
             HeapChange::Inserted {
                 evicted: Some(evicted),
             }
         } else {
-            self.entries.push(entry);
-            self.sift_up(self.entries.len() - 1);
+            self.slots[self.len] = entry;
+            self.len += 1;
+            self.sift_up(self.len - 1);
             HeapChange::Inserted { evicted: None }
         }
     }
@@ -189,9 +226,10 @@ impl KnnHeap {
     /// retained similarity of a full heap, −∞ while the heap has room.
     /// An offer equal to it may still enter on a smaller id.
     fn admission_floor(&self) -> f64 {
-        match self.entries.first() {
-            Some(root) if self.entries.len() == self.capacity => root.sim,
-            _ => f64::NEG_INFINITY,
+        if self.len == self.capacity() {
+            self.slots[0].sim
+        } else {
+            f64::NEG_INFINITY
         }
     }
 
@@ -200,10 +238,11 @@ impl KnnHeap {
     /// a similarity to zero (a non-sharing pair is not a valid KNN edge
     /// under the sparse axioms).
     pub fn remove(&mut self, id: UserId) -> bool {
-        let Some(pos) = self.entries.iter().position(|e| e.id == id) else {
+        let Some(pos) = self.entries().iter().position(|e| e.id == id) else {
             return false;
         };
-        self.entries.swap_remove(pos);
+        self.len -= 1;
+        self.slots.swap(pos, self.len);
         self.heapify();
         true
     }
@@ -214,7 +253,8 @@ impl KnnHeap {
     /// similarities of existing edges.
     pub fn reprioritize(&mut self, id: UserId, sim: f64) -> Option<f64> {
         debug_assert!(!sim.is_nan());
-        let entry = self.entries.iter_mut().find(|e| e.id == id)?;
+        let len = self.len;
+        let entry = self.slots[..len].iter_mut().find(|e| e.id == id)?;
         let old = entry.sim;
         entry.sim = sim;
         if old != sim {
@@ -226,21 +266,22 @@ impl KnnHeap {
     /// Re-establishes the heap property bottom-up (`k ≤ 50`, so the O(k)
     /// rebuild is cheaper than being clever).
     fn heapify(&mut self) {
-        for i in (0..self.entries.len() / 2).rev() {
+        for i in (0..self.len / 2).rev() {
             self.sift_down(i);
         }
     }
 
     /// Iterates entries in unspecified (heap) order.
     pub fn iter(&self) -> impl Iterator<Item = &HeapEntry> {
-        self.entries.iter()
+        self.entries().iter()
     }
 
     /// Ids of entries still flagged `new`, clearing the flag (NN-Descent's
     /// sampling step; with full sampling every new entry is taken).
     pub fn take_new_ids(&mut self) -> Vec<UserId> {
+        let len = self.len;
         let mut ids = Vec::new();
-        for e in &mut self.entries {
+        for e in &mut self.slots[..len] {
             if e.is_new {
                 e.is_new = false;
                 ids.push(e.id);
@@ -253,16 +294,13 @@ impl KnnHeap {
     /// variant chooses a subset before clearing via
     /// [`KnnHeap::clear_new_flag`]).
     pub fn new_ids(&self) -> Vec<UserId> {
-        self.entries
-            .iter()
-            .filter(|e| e.is_new)
-            .map(|e| e.id)
-            .collect()
+        self.iter().filter(|e| e.is_new).map(|e| e.id).collect()
     }
 
     /// Clears the `new` flag of `id` if present.
     pub fn clear_new_flag(&mut self, id: UserId) {
-        if let Some(e) = self.entries.iter_mut().find(|e| e.id == id) {
+        let len = self.len;
+        if let Some(e) = self.slots[..len].iter_mut().find(|e| e.id == id) {
             e.is_new = false;
         }
     }
@@ -273,20 +311,20 @@ impl KnnHeap {
     /// during the joins depend on offer interleaving (an entry evicted
     /// and re-inserted keeps `new`, one never displaced does not).
     pub fn retag_new(&mut self, mut is_new: impl FnMut(UserId) -> bool) {
-        for e in &mut self.entries {
+        let len = self.len;
+        for e in &mut self.slots[..len] {
             e.is_new = is_new(e.id);
         }
     }
 
     /// All current neighbour ids (unordered).
     pub fn ids(&self) -> Vec<UserId> {
-        self.entries.iter().map(|e| e.id).collect()
+        self.iter().map(|e| e.id).collect()
     }
 
     /// Neighbours sorted best-first.
     pub fn sorted_neighbors(&self) -> Vec<Neighbor> {
         let mut out: Vec<Neighbor> = self
-            .entries
             .iter()
             .map(|e| Neighbor {
                 id: e.id,
@@ -300,9 +338,9 @@ impl KnnHeap {
     fn sift_up(&mut self, mut i: usize) {
         while i > 0 {
             let parent = (i - 1) / 2;
-            let (p, c) = (self.entries[parent], self.entries[i]);
+            let (p, c) = (self.slots[parent], self.slots[i]);
             if better((p.sim, p.id), (c.sim, c.id)) {
-                self.entries.swap(parent, i);
+                self.slots.swap(parent, i);
                 i = parent;
             } else {
                 break;
@@ -311,13 +349,13 @@ impl KnnHeap {
     }
 
     fn sift_down(&mut self, mut i: usize) {
-        let n = self.entries.len();
+        let n = self.len;
         loop {
             let (l, r) = (2 * i + 1, 2 * i + 2);
             let mut smallest = i;
             for child in [l, r] {
                 if child < n {
-                    let (s, c) = (self.entries[smallest], self.entries[child]);
+                    let (s, c) = (self.slots[smallest], self.slots[child]);
                     if better((s.sim, s.id), (c.sim, c.id)) {
                         smallest = child;
                     }
@@ -326,46 +364,77 @@ impl KnnHeap {
             if smallest == i {
                 break;
             }
-            self.entries.swap(i, smallest);
+            self.slots.swap(i, smallest);
             i = smallest;
         }
     }
 }
 
-/// The mutable, thread-shared state of a KNN construction: one lock-guarded
-/// heap per user, and beside it one lock-free admission hint per user.
+/// Survivors of the reverse side's admission filter kept at once: the
+/// batch path filters and offers a batch's reverse side this many
+/// candidates at a time, with the survivors in a stack buffer.
+const FILTER_CHUNK: usize = 64;
+
+/// How many offers ahead the batch path prefetches a surviving row.
+const PREFETCH_DISTANCE: usize = 8;
+
+/// Heap entries per 64-byte cache line.
+const ENTRIES_PER_LINE: usize = 64 / std::mem::size_of::<HeapEntry>();
+
+/// The mutable, thread-shared state of a KNN construction: every user's
+/// neighbour heap in one flat slab, with one lock and one lock-free
+/// admission hint per user beside it.
+///
+/// Row `u` is slots `[u·k, (u+1)·k)` of the slab; its lock guards the
+/// row's slots and holds its length. No row has an allocation of its own,
+/// so a row is one address computed from `u`, and the batch path can ask
+/// for it before it needs it.
 ///
 /// The hint is the worst similarity of a full heap, −∞ while the heap has
 /// room. [`SharedKnn::update`] reads it first and turns away an offer
-/// strictly below it without taking the heap's mutex; an equal offer takes
+/// strictly below it without taking the row's lock; an equal offer takes
 /// the lock, because the id breaks the tie. In a converging build most
-/// offers lose to the worst entry, so most updates never touch the heap.
+/// offers lose to the worst entry, so most updates never touch the row.
 ///
-/// `update` republishes the hint after an edit, and the [`HeapGuard`] that
-/// [`SharedKnn::lock`] hands out republishes it when dropped, so a guard
-/// may edit the heap in any way (insert, `remove`, demote through
-/// `reprioritize`, retag flags) without leaving the hint above the heap's
-/// worst entry.
-#[derive(Debug)]
+/// Every edit goes through the [`HeapGuard`] that [`SharedKnn::lock`]
+/// hands out, which republishes the hint when dropped, so a guard may
+/// edit the heap in any way (insert, `remove`, demote through
+/// `reprioritize`, retag flags) without leaving the hint above the
+/// heap's worst entry.
 pub struct SharedKnn {
-    heaps: Vec<Mutex<KnnHeap>>,
+    /// `n·k` slots. Row `u`'s slots are read and written only through a
+    /// [`HeapGuard`] that holds `locks[u]`.
+    slab: Box<[UnsafeCell<HeapEntry>]>,
+    /// Per-row locks, each holding its row's length.
+    locks: Box<[Mutex<u32>]>,
     /// Per-user admission hints, as `f64` bits. `Relaxed` ordering is
     /// enough: a hint publishes no other data; every store happens under
-    /// its heap's mutex, so a reader holding the lock sees the last one;
-    /// and while a heap is full its worst entry only rises through
-    /// `update`, so a hint read without the lock is never above the true
+    /// its row's lock, so a reader holding the lock sees the last one;
+    /// and while a row is full its worst entry only rises through
+    /// offers, so a hint read without the lock is never above the true
     /// worst and a stale one can only send an offer down the locked path.
     /// (A guard that lowers the worst republishes before it unlocks; an
     /// offer still reading the older hint raced that guard.)
-    hints: Vec<AtomicU64>,
+    hints: Box<[AtomicU64]>,
     k: usize,
 }
+
+// SAFETY: `slab` is the only field that is not `Sync` by itself: row
+// `u`'s cells are reached only through a `HeapGuard` for row `u`, which
+// holds row `u`'s lock (`locks[u]`) for as long as it can touch them, so
+// no two threads access a row's slots at once. `locks` (mutexes over
+// plain lengths) and `hints` (atomics) are `Sync`, and `k` never changes.
+unsafe impl Sync for SharedKnn {}
 
 impl SharedKnn {
     /// Empty neighbourhoods for `n` users with capacity `k`.
     pub fn new(n: usize, k: usize) -> Self {
+        assert!(k > 0, "k must be positive");
+        assert!(u32::try_from(k).is_ok(), "k must fit a row length");
+        let slots = n.checked_mul(k).expect("n·k slots fit the address space");
         Self {
-            heaps: (0..n).map(|_| Mutex::new(KnnHeap::new(k))).collect(),
+            slab: (0..slots).map(|_| UnsafeCell::new(VACANT)).collect(),
+            locks: (0..n).map(|_| Mutex::new(0)).collect(),
             hints: (0..n)
                 .map(|_| AtomicU64::new(f64::NEG_INFINITY.to_bits()))
                 .collect(),
@@ -380,7 +449,13 @@ impl SharedKnn {
 
     /// Number of users.
     pub fn num_users(&self) -> usize {
-        self.heaps.len()
+        self.locks.len()
+    }
+
+    /// `u`'s admission hint, read without its lock.
+    #[inline]
+    fn hint(&self, u: UserId) -> f64 {
+        f64::from_bits(self.hints[u as usize].load(Ordering::Relaxed))
     }
 
     /// UPDATENN on `u`'s heap; returns 1 if it changed, 0 otherwise (the
@@ -389,35 +464,106 @@ impl SharedKnn {
     #[inline]
     pub fn update(&self, u: UserId, v: UserId, sim: f64) -> u64 {
         debug_assert_ne!(u, v, "self-loops are not valid KNN edges");
-        let hint = &self.hints[u as usize];
-        if sim < f64::from_bits(hint.load(Ordering::Relaxed)) {
+        if sim < self.hint(u) {
             return 0;
         }
-        let mut heap = self.heaps[u as usize].lock();
-        debug_check_hint(hint, &heap);
-        let changed = heap.update(sim, v);
-        if changed {
-            publish_hint(hint, &heap);
+        u64::from(self.lock(u).update(sim, v))
+    }
+
+    /// UPDATENN both ways for one scored batch (pivot symmetry, Algorithm
+    /// 1 lines 10–12): offers every `(candidates[i], sims[i])` to
+    /// `owner`'s heap and `(owner, sims[i])` to `candidates[i]`'s heap.
+    /// Returns how many offers changed a heap, as the sum of the two
+    /// [`SharedKnn::update`]s per candidate would.
+    ///
+    /// Every heap sees its offers in candidate order, as in a loop of
+    /// `update(owner, v, s); update(v, owner, s)`: the owner's heap
+    /// receives only the owner side and every other heap only the
+    /// reverse side, so a single-threaded caller gets that loop's result.
+    /// The owner side runs under one lock of the owner's row. The reverse
+    /// side first turns away, by hint, every offer that cannot enter; the
+    /// survivors' rows are random users' rows, so each is prefetched a
+    /// few offers before its lock is taken.
+    pub fn update_batch(&self, owner: UserId, candidates: &[UserId], sims: &[f64]) -> u64 {
+        assert_eq!(candidates.len(), sims.len(), "one similarity per candidate");
+        if candidates.is_empty() {
+            return 0;
         }
-        u64::from(changed)
+        let mut changes = 0u64;
+        let mut row = self.lock(owner);
+        for (&v, &s) in candidates.iter().zip(sims) {
+            debug_assert_ne!(owner, v, "self-loops are not valid KNN edges");
+            changes += u64::from(row.update(s, v));
+        }
+        drop(row);
+
+        let mut survivors = [0usize; FILTER_CHUNK];
+        for start in (0..candidates.len()).step_by(FILTER_CHUNK) {
+            let end = (start + FILTER_CHUNK).min(candidates.len());
+            let mut kept = 0;
+            for i in start..end {
+                survivors[kept] = i;
+                kept += usize::from(sims[i] >= self.hint(candidates[i]));
+            }
+            let survivors = &survivors[..kept];
+            for &i in survivors.iter().take(PREFETCH_DISTANCE) {
+                self.prefetch_row(candidates[i]);
+            }
+            for (j, &i) in survivors.iter().enumerate() {
+                if let Some(&ahead) = survivors.get(j + PREFETCH_DISTANCE) {
+                    self.prefetch_row(candidates[ahead]);
+                }
+                changes += u64::from(self.lock(candidates[i]).update(sims[i], owner));
+            }
+        }
+        changes
+    }
+
+    /// Starts loading `u`'s lock and every cache line of its row: an
+    /// offer that enters reads all the row's ids for duplicates.
+    #[inline]
+    fn prefetch_row(&self, u: UserId) {
+        let u = u as usize;
+        prefetch(&self.locks[u]);
+        let row = &self.slab[u * self.k..(u + 1) * self.k];
+        for slot in row.iter().step_by(ENTRIES_PER_LINE) {
+            prefetch(slot);
+        }
     }
 
     /// Locks and returns `u`'s heap guard (for bulk operations by the
     /// owner's worker). Dropping the guard republishes `u`'s admission
     /// hint from the heap.
     pub fn lock(&self, u: UserId) -> HeapGuard<'_> {
-        let hint = &self.hints[u as usize];
-        let heap = self.heaps[u as usize].lock();
-        debug_check_hint(hint, &heap);
-        HeapGuard { heap, hint }
+        let u = u as usize;
+        let len = self.locks[u].lock();
+        let row = &self.slab[u * self.k..(u + 1) * self.k];
+        // SAFETY: `len` holds row `u`'s lock (`locks[u]`). The slice goes
+        // into the guard built below, beside `len`, and lives exactly as
+        // long as it: the guard lends the heap out by `&` only (no
+        // `DerefMut`, so it cannot be swapped into another guard) and edits
+        // it through its own methods. So while the slice exists, row `u`'s
+        // lock is held, no other guard for row `u` exists, and nothing else
+        // reaches row `u`'s cells. The pointer comes from the bounds-checked
+        // slice of row `u`'s `k` cells.
+        let slots =
+            unsafe { std::slice::from_raw_parts_mut(UnsafeCell::raw_get(row.as_ptr()), self.k) };
+        let guard = HeapGuard {
+            heap: KnnHeap {
+                slots,
+                len: *len as usize,
+            },
+            len,
+            hint: &self.hints[u],
+        };
+        debug_check_hint(guard.hint, &guard.heap);
+        guard
     }
 
     /// Snapshots the current state as an immutable [`KnnGraph`].
     pub fn snapshot(&self) -> KnnGraph {
-        let neighbors = self
-            .heaps
-            .iter()
-            .map(|h| h.lock().sorted_neighbors().into())
+        let neighbors = (0..self.num_users() as UserId)
+            .map(|u| self.lock(u).sorted_neighbors().into())
             .collect();
         KnnGraph {
             k: self.k,
@@ -426,50 +572,103 @@ impl SharedKnn {
     }
 }
 
-/// Exclusive access to one user's heap, from [`SharedKnn::lock`].
+impl fmt::Debug for SharedKnn {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SharedKnn")
+            .field("num_users", &self.num_users())
+            .field("k", &self.k)
+            .finish_non_exhaustive()
+    }
+}
+
+/// Asks the CPU to start loading the cache line holding `*ptr`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn prefetch<T>(ptr: *const T) {
+    use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+    // SAFETY: relies on no row lock: a prefetch reads nothing the program
+    // can observe and never faults, whatever the address.
+    unsafe { _mm_prefetch::<_MM_HINT_T0>(ptr.cast::<i8>()) }
+}
+
+/// A no-op on targets without a prefetch instruction.
+#[cfg(not(target_arch = "x86_64"))]
+#[inline(always)]
+fn prefetch<T>(_: *const T) {}
+
+/// Exclusive access to one row of a [`SharedKnn`], from
+/// [`SharedKnn::lock`]: a [`KnnHeap`] over the row's slots, held under the
+/// row's lock.
 ///
-/// The guard may edit the heap in any way. Dropping it stores the heap's
-/// admission floor as the user's hint before the mutex is released, so a
-/// `remove` or a demotion lowers the hint with the worst entry, and a
-/// read-only guard stores the value already there.
+/// The guard reads the heap through `Deref` and edits it through its own
+/// methods, which are [`KnnHeap`]'s. It has no `DerefMut`: a `&mut` heap
+/// over the row could be swapped into another row's guard and outlive
+/// this row's lock. Dropping the guard stores the heap's length and, when
+/// the floor moved, its admission floor as the user's hint, before the
+/// lock is released: a `remove` or a demotion lowers the hint with the
+/// worst entry, and a guard that changed nothing writes no hint.
 pub struct HeapGuard<'a> {
-    heap: MutexGuard<'a, KnnHeap>,
+    heap: KnnHeap<&'a mut [HeapEntry]>,
+    len: MutexGuard<'a, u32>,
     hint: &'a AtomicU64,
 }
 
-impl Deref for HeapGuard<'_> {
-    type Target = KnnHeap;
+impl<'a> Deref for HeapGuard<'a> {
+    type Target = KnnHeap<&'a mut [HeapEntry]>;
 
-    fn deref(&self) -> &KnnHeap {
+    fn deref(&self) -> &Self::Target {
         &self.heap
     }
 }
 
-impl DerefMut for HeapGuard<'_> {
-    fn deref_mut(&mut self) -> &mut KnnHeap {
-        &mut self.heap
+impl HeapGuard<'_> {
+    /// [`KnnHeap::update`] on the locked row.
+    pub fn update(&mut self, sim: f64, id: UserId) -> bool {
+        self.heap.update(sim, id)
+    }
+
+    /// [`KnnHeap::remove`] on the locked row.
+    pub fn remove(&mut self, id: UserId) -> bool {
+        self.heap.remove(id)
+    }
+
+    /// [`KnnHeap::reprioritize`] on the locked row.
+    pub fn reprioritize(&mut self, id: UserId, sim: f64) -> Option<f64> {
+        self.heap.reprioritize(id, sim)
+    }
+
+    /// [`KnnHeap::take_new_ids`] on the locked row.
+    pub fn take_new_ids(&mut self) -> Vec<UserId> {
+        self.heap.take_new_ids()
+    }
+
+    /// [`KnnHeap::clear_new_flag`] on the locked row.
+    pub fn clear_new_flag(&mut self, id: UserId) {
+        self.heap.clear_new_flag(id)
+    }
+
+    /// [`KnnHeap::retag_new`] on the locked row.
+    pub fn retag_new(&mut self, is_new: impl FnMut(UserId) -> bool) {
+        self.heap.retag_new(is_new)
     }
 }
 
 impl Drop for HeapGuard<'_> {
     fn drop(&mut self) {
-        publish_hint(self.hint, &self.heap);
+        *self.len = self.heap.len as u32;
+        let floor = self.heap.admission_floor().to_bits();
+        if self.hint.load(Ordering::Relaxed) != floor {
+            self.hint.store(floor, Ordering::Relaxed);
+        }
     }
 }
 
-/// Stores `heap`'s admission floor as its hint. Call with the heap's mutex
-/// held.
-#[inline]
-fn publish_hint(hint: &AtomicU64, heap: &KnnHeap) {
-    hint.store(heap.admission_floor().to_bits(), Ordering::Relaxed);
-}
-
-/// Debug-build tripwire, checked with the heap's mutex held: a hint is
+/// Debug-build tripwire, checked with the row's lock held: a hint is
 /// never above a full heap's worst similarity, and is −∞ while the heap
 /// has room. A hint above the heap's admission floor would turn away
 /// offers that belong in the heap.
 #[inline]
-fn debug_check_hint(hint: &AtomicU64, heap: &KnnHeap) {
+fn debug_check_hint(hint: &AtomicU64, heap: &KnnHeap<&mut [HeapEntry]>) {
     debug_assert!(
         f64::from_bits(hint.load(Ordering::Relaxed)) <= heap.admission_floor(),
         "admission hint above the heap's floor"
@@ -837,6 +1036,56 @@ mod tests {
         }
     }
 
+    #[test]
+    fn concurrent_batches_preserve_invariants() {
+        use kiff_parallel::parallel_for;
+        let n = 200u32;
+        let k = 5;
+        let sim_of =
+            |u: u32, v: u32| f64::from((u ^ v).wrapping_mul(2_654_435_761) % 1000) / 1000.0;
+        let shared = SharedKnn::new(n as usize, k);
+        parallel_for(4, n as usize, 8, |range| {
+            for u in range {
+                // Each owner scores the users above it, so every row gets
+                // some offers on the owner side and the rest on the
+                // reverse side of other owners' batches, and batches run
+                // from 199 candidates (several filter chunks) down to none.
+                let u = u as u32;
+                let candidates: Vec<u32> = (u + 1..n).collect();
+                let sims: Vec<f64> = candidates.iter().map(|&v| sim_of(u, v)).collect();
+                shared.update_batch(u, &candidates, &sims);
+            }
+        });
+        let g = shared.snapshot();
+        for u in 0..n {
+            let mut expected: Vec<Neighbor> = (0..n)
+                .filter(|&v| v != u)
+                .map(|v| Neighbor {
+                    id: v,
+                    sim: sim_of(u, v),
+                })
+                .collect();
+            sort_best_first(&mut expected);
+            expected.truncate(k);
+            assert_eq!(g.neighbors(u), &expected[..], "row of user {u}");
+        }
+    }
+
+    #[test]
+    fn batch_ties_at_the_worst_entry_take_the_lock() {
+        let shared = SharedKnn::new(3, 1);
+        assert_eq!(shared.update_batch(0, &[2], &[0.5]), 2);
+        // User 2's row is full at (0.5, 0): user 1's offer ties it and
+        // loses on the id, while user 1's own row has room.
+        assert_eq!(shared.update_batch(1, &[2], &[0.5]), 1);
+        // Rows 0 and 1 are full at (0.5, 2): both ties win on the id.
+        assert_eq!(shared.update_batch(1, &[0], &[0.5]), 2);
+        let g = shared.snapshot();
+        assert_eq!(g.neighbors(0), &[Neighbor { id: 1, sim: 0.5 }]);
+        assert_eq!(g.neighbors(1), &[Neighbor { id: 0, sim: 0.5 }]);
+        assert_eq!(g.neighbors(2), &[Neighbor { id: 0, sim: 0.5 }]);
+    }
+
     mod proptests {
         use super::*;
         use proptest::prelude::*;
@@ -920,6 +1169,51 @@ mod tests {
                             let got = shared.lock(u).ids();
                             prop_assert_eq!(got, ids);
                         }
+                    }
+                }
+                let graph = shared.snapshot();
+                for u in 0..USERS {
+                    let want = model[u as usize].sorted_neighbors();
+                    prop_assert_eq!(graph.neighbors(u), &want[..]);
+                }
+            }
+
+            /// [`SharedKnn::update_batch`] counts what per-offer plain-heap
+            /// updates, interleaved owner side then reverse side as
+            /// Algorithm 1 offers them, count, and leaves every row as
+            /// they leave it. Batches repeat candidates, run past a
+            /// filter chunk, and score on a coarse grid so ties at the
+            /// worst entry are common; removals between batches give full
+            /// rows room again, so the hints fall as well as rise.
+            #[test]
+            fn batch_matches_plain_heaps(
+                batches in proptest::collection::vec(
+                    (0u32..6, proptest::collection::vec((0u32..5, 0u32..8), 0..150), 0u32..6),
+                    1..12,
+                ),
+                k in 1usize..6,
+            ) {
+                const USERS: u32 = 6;
+                let shared = SharedKnn::new(USERS as usize, k);
+                let mut model: Vec<KnnHeap> = (0..USERS).map(|_| KnnHeap::new(k)).collect();
+                for (owner, offers, drop_from) in batches {
+                    // Candidates skip the owner: no self-loops.
+                    let candidates: Vec<u32> = offers
+                        .iter()
+                        .map(|&(c, _)| if c >= owner { c + 1 } else { c })
+                        .collect();
+                    let sims: Vec<f64> = offers.iter().map(|&(_, level)| f64::from(level) / 8.0).collect();
+                    let mut want = 0u64;
+                    for (&v, &s) in candidates.iter().zip(&sims) {
+                        want += u64::from(model[owner as usize].update(s, v));
+                        want += u64::from(model[v as usize].update(s, owner));
+                    }
+                    prop_assert_eq!(shared.update_batch(owner, &candidates, &sims), want);
+                    // Drop one row's best-kept entry, if it has any.
+                    let row = &mut model[drop_from as usize];
+                    if let Some(best) = row.sorted_neighbors().first() {
+                        prop_assert!(row.remove(best.id));
+                        prop_assert!(shared.lock(drop_from).remove(best.id));
                     }
                 }
                 let graph = shared.snapshot();

@@ -5,11 +5,13 @@
 //! The output of every algorithm in this workspace is a [`KnnGraph`]: for
 //! each user, the `k` most similar other users found, with their similarity
 //! values. During construction the algorithms share a [`SharedKnn`] — one
-//! bounded [`KnnHeap`] per user behind a `parking_lot` mutex, because the
-//! pivot strategy (§II-D) makes user `u`'s worker update user `v`'s heap.
-//! Beside each mutex sits a lock-free admission hint, the worst similarity
-//! of a full heap, so an offer that cannot enter is turned away after one
-//! atomic load instead of a lock and a scan.
+//! bounded [`KnnHeap`] row per user in one flat slab, each row behind its
+//! own lock, because the pivot strategy (§II-D) makes user `u`'s worker
+//! update user `v`'s heap. Beside each lock sits a lock-free admission
+//! hint, the worst similarity of a full heap, so an offer that cannot
+//! enter is turned away after one atomic load instead of a lock and a
+//! scan. [`SharedKnn::update_batch`] offers a whole scored batch both
+//! ways and prefetches the random rows its reverse side lands on.
 //!
 //! [`exact`] builds ground truth two ways: an exhaustive `O(|U|²)` scan and
 //! an inverted-index construction that only evaluates pairs sharing an item
@@ -31,7 +33,9 @@ pub use exact::{exact_knn, exact_knn_brute, exact_knn_brute_with, exact_knn_with
 pub use io::{
     load_edges_tsv, save_edges_tsv, save_json as save_graph_json, write_edges_tsv, GraphLoadError,
 };
-pub use knn::{EditStats, HeapChange, HeapGuard, KnnGraph, KnnHeap, Neighbor, SharedKnn};
+pub use knn::{
+    EditStats, HeapChange, HeapEntry, HeapGuard, KnnGraph, KnnHeap, Neighbor, SharedKnn,
+};
 pub use observer::{IterationObserver, IterationTrace, NoObserver};
 pub use recall::{recall, recall_per_user, recall_user};
 pub use reverse::ShardReverse;

@@ -149,9 +149,10 @@ impl KnnGraphBuilder {
     /// [`KnnGraphBuilder::into_sharded`] — one unified snapshot across
     /// layers. By default each layer keeps its own private (enabled)
     /// registry; pass [`kiff_telemetry::Registry::disabled`] to reduce
-    /// every instrument operation to a single relaxed load. The greedy
-    /// baselines only record `similarity.*` through their shared scorer
-    /// workspaces; online repair adds its scores to `similarity.scores`.
+    /// every instrument operation to a single relaxed load. NN-Descent,
+    /// HyRec and LSH record only `similarity.*`, through their scorer
+    /// workspaces; L2Knng scores outside the scorer layer and records
+    /// nothing. Online repair adds its scores to `similarity.scores`.
     pub fn telemetry(mut self, registry: Registry) -> Self {
         self.telemetry = Some(registry);
         self
@@ -250,6 +251,20 @@ impl KnnGraphBuilder {
         (graph, config)
     }
 
+    /// NN-Descent's and HyRec's parameters from the builder's.
+    fn greedy_config(&self) -> GreedyConfig {
+        let mut config = GreedyConfig::new(self.k).with_scoring(self.scoring);
+        config.threads = self.threads;
+        config.seed = self.seed;
+        if let Some(t) = self.termination {
+            config.termination = t;
+        }
+        if let Some(t) = &self.telemetry {
+            config = config.with_telemetry(t.clone());
+        }
+        config
+    }
+
     fn dispatch<S: Similarity>(&self, dataset: &Dataset, sim: &S) -> KnnGraph {
         match self.algorithm {
             Algorithm::Kiff => {
@@ -268,24 +283,8 @@ impl KnnGraphBuilder {
                 }
                 Kiff::new(config).run(dataset, sim).graph
             }
-            Algorithm::NnDescent => {
-                let mut config = GreedyConfig::new(self.k).with_scoring(self.scoring);
-                config.threads = self.threads;
-                config.seed = self.seed;
-                if let Some(t) = self.termination {
-                    config.termination = t;
-                }
-                NnDescent::new(config).run(dataset, sim).0
-            }
-            Algorithm::HyRec => {
-                let mut config = GreedyConfig::new(self.k).with_scoring(self.scoring);
-                config.threads = self.threads;
-                config.seed = self.seed;
-                if let Some(t) = self.termination {
-                    config.termination = t;
-                }
-                HyRec::new(config).run(dataset, sim).0
-            }
+            Algorithm::NnDescent => NnDescent::new(self.greedy_config()).run(dataset, sim).0,
+            Algorithm::HyRec => HyRec::new(self.greedy_config()).run(dataset, sim).0,
             Algorithm::L2Knng => L2Knng::new(L2KnngConfig::new(self.k)).run(dataset).0,
             Algorithm::Lsh => {
                 let mut config = match self.metric {
@@ -297,6 +296,9 @@ impl KnnGraphBuilder {
                 config.threads = self.threads;
                 config.seed = self.seed;
                 config.scoring = self.scoring;
+                if let Some(t) = &self.telemetry {
+                    config = config.with_telemetry(t.clone());
+                }
                 Lsh::new(config).run(dataset, sim).0
             }
             Algorithm::Exact => exact_knn_with(dataset, sim, self.k, self.threads, self.scoring),
