@@ -34,42 +34,43 @@ doc:
 
 # The CI bench-regression gate: streaming + hot-loop experiments on a
 # small synthetic dataset, failing when recall-vs-rebuild drops below
-# $(RECALL_FLOOR). Reports land in $(BENCH_OUT)/.
+# $(RECALL_FLOOR) or any other experiment gate fails. Each experiment
+# writes <id>.txt and <id>.json into $(BENCH_OUT)/.
 bench-smoke:
 	$(CARGO) run --release -p kiff-bench --bin experiments -- \
 		online sharded counting baselines telemetry serve reads faults failover \
 		--scale 0.1 \
 		--threads 4 --seed 42 --recall-floor $(RECALL_FLOOR) --out $(BENCH_OUT)
 
-# Counting/scoring hot-loop throughput only (BENCH_counting.json):
+# Counting/scoring hot-loop throughput only (counting.{txt,json}):
 # RCS construction per strategy vs the pre-rewrite pipeline, and
 # prepared vs pairwise refinement scoring.
 bench-counting:
 	$(CARGO) run --release -p kiff-bench --bin experiments -- \
 		counting --scale 0.1 --threads 4 --seed 42 --out $(BENCH_OUT)
 
-# Baseline-suite scoring throughput only (BENCH_baselines.json):
+# Baseline-suite scoring throughput only (baselines.{txt,json}):
 # prepared vs pairwise sims/sec for NN-Descent, HyRec, LSH and
 # exact_knn, with graph-identity gates per algorithm and metric.
 bench-baselines:
 	$(CARGO) run --release -p kiff-bench --bin experiments -- \
 		baselines --scale 0.1 --threads 4 --seed 42 --out $(BENCH_OUT)
 
-# Telemetry overhead only (BENCH_telemetry.json): instrumented vs
+# Telemetry overhead only (telemetry.{txt,json}): instrumented vs
 # disabled-registry replay throughput (gated within 3%), plus the
 # per-shard repair p99 and sims/update readouts from the registry.
 bench-telemetry:
 	$(CARGO) run --release -p kiff-bench --bin experiments -- \
 		telemetry --scale 0.1 --threads 4 --seed 42 --out $(BENCH_OUT)
 
-# Serving layer only (BENCH_serve.json): TCP query throughput under
+# Serving layer only (serve.{txt,json}): TCP query throughput under
 # concurrent update load against a durable daemon, and crash recovery
 # (snapshot + WAL tail) timed against a full rebuild (gated >= 5x).
 bench-serve:
 	$(CARGO) run --release -p kiff-bench --bin experiments -- \
 		serve --scale 0.1 --threads 4 --seed 42 --out $(BENCH_OUT)
 
-# Lock-free read path only (BENCH_reads.json): query p99 and
+# Lock-free read path only (reads.{txt,json}): query p99 and
 # throughput with 8 readers under a streaming writer vs write-idle,
 # gated on the contended/idle ratios and on serve.read_wait_ns p99
 # (reads must never wait on the writer's mutex).
@@ -77,7 +78,7 @@ bench-reads:
 	$(CARGO) run --release -p kiff-bench --bin experiments -- \
 		reads --scale 0.1 --threads 4 --seed 42 --out $(BENCH_OUT)
 
-# Fault tolerance only (BENCH_faults.json): the retrying client while
+# Fault tolerance only (faults.{txt,json}): the retrying client while
 # every 100th WAL fsync and every 200th socket check fail (every armed
 # point must fire and the client must retry; success rate >= 0.999 and
 # bounded p99; all gated), plus degraded-mode recovery time and the
@@ -86,7 +87,7 @@ bench-faults:
 	$(CARGO) run --release -p kiff-bench --bin experiments -- \
 		faults --scale 0.1 --threads 4 --seed 42 --out $(BENCH_OUT)
 
-# Replication only (BENCH_failover.json): primary/replica WAL shipping
+# Replication only (failover.{txt,json}): primary/replica WAL shipping
 # (replica read p99 <= 2x primary, steady-state lag <= 1 batch, both
 # gated), a forced failover with client-observed unavailability <= 2s,
 # and the exactly-once bit-exactness check across the kill.

@@ -1,12 +1,12 @@
-//! Dataset provisioning for experiments and benches.
+//! Dataset provisioning for the experiments.
 
 use kiff_dataset::generators::bipartite::{generate_bipartite, BipartiteConfig};
 use kiff_dataset::generators::RatingModel;
 use kiff_dataset::{Dataset, PaperDataset};
 
 /// Scale control for the paper suite: a multiplier applied on top of each
-/// dataset's default scale (1.0 reproduces the defaults documented in
-/// DESIGN.md §3; smaller values give quick smoke runs).
+/// dataset's default scale (1.0 reproduces the defaults; smaller values
+/// give quick smoke runs).
 #[derive(Debug, Clone, Copy)]
 pub struct SuiteScale {
     /// Multiplier on the per-dataset default scale.
@@ -14,49 +14,13 @@ pub struct SuiteScale {
 }
 
 impl SuiteScale {
-    /// The documented default sizes.
-    pub fn full() -> Self {
-        Self { multiplier: 1.0 }
-    }
-
-    /// A fast smoke-test scale.
-    pub fn quick() -> Self {
-        Self { multiplier: 0.25 }
-    }
-
     /// Effective generation scale for `dataset`.
     pub fn scale_for(&self, dataset: PaperDataset) -> f64 {
         (dataset.default_scale() * self.multiplier).min(2.0)
     }
 }
 
-/// Generates the four calibrated paper datasets at `scale`.
-pub fn paper_suite(scale: SuiteScale, seed: u64) -> Vec<(PaperDataset, Dataset)> {
-    PaperDataset::ALL
-        .iter()
-        .map(|&d| (d, d.generate(scale.scale_for(d), seed)))
-        .collect()
-}
-
-/// A small Wikipedia-like dataset for Criterion micro benches (a few
-/// hundred users so each bench iteration stays in the tens of
-/// milliseconds).
-pub fn bench_dataset(seed: u64) -> Dataset {
-    generate_bipartite(&BipartiteConfig {
-        name: "bench-wiki".to_string(),
-        num_users: 1_200,
-        num_items: 500,
-        target_ratings: 20_000,
-        user_degree_min: 1,
-        user_degree_max: 300,
-        item_exponent: 0.7,
-        rating_model: RatingModel::Binary,
-        seed,
-    })
-}
-
-/// An even smaller dataset for the per-table bench targets that must run
-/// three full algorithms per sample.
+/// A small Wikipedia-like dataset for tests that run all three algorithms.
 pub fn small_bench_dataset(seed: u64) -> Dataset {
     generate_bipartite(&BipartiteConfig {
         name: "bench-small".to_string(),
@@ -71,48 +35,21 @@ pub fn small_bench_dataset(seed: u64) -> Dataset {
     })
 }
 
-/// A count-valued (Gowalla-style) small dataset for the rating-threshold
-/// extension benches, where the §VII heuristic has something to prune.
-pub fn counts_bench_dataset(seed: u64) -> Dataset {
-    generate_bipartite(&BipartiteConfig {
-        name: "bench-counts".to_string(),
-        num_users: 400,
-        num_items: 250,
-        target_ratings: 6_000,
-        user_degree_min: 1,
-        user_degree_max: 120,
-        item_exponent: 0.7,
-        rating_model: RatingModel::Counts { mean: 3.0 },
-        seed,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn suite_scales_apply_defaults() {
-        let s = SuiteScale::full();
+        let s = SuiteScale { multiplier: 1.0 };
         assert_eq!(s.scale_for(PaperDataset::Wikipedia), 1.0);
         assert!((s.scale_for(PaperDataset::Dblp) - 1.0 / 16.0).abs() < 1e-12);
-        let q = SuiteScale::quick();
+        let q = SuiteScale { multiplier: 0.25 };
         assert_eq!(q.scale_for(PaperDataset::Wikipedia), 0.25);
     }
 
     #[test]
-    fn quick_suite_generates_all_four() {
-        let suite = paper_suite(SuiteScale { multiplier: 0.05 }, 1);
-        assert_eq!(suite.len(), 4);
-        for (id, ds) in &suite {
-            assert!(ds.num_users() > 0, "{}", id.name());
-            assert!(ds.num_ratings() > 0, "{}", id.name());
-        }
-    }
-
-    #[test]
     fn bench_datasets_are_small() {
-        assert!(bench_dataset(1).num_users() <= 2000);
         assert!(small_bench_dataset(1).num_users() <= 500);
     }
 }

@@ -1,4 +1,4 @@
-//! Baseline-suite scoring regression bench: `BENCH_baselines.json`.
+//! Baseline-suite scoring regression bench: `baselines.json`.
 //!
 //! PR 3 routed KIFF's own refinement through prepared scorers; this
 //! experiment measures the same rewrite across the *comparison suite* —
@@ -134,8 +134,7 @@ fn run_algorithm(
     }
 }
 
-/// Runs the baseline-scoring regression bench and writes
-/// `BENCH_baselines.json`.
+/// Runs the baseline-scoring regression bench and writes `baselines.json`.
 pub fn baselines(ctx: &mut Ctx) -> String {
     let ds = baselines_dataset(ctx.scale.multiplier, ctx.seed);
     // Item profiles are shared by every build; materialise them up front
@@ -324,12 +323,6 @@ pub fn baselines(ctx: &mut Ctx) -> String {
         "algorithms": runs_v,
         "metric_identity": metric_checks_v
     });
-    // The named perf baseline future PRs diff against.
-    if let Ok(text) = serde_json::to_string_pretty(&payload) {
-        let path = ctx.out_dir.join("BENCH_baselines.json");
-        std::fs::write(&path, text)
-            .unwrap_or_else(|e| eprintln!("warning: cannot write BENCH_baselines.json: {e}"));
-    }
     ctx.finish(
         "baselines",
         "Baseline-suite scoring throughput, prepared vs pairwise, with graph-identity gates",

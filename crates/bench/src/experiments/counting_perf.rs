@@ -1,4 +1,4 @@
-//! Counting/scoring hot-loop regression bench: `BENCH_counting.json`.
+//! Counting/scoring hot-loop regression bench: `counting.json`.
 //!
 //! Measures the two KIFF inner loops this repo's flat-CSR + prepared-
 //! scorer rewrite targets, against the retained pre-rewrite baselines:
@@ -13,10 +13,6 @@
 //!    old per-candidate profile merge), with a graph-identity check:
 //!    both modes compute the same similarities, so the graphs must match
 //!    row by row, ids and similarity bits, over equal evaluation counts.
-//!
-//! The JSON payload is the machine-readable baseline future PRs diff
-//! against; the bench-smoke CI job uploads it next to the streaming
-//! results.
 
 use std::time::{Duration, Instant};
 
@@ -88,8 +84,7 @@ struct RefineRun {
     sim_evals: u64,
 }
 
-/// Runs the counting/scoring regression bench and writes
-/// `BENCH_counting.json`.
+/// Runs the counting/scoring regression bench and writes `counting.json`.
 pub fn counting(ctx: &mut Ctx) -> String {
     let ds = counting_dataset(ctx.scale.multiplier, ctx.seed);
     // Item profiles are shared by every measured build; materialise them
@@ -302,12 +297,6 @@ pub fn counting(ctx: &mut Ctx) -> String {
         "rcs_build": rcs_build_v,
         "refine": refine_v
     });
-    // The named perf baseline future PRs diff against.
-    if let Ok(text) = serde_json::to_string_pretty(&payload) {
-        let path = ctx.out_dir.join("BENCH_counting.json");
-        std::fs::write(&path, text)
-            .unwrap_or_else(|e| eprintln!("warning: cannot write BENCH_counting.json: {e}"));
-    }
     ctx.finish(
         "counting",
         "RCS-construction and refinement-scoring throughput, old vs new hot paths",

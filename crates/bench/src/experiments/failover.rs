@@ -1,4 +1,4 @@
-//! Replication benchmark: `BENCH_failover.json`.
+//! Replication benchmark: `failover.json`.
 //!
 //! The replication counterpart to the `faults` experiment: a
 //! primary/replica pair joined by the WAL-shipping channel (see
@@ -164,7 +164,7 @@ fn shutdown_daemon(daemon: Daemon) {
         .expect("clean daemon exit");
 }
 
-/// Runs the replication benchmark and writes `BENCH_failover.json`.
+/// Runs the replication benchmark and writes `failover.json`.
 pub fn failover(ctx: &mut Ctx) -> String {
     let base = failover_dataset(ctx.scale.multiplier, ctx.seed);
     let batches = ((120.0 * ctx.scale.multiplier.clamp(0.05, 2.0)) as usize).max(50);
@@ -408,11 +408,6 @@ pub fn failover(ctx: &mut Ctx) -> String {
         "failover": failover_v,
         "exactly_once": exactly_once_v
     });
-    if let Ok(text) = serde_json::to_string_pretty(&payload) {
-        let path = ctx.out_dir.join("BENCH_failover.json");
-        std::fs::write(&path, text)
-            .unwrap_or_else(|e| eprintln!("warning: cannot write BENCH_failover.json: {e}"));
-    }
     ctx.finish(
         "failover",
         "Replication: primary/replica WAL shipping, forced failover, exactly-once across the kill",

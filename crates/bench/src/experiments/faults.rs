@@ -1,4 +1,4 @@
-//! Fault-tolerance benchmark: `BENCH_faults.json`.
+//! Fault-tolerance benchmark: `faults.json`.
 //!
 //! The robustness counterpart to the `serve` experiment and the
 //! end-to-end exercise of the retrying client: the same kind of durable
@@ -214,7 +214,7 @@ fn retry_policy(seed: u64) -> RetryPolicy {
     }
 }
 
-/// Runs the fault-tolerance benchmark and writes `BENCH_faults.json`.
+/// Runs the fault-tolerance benchmark and writes `faults.json`.
 pub fn faults(ctx: &mut Ctx) -> String {
     let base = faults_dataset(ctx.scale.multiplier, ctx.seed);
     // At least two fsync periods: every batch fsyncs at least once and
@@ -468,11 +468,6 @@ pub fn faults(ctx: &mut Ctx) -> String {
         "exactly_once": exactly_once_v,
         "failpoints": failpoints_v
     });
-    if let Ok(text) = serde_json::to_string_pretty(&payload) {
-        let path = ctx.out_dir.join("BENCH_faults.json");
-        std::fs::write(&path, text)
-            .unwrap_or_else(|e| eprintln!("warning: cannot write BENCH_faults.json: {e}"));
-    }
     ctx.finish(
         "faults",
         "Fault tolerance: retrying client under injected faults; degraded-mode recovery",

@@ -1,7 +1,8 @@
 //! One module per paper artefact. Every experiment takes the shared
 //! [`Ctx`] (dataset + ground-truth caches, output directory) and returns
-//! the human-readable report it also writes to `results/<id>.txt` (with a
-//! machine-readable twin at `results/<id>.json`).
+//! the human-readable report. [`Ctx::finish`] is the one writer of the
+//! experiment's artifacts: the report as `<id>.txt` and its payload as the
+//! `data` field of `<id>.json`, both in the `--out` directory.
 
 pub mod baseline_scoring;
 pub mod comparison;

@@ -1,10 +1,10 @@
-//! Online-maintenance trajectory: `BENCH_online.json`.
+//! Online-maintenance trajectory: `online.json`.
 //!
 //! Streams the held-out 10% of an ML-4-like dataset (the shared
 //! [`StreamScenario`]) through the `kiff-online` engine — one update at a
 //! time and in amortised batches — and compares against rebuilding from
-//! scratch. The machine-readable twin `BENCH_online.json` is the perf
-//! baseline future PRs must beat.
+//! scratch. Each replay's recall-vs-rebuild is checked against
+//! `--recall-floor`.
 
 use std::time::Instant;
 
@@ -54,7 +54,7 @@ fn replay(sc: &StreamScenario, batch: usize, exact: &KnnGraph) -> Replay {
     }
 }
 
-/// Runs the online-maintenance benchmark and writes `BENCH_online.json`.
+/// Runs the online-maintenance benchmark and writes `online.json`.
 pub fn online(ctx: &mut Ctx) -> String {
     let sc = ctx.stream_scenario();
     let runs = [replay(&sc, 1, &sc.exact), replay(&sc, BATCH, &sc.exact)];
@@ -127,12 +127,6 @@ pub fn online(ctx: &mut Ctx) -> String {
         "rebuild": rebuild_v,
         "runs": runs_v
     });
-    // The named perf baseline future PRs diff against.
-    if let Ok(text) = serde_json::to_string_pretty(&payload) {
-        let path = ctx.out_dir.join("BENCH_online.json");
-        std::fs::write(&path, text)
-            .unwrap_or_else(|e| eprintln!("warning: cannot write BENCH_online.json: {e}"));
-    }
     ctx.finish(
         "online",
         "Streaming maintenance vs rebuild (kiff-online)",

@@ -1,4 +1,4 @@
-//! Lock-free read path benchmark: `BENCH_reads.json`.
+//! Lock-free read path benchmark: `reads.json`.
 //!
 //! Proves ISSUE 10's serving property on a live TCP daemon: queries are
 //! answered from the published read view and never wait on the writer's
@@ -167,7 +167,7 @@ fn collect(handles: Vec<std::thread::JoinHandle<ReaderReport>>, window_s: f64) -
     (p99, queries as f64 / window_s.max(1e-9), max_view)
 }
 
-/// Runs the lock-free read benchmark and writes `BENCH_reads.json`.
+/// Runs the lock-free read benchmark and writes `reads.json`.
 pub fn reads(ctx: &mut Ctx) -> String {
     let base = reads_dataset(ctx.scale.multiplier, ctx.seed);
     let stream = reads_stream(&base, ctx.seed);
@@ -346,12 +346,6 @@ pub fn reads(ctx: &mut Ctx) -> String {
         "batches": batches,
         "max_view": max_view
     });
-    // The named perf baseline future PRs diff against.
-    if let Ok(text) = serde_json::to_string_pretty(&payload) {
-        let path = ctx.out_dir.join("BENCH_reads.json");
-        std::fs::write(&path, text)
-            .unwrap_or_else(|e| eprintln!("warning: cannot write BENCH_reads.json: {e}"));
-    }
     ctx.finish(
         "reads",
         "Lock-free read path: query p99 and throughput under write load vs idle",

@@ -1,4 +1,4 @@
-//! Serving-layer benchmark: `BENCH_serve.json`.
+//! Serving-layer benchmark: `serve.json`.
 //!
 //! Two phases, both over a planted dataset the experiment generates
 //! itself (like the `telemetry` experiment, and for the same reason:
@@ -99,7 +99,7 @@ fn kiff_graph(ds: &Dataset, threads: Option<usize>) -> KnnGraph {
     Kiff::new(config).run(ds, &sim).graph
 }
 
-/// Runs the serving benchmark and writes `BENCH_serve.json`.
+/// Runs the serving benchmark and writes `serve.json`.
 pub fn serve(ctx: &mut Ctx) -> String {
     let base = serve_dataset(ctx.scale.multiplier, ctx.seed);
     let stream = serve_stream(&base, ctx.seed);
@@ -290,12 +290,6 @@ pub fn serve(ctx: &mut Ctx) -> String {
         "query_throughput": phase1_v,
         "recovery": phase2_v
     });
-    // The named perf baseline future PRs diff against.
-    if let Ok(text) = serde_json::to_string_pretty(&payload) {
-        let path = ctx.out_dir.join("BENCH_serve.json");
-        std::fs::write(&path, text)
-            .unwrap_or_else(|e| eprintln!("warning: cannot write BENCH_serve.json: {e}"));
-    }
     ctx.finish(
         "serve",
         "Serving layer: TCP query throughput under write load; recovery vs rebuild",

@@ -1,4 +1,4 @@
-//! Sharded-engine scaling: `BENCH_sharded.json`.
+//! Sharded-engine scaling: `sharded.json`.
 //!
 //! Replays the same held-out stream as the `online` experiment (the
 //! shared [`StreamScenario`]) through [`ShardedOnlineKnn`] at 1, 2, 4
@@ -66,7 +66,7 @@ fn replay(
     }
 }
 
-/// Runs the shard-scaling benchmark and writes `BENCH_sharded.json`.
+/// Runs the shard-scaling benchmark and writes `sharded.json`.
 pub fn sharded(ctx: &mut Ctx) -> String {
     let sc = ctx.stream_scenario();
     let rebuild_recall = sc.rebuild_recall;
@@ -139,12 +139,6 @@ pub fn sharded(ctx: &mut Ctx) -> String {
         "rebuild": rebuild_v,
         "runs": runs_v
     });
-    // The named perf baseline future PRs diff against.
-    if let Ok(text) = serde_json::to_string_pretty(&payload) {
-        let path = ctx.out_dir.join("BENCH_sharded.json");
-        std::fs::write(&path, text)
-            .unwrap_or_else(|e| eprintln!("warning: cannot write BENCH_sharded.json: {e}"));
-    }
     ctx.finish(
         "sharded",
         "Shard-count scaling of the online engine (kiff-online sharded)",

@@ -1,4 +1,4 @@
-//! Telemetry overhead gate: `BENCH_telemetry.json`.
+//! Telemetry overhead gate: `telemetry.json`.
 //!
 //! Replays a planted-community stream through [`ShardedOnlineKnn`] in
 //! two modes — recording into an enabled [`Registry`] versus a disabled
@@ -119,8 +119,7 @@ fn replay(base: &kiff_dataset::Dataset, stream: &[Update], registry: &Registry) 
     }
 }
 
-/// Runs the telemetry-overhead benchmark and writes
-/// `BENCH_telemetry.json`.
+/// Runs the telemetry-overhead benchmark and writes `telemetry.json`.
 pub fn telemetry(ctx: &mut Ctx) -> String {
     let base = telemetry_dataset(ctx.scale.multiplier, ctx.seed);
     let stream = telemetry_stream(&base, ctx.seed);
@@ -281,12 +280,6 @@ pub fn telemetry(ctx: &mut Ctx) -> String {
         "sims_per_update": sims_per_update,
         "cross_shard_messages": cross_messages
     });
-    // The named perf baseline future PRs diff against.
-    if let Ok(text) = serde_json::to_string_pretty(&payload) {
-        let path = ctx.out_dir.join("BENCH_telemetry.json");
-        std::fs::write(&path, text)
-            .unwrap_or_else(|e| eprintln!("warning: cannot write BENCH_telemetry.json: {e}"));
-    }
     ctx.finish(
         "telemetry",
         "Telemetry overhead: instrumented vs disabled-registry replay throughput",

@@ -1,12 +1,12 @@
-//! Shared helpers for the KIFF experiment harness and Criterion benches.
+//! Shared helpers for the KIFF experiment harness.
 //!
-//! The real entry point is the `experiments` binary (`src/bin/experiments.rs`)
-//! which regenerates every table and figure of the paper; the Criterion
-//! bench targets (`benches/`) reuse the same building blocks at reduced
-//! scale so `cargo bench` terminates quickly.
+//! The entry point is the `experiments` binary (`src/bin/experiments.rs`),
+//! which regenerates every table and figure of the paper and runs the
+//! bench-smoke gates. Each experiment writes `<id>.txt` and `<id>.json`
+//! through [`experiments::Ctx::finish`].
 
 pub mod datasets;
 pub mod experiments;
 pub mod runner;
 
-pub use datasets::{bench_dataset, paper_suite, SuiteScale};
+pub use datasets::SuiteScale;

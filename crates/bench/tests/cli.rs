@@ -98,12 +98,19 @@ fn online_tiny_scale_writes_bench_baseline() {
     assert!(ok, "stderr: {stderr}");
     assert!(stdout.contains("Online maintenance"), "stdout: {stdout}");
     assert!(stdout.contains("updates/s"), "stdout: {stdout}");
-    assert!(dir.join("online.txt").exists());
-    assert!(dir.join("online.json").exists());
-    let baseline = std::fs::read_to_string(dir.join("BENCH_online.json")).unwrap();
-    let parsed: serde_json::Value = serde_json::from_str(&baseline).unwrap();
-    assert!(parsed["rebuild"]["sim_evals"].as_f64().unwrap() > 0.0);
-    assert_eq!(parsed["runs"][0]["mode"], "one-by-one");
-    assert_eq!(parsed["runs"][1]["mode"], "batched");
+    // `Ctx::finish` is the one writer: the report and its record, nothing else.
+    let mut written: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    written.sort();
+    assert_eq!(written, ["online.json", "online.txt"]);
+    let record = std::fs::read_to_string(dir.join("online.json")).unwrap();
+    let parsed: serde_json::Value = serde_json::from_str(&record).unwrap();
+    assert_eq!(parsed["id"], "online");
+    let data = &parsed["data"];
+    assert!(data["rebuild"]["sim_evals"].as_f64().unwrap() > 0.0);
+    assert_eq!(data["runs"][0]["mode"], "one-by-one");
+    assert_eq!(data["runs"][1]["mode"], "batched");
     std::fs::remove_dir_all(&dir).ok();
 }

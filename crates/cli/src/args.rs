@@ -3,7 +3,6 @@
 use std::fmt;
 use std::path::PathBuf;
 
-use kiff::core::CountStrategy;
 use kiff::telemetry::MetricsFormat;
 use kiff::{Algorithm, Metric};
 use kiff_dataset::PaperDataset;
@@ -55,8 +54,6 @@ pub struct BuildOptions {
     pub gamma: Option<usize>,
     /// KIFF's β / the greedy baselines' termination threshold.
     pub beta: Option<f64>,
-    /// KIFF's shared-item counting strategy (default: adaptive).
-    pub count_strategy: CountStrategy,
     /// Worker threads.
     pub threads: Option<usize>,
     /// RNG seed for randomised algorithms.
@@ -276,7 +273,6 @@ commands:
              [--algorithm kiff|nndescent|hyrec|l2knng|lsh|exact]
              [--metric cosine|binary-cosine|jaccard|weighted-jaccard|dice|adamic-adar]
              [--gamma N] [--beta F] [--threads N] [--seed N] [--output FILE]
-             [--count-strategy auto|dense|sort|hash]
              [--metrics-out FILE [--metrics-format json|prom]]
   exact      build the exact ground-truth graph (inverted index, or
              --brute for the exhaustive O(|U|^2) scan)
@@ -367,16 +363,6 @@ fn parse_metric(raw: &str) -> Result<Metric, ParseError> {
     }
 }
 
-fn parse_count_strategy(raw: &str) -> Result<CountStrategy, ParseError> {
-    match raw {
-        "auto" => Ok(CountStrategy::Auto),
-        "dense" => Ok(CountStrategy::Dense),
-        "sort" | "sort-based" => Ok(CountStrategy::SortBased),
-        "hash" | "hash-based" => Ok(CountStrategy::HashBased),
-        other => Err(ParseError(format!("unknown count strategy '{other}'"))),
-    }
-}
-
 fn parse_preset(raw: &str) -> Result<PaperDataset, ParseError> {
     match raw {
         "wikipedia" => Ok(PaperDataset::Wikipedia),
@@ -435,7 +421,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
     let mut metric = Metric::Cosine;
     let mut gamma: Option<usize> = None;
     let mut beta: Option<f64> = None;
-    let mut count_strategy = CountStrategy::default();
     let mut threads: Option<usize> = None;
     let mut seed = 42u64;
     let mut scale = 1.0f64;
@@ -474,9 +459,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
             "--metric" | "-m" => metric = parse_metric(&value("--metric", &mut iter)?)?,
             "--gamma" => gamma = Some(parse_num("--gamma", &value("--gamma", &mut iter)?)?),
             "--beta" => beta = Some(parse_num("--beta", &value("--beta", &mut iter)?)?),
-            "--count-strategy" => {
-                count_strategy = parse_count_strategy(&value("--count-strategy", &mut iter)?)?
-            }
             "--threads" => threads = Some(parse_num("--threads", &value("--threads", &mut iter)?)?),
             "--seed" => seed = parse_num("--seed", &value("--seed", &mut iter)?)?,
             "--scale" => scale = parse_num("--scale", &value("--scale", &mut iter)?)?,
@@ -571,7 +553,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
             metric,
             gamma,
             beta,
-            count_strategy,
             threads,
             seed,
             output,
@@ -760,20 +741,13 @@ mod tests {
     }
 
     #[test]
-    fn parses_count_strategy() {
-        let cmd = parse(&argv("build --input r.tsv --k 5 --count-strategy dense")).unwrap();
-        match cmd {
-            Command::Build(b) => assert_eq!(b.count_strategy, CountStrategy::Dense),
-            other => panic!("expected Build, got {other:?}"),
+    fn build_rejects_removed_oracle_flags() {
+        // The counting path is picked from the input, and pairwise
+        // scoring is a library oracle: neither is a CLI option.
+        for flags in ["--count-strategy dense", "--scoring pairwise"] {
+            let err = parse(&argv(&format!("build --input r.tsv --k 5 {flags}"))).expect_err(flags);
+            assert!(err.0.contains("unknown option"), "{flags}: {err}");
         }
-        // Default: adaptive counting.
-        match parse(&argv("build --input r.tsv --k 5")).unwrap() {
-            Command::Build(b) => assert_eq!(b.count_strategy, CountStrategy::Auto),
-            other => panic!("expected Build, got {other:?}"),
-        }
-        assert!(parse(&argv("build --input r.tsv --k 5 --count-strategy magic")).is_err());
-        // Pairwise scoring is a library oracle, not a CLI option.
-        assert!(parse(&argv("build --input r.tsv --k 5 --scoring pairwise")).is_err());
     }
 
     #[test]

@@ -495,7 +495,6 @@ fn build(options: &BuildOptions, out: &mut dyn Write) -> Result<(), CommandError
     let mut builder = KnnGraphBuilder::new(options.k)
         .algorithm(options.algorithm)
         .metric(options.metric)
-        .count_strategy(options.count_strategy)
         .seed(options.seed);
     if let Some(g) = options.gamma {
         builder = builder.gamma(g);

@@ -3,15 +3,12 @@
 //! Core collection primitives shared by the KIFF workspace.
 //!
 //! The KIFF algorithm (Boutet et al., ICDE 2016) is dominated by a handful of
-//! low-level operations: counting shared items between users, selecting the
-//! top-k of a candidate stream, and building compressed sparse rows out of
-//! edge streams. This crate provides small, dependency-free building blocks
-//! for all of them:
+//! low-level operations: counting shared items between users and building
+//! compressed sparse rows out of edge streams. This crate provides small,
+//! dependency-free building blocks for them:
 //!
 //! * [`hash`] — an FxHash-style fast hasher plus [`FxHashMap`]/[`FxHashSet`]
 //!   aliases (the default SipHash is needlessly slow for `u32` keys).
-//! * [`topk`] — a bounded max-heap used to keep the best `k` scored entries
-//!   of an unbounded stream.
 //! * [`radix`] — least-significant-digit radix sort for `u32` keys, the
 //!   workhorse of sort-based candidate counting.
 //! * [`csr`] — a compressed-sparse-row builder for bipartite adjacency.
@@ -25,13 +22,11 @@ pub mod counter;
 pub mod csr;
 pub mod hash;
 pub mod radix;
-pub mod topk;
 pub mod unionfind;
 
 pub use bitset::FixedBitSet;
 pub use counter::{count_sorted_runs, count_sorted_runs_into, DenseCounter, SparseCounter};
 pub use csr::{Csr, CsrBuilder};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use radix::{radix_sort_u32, radix_sort_u64};
-pub use topk::BoundedTopK;
+pub use radix::radix_sort_u32;
 pub use unionfind::UnionFind;

@@ -4,9 +4,7 @@
 //! the item profiles of her items and then needs multiplicities. Sorting the
 //! gathered ids and run-length encoding is both cache-friendlier and faster
 //! than hashing for the bursty, skewed batches this produces. An LSD radix
-//! sort with 8-bit digits beats `sort_unstable` on these `u32` batches and
-//! is stable, which we exploit when sorting `(count, id)` pairs packed into
-//! `u64`s.
+//! sort with 8-bit digits beats `sort_unstable` on these `u32` batches.
 
 /// Sorts a `u32` slice ascending using LSD radix sort with a scratch buffer.
 ///
@@ -65,51 +63,6 @@ pub fn radix_sort_u32_with(data: &mut [u32], scratch: &mut Vec<u32>) {
     }
 }
 
-/// Sorts a `u64` slice ascending using LSD radix sort (8 passes of 8 bits,
-/// with constant-digit passes skipped).
-///
-/// Used to order `(count << 32 | id)` packed pairs in a single pass over the
-/// data, which is how ranked candidate sets are ordered by multiplicity.
-pub fn radix_sort_u64(data: &mut [u64]) {
-    const SMALL: usize = 64;
-    if data.len() <= SMALL {
-        data.sort_unstable();
-        return;
-    }
-    let mut scratch = vec![0u64; data.len()];
-    let mut src_is_data = true;
-    for pass in 0..8 {
-        let shift = pass * 8;
-        let (src, dst): (&mut [u64], &mut [u64]) = if src_is_data {
-            (&mut data[..], &mut scratch[..])
-        } else {
-            (&mut scratch[..], &mut data[..])
-        };
-        let mut counts = [0usize; 256];
-        for &x in src.iter() {
-            counts[((x >> shift) & 0xFF) as usize] += 1;
-        }
-        if counts.contains(&src.len()) {
-            continue;
-        }
-        let mut offsets = [0usize; 256];
-        let mut sum = 0;
-        for (o, &c) in offsets.iter_mut().zip(counts.iter()) {
-            *o = sum;
-            sum += c;
-        }
-        for &x in src.iter() {
-            let d = ((x >> shift) & 0xFF) as usize;
-            dst[offsets[d]] = x;
-            offsets[d] += 1;
-        }
-        src_is_data = !src_is_data;
-    }
-    if !src_is_data {
-        data.copy_from_slice(&scratch);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,17 +117,6 @@ mod tests {
         assert_eq!(v, expected);
     }
 
-    #[test]
-    fn sorts_u64_pairs_by_packed_key() {
-        let mut v: Vec<u64> = (0..3000u64)
-            .map(|i| ((i * 2_654_435_761) % 977) << 32 | (i % 541))
-            .collect();
-        let mut expected = v.clone();
-        expected.sort_unstable();
-        radix_sort_u64(&mut v);
-        assert_eq!(v, expected);
-    }
-
     mod proptests {
         use super::*;
         use proptest::prelude::*;
@@ -185,14 +127,6 @@ mod tests {
                 let mut expected = v.clone();
                 expected.sort_unstable();
                 radix_sort_u32(&mut v);
-                prop_assert_eq!(v, expected);
-            }
-
-            #[test]
-            fn u64_matches_std_sort(mut v in proptest::collection::vec(any::<u64>(), 0..2000)) {
-                let mut expected = v.clone();
-                expected.sort_unstable();
-                radix_sort_u64(&mut v);
                 prop_assert_eq!(v, expected);
             }
         }

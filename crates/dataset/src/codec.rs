@@ -20,6 +20,9 @@
 //! Corruption (bad magic, unsupported version, unsorted or out-of-range
 //! rows, truncation) surfaces as [`std::io::ErrorKind::InvalidData`];
 //! higher layers lift that into their structured error type.
+//!
+//! The little-endian integer helpers below are shared by every binary
+//! codec in the workspace (the graph codec and the serve snapshot).
 
 use std::io::{self, Read, Write};
 
@@ -35,31 +38,37 @@ fn corrupt(detail: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, detail.into())
 }
 
-pub(crate) fn write_u16<W: Write>(w: &mut W, v: u16) -> io::Result<()> {
+/// Writes `v` as 2 little-endian bytes.
+pub fn write_u16<W: Write>(w: &mut W, v: u16) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
 }
 
-pub(crate) fn write_u32<W: Write>(w: &mut W, v: u32) -> io::Result<()> {
+/// Writes `v` as 4 little-endian bytes.
+pub fn write_u32<W: Write>(w: &mut W, v: u32) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
 }
 
-pub(crate) fn write_u64<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
+/// Writes `v` as 8 little-endian bytes.
+pub fn write_u64<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
 }
 
-pub(crate) fn read_u16<R: Read>(r: &mut R) -> io::Result<u16> {
+/// Reads 2 little-endian bytes.
+pub fn read_u16<R: Read>(r: &mut R) -> io::Result<u16> {
     let mut buf = [0u8; 2];
     r.read_exact(&mut buf)?;
     Ok(u16::from_le_bytes(buf))
 }
 
-pub(crate) fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
+/// Reads 4 little-endian bytes.
+pub fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
     let mut buf = [0u8; 4];
     r.read_exact(&mut buf)?;
     Ok(u32::from_le_bytes(buf))
 }
 
-pub(crate) fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
+/// Reads 8 little-endian bytes.
+pub fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
     let mut buf = [0u8; 8];
     r.read_exact(&mut buf)?;
     Ok(u64::from_le_bytes(buf))

@@ -21,6 +21,7 @@
 
 use std::io::{self, Read, Write};
 
+use kiff_dataset::codec::{read_u16, read_u32, read_u64, write_u16, write_u32, write_u64};
 use kiff_dataset::UserId;
 
 use crate::knn::{KnnGraph, Neighbor};
@@ -30,36 +31,6 @@ const VERSION: u16 = 1;
 
 fn corrupt(detail: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, detail.into())
-}
-
-fn write_u16<W: Write>(w: &mut W, v: u16) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn write_u32<W: Write>(w: &mut W, v: u32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn write_u64<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn read_u16<R: Read>(r: &mut R) -> io::Result<u16> {
-    let mut buf = [0u8; 2];
-    r.read_exact(&mut buf)?;
-    Ok(u16::from_le_bytes(buf))
-}
-
-fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)?;
-    Ok(u32::from_le_bytes(buf))
-}
-
-fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(u64::from_le_bytes(buf))
 }
 
 /// Serializes `graph` into `w`.

@@ -37,11 +37,12 @@
 //! scoped by the snapshot directory path.
 
 use std::fs::{self, File};
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
 use kiff_core::fault::{self, points};
 use kiff_core::KiffError;
+use kiff_dataset::codec::{read_u16, read_u32, read_u64, write_u16, write_u64};
 use kiff_dataset::{Dataset, UserId};
 use kiff_graph::KnnGraph;
 
@@ -69,24 +70,6 @@ pub struct Snapshot {
 
 fn corrupt(detail: impl Into<String>) -> KiffError {
     KiffError::corrupt("snapshot", detail)
-}
-
-fn read_u16<R: Read>(r: &mut R) -> io::Result<u16> {
-    let mut buf = [0u8; 2];
-    r.read_exact(&mut buf)?;
-    Ok(u16::from_le_bytes(buf))
-}
-
-fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)?;
-    Ok(u32::from_le_bytes(buf))
-}
-
-fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(u64::from_le_bytes(buf))
 }
 
 /// The canonical file name for the snapshot covering `seq`.
@@ -120,11 +103,10 @@ pub fn save_snapshot(
         let file = File::create(&tmp_path).map_err(KiffError::Io)?;
         let mut w = BufWriter::new(file);
         w.write_all(MAGIC).map_err(KiffError::Io)?;
-        w.write_all(&VERSION.to_le_bytes()).map_err(KiffError::Io)?;
-        w.write_all(&seq.to_le_bytes()).map_err(KiffError::Io)?;
-        w.write_all(&batch_hwm.to_le_bytes())
-            .map_err(KiffError::Io)?;
-        w.write_all(&epoch.to_le_bytes()).map_err(KiffError::Io)?;
+        write_u16(&mut w, VERSION).map_err(KiffError::Io)?;
+        write_u64(&mut w, seq).map_err(KiffError::Io)?;
+        write_u64(&mut w, batch_hwm).map_err(KiffError::Io)?;
+        write_u64(&mut w, epoch).map_err(KiffError::Io)?;
         kiff_dataset::codec::write_dataset(&mut w, dataset).map_err(KiffError::Io)?;
         kiff_graph::codec::write_graph(&mut w, graph).map_err(KiffError::Io)?;
         match counters {

@@ -1,7 +1,7 @@
 //! High-level builder facade over the workspace's algorithms.
 
 use kiff_baselines::{GreedyConfig, HyRec, L2Knng, L2KnngConfig, Lsh, LshConfig, NnDescent};
-use kiff_core::{CountStrategy, Kiff, KiffConfig, ScoringMode};
+use kiff_core::{Kiff, KiffConfig, ScoringMode};
 use kiff_dataset::Dataset;
 use kiff_graph::{exact_knn_with, KnnGraph};
 use kiff_online::{OnlineConfig, OnlineKnn, OnlineMetric, ShardConfig, ShardedOnlineKnn};
@@ -68,7 +68,6 @@ pub struct KnnGraphBuilder {
     beta: Option<f64>,
     termination: Option<f64>,
     seed: u64,
-    count_strategy: CountStrategy,
     scoring: ScoringMode,
     telemetry: Option<Registry>,
 }
@@ -86,7 +85,6 @@ impl KnnGraphBuilder {
             beta: None,
             termination: None,
             seed: 42,
-            count_strategy: CountStrategy::default(),
             scoring: ScoringMode::default(),
             telemetry: None,
         }
@@ -131,13 +129,6 @@ impl KnnGraphBuilder {
     /// Seeds the baselines' random initial graphs.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets KIFF's shared-item counting strategy (default: adaptive; see
-    /// [`CountStrategy`]). Ignored by the baselines.
-    pub fn count_strategy(mut self, strategy: CountStrategy) -> Self {
-        self.count_strategy = strategy;
         self
     }
 
@@ -268,9 +259,7 @@ impl KnnGraphBuilder {
     fn dispatch<S: Similarity>(&self, dataset: &Dataset, sim: &S) -> KnnGraph {
         match self.algorithm {
             Algorithm::Kiff => {
-                let mut config = KiffConfig::new(self.k)
-                    .with_count_strategy(self.count_strategy)
-                    .with_scoring(self.scoring);
+                let mut config = KiffConfig::new(self.k).with_scoring(self.scoring);
                 config.threads = self.threads;
                 if let Some(t) = &self.telemetry {
                     config = config.with_telemetry(t.clone());
@@ -372,24 +361,17 @@ mod tests {
     fn count_strategies_and_scoring_modes_build_identical_graphs() {
         let ds = generate_bipartite(&BipartiteConfig::tiny("builder-strat", 307));
         let reference = KnnGraphBuilder::new(5).threads(1).build(&ds);
-        for strategy in [
-            CountStrategy::Dense,
-            CountStrategy::SortBased,
-            CountStrategy::HashBased,
-        ] {
-            for scoring in [ScoringMode::Prepared, ScoringMode::Pairwise] {
-                let g = KnnGraphBuilder::new(5)
-                    .threads(1)
-                    .count_strategy(strategy)
-                    .scoring(scoring)
-                    .build(&ds);
-                for u in 0..ds.num_users() as u32 {
-                    assert_eq!(
-                        reference.neighbors(u),
-                        g.neighbors(u),
-                        "{strategy:?}/{scoring:?} user {u}"
-                    );
-                }
+        for scoring in [ScoringMode::Prepared, ScoringMode::Pairwise] {
+            let g = KnnGraphBuilder::new(5)
+                .threads(1)
+                .scoring(scoring)
+                .build(&ds);
+            for u in 0..ds.num_users() as u32 {
+                assert_eq!(
+                    reference.neighbors(u),
+                    g.neighbors(u),
+                    "{scoring:?} user {u}"
+                );
             }
         }
     }
