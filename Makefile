@@ -43,8 +43,8 @@ bench-smoke:
 		--threads 4 --seed 42 --recall-floor $(RECALL_FLOOR) --out $(BENCH_OUT)
 
 # Counting/scoring hot-loop throughput only (counting.{txt,json}):
-# RCS construction per strategy vs the pre-rewrite pipeline, and
-# prepared vs pairwise refinement scoring.
+# dense RCS construction vs the reference pipeline, and prepared vs
+# pairwise refinement scoring.
 bench-counting:
 	$(CARGO) run --release -p kiff-bench --bin experiments -- \
 		counting --scale 0.1 --threads 4 --seed 42 --out $(BENCH_OUT)

@@ -85,18 +85,6 @@ impl Recommender {
             .expect("a ReadView is batch-consistent by construction")
     }
 
-    /// Pre-PR-7 borrowing constructor, kept as a migration shim: clones
-    /// both sides into fresh `Arc`s (an `O(|E|)` copy per call).
-    ///
-    /// # Panics
-    /// If the graph was built over a different number of users.
-    #[doc(hidden)]
-    #[deprecated(note = "build over Arc snapshots via Recommender::new")]
-    pub fn from_refs(dataset: &Dataset, graph: &KnnGraph) -> Self {
-        Self::new(Arc::new(dataset.clone()), Arc::new(graph.clone()))
-            .expect("graph and dataset disagree on |U|")
-    }
-
     /// Bounds-checked [`Recommender::recommend`]: errors on an unknown
     /// user instead of panicking — the daemon's request path.
     pub fn try_recommend(&self, u: UserId, n: usize) -> Result<Vec<Recommendation>, KiffError> {

@@ -193,18 +193,6 @@ impl GraphSearcher {
             .expect("a ReadView is batch-consistent by construction")
     }
 
-    /// Pre-PR-7 borrowing constructor, kept as a migration shim: clones
-    /// both sides into fresh `Arc`s (an `O(|E|)` copy per call).
-    ///
-    /// # Panics
-    /// If the graph was built over a different number of users.
-    #[doc(hidden)]
-    #[deprecated(note = "build over Arc snapshots via GraphSearcher::new")]
-    pub fn from_refs(dataset: &Dataset, graph: &KnnGraph, metric: ProfileMetric) -> Self {
-        Self::new(Arc::new(dataset.clone()), Arc::new(graph.clone()), metric)
-            .expect("graph and dataset disagree on |U|")
-    }
-
     /// [`GraphSearcher::search`] with the empty-query case reported as
     /// [`KiffError::EmptyQuery`] instead of a silently empty result —
     /// the daemon's request path.

@@ -3,10 +3,10 @@
 //! Measures the two KIFF inner loops this repo's flat-CSR + prepared-
 //! scorer rewrite targets, against the retained pre-rewrite baselines:
 //!
-//! 1. **RCS construction** — [`build_rcs`] (flat-CSR, two-pass) under
-//!    every [`CountStrategy`] vs [`build_rcs_reference`] (the legacy
-//!    gather → per-user-`Vec` → flatten pipeline), with a bit-for-bit
-//!    agreement check on ids, counts and offsets.
+//! 1. **RCS construction** — [`build_rcs`]'s flat-CSR dense path vs
+//!    [`CountStrategy::Reference`] (the legacy gather → per-user-`Vec` →
+//!    flatten pipeline), with a bit-for-bit agreement check on ids and
+//!    counts.
 //! 2. **Refinement scoring** — [`refine`] under
 //!    [`ScoringMode::Prepared`] (one profile preparation per user, each
 //!    candidate scored in `O(|UP_v|)`) vs [`ScoringMode::Pairwise`] (the
@@ -18,8 +18,8 @@ use std::time::{Duration, Instant};
 
 use kiff_core::refine::refine;
 use kiff_core::{
-    build_rcs, build_rcs_reference, CountStrategy, CountingConfig, KiffConfig, NoObserver,
-    RankedCandidates, ScoringMode, TimingMode,
+    build_rcs, CountStrategy, CountingConfig, KiffConfig, NoObserver, RankedCandidates,
+    ScoringMode, TimingMode,
 };
 use kiff_dataset::generators::bipartite::{generate_bipartite, BipartiteConfig};
 use kiff_dataset::generators::RatingModel;
@@ -69,14 +69,6 @@ fn rcs_equal(a: &RankedCandidates, b: &RankedCandidates) -> bool {
     n == b.num_users() && (0..n as u32).all(|u| a.rcs(u) == b.rcs(u) && a.counts(u) == b.counts(u))
 }
 
-struct RcsRun {
-    label: String,
-    wall_s: f64,
-    entries_per_sec: f64,
-    speedup_vs_reference: f64,
-    agrees: bool,
-}
-
 struct RefineRun {
     label: String,
     wall_s: f64,
@@ -92,51 +84,24 @@ pub fn counting(ctx: &mut Ctx) -> String {
     let _ = ds.item_profiles();
     let threads = ctx.threads;
 
-    let base_config = CountingConfig {
+    let rcs_config = |strategy| CountingConfig {
         keep_counts: true,
         threads,
+        strategy,
         ..CountingConfig::default()
     };
 
     // The pre-rewrite path: sort-based ranking through the per-user-Vec
     // pipeline (what `build_rcs` was before the flat-CSR assembly).
-    let (ref_time, reference) = time_best(|| {
-        build_rcs_reference(
-            &ds,
-            &CountingConfig {
-                strategy: CountStrategy::SortBased,
-                ..base_config.clone()
-            },
-        )
-    });
+    let (ref_time, reference) = time_best(|| build_rcs(&ds, &rcs_config(CountStrategy::Reference)));
     let total_entries = reference.total();
     let ref_s = ref_time.as_secs_f64().max(1e-9);
 
-    let mut rcs_runs = Vec::new();
-    for (label, strategy) in [
-        ("flat-dense", CountStrategy::Dense),
-        ("flat-sort", CountStrategy::SortBased),
-        ("flat-hash", CountStrategy::HashBased),
-        ("flat-auto", CountStrategy::Auto),
-    ] {
-        let (time, rcs) = time_best(|| {
-            build_rcs(
-                &ds,
-                &CountingConfig {
-                    strategy,
-                    ..base_config.clone()
-                },
-            )
-        });
-        let wall_s = time.as_secs_f64().max(1e-9);
-        rcs_runs.push(RcsRun {
-            label: label.to_string(),
-            wall_s,
-            entries_per_sec: total_entries as f64 / wall_s,
-            speedup_vs_reference: ref_s / wall_s,
-            agrees: rcs_equal(&reference, &rcs),
-        });
-    }
+    let (flat_time, flat) = time_best(|| build_rcs(&ds, &rcs_config(CountStrategy::Dense)));
+    let flat_s = flat_time.as_secs_f64().max(1e-9);
+    let flat_entries_per_sec = total_entries as f64 / flat_s;
+    let flat_speedup = ref_s / flat_s;
+    let flat_agrees = rcs_equal(&reference, &flat);
 
     // Refinement: same RCS (counts stripped, as `Kiff::run` builds it),
     // same metric, timing off — pure hot-loop wall clock.
@@ -206,16 +171,12 @@ pub fn counting(ctx: &mut Ctx) -> String {
         ds.num_ratings(),
         reference.avg_len(),
     ));
-    for r in &rcs_runs {
-        out.push_str(&format!(
-            "{:>10}: {:.3}s  {:>12.0} entries/s  {:.2}x vs reference  agreement: {}\n",
-            r.label,
-            r.wall_s,
-            r.entries_per_sec,
-            r.speedup_vs_reference,
-            if r.agrees { "exact" } else { "MISMATCH" },
-        ));
-    }
+    out.push_str(&format!(
+        "{:>10}: {flat_s:.3}s  {flat_entries_per_sec:>12.0} entries/s  \
+         {flat_speedup:.2}x vs reference  agreement: {}\n",
+        "flat",
+        if flat_agrees { "exact" } else { "MISMATCH" },
+    ));
     out.push_str(&format!(
         "\nRefinement to exhaustion (k=10, beta=0, best of {REPS}):\n"
     ));
@@ -231,13 +192,10 @@ pub fn counting(ctx: &mut Ctx) -> String {
         if identical { "identical" } else { "MISMATCH" }
     ));
     // Correctness checks are hard gates, like the streaming experiments'
-    // recall floors: a strategy diverging from the reference, or the two
-    // scoring modes building different graphs, fails the suite.
-    for r in rcs_runs.iter().filter(|r| !r.agrees) {
-        let msg = format!(
-            "counting/{}: output diverged from the reference pipeline",
-            r.label
-        );
+    // recall floors: the flat path diverging from the reference, or the
+    // two scoring modes building different graphs, fails the suite.
+    if !flat_agrees {
+        let msg = "counting/flat: output diverged from the reference pipeline".to_string();
         eprintln!("AGREEMENT VIOLATION: {msg}");
         out.push_str(&format!("VIOLATION: {msg}\n"));
         ctx.violations.push(msg);
@@ -258,22 +216,16 @@ pub fn counting(ctx: &mut Ctx) -> String {
         "rcs_entries": total_entries,
         "avg_rcs_len": reference.avg_len()
     });
-    let rcs_runs_v: Vec<serde_json::Value> = rcs_runs
-        .iter()
-        .map(|r| {
-            serde_json::json!({
-                "strategy": r.label,
-                "wall_time_s": r.wall_s,
-                "entries_per_sec": r.entries_per_sec,
-                "speedup_vs_reference": r.speedup_vs_reference,
-                "agrees_with_reference": r.agrees
-            })
-        })
-        .collect();
+    let flat_v = serde_json::json!({
+        "wall_time_s": flat_s,
+        "entries_per_sec": flat_entries_per_sec,
+        "speedup_vs_reference": flat_speedup,
+        "agrees_with_reference": flat_agrees
+    });
     let rcs_build_v = serde_json::json!({
         "reference_wall_time_s": ref_s,
         "reference_entries_per_sec": total_entries as f64 / ref_s,
-        "runs": rcs_runs_v
+        "flat": flat_v
     });
     let refine_runs_v: Vec<serde_json::Value> = refine_runs
         .iter()

@@ -4,11 +4,13 @@
 //! shared [`StreamScenario`]) through [`ShardedOnlineKnn`] at 1, 2, 4
 //! and 8 shards (batched apply — the serving pattern the sharded engine
 //! accelerates) and reports apply throughput and recall-vs-rebuild per
-//! shard count. Expected shape: throughput grows with shards on
-//! multi-core hardware (the 1-shard run is the coordination-overhead
-//! baseline) while recall stays within a few percent of the
-//! single-engine figure — partition-then-merge preserves quality (cf.
-//! Cluster-and-Conquer in the related work).
+//! shard count. Recall stays within a few percent of the single-engine
+//! figure — partition-then-merge preserves quality (cf.
+//! Cluster-and-Conquer in the related work) — and is what the gates
+//! check. The stream is short (about a hundred updates at bench-smoke's
+//! `--scale 0.1`, a few thousand at `--scale 1`), so the throughput column
+//! mostly measures per-round coordination overhead; perfbench `stream`
+//! measures sharding throughput.
 
 use std::time::Instant;
 
@@ -103,10 +105,10 @@ pub fn sharded(ctx: &mut Ctx) -> String {
         ctx.enforce_recall_floor("sharded", &format!("{}-shards", r.shards), ratio);
     }
     out.push_str(
-        "\nExpected shape: apply throughput scales with shard count on \
-         multi-core hardware (>=1.5x at 4 shards) while recall stays \
-         within a few percent of the single-engine figure; on a 1-core \
-         box the shard counts tie, modulo coordination overhead.\n",
+        "\nRecall stays within a few percent of the single-engine figure \
+         at every shard count. At this stream length the throughput \
+         column measures per-round overhead, not sharding throughput: \
+         perfbench `stream` measures that.\n",
     );
 
     let dataset_v = serde_json::json!({

@@ -1,26 +1,25 @@
 //! Sparse multiplicity counters for the KIFF counting phase.
 //!
 //! Building a ranked candidate set means computing, for one user `u`, the
-//! multiset union of the item profiles of her items (Algorithm 1, line 4) —
-//! i.e. counting how many items `u` shares with every co-rater. Three
-//! strategies are provided and benchmarked against each other (see the
-//! `ablations` bench target and the `counting` experiment):
+//! multiset union of the item profiles of the items `u` rated (Algorithm 1,
+//! line 4) — i.e. counting how many items `u` shares with every co-rater:
 //!
-//! * [`SparseCounter`] — hash-map based; good when candidate batches are tiny.
-//! * [`count_sorted_runs`] — sort + run-length-encode; cache-friendly on
-//!   skewed, bursty batches without auxiliary state.
 //! * [`DenseCounter`] — epoch-stamped dense array over dense `u32` keys;
-//!   O(1) per increment with no hashing and no sort of the raw multiset,
-//!   the fastest option once batches carry real multiplicity. Pays O(key
-//!   universe) memory per instance, so one is kept per worker thread.
+//!   O(1) per increment with no hashing and no sort of the raw multiset.
+//!   The production RCS ranking; pays O(key universe) memory per
+//!   instance, so one is kept per worker thread.
+//! * [`count_sorted_runs`] — sort + run-length-encode; the ranking of the
+//!   counting oracle and of single-user audits.
+//! * [`SparseCounter`] — hash-map based; long-lived per-user counts that
+//!   are incremented and decremented in place (the online engine).
 
 use crate::hash::FxHashMap;
 use crate::radix::{radix_sort_u32, radix_sort_u32_with};
 
 /// Hash-based sparse counter over `u32` keys.
 ///
-/// A thin wrapper around an Fx-hashed map that keeps the per-batch workflow
-/// (`add*`, `drain_sorted_by_count`, implicit reset) explicit at call sites.
+/// A thin wrapper around an Fx-hashed map that keeps the counting workflow
+/// (`add*`, `sub`, `top_by_count`) explicit at call sites.
 #[derive(Debug, Default, Clone)]
 pub struct SparseCounter {
     counts: FxHashMap<u32, u32>,
@@ -111,22 +110,6 @@ impl SparseCounter {
         pairs.sort_unstable_by(order);
         pairs
     }
-
-    /// Drains the counter into `(key, count)` pairs ordered by descending
-    /// count, ties broken by ascending key — the ranked-candidate-set order.
-    pub fn drain_sorted_by_count(&mut self) -> Vec<(u32, u32)> {
-        let mut pairs = Vec::new();
-        self.drain_sorted_into(&mut pairs);
-        pairs
-    }
-
-    /// [`SparseCounter::drain_sorted_by_count`] into a caller-owned buffer
-    /// (cleared first) — the allocation-free variant hot loops reuse.
-    pub fn drain_sorted_into(&mut self, out: &mut Vec<(u32, u32)>) {
-        out.clear();
-        out.extend(self.counts.drain());
-        out.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    }
 }
 
 /// Epoch-stamped dense multiplicity counter over `u32` keys.
@@ -137,7 +120,7 @@ impl SparseCounter {
 /// clear. Touched keys are recorded in first-touch order, making a full
 /// drain O(distinct).
 ///
-/// This is the engine behind `CountStrategy::Dense` in `kiff-core`: one
+/// This is the engine of `kiff-core`'s RCS construction: one
 /// instance per worker thread, `begin()` per user, `add()` per gathered
 /// candidate, then [`DenseCounter::emit_ranked`] produces the RCS order via
 /// a counting sort over multiplicities (which are bounded by the user's
@@ -336,9 +319,8 @@ impl DenseCounter {
         out_len
     }
 
-    /// Drains the current batch into `(key, count)` pairs in RCS order —
-    /// the [`SparseCounter::drain_sorted_by_count`] twin, for tests and
-    /// one-off callers.
+    /// Drains the current batch into `(key, count)` pairs in RCS order,
+    /// allocating the output — for tests and one-off callers.
     pub fn drain_sorted_by_count(&mut self) -> Vec<(u32, u32)> {
         let n = self.distinct();
         let mut ids = vec![0u32; n];
@@ -352,20 +334,12 @@ impl DenseCounter {
 /// Sort-based counting: sorts `keys` in place, then returns `(key, count)`
 /// pairs ordered by descending count (ties: ascending key).
 ///
-/// Equivalent to feeding `keys` through [`SparseCounter`] — property-tested
-/// below — but with better cache behaviour on large batches.
+/// Equivalent to ranking `keys` through [`SparseCounter`] or
+/// [`DenseCounter`] — property-tested below.
 pub fn count_sorted_runs(keys: &mut [u32]) -> Vec<(u32, u32)> {
     let mut pairs = Vec::new();
-    count_sorted_runs_into(keys, &mut pairs);
-    pairs
-}
-
-/// [`count_sorted_runs`] into a caller-owned buffer (cleared first) — the
-/// allocation-free variant hot loops reuse.
-pub fn count_sorted_runs_into(keys: &mut [u32], pairs: &mut Vec<(u32, u32)>) {
-    pairs.clear();
     if keys.is_empty() {
-        return;
+        return pairs;
     }
     radix_sort_u32(keys);
     let mut run_key = keys[0];
@@ -381,6 +355,7 @@ pub fn count_sorted_runs_into(keys: &mut [u32], pairs: &mut Vec<(u32, u32)>) {
     }
     pairs.push((run_key, run_len));
     pairs.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    pairs
 }
 
 #[cfg(test)]
@@ -396,17 +371,6 @@ mod tests {
         assert_eq!(c.get(2), 1);
         assert_eq!(c.get(99), 0);
         assert_eq!(c.len(), 3);
-    }
-
-    #[test]
-    fn drain_orders_by_count_then_key() {
-        let mut c = SparseCounter::new();
-        c.add_all(&[5, 5, 9, 9, 1, 2]);
-        assert_eq!(
-            c.drain_sorted_by_count(),
-            vec![(5, 2), (9, 2), (1, 1), (2, 1)]
-        );
-        assert!(c.is_empty());
     }
 
     #[test]
@@ -521,7 +485,7 @@ mod tests {
         sparse.add_all(&keys);
         assert_eq!(
             dense.drain_sorted_by_count(),
-            sparse.drain_sorted_by_count()
+            sparse.top_by_count(keys.len())
         );
     }
 
@@ -552,16 +516,16 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
-            /// Hash-based and sort-based counting agree exactly.
+            /// Hash-based and sort-based ranking agree exactly.
             #[test]
             fn strategies_agree(keys in proptest::collection::vec(0u32..300, 0..600)) {
                 let mut hash = SparseCounter::new();
                 hash.add_all(&keys);
                 let mut keys_mut = keys.clone();
-                prop_assert_eq!(hash.drain_sorted_by_count(), count_sorted_runs(&mut keys_mut));
+                prop_assert_eq!(hash.top_by_count(keys.len()), count_sorted_runs(&mut keys_mut));
             }
 
-            /// Dense counting agrees with both reference strategies across
+            /// Dense counting agrees with sort-based ranking across
             /// consecutive batches (epoch reuse).
             #[test]
             fn dense_agrees_across_batches(

@@ -25,7 +25,7 @@ pub mod radix;
 pub mod unionfind;
 
 pub use bitset::FixedBitSet;
-pub use counter::{count_sorted_runs, count_sorted_runs_into, DenseCounter, SparseCounter};
+pub use counter::{count_sorted_runs, DenseCounter, SparseCounter};
 pub use csr::{Csr, CsrBuilder};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use radix::radix_sort_u32;

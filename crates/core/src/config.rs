@@ -23,47 +23,29 @@ impl Gamma {
     }
 }
 
-/// Strategy used to count shared items while building RCSs.
+/// How RCS construction counts shared items.
 ///
-/// All strategies produce bit-identical
-/// [`RankedCandidates`](crate::counting::RankedCandidates) (ids *and*
-/// counts) — property-tested in `tests/counting_scorers.rs`; they differ
-/// only in speed and memory (see the `ablations` bench and the `counting`
-/// experiment for measurements):
+/// * [`CountStrategy::Dense`] (default) — the production path: an
+///   epoch-stamped dense counter per worker and a counting sort over
+///   multiplicities (which are bounded by the user's degree), written
+///   straight into the flat CSR. O(1) per gathered candidate, no hashing,
+///   no sort of the raw multiset.
+/// * [`CountStrategy::Reference`] — the counting oracle: gather, radix-sort
+///   and run-length encode each user's candidates into a `Vec`, then
+///   flatten. The agreement tests and the `counting` bench experiment
+///   compare the dense path against it, the way
+///   [`ScoringMode::Pairwise`] is the scoring oracle.
 ///
-/// * [`CountStrategy::Dense`] — epoch-stamped dense counter + counting
-///   sort over multiplicities (which are bounded by the user's degree).
-///   O(1) per gathered candidate, no hashing, no sort of the raw
-///   multiset. Fastest whenever candidate batches carry real
-///   multiplicity.
-/// * [`CountStrategy::SortBased`] — gather, radix-sort, run-length
-///   encode; the reference implementation and the better choice when
-///   batches are tiny relative to the user universe (the dense counter's
-///   random accesses would miss cache for no multiplicity gain).
-/// * [`CountStrategy::HashBased`] — hash-map multiplicity counting; the
-///   second reference implementation.
-/// * [`CountStrategy::Auto`] (default) — picks [`CountStrategy::Dense`]
-///   when the dataset's average candidate-batch size amortises the dense
-///   counter's random access pattern, [`CountStrategy::SortBased`]
-///   otherwise (decided from the item-profile degree distribution in
-///   O(|I|)).
-///
-/// Memory: the flat-CSR sizing pass keeps one 4-byte-per-user stamp
-/// array per worker thread under *every* strategy; dense ranking adds a
-/// 4-byte count array. The strategies otherwise differ in ranking cost,
-/// not scratch footprint.
+/// Both produce bit-identical
+/// [`RankedCandidates`](crate::counting::RankedCandidates) (offsets, ids
+/// *and* counts), property-tested in `tests/counting_scorers.rs`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CountStrategy {
-    /// Choose [`CountStrategy::Dense`] or [`CountStrategy::SortBased`]
-    /// from the dataset shape.
-    #[default]
-    Auto,
     /// Epoch-stamped dense counting + counting sort by multiplicity.
+    #[default]
     Dense,
-    /// Gather all candidate ids, radix-sort, run-length encode.
-    SortBased,
-    /// Hash-map multiplicity counting.
-    HashBased,
+    /// Per-user gather, radix-sort and run-length encode, then flatten.
+    Reference,
 }
 
 // How candidate loops evaluate similarities. The selector lives in
@@ -104,7 +86,7 @@ pub struct KiffConfig {
     pub threads: Option<usize>,
     /// Safety cap on iterations.
     pub max_iterations: usize,
-    /// Shared-item counting strategy.
+    /// Counting path: the dense counter, or the reference oracle.
     pub count_strategy: CountStrategy,
     /// Optional §VII heuristic: only ratings at or above this value
     /// contribute RCS candidates (shrinks RCSs on rating-valued data).
@@ -135,7 +117,7 @@ impl KiffConfig {
             beta: 0.001,
             threads: None,
             max_iterations: 10_000,
-            count_strategy: CountStrategy::Auto,
+            count_strategy: CountStrategy::Dense,
             rating_threshold: None,
             max_rcs: None,
             scoring: ScoringMode::Prepared,
@@ -187,7 +169,7 @@ impl KiffConfig {
         self
     }
 
-    /// Sets the shared-item counting strategy.
+    /// Sets the counting path.
     pub fn with_count_strategy(mut self, strategy: CountStrategy) -> Self {
         self.count_strategy = strategy;
         self
@@ -226,7 +208,7 @@ mod tests {
         assert_eq!(cfg.k, 20);
         assert_eq!(cfg.gamma, Gamma::Fixed(40));
         assert_eq!(cfg.beta, 0.001);
-        assert_eq!(cfg.count_strategy, CountStrategy::Auto);
+        assert_eq!(cfg.count_strategy, CountStrategy::Dense);
         assert_eq!(cfg.scoring, ScoringMode::Prepared);
         assert_eq!(cfg.timing, TimingMode::Sampled);
     }

@@ -9,25 +9,26 @@
 //!    epoch-stamped [`DenseCounter`]; lengths land in a shared array
 //!    through disjoint chunk ranges.
 //! 2. **Write** — a serial prefix sum turns lengths into CSR offsets,
-//!    then workers rank each user's candidates with the configured
-//!    [`CountStrategy`] and write ids (and counts) *directly* into their
-//!    final `[offsets[u], offsets[u+1])` slots of the shared output —
-//!    no per-user `Vec`, no chunk merge, no flatten copy.
+//!    then workers count each user's candidates in a dense counter, rank
+//!    them by a counting sort over multiplicities and write ids (and
+//!    counts) *directly* into their final `[offsets[u], offsets[u+1])`
+//!    slots of the shared output — no per-user `Vec`, no chunk merge, no
+//!    flatten copy.
 //!
-//! The pre-rewrite pipeline (gather → sort → per-user `Vec` → flatten)
-//! survives as [`build_rcs_reference`], the bit-for-bit yardstick of the
-//! agreement tests and the baseline the `counting` bench experiment
-//! measures speedups against.
+//! [`CountStrategy::Reference`] swaps both passes for the counting oracle
+//! (gather → sort → per-user `Vec` → flatten), the bit-for-bit yardstick
+//! of the agreement tests and the baseline the `counting` bench
+//! experiment measures the dense path against.
 
 use std::time::Instant;
 
-use kiff_collections::{
-    count_sorted_runs, count_sorted_runs_into, Csr, DenseCounter, SparseCounter,
-};
+use kiff_collections::{count_sorted_runs, Csr, DenseCounter};
 use kiff_dataset::{Dataset, UserId};
 use kiff_parallel::{effective_threads, parallel_fold, SharedSlice};
 
 use crate::config::CountStrategy;
+
+mod reference;
 
 /// Scheduling grain of both counting passes (users per work unit).
 const GRAIN: usize = 32;
@@ -47,7 +48,7 @@ pub struct CountingConfig {
     pub keep_counts: bool,
     /// Worker threads (`None` = all available).
     pub threads: Option<usize>,
-    /// Shared-item counting strategy.
+    /// Counting path: the dense counter, or the reference oracle.
     pub strategy: CountStrategy,
     /// The paper's future-work heuristic (§VII): only ratings at or above
     /// this threshold contribute candidates — "a naive threshold on
@@ -70,7 +71,7 @@ impl Default for CountingConfig {
             pivot: true,
             keep_counts: false,
             threads: None,
-            strategy: CountStrategy::Auto,
+            strategy: CountStrategy::Dense,
             rating_threshold: None,
             max_rcs: None,
         }
@@ -155,14 +156,6 @@ impl RankedCandidates {
     }
 }
 
-/// Ranks a gathered candidate multiset into `(id, shared_items)` pairs
-/// ordered by descending count (ties: ascending id) — the single-user core
-/// of the counting phase, exposed so incremental maintainers (the
-/// `kiff-online` engine) reuse exactly the batch ranking semantics.
-pub fn rank_candidate_counts(gathered: &mut [u32]) -> Vec<(u32, u32)> {
-    count_sorted_runs(gathered)
-}
-
 /// The full (unpivoted) ranked candidate set of one user, computed from
 /// the item profiles: every co-rater of `u` with its shared-item count,
 /// in RCS order. This is Algorithm 1 line 4 for a single user — the
@@ -174,13 +167,13 @@ pub fn user_candidate_counts(dataset: &Dataset, u: UserId) -> Vec<(u32, u32)> {
     for &item in dataset.user_profile(u).items {
         gathered.extend(items.row(item).iter().copied().filter(|&v| v != u));
     }
-    rank_candidate_counts(&mut gathered)
+    count_sorted_runs(&mut gathered)
 }
 
 /// Visits every RCS candidate of `u` — the multiset union
 /// `⊎_{i ∈ UP_u} {v ∈ IP_i}` after the pivot / rating-threshold filters —
 /// exactly once per occurrence. The shared gather kernel of both counting
-/// passes.
+/// passes and of the reference pipeline.
 #[inline]
 fn for_each_candidate(
     dataset: &Dataset,
@@ -227,64 +220,6 @@ fn for_each_candidate(
     }
 }
 
-/// Resolves [`CountStrategy::Auto`] against the dataset shape: dense
-/// ranking's per-candidate random accesses into O(|U|) arrays pay off
-/// once batches carry multiplicity, gauged by the total candidate volume
-/// `Σ_i |IP_i|·(|IP_i|−1)` (computed in O(|I|) from the item-profile
-/// degrees); datasets with near-empty batches keep the sort-based
-/// ranking, whose cost tracks the tiny batch instead of the universe.
-fn resolve_strategy(strategy: CountStrategy, dataset: &Dataset, items: &Csr) -> CountStrategy {
-    match strategy {
-        CountStrategy::Auto => {
-            let n = dataset.num_users().max(1) as u64;
-            let volume: u64 = (0..dataset.num_items() as u32)
-                .map(|i| {
-                    let d = items.degree(i) as u64;
-                    d * d.saturating_sub(1)
-                })
-                .sum();
-            if volume >= 8 * n {
-                CountStrategy::Dense
-            } else {
-                CountStrategy::SortBased
-            }
-        }
-        other => other,
-    }
-}
-
-/// Per-worker scratch of the counting passes. Buffers are reused across
-/// every user the worker processes: the whole build performs zero
-/// per-user allocation.
-struct CountScratch {
-    /// Raw gathered candidate ids (sort-based ranking).
-    gather: Vec<u32>,
-    /// Ranked `(id, count)` staging (sort-/hash-based ranking).
-    pairs: Vec<(u32, u32)>,
-    /// Hash-based multiplicity counter.
-    sparse: SparseCounter,
-    /// Dense multiplicity counter (sizing pass + dense ranking).
-    dense: DenseCounter,
-}
-
-impl CountScratch {
-    /// Scratch for one worker; the dense counter is pre-sized to the user
-    /// universe when the dense strategy will use it (avoids growth
-    /// re-checks in the hot loop).
-    fn new(strategy: CountStrategy, num_users: usize) -> Self {
-        Self {
-            gather: Vec::new(),
-            pairs: Vec::new(),
-            sparse: SparseCounter::new(),
-            dense: if strategy == CountStrategy::Dense {
-                DenseCounter::with_capacity(num_users)
-            } else {
-                DenseCounter::new()
-            },
-        }
-    }
-}
-
 /// Builds the Ranked Candidate Sets of `dataset`.
 ///
 /// For each user `u`, the multiset union `⊎_{i ∈ UP_u} {v ∈ IP_i | v > u}`
@@ -293,11 +228,13 @@ impl CountScratch {
 /// profiles must already be available (they are built on first access and
 /// their cost is accounted separately, matching Table IV vs Table V).
 pub fn build_rcs(dataset: &Dataset, config: &CountingConfig) -> RankedCandidates {
+    if config.strategy == CountStrategy::Reference {
+        return reference::build_rcs(dataset, config);
+    }
     let start = Instant::now();
     let n = dataset.num_users();
     let items = dataset.item_profiles();
     let threads = effective_threads(config.threads);
-    let strategy = resolve_strategy(config.strategy, dataset, items);
     let pivot = config.pivot;
     let threshold = config.rating_threshold;
     let cap = config.max_rcs.unwrap_or(usize::MAX);
@@ -351,8 +288,10 @@ pub fn build_rcs(dataset: &Dataset, config: &CountingConfig) -> RankedCandidates
             threads,
             n,
             GRAIN,
-            || CountScratch::new(strategy, n),
-            |scratch, range| {
+            // Pre-sized to the user universe: no growth re-checks in the
+            // hot loop.
+            || DenseCounter::with_capacity(n),
+            |counter, range| {
                 for u in range {
                     let off = offsets[u];
                     let len = offsets[u + 1] - off;
@@ -364,139 +303,16 @@ pub fn build_rcs(dataset: &Dataset, config: &CountingConfig) -> RankedCandidates
                     let counts_slice = counts_out
                         .as_ref()
                         .map(|c| unsafe { c.slice_mut(off, len) });
-                    let u = u as u32;
-                    match strategy {
-                        CountStrategy::Dense => {
-                            scratch.dense.begin();
-                            for_each_candidate(dataset, items, u, pivot, threshold, |v| {
-                                scratch.dense.add(v)
-                            });
-                            let written = scratch.dense.emit_ranked(len, ids_slice, counts_slice);
-                            debug_assert_eq!(written, len, "pass-1/pass-2 size mismatch");
-                        }
-                        CountStrategy::SortBased => {
-                            scratch.gather.clear();
-                            if threshold.is_none() && pivot {
-                                // Bulk suffix copies beat per-element pushes.
-                                for &item in dataset.user_profile(u).items {
-                                    let co_raters = items.row(item);
-                                    let from = co_raters.partition_point(|&v| v <= u);
-                                    scratch.gather.extend_from_slice(&co_raters[from..]);
-                                }
-                            } else {
-                                let gather = &mut scratch.gather;
-                                for_each_candidate(dataset, items, u, pivot, threshold, |v| {
-                                    gather.push(v)
-                                });
-                            }
-                            count_sorted_runs_into(&mut scratch.gather, &mut scratch.pairs);
-                            copy_ranked_prefix(&scratch.pairs, ids_slice, counts_slice);
-                        }
-                        CountStrategy::HashBased => {
-                            let sparse = &mut scratch.sparse;
-                            for_each_candidate(dataset, items, u, pivot, threshold, |v| {
-                                sparse.add(v)
-                            });
-                            sparse.drain_sorted_into(&mut scratch.pairs);
-                            copy_ranked_prefix(&scratch.pairs, ids_slice, counts_slice);
-                        }
-                        CountStrategy::Auto => unreachable!("resolved above"),
-                    }
+                    counter.begin();
+                    for_each_candidate(dataset, items, u as u32, pivot, threshold, |v| {
+                        counter.add(v)
+                    });
+                    let written = counter.emit_ranked(len, ids_slice, counts_slice);
+                    debug_assert_eq!(written, len, "pass-1/pass-2 size mismatch");
                 }
             },
             |a, _| a,
         );
-    }
-
-    RankedCandidates {
-        offsets,
-        ids: ids.into_boxed_slice(),
-        counts: counts.map(Vec::into_boxed_slice),
-        build_time: start.elapsed(),
-    }
-}
-
-/// Copies the best `ids.len()` ranked pairs into the output slices (the
-/// ranking is count-descending already, so the prefix is the capped RCS).
-#[inline]
-fn copy_ranked_prefix(pairs: &[(u32, u32)], ids: &mut [u32], counts: Option<&mut [u32]>) {
-    for (dst, &(id, _)) in ids.iter_mut().zip(pairs) {
-        *dst = id;
-    }
-    if let Some(counts) = counts {
-        for (dst, &(_, count)) in counts.iter_mut().zip(pairs) {
-            *dst = count;
-        }
-    }
-}
-
-/// The pre-flat-CSR reference pipeline: gather → rank → one `Vec` per
-/// user → flatten. Produces bit-identical [`RankedCandidates`] (ids,
-/// counts, offsets) to [`build_rcs`] — the agreement tests hold the two
-/// together — but allocates per user and merges worker chunks. Kept as
-/// the regression baseline of the `counting` bench experiment;
-/// [`CountStrategy::Auto`] and [`CountStrategy::Dense`] fall back to the
-/// sort-based ranking here, which predates the dense counter.
-pub fn build_rcs_reference(dataset: &Dataset, config: &CountingConfig) -> RankedCandidates {
-    let start = Instant::now();
-    let n = dataset.num_users();
-    let items = dataset.item_profiles();
-    let threads = effective_threads(config.threads);
-    let use_hash = config.strategy == CountStrategy::HashBased;
-    let pivot = config.pivot;
-    let threshold = config.rating_threshold;
-    let max_rcs = config.max_rcs;
-
-    // Each worker accumulates (user, ranked pairs) and scratch space.
-    type Chunk = Vec<(u32, Vec<(u32, u32)>)>;
-    let (chunks, _, _) = parallel_fold(
-        threads,
-        n,
-        GRAIN,
-        || (Chunk::new(), Vec::<u32>::new(), SparseCounter::new()),
-        |(out, gather, counter), range| {
-            for u in range {
-                let u = u as u32;
-                let mut ranked = if use_hash {
-                    for_each_candidate(dataset, items, u, pivot, threshold, |v| counter.add(v));
-                    counter.drain_sorted_by_count()
-                } else {
-                    gather.clear();
-                    for_each_candidate(dataset, items, u, pivot, threshold, |v| gather.push(v));
-                    rank_candidate_counts(gather)
-                };
-                if let Some(cap) = max_rcs {
-                    // Lists are ordered by decreasing count (ties by
-                    // ascending id), so truncation keeps the best.
-                    ranked.truncate(cap);
-                }
-                out.push((u, ranked));
-            }
-        },
-        |(mut a, g, c), (b, _, _)| {
-            a.extend(b);
-            (a, g, c)
-        },
-    );
-
-    // Assemble the flat layout through the per-user intermediate.
-    let mut per_user: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
-    for (u, ranked) in chunks {
-        per_user[u as usize] = ranked;
-    }
-    let mut offsets = Vec::with_capacity(n + 1);
-    offsets.push(0usize);
-    let total: usize = per_user.iter().map(|r| r.len()).sum();
-    let mut ids = Vec::with_capacity(total);
-    let mut counts = config.keep_counts.then(|| Vec::with_capacity(total));
-    for ranked in &per_user {
-        for &(id, count) in ranked {
-            ids.push(id);
-            if let Some(c) = counts.as_mut() {
-                c.push(count);
-            }
-        }
-        offsets.push(ids.len());
     }
 
     RankedCandidates {
@@ -604,33 +420,34 @@ mod tests {
         }
     }
 
+    /// Builds `config` on the dense path and on the reference oracle and
+    /// asserts identical offsets, ids and counts.
+    fn assert_dense_matches_reference(ds: &Dataset, config: &CountingConfig, label: &str) {
+        let on = |strategy| {
+            build_rcs(
+                ds,
+                &CountingConfig {
+                    strategy,
+                    ..config.clone()
+                },
+            )
+        };
+        let dense = on(CountStrategy::Dense);
+        let reference = on(CountStrategy::Reference);
+        assert_eq!(dense.offsets, reference.offsets, "{label}");
+        assert_eq!(dense.ids, reference.ids, "{label}");
+        assert_eq!(dense.counts, reference.counts, "{label}");
+    }
+
     #[test]
     fn strategies_agree() {
         let ds = generate_bipartite(&BipartiteConfig::tiny("strat", 11));
-        let sort = build_rcs(
-            &ds,
-            &CountingConfig {
-                strategy: CountStrategy::SortBased,
-                ..counted(true)
-            },
-        );
-        for strategy in [
-            CountStrategy::HashBased,
-            CountStrategy::Dense,
-            CountStrategy::Auto,
-        ] {
-            let other = build_rcs(
-                &ds,
-                &CountingConfig {
-                    strategy,
-                    ..counted(true)
-                },
-            );
-            for u in 0..ds.num_users() as u32 {
-                assert_eq!(sort.rcs(u), other.rcs(u), "{strategy:?} user {u}");
-                assert_eq!(sort.counts(u), other.counts(u), "{strategy:?} user {u}");
-            }
-        }
+        assert_dense_matches_reference(&ds, &counted(true), "one thread");
+        let threaded = CountingConfig {
+            threads: Some(3),
+            ..counted(true)
+        };
+        assert_dense_matches_reference(&ds, &threaded, "three threads");
     }
 
     #[test]
@@ -643,11 +460,8 @@ mod tests {
                         max_rcs,
                         ..counted(pivot)
                     };
-                    let new = build_rcs(&ds, &config);
-                    let old = build_rcs_reference(&ds, &config);
-                    assert_eq!(new.offsets, old.offsets, "seed {seed}");
-                    assert_eq!(new.ids, old.ids, "seed {seed}");
-                    assert_eq!(new.counts, old.counts, "seed {seed}");
+                    let label = format!("seed {seed} cap {max_rcs:?} pivot {pivot}");
+                    assert_dense_matches_reference(&ds, &config, &label);
                 }
             }
         }
@@ -781,29 +595,14 @@ mod tests {
             ..BipartiteConfig::tiny("thr-strat", 19)
         };
         let ds = generate_bipartite(&cfg);
-        let sort = build_rcs(
-            &ds,
-            &CountingConfig {
-                rating_threshold: Some(3.0),
-                strategy: CountStrategy::SortBased,
-                ..counted(true)
-            },
-        );
-        let hash = build_rcs(
-            &ds,
-            &CountingConfig {
-                rating_threshold: Some(3.0),
-                strategy: CountStrategy::HashBased,
-                ..counted(true)
-            },
-        );
-        for u in 0..ds.num_users() as u32 {
-            assert_eq!(sort.rcs(u), hash.rcs(u), "user {u}");
-            assert_eq!(sort.counts(u), hash.counts(u), "user {u}");
-        }
+        let thresholded = CountingConfig {
+            rating_threshold: Some(3.0),
+            ..counted(true)
+        };
+        assert_dense_matches_reference(&ds, &thresholded, "threshold 3");
         // The threshold must actually bite on star-rated data.
         let full = build_rcs(&ds, &counted(true));
-        assert!(sort.total() < full.total());
+        assert!(build_rcs(&ds, &thresholded).total() < full.total());
     }
 
     #[test]

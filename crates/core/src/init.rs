@@ -9,7 +9,6 @@ use kiff_dataset::Dataset;
 use kiff_graph::{KnnGraph, Neighbor};
 use kiff_similarity::{ScorerWorkspace, Similarity, PREPARED_MIN_BATCH};
 
-use crate::config::CountStrategy;
 use crate::counting::{build_rcs, CountingConfig};
 
 /// Builds the KNN approximation obtained by taking the top `k` entries of
@@ -28,11 +27,8 @@ pub fn initial_rcs_graph<S: Similarity + ?Sized>(
         dataset,
         &CountingConfig {
             pivot: false,
-            keep_counts: false,
             threads,
-            strategy: CountStrategy::SortBased,
-            rating_threshold: None,
-            max_rcs: None,
+            ..CountingConfig::default()
         },
     );
     let mut ws = ScorerWorkspace::new();

@@ -33,10 +33,7 @@ pub mod kiff;
 pub mod refine;
 
 pub use config::{CountStrategy, Gamma, KiffConfig, ScoringMode, TimingMode};
-pub use counting::{
-    build_rcs, build_rcs_reference, rank_candidate_counts, user_candidate_counts, CountingConfig,
-    RankedCandidates,
-};
+pub use counting::{build_rcs, user_candidate_counts, CountingConfig, RankedCandidates};
 pub use error::KiffError;
 pub use init::initial_rcs_graph;
 pub use kiff::{kiff_knn, Kiff, KiffResult};

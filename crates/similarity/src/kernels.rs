@@ -2,11 +2,10 @@
 //!
 //! Profiles are sorted id slices, so intersections are linear merges — or,
 //! when one side is much shorter, galloping (exponential) searches into the
-//! longer side. [`intersect_count`] picks the strategy by size ratio; the
-//! `ablations` bench target quantifies the crossover.
+//! longer side. [`intersect_count`] picks the strategy by size ratio.
 
 /// Size ratio beyond which galloping beats merging (measured on skewed
-/// profile pairs; see the `ablations` bench).
+/// profile pairs).
 const GALLOP_RATIO: usize = 16;
 
 /// Counts common elements of two sorted, duplicate-free slices by linear

@@ -10,9 +10,9 @@
 //!
 //! Three layers:
 //!
-//! * [`functions`] — allocation-free free functions over [`ProfileRef`]
-//!   pairs, built on the shared merge/galloping intersection kernels in
-//!   [`kernels`];
+//! * [`functions`] — allocation-free free functions over
+//!   [`ProfileRef`](kiff_dataset::ProfileRef) pairs, built on the shared
+//!   merge/galloping intersection kernels in [`kernels`];
 //! * [`scorer`] — prepared scorers: preprocess one reference profile
 //!   (dense epoch-stamped lookup for high-degree users, pairwise fallback
 //!   for small ones), then score each candidate in `O(|UP_v|)`, or a
@@ -47,13 +47,6 @@ pub use scorer::{
     ProfileScorer, ScoreKind, Scorer, ScorerWorkspace, ScoringMode, PREPARED_MIN_BATCH,
 };
 
-use kiff_dataset::ProfileRef;
-
 /// Numerical tolerance used when comparing similarity values for recall
 /// (ties at the k-th neighbour must not be penalised — Eq. 3).
 pub const SIM_EPSILON: f64 = 1e-9;
-
-/// Convenience: true when two profiles share at least one item.
-pub fn shares_item(a: ProfileRef<'_>, b: ProfileRef<'_>) -> bool {
-    intersect_count(a.items, b.items) > 0
-}

@@ -358,25 +358,6 @@ mod tests {
     }
 
     #[test]
-    fn count_strategies_and_scoring_modes_build_identical_graphs() {
-        let ds = generate_bipartite(&BipartiteConfig::tiny("builder-strat", 307));
-        let reference = KnnGraphBuilder::new(5).threads(1).build(&ds);
-        for scoring in [ScoringMode::Prepared, ScoringMode::Pairwise] {
-            let g = KnnGraphBuilder::new(5)
-                .threads(1)
-                .scoring(scoring)
-                .build(&ds);
-            for u in 0..ds.num_users() as u32 {
-                assert_eq!(
-                    reference.neighbors(u),
-                    g.neighbors(u),
-                    "{scoring:?} user {u}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn scoring_mode_is_invisible_for_every_algorithm() {
         let ds = generate_bipartite(&BipartiteConfig::tiny("builder-scoring", 311));
         for algo in [

@@ -1,10 +1,10 @@
-//! Cross-crate properties of the counting-phase strategies and the
-//! prepared-scorer layer (the two hot paths rewritten for the flat-CSR /
-//! prepared-scorer PR):
+//! Cross-crate properties of the counting phase and the prepared-scorer
+//! layer (the two hot paths rewritten for the flat-CSR / prepared-scorer
+//! PR):
 //!
-//! * every [`CountStrategy`] — and the retained pre-rewrite reference
-//!   pipeline — produces *identical* [`RankedCandidates`] (ids and
-//!   counts) across pivot / rating-threshold / max-RCS combinations;
+//! * the dense counting path and the [`CountStrategy::Reference`] oracle
+//!   produce *identical* [`RankedCandidates`] (offsets, ids and counts)
+//!   across pivot / rating-threshold / max-RCS combinations;
 //! * every metric's prepared [`Scorer`] reproduces its pairwise
 //!   [`Similarity::sim`] within [`SIM_EPSILON`], on both the dense and
 //!   the low-degree fallback paths;
@@ -22,7 +22,7 @@ use proptest::prelude::*;
 use kiff::prelude::*;
 use kiff::{Algorithm, KnnGraphBuilder, Metric};
 use kiff_baselines::random_graph_with;
-use kiff_core::{build_rcs, build_rcs_reference, CountStrategy, CountingConfig};
+use kiff_core::{build_rcs, CountStrategy, CountingConfig};
 use kiff_dataset::generators::bipartite::{generate_bipartite, BipartiteConfig};
 use kiff_dataset::generators::RatingModel;
 use kiff_graph::{exact_knn_brute_with, exact_knn_with};
@@ -158,9 +158,9 @@ fn batch_scoring_takes_both_paths() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Dense, sort-based and hash-based counting — and the reference
-    /// per-user-Vec pipeline — agree entry for entry on ids *and* counts
-    /// under every pivot/threshold/cap combination.
+    /// Dense counting and the reference per-user-Vec pipeline agree entry
+    /// for entry on offsets, ids *and* counts under every
+    /// pivot/threshold/cap combination.
     #[test]
     fn all_count_strategies_agree(
         ds in arb_dataset(),
@@ -176,25 +176,16 @@ proptest! {
             rating_threshold: (threshold > 0).then_some(threshold as f32),
             max_rcs: (cap > 0).then_some(cap),
         };
-        let reference = build_rcs_reference(&ds, &config(CountStrategy::SortBased));
-        for strategy in [
-            CountStrategy::Dense,
-            CountStrategy::SortBased,
-            CountStrategy::HashBased,
-            CountStrategy::Auto,
-        ] {
-            let rcs = build_rcs(&ds, &config(strategy));
-            prop_assert_eq!(rcs.num_users(), reference.num_users());
-            for u in 0..ds.num_users() as u32 {
-                prop_assert_eq!(
-                    rcs.rcs(u), reference.rcs(u),
-                    "{:?} ids diverge for user {}", strategy, u
-                );
-                prop_assert_eq!(
-                    rcs.counts(u), reference.counts(u),
-                    "{:?} counts diverge for user {}", strategy, u
-                );
-            }
+        let reference = build_rcs(&ds, &config(CountStrategy::Reference));
+        let dense = build_rcs(&ds, &config(CountStrategy::Dense));
+        prop_assert_eq!(dense.num_users(), reference.num_users());
+        for u in 0..ds.num_users() as u32 {
+            prop_assert_eq!(dense.len(u), reference.len(u), "offsets diverge for user {}", u);
+            prop_assert_eq!(dense.rcs(u), reference.rcs(u), "ids diverge for user {}", u);
+            prop_assert_eq!(
+                dense.counts(u), reference.counts(u),
+                "counts diverge for user {}", u
+            );
         }
     }
 
@@ -299,14 +290,14 @@ proptest! {
         prop_assert_eq!(&br_p, &inv, "brute vs inverted diverged");
     }
 
-    /// End to end: KIFF graphs are invariant under counting strategy and
+    /// End to end: KIFF graphs are invariant under counting path and
     /// scoring mode (exact mode, so the comparison is deterministic).
     #[test]
     fn kiff_invariant_under_strategy_and_scoring(ds in arb_dataset(), k in 1usize..6) {
         use kiff_core::{KiffConfig, ScoringMode};
         let sim = WeightedCosine::fit(&ds);
         let reference = Kiff::new(KiffConfig::exact(k).with_threads(1)).run(&ds, &sim).graph;
-        for strategy in [CountStrategy::Dense, CountStrategy::HashBased] {
+        for strategy in [CountStrategy::Dense, CountStrategy::Reference] {
             for scoring in [ScoringMode::Prepared, ScoringMode::Pairwise] {
                 let config = KiffConfig::exact(k)
                     .with_threads(1)

@@ -1,5 +1,5 @@
 //! Equivalence guarantees: KIFF in exact mode against brute force, across
-//! metrics, thread counts, and counting strategies (the §III-D optimality
+//! metrics, thread counts, and counting paths (the §III-D optimality
 //! argument, machine-checked).
 
 use kiff::prelude::*;
@@ -80,13 +80,15 @@ fn thread_counts_do_not_change_exhaustive_results() {
 fn counting_strategies_yield_identical_graphs() {
     let ds = generate_bipartite(&BipartiteConfig::tiny("eq-s", 47));
     let sim = WeightedCosine::fit(&ds);
-    let mut sort_cfg = KiffConfig::exact(6).with_threads(1);
-    sort_cfg.count_strategy = CountStrategy::SortBased;
-    let mut hash_cfg = KiffConfig::exact(6).with_threads(1);
-    hash_cfg.count_strategy = CountStrategy::HashBased;
-    let a = Kiff::new(sort_cfg).run(&ds, &sim).graph;
-    let b = Kiff::new(hash_cfg).run(&ds, &sim).graph;
-    assert_graphs_equal(&a, &b, "count strategies");
+    let run = |strategy| {
+        let config = KiffConfig::exact(6)
+            .with_threads(1)
+            .with_count_strategy(strategy);
+        Kiff::new(config).run(&ds, &sim).graph
+    };
+    let dense = run(CountStrategy::Dense);
+    let reference = run(CountStrategy::Reference);
+    assert_graphs_equal(&dense, &reference, "count strategies");
 }
 
 #[test]
