@@ -9,7 +9,8 @@
 //!   The production RCS ranking; pays O(key universe) memory per
 //!   instance, so one is kept per worker thread.
 //! * [`count_sorted_runs`] — sort + run-length-encode; the ranking of the
-//!   counting oracle and of single-user audits.
+//!   counting oracle and of `kiff-core`'s single-user
+//!   `user_candidate_counts`.
 //! * [`SparseCounter`] — hash-map based; long-lived per-user counts that
 //!   are incremented and decremented in place (the online engine).
 

@@ -1,10 +1,10 @@
 //! The counting oracle behind [`CountStrategy::Reference`]: gather → sort
 //! → one `Vec` per user → flatten.
 //!
-//! It predates the flat-CSR assembly and the dense counter, allocates per
-//! user and merges worker chunks, and produces bit-identical
-//! [`RankedCandidates`] (offsets, ids, counts) to the dense path — the
-//! agreement tests hold the two together, and the `counting` bench
+//! It shares only the candidate gather with the dense path: it ranks with
+//! [`count_sorted_runs`], allocates per user and merges worker chunks, yet
+//! produces bit-identical [`RankedCandidates`] (offsets, ids, counts) —
+//! the agreement tests hold the two together, and the `counting` bench
 //! experiment measures the dense path against it.
 //!
 //! [`CountStrategy::Reference`]: crate::config::CountStrategy::Reference
