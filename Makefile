@@ -7,7 +7,7 @@ RECALL_FLOOR ?= 0.90
 
 .PHONY: ci fmt clippy build test test-release examples doc bench-smoke bench-counting bench-baselines bench-telemetry bench-serve bench-reads bench-faults bench-failover chaos clean-bench
 
-ci: fmt clippy build test test-release examples doc bench-smoke
+ci: fmt clippy build test test-release examples doc bench-smoke chaos
 
 fmt:
 	$(CARGO) fmt --check

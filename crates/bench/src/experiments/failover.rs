@@ -21,14 +21,9 @@
 //!    batch id (**hard**).
 
 use std::net::TcpListener;
-use std::path::PathBuf;
+use std::path::Path;
 use std::time::{Duration, Instant};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use kiff_dataset::generators::planted::{generate_planted, PlantedConfig};
-use kiff_dataset::zipf::Zipf;
 use kiff_dataset::Dataset;
 use kiff_online::{OnlineConfig, OnlineKnn, Update};
 use kiff_serve::{
@@ -37,7 +32,7 @@ use kiff_serve::{
 };
 use kiff_telemetry::Registry;
 
-use super::{Ctx, STREAM_K};
+use super::{p99_us, planted, scratch, zipf_stream, Ctx, Daemon, STREAM_K};
 
 const BATCH: usize = 8;
 /// Hard gate: replica read p99 as a multiple of the primary's.
@@ -50,48 +45,6 @@ const MAX_UNAVAILABILITY_MS: f64 = 2_000.0;
 /// so this bounds how fast the failover gate can possibly pass.
 const HEARTBEAT: Duration = Duration::from_millis(50);
 
-/// Smaller than the `serve` population: two replicated daemons run per
-/// pass, and the subject is the channel, not raw throughput.
-fn failover_dataset(multiplier: f64, seed: u64) -> Dataset {
-    let m = multiplier.clamp(0.05, 2.0);
-    let users = ((4_000.0 * m) as usize).max(600);
-    generate_planted(&PlantedConfig {
-        name: "bench-failover".to_string(),
-        num_users: users,
-        num_items: (users * 4) / 5,
-        communities: 8,
-        ratings_per_user: 20,
-        affinity: 0.8,
-        ..PlantedConfig::tiny("bench-failover", seed)
-    })
-    .0
-}
-
-/// Zipf-skewed update batches, deterministic in the seed.
-fn failover_stream(ds: &Dataset, seed: u64, batches: usize) -> Vec<Vec<Update>> {
-    let user_dist = Zipf::new(ds.num_users(), 1.1);
-    let item_dist = Zipf::new(ds.num_items(), 0.8);
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..batches)
-        .map(|_| {
-            (0..BATCH)
-                .map(|_| Update::AddRating {
-                    user: user_dist.sample(&mut rng) as u32,
-                    item: item_dist.sample(&mut rng) as u32,
-                    rating: 1.0,
-                })
-                .collect()
-        })
-        .collect()
-}
-
-fn scratch(tag: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("kiff-bench-failover-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&p);
-    p
-}
-
 /// Binds a member's client port. The peer lists must name every daemon
 /// up front, so both listeners are bound before either daemon is built
 /// and each is handed to its server: no other socket can take a port
@@ -102,21 +55,9 @@ fn listen() -> (TcpListener, String) {
     (listener, addr)
 }
 
-fn p99_us(latencies: &mut [f64]) -> f64 {
-    if latencies.is_empty() {
-        return 0.0;
-    }
-    latencies.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    latencies[(latencies.len() * 99 / 100).min(latencies.len() - 1)]
-}
-
-struct Daemon {
-    addr: String,
-    handle: std::thread::JoinHandle<Result<(), kiff_core::KiffError>>,
-}
-
+/// Recovers a durable group member in `dir` and serves it on `listener`.
 fn spawn_member(
-    dir: &PathBuf,
+    dir: &Path,
     base: &Dataset,
     listener: TcpListener,
     replica_of: Option<&str>,
@@ -145,37 +86,23 @@ fn spawn_member(
     Daemon { addr, handle }
 }
 
-fn shutdown_daemon(daemon: Daemon) {
-    for _ in 0..50 {
-        match Client::connect(&daemon.addr) {
-            Ok(mut c) => {
-                if c.shutdown().is_ok() {
-                    break;
-                }
-            }
-            Err(_) => break, // already down
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    daemon
-        .handle
-        .join()
-        .expect("daemon thread")
-        .expect("clean daemon exit");
-}
-
 /// Runs the replication benchmark and writes `failover.json`.
 pub fn failover(ctx: &mut Ctx) -> String {
-    let base = failover_dataset(ctx.scale.multiplier, ctx.seed);
+    // Smaller than the `serve` population: two replicated daemons run
+    // per pass, and the subject is the channel, not raw throughput.
+    let base = planted(ctx, "bench-failover", 4_000.0, 600, 8, 20);
     let batches = ((120.0 * ctx.scale.multiplier.clamp(0.05, 2.0)) as usize).max(50);
-    let stream = failover_stream(&base, ctx.seed, batches);
+    let stream: Vec<Vec<Update>> = zipf_stream(&base, ctx.seed, batches * BATCH)
+        .chunks(BATCH)
+        .map(<[Update]>::to_vec)
+        .collect();
     let users = base.num_users() as u32;
     let config = || OnlineConfig::new(STREAM_K);
 
     let ((listener_a, addr_a), (listener_b, addr_b)) = (listen(), listen());
     let peers = vec![addr_a.clone(), addr_b.clone()];
-    let dir_a = scratch("primary");
-    let dir_b = scratch("replica");
+    let dir_a = scratch("failover", "primary");
+    let dir_b = scratch("failover", "replica");
     let primary = spawn_member(&dir_a, &base, listener_a, None, &peers);
     let replica = spawn_member(&dir_b, &base, listener_b, Some(&addr_a), &peers);
 
@@ -249,7 +176,7 @@ pub fn failover(ctx: &mut Ctx) -> String {
         "discovery finds the primary"
     );
 
-    shutdown_daemon(primary);
+    primary.shutdown();
     let killed = Instant::now();
     let mut unavailability_ms = f64::INFINITY;
     for batch in &stream[split..] {
@@ -280,7 +207,7 @@ pub fn failover(ctx: &mut Ctx) -> String {
         std::thread::sleep(Duration::from_millis(5));
     };
     drop(survivor);
-    shutdown_daemon(replica);
+    replica.shutdown();
 
     // Phase 3: exactly-once. Recover the survivor and compare
     // bit-exactly against a fault-free replay of the acknowledged

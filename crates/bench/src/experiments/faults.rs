@@ -29,15 +29,10 @@
 //!    time until the background recovery task reports `healthy` again is
 //!    gated `<= MAX_RECOVERY_MS` (**hard**).
 
-use std::path::PathBuf;
+use std::path::Path;
 use std::time::{Duration, Instant};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use kiff_core::fault::{self, points, Trigger};
-use kiff_dataset::generators::planted::{generate_planted, PlantedConfig};
-use kiff_dataset::zipf::Zipf;
 use kiff_dataset::Dataset;
 use kiff_online::{OnlineConfig, OnlineKnn, Update};
 use kiff_serve::{
@@ -45,7 +40,7 @@ use kiff_serve::{
 };
 use kiff_telemetry::Registry;
 
-use super::{Ctx, STREAM_K};
+use super::{p99_us, planted, scratch, zipf_stream, Ctx, Daemon, STREAM_K};
 
 const BATCH: usize = 8;
 /// Injected fault period on the WAL fsync path: every 100th fsync
@@ -62,56 +57,6 @@ const MIN_SUCCESS_RATE: f64 = 0.999;
 const MAX_P99_US: f64 = 250_000.0;
 /// Hard gate: degraded-to-healthy after the WAL is released.
 const MAX_RECOVERY_MS: f64 = 2_000.0;
-
-/// Smaller than the `serve` population: the subject here is the retry
-/// discipline, not raw throughput, and three daemons run per pass.
-fn faults_dataset(multiplier: f64, seed: u64) -> Dataset {
-    let m = multiplier.clamp(0.05, 2.0);
-    let users = ((6_000.0 * m) as usize).max(800);
-    generate_planted(&PlantedConfig {
-        name: "bench-faults".to_string(),
-        num_users: users,
-        num_items: (users * 4) / 5,
-        communities: 8,
-        ratings_per_user: 20,
-        affinity: 0.8,
-        ..PlantedConfig::tiny("bench-faults", seed)
-    })
-    .0
-}
-
-/// Zipf-skewed update batches, deterministic in the seed.
-fn faults_stream(ds: &Dataset, seed: u64, batches: usize) -> Vec<Vec<Update>> {
-    let user_dist = Zipf::new(ds.num_users(), 1.1);
-    let item_dist = Zipf::new(ds.num_items(), 0.8);
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..batches)
-        .map(|_| {
-            (0..BATCH)
-                .map(|_| Update::AddRating {
-                    user: user_dist.sample(&mut rng) as u32,
-                    item: item_dist.sample(&mut rng) as u32,
-                    rating: 1.0,
-                })
-                .collect()
-        })
-        .collect()
-}
-
-fn scratch(tag: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("kiff-bench-faults-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&p);
-    p
-}
-
-fn p99_us(latencies: &mut [f64]) -> f64 {
-    if latencies.is_empty() {
-        return 0.0;
-    }
-    latencies.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    latencies[(latencies.len() * 99 / 100).min(latencies.len() - 1)]
-}
 
 struct DriveOutcome {
     ok: u64,
@@ -162,14 +107,8 @@ fn drive(client: &mut SelfHealingClient, stream: &[Vec<Update>], users: u32) -> 
     out
 }
 
-/// One daemon lifecycle: recover in `dir`, serve, drive, wait until
-/// healthy, shut down, and recover once more for the final state.
-struct Daemon {
-    addr: String,
-    handle: std::thread::JoinHandle<Result<(), kiff_core::KiffError>>,
-}
-
-fn spawn_daemon(dir: &PathBuf, base: &Dataset, k: usize) -> Daemon {
+/// Recovers a durable daemon in `dir` and serves it on an ephemeral port.
+fn spawn_daemon(dir: &Path, base: &Dataset, k: usize) -> Daemon {
     let cfg = StoreConfig::new(dir).with_snapshot_every(0);
     let registry = Registry::new();
     let config = OnlineConfig::new(k).with_telemetry(registry.clone());
@@ -186,25 +125,6 @@ fn spawn_daemon(dir: &PathBuf, base: &Dataset, k: usize) -> Daemon {
     Daemon { addr, handle }
 }
 
-fn shutdown_daemon(daemon: Daemon) {
-    for _ in 0..50 {
-        match Client::connect(&daemon.addr) {
-            Ok(mut c) => {
-                if c.shutdown().is_ok() {
-                    break;
-                }
-            }
-            Err(_) => break, // already down
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    daemon
-        .handle
-        .join()
-        .expect("daemon thread")
-        .expect("clean daemon exit");
-}
-
 fn retry_policy(seed: u64) -> RetryPolicy {
     RetryPolicy {
         max_attempts: 10,
@@ -216,23 +136,28 @@ fn retry_policy(seed: u64) -> RetryPolicy {
 
 /// Runs the fault-tolerance benchmark and writes `faults.json`.
 pub fn faults(ctx: &mut Ctx) -> String {
-    let base = faults_dataset(ctx.scale.multiplier, ctx.seed);
+    // Smaller than the `serve` population: the subject here is the retry
+    // discipline, not raw throughput, and three daemons run per pass.
+    let base = planted(ctx, "bench-faults", 6_000.0, 800, 8, 20);
     // At least two fsync periods: every batch fsyncs at least once and
     // every round makes three requests, so each armed point fires.
     let batches = ((150.0 * ctx.scale.multiplier.clamp(0.05, 2.0)) as usize)
         .max(2 * WAL_FAULT_EVERY as usize);
-    let stream = faults_stream(&base, ctx.seed, batches);
+    let stream: Vec<Vec<Update>> = zipf_stream(&base, ctx.seed, batches * BATCH)
+        .chunks(BATCH)
+        .map(<[Update]>::to_vec)
+        .collect();
     let users = base.num_users() as u32;
     let config = || OnlineConfig::new(STREAM_K);
 
     // Phase 1: clean baseline for the latency yardstick.
-    let clean_dir = scratch("clean");
+    let clean_dir = scratch("faults", "clean");
     let daemon = spawn_daemon(&clean_dir, &base, STREAM_K);
     let mut client =
         SelfHealingClient::connect(&[&daemon.addr], retry_policy(ctx.seed)).expect("connect clean");
     let mut clean = drive(&mut client, &stream, users);
     drop(client);
-    shutdown_daemon(daemon);
+    daemon.shutdown();
     std::fs::remove_dir_all(&clean_dir).ok();
     let clean_p99 = p99_us(&mut clean.latencies_us);
     assert_eq!(clean.failed, 0, "the clean run must not fail");
@@ -240,7 +165,7 @@ pub fn faults(ctx: &mut Ctx) -> String {
     // Phase 2: the same workload under a 1% WAL and 0.5% socket fault
     // rate. The failpoints are scoped to this daemon's WAL directory and
     // socket, and periodic, so the fire pattern reproduces run-to-run.
-    let fault_dir = scratch("faulted");
+    let fault_dir = scratch("faults", "faulted");
     let fault_scope = fault_dir.to_string_lossy().into_owned();
     let daemon = spawn_daemon(&fault_dir, &base, STREAM_K);
     let mut client = SelfHealingClient::connect(&[&daemon.addr], retry_policy(ctx.seed))
@@ -314,7 +239,7 @@ pub fn faults(ctx: &mut Ctx) -> String {
         })
         .collect();
 
-    shutdown_daemon(daemon);
+    daemon.shutdown();
     fault::disarm_all();
 
     // Exactly-once: recover the faulted store and compare bit-exactly

@@ -24,15 +24,22 @@ pub mod telemetry;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::rc::Rc;
-use std::time::Instant;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use serde::Serialize;
 
-use kiff_core::{Kiff, KiffConfig};
+use kiff_core::{Kiff, KiffConfig, KiffError};
 use kiff_dataset::generators::movielens::movielens_like;
+use kiff_dataset::generators::planted::{generate_planted, PlantedConfig};
+use kiff_dataset::zipf::Zipf;
 use kiff_dataset::{subsample_ratings, Dataset, DatasetBuilder, PaperDataset};
 use kiff_eval::{AlgoRunRecord, ExperimentRecord};
 use kiff_graph::{exact_knn, recall, KnnGraph};
+use kiff_online::Update;
+use kiff_serve::Client;
 use kiff_similarity::WeightedCosine;
 
 use crate::datasets::SuiteScale;
@@ -51,6 +58,96 @@ pub fn graphs_bit_identical(a: &KnnGraph, b: &KnnGraph) -> bool {
                     .zip(y)
                     .all(|(p, q)| p.id == q.id && p.sim.to_bits() == q.sim.to_bits())
         })
+}
+
+/// The planted-community population of a serve-family experiment
+/// (`serve`, `reads`, `faults`, `failover`, `telemetry`): `users` at
+/// scale 1, scaled by the suite multiplier clamped to 0.05–2, and never
+/// fewer than `min_users`; four items per five users, affinity 0.8.
+pub(crate) fn planted(
+    ctx: &Ctx,
+    name: &str,
+    users: f64,
+    min_users: usize,
+    communities: usize,
+    ratings_per_user: usize,
+) -> Dataset {
+    let m = ctx.scale.multiplier.clamp(0.05, 2.0);
+    let users = ((users * m) as usize).max(min_users);
+    generate_planted(&PlantedConfig {
+        name: name.to_string(),
+        num_users: users,
+        num_items: (users * 4) / 5,
+        communities,
+        ratings_per_user,
+        affinity: 0.8,
+        ..PlantedConfig::tiny(name, ctx.seed)
+    })
+    .0
+}
+
+/// `len` Zipf-skewed rating arrivals over `ds`'s existing users and
+/// items, deterministic in the seed: a daemon and its mirror replay, or
+/// two measured modes, apply the identical stream.
+pub(crate) fn zipf_stream(ds: &Dataset, seed: u64, len: usize) -> Vec<Update> {
+    let user_dist = Zipf::new(ds.num_users(), 1.1);
+    let item_dist = Zipf::new(ds.num_items(), 0.8);
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..len)
+        .map(|_| Update::AddRating {
+            user: user_dist.sample(&mut rng) as u32,
+            item: item_dist.sample(&mut rng) as u32,
+            rating: 1.0,
+        })
+        .collect()
+}
+
+/// A fresh scratch directory for one phase's store.
+pub(crate) fn scratch(experiment: &str, tag: &str) -> PathBuf {
+    let mut p = std::env::temp_dir();
+    p.push(format!(
+        "kiff-bench-{experiment}-{}-{tag}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&p);
+    p
+}
+
+/// The 99th percentile of `latencies` (sorted in place), 0 when empty.
+pub(crate) fn p99_us(latencies: &mut [f64]) -> f64 {
+    if latencies.is_empty() {
+        return 0.0;
+    }
+    latencies.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    latencies[(latencies.len() * 99 / 100).min(latencies.len() - 1)]
+}
+
+/// A daemon serving from a thread of the experiment's process.
+pub(crate) struct Daemon {
+    pub(crate) addr: String,
+    pub(crate) handle: JoinHandle<Result<(), KiffError>>,
+}
+
+impl Daemon {
+    /// Sends `shutdown` (retrying a busy daemon briefly) and joins the
+    /// daemon, which must exit cleanly.
+    pub(crate) fn shutdown(self) {
+        for _ in 0..50 {
+            match Client::connect(&self.addr) {
+                Ok(mut c) => {
+                    if c.shutdown().is_ok() {
+                        break;
+                    }
+                }
+                Err(_) => break, // already down
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        self.handle
+            .join()
+            .expect("daemon thread")
+            .expect("clean daemon exit");
+    }
 }
 
 /// Neighbourhood size of the streaming experiments (`online`, `sharded`).

@@ -28,17 +28,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use kiff_dataset::generators::planted::{generate_planted, PlantedConfig};
-use kiff_dataset::zipf::Zipf;
-use kiff_dataset::Dataset;
-use kiff_online::{KnnEngine, OnlineConfig, OnlineKnn, Update};
+use kiff_online::{KnnEngine, OnlineConfig, OnlineKnn};
 use kiff_serve::{Client, EngineHost, Request, Server};
 use kiff_telemetry::Registry;
 
-use super::{Ctx, STREAM_K};
+use super::{planted, zipf_stream, Ctx, STREAM_K};
 
 const BATCH: usize = 32;
 const READERS: usize = 8;
@@ -59,36 +53,6 @@ fn contention_gates(cores: usize) -> (f64, f64) {
     } else {
         (30.0, 0.3)
     }
-}
-
-fn reads_dataset(multiplier: f64, seed: u64) -> Dataset {
-    let m = multiplier.clamp(0.05, 2.0);
-    let users = ((10_000.0 * m) as usize).max(1_500);
-    generate_planted(&PlantedConfig {
-        name: "bench-reads".to_string(),
-        num_users: users,
-        num_items: (users * 4) / 5,
-        communities: 8,
-        ratings_per_user: 20,
-        affinity: 0.8,
-        ..PlantedConfig::tiny("bench-reads", seed)
-    })
-    .0
-}
-
-/// Zipf-skewed arrivals, deterministic in the seed — the daemon and the
-/// mirror apply the identical stream at identical batch boundaries.
-fn reads_stream(ds: &Dataset, seed: u64) -> Vec<Update> {
-    let user_dist = Zipf::new(ds.num_users(), 1.1);
-    let item_dist = Zipf::new(ds.num_items(), 0.8);
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..ds.num_users())
-        .map(|_| Update::AddRating {
-            user: user_dist.sample(&mut rng) as u32,
-            item: item_dist.sample(&mut rng) as u32,
-            rating: 1.0,
-        })
-        .collect()
 }
 
 /// What one reader thread brings home from a measured window.
@@ -169,8 +133,10 @@ fn collect(handles: Vec<std::thread::JoinHandle<ReaderReport>>, window_s: f64) -
 
 /// Runs the lock-free read benchmark and writes `reads.json`.
 pub fn reads(ctx: &mut Ctx) -> String {
-    let base = reads_dataset(ctx.scale.multiplier, ctx.seed);
-    let stream = reads_stream(&base, ctx.seed);
+    let base = planted(ctx, "bench-reads", 10_000.0, 1_500, 8, 20);
+    // The daemon and the mirror apply the identical stream at identical
+    // batch boundaries.
+    let stream = zipf_stream(&base, ctx.seed, base.num_users());
     let num_users = base.num_users() as u32;
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())

@@ -27,70 +27,23 @@
 //!    **hard gate** in bench-smoke), else the persistence layer is not
 //!    paying for its fsyncs.
 
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use kiff_core::{Kiff, KiffConfig};
-use kiff_dataset::generators::planted::{generate_planted, PlantedConfig};
-use kiff_dataset::zipf::Zipf;
 use kiff_dataset::Dataset;
 use kiff_graph::KnnGraph;
-use kiff_online::{KnnEngine, OnlineConfig, OnlineKnn, Update};
+use kiff_online::{KnnEngine, OnlineConfig, OnlineKnn};
 use kiff_serve::{recover, Client, EngineHost, Server, StoreConfig};
 use kiff_similarity::WeightedCosine;
 use kiff_telemetry::Registry;
 
-use super::{Ctx, STREAM_K};
+use super::{planted, scratch, zipf_stream, Ctx, STREAM_K};
 
 const BATCH: usize = 32;
 /// The gate: recovery must beat a from-scratch rebuild by this factor.
 const MIN_RECOVERY_SPEEDUP: f64 = 5.0;
-
-/// A planted population large enough that a full rebuild takes tens of
-/// milliseconds even at smoke scale, so the speedup gate measures work
-/// rather than timer noise.
-fn serve_dataset(multiplier: f64, seed: u64) -> Dataset {
-    let m = multiplier.clamp(0.05, 2.0);
-    let users = ((20_000.0 * m) as usize).max(2_000);
-    generate_planted(&PlantedConfig {
-        name: "bench-serve".to_string(),
-        num_users: users,
-        num_items: (users * 4) / 5,
-        communities: 8,
-        ratings_per_user: 20,
-        affinity: 0.8,
-        ..PlantedConfig::tiny("bench-serve", seed)
-    })
-    .0
-}
-
-/// Zipf-skewed arrivals over the existing population — deterministic in
-/// the seed, identical for both phases.
-fn serve_stream(ds: &Dataset, seed: u64) -> Vec<Update> {
-    let user_dist = Zipf::new(ds.num_users(), 1.1);
-    let item_dist = Zipf::new(ds.num_items(), 0.8);
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..2 * ds.num_users())
-        .map(|_| Update::AddRating {
-            user: user_dist.sample(&mut rng) as u32,
-            item: item_dist.sample(&mut rng) as u32,
-            rating: 1.0,
-        })
-        .collect()
-}
-
-/// A fresh scratch directory for one phase's store.
-fn scratch(tag: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("kiff-bench-serve-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&p);
-    p
-}
 
 fn kiff_graph(ds: &Dataset, threads: Option<usize>) -> KnnGraph {
     let sim = WeightedCosine::fit(ds);
@@ -101,8 +54,12 @@ fn kiff_graph(ds: &Dataset, threads: Option<usize>) -> KnnGraph {
 
 /// Runs the serving benchmark and writes `serve.json`.
 pub fn serve(ctx: &mut Ctx) -> String {
-    let base = serve_dataset(ctx.scale.multiplier, ctx.seed);
-    let stream = serve_stream(&base, ctx.seed);
+    // A planted population large enough that a full rebuild takes tens
+    // of milliseconds even at smoke scale, so the speedup gate measures
+    // work rather than timer noise.
+    let base = planted(ctx, "bench-serve", 20_000.0, 2_000, 8, 20);
+    // Zipf-skewed arrivals, identical for both phases.
+    let stream = zipf_stream(&base, ctx.seed, 2 * base.num_users());
     let num_users = base.num_users() as u32;
     let seed_graph = kiff_graph(&base, ctx.threads);
 
@@ -111,7 +68,7 @@ pub fn serve(ctx: &mut Ctx) -> String {
     // round trips. Automatic snapshots are disabled so the contended
     // window measures the steady state (append + apply + query), not a
     // snapshot stall.
-    let dir = scratch("daemon");
+    let dir = scratch("serve", "daemon");
     let cfg = StoreConfig::new(&dir).with_snapshot_every(0);
     let registry = Registry::new();
     let config = OnlineConfig::new(STREAM_K).with_telemetry(registry.clone());
@@ -170,7 +127,7 @@ pub fn serve(ctx: &mut Ctx) -> String {
     // before the end, then a simulated `kill -9` (drop without shutdown
     // — the graceful path would snapshot and leave nothing to replay).
     // Time recovery against a cold engine build on the final dataset.
-    let dir = scratch("recovery");
+    let dir = scratch("serve", "recovery");
     let cfg = StoreConfig::new(&dir).with_snapshot_every(0);
     let config = || OnlineConfig::new(STREAM_K);
     let rec = recover(&cfg, &base, Some(&seed_graph), config(), None)

@@ -27,16 +27,10 @@
 
 use std::time::Instant;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use kiff_dataset::generators::planted::{generate_planted, PlantedConfig};
-use kiff_dataset::zipf::Zipf;
-use kiff_dataset::Dataset;
 use kiff_online::{OnlineConfig, ShardConfig, ShardedOnlineKnn, Update, UpdateStats};
 use kiff_telemetry::{Registry, TelemetrySnapshot};
 
-use super::{Ctx, STREAM_K};
+use super::{planted, zipf_stream, Ctx, STREAM_K};
 
 const SHARDS: usize = 4;
 const BATCH: usize = 64;
@@ -48,38 +42,6 @@ const MAX_ROUNDS: usize = 45;
 /// The gate: telemetry-on throughput must be at least this fraction of
 /// telemetry-off throughput.
 const MIN_RATIO: f64 = 0.97;
-
-/// A planted-community population large enough that one replay takes
-/// tens of milliseconds even at smoke scale.
-fn telemetry_dataset(multiplier: f64, seed: u64) -> Dataset {
-    let m = multiplier.clamp(0.05, 2.0);
-    let users = ((6000.0 * m) as usize).max(600);
-    generate_planted(&PlantedConfig {
-        name: "bench-telemetry".to_string(),
-        num_users: users,
-        num_items: (users * 4) / 5,
-        communities: 2 * SHARDS,
-        ratings_per_user: 12,
-        affinity: 0.8,
-        ..PlantedConfig::tiny("bench-telemetry", seed)
-    })
-    .0
-}
-
-/// Zipf-skewed arrivals over the existing population — deterministic in
-/// the seed, identical for both modes.
-fn telemetry_stream(ds: &Dataset, seed: u64) -> Vec<Update> {
-    let user_dist = Zipf::new(ds.num_users(), 1.1);
-    let item_dist = Zipf::new(ds.num_items(), 0.8);
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..2 * ds.num_users())
-        .map(|_| Update::AddRating {
-            user: user_dist.sample(&mut rng) as u32,
-            item: item_dist.sample(&mut rng) as u32,
-            rating: 1.0,
-        })
-        .collect()
-}
 
 struct Replay {
     elapsed_s: f64,
@@ -121,8 +83,10 @@ fn replay(base: &kiff_dataset::Dataset, stream: &[Update], registry: &Registry) 
 
 /// Runs the telemetry-overhead benchmark and writes `telemetry.json`.
 pub fn telemetry(ctx: &mut Ctx) -> String {
-    let base = telemetry_dataset(ctx.scale.multiplier, ctx.seed);
-    let stream = telemetry_stream(&base, ctx.seed);
+    // Large enough that one replay takes tens of milliseconds even at
+    // smoke scale; the stream is identical for both modes.
+    let base = planted(ctx, "bench-telemetry", 6_000.0, 600, 2 * SHARDS, 12);
+    let stream = zipf_stream(&base, ctx.seed, 2 * base.num_users());
     let base = &base;
 
     // One untimed warmup so neither measured mode pays first-touch

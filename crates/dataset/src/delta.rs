@@ -332,12 +332,6 @@ impl DeltaDataset {
         })
     }
 
-    /// A read-only, copyable view of the current state — the handle shard
-    /// workers share during parallel repair (see [`DeltaView`]).
-    pub fn view(&self) -> DeltaView<'_> {
-        DeltaView { data: self }
-    }
-
     /// Records `u`'s current rating of `i` on the item side (`None` once
     /// removed): as an override when the base row holds `u`, else among
     /// the added raters. A re-add after a removal overrides with the
@@ -361,55 +355,6 @@ impl DeltaDataset {
     /// Recomputes `u`'s cached statistics after its profile changed.
     fn refresh_stats(&mut self, u: UserId) {
         self.stats[u as usize] = ProfileStats::of(self.profile(u));
-    }
-}
-
-/// A read-only, `Copy` view over a [`DeltaDataset`].
-///
-/// The sharded online engine mutates the dataset serially, then repairs
-/// shards in parallel; every shard worker needs to read *any* user's
-/// profile (similarity candidates cross shard boundaries) but must not be
-/// able to mutate the store. `DeltaView` is that capability split made
-/// explicit: a borrow-sized handle that is `Copy + Send + Sync` and only
-/// exposes the read side, so handing one per shard to a thread pool
-/// compiles without interior mutability or cloning the overlay.
-#[derive(Debug, Clone, Copy)]
-pub struct DeltaView<'a> {
-    data: &'a DeltaDataset,
-}
-
-impl<'a> DeltaView<'a> {
-    /// Current number of users.
-    pub fn num_users(self) -> usize {
-        self.data.num_users()
-    }
-
-    /// Current number of items.
-    pub fn num_items(self) -> usize {
-        self.data.num_items()
-    }
-
-    /// Current number of ratings.
-    pub fn num_ratings(self) -> usize {
-        self.data.num_ratings()
-    }
-
-    /// The current profile of `u` (see [`DeltaDataset::profile`]).
-    pub fn profile(self, u: UserId) -> ProfileRef<'a> {
-        self.data.profile(u)
-    }
-
-    /// The cached statistics of `u`'s current profile (see
-    /// [`DeltaDataset::stats`]).
-    #[inline]
-    pub fn stats(self, u: UserId) -> ProfileStats {
-        self.data.stats(u)
-    }
-
-    /// Streams the current raters of `i` with their current ratings (see
-    /// [`DeltaDataset::for_each_item_rater`]).
-    pub fn for_each_item_rater(self, i: ItemId, f: impl FnMut(UserId, Rating)) {
-        self.data.for_each_item_rater(i, f)
     }
 }
 
@@ -570,15 +515,27 @@ mod tests {
         fn assert_shareable<T: Copy + Send + Sync>(_: T) {}
         let mut d = DeltaDataset::new(figure2_toy());
         d.add_rating(2, 1, 2.0);
-        let v = d.view();
+        // Shard workers share the store as a plain `&DeltaDataset`.
+        let v = &d;
         assert_shareable(v);
-        assert_eq!(v.num_users(), 4);
-        assert_eq!(v.num_ratings(), 7);
-        assert_eq!(v.profile(2).items, &[1, 3]);
-        let mut raters = Vec::new();
-        v.for_each_item_rater(1, |u, r| raters.push((u, r)));
-        raters.sort_unstable_by_key(|&(u, _)| u);
-        assert_eq!(raters, vec![(0, 1.0), (1, 1.0), (2, 2.0)]);
+        std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(move || {
+                        assert_eq!(v.num_users(), 4);
+                        assert_eq!(v.num_ratings(), 7);
+                        assert_eq!(v.profile(2).items, &[1, 3]);
+                        let mut raters = Vec::new();
+                        v.for_each_item_rater(1, |u, r| raters.push((u, r)));
+                        raters.sort_unstable_by_key(|&(u, _)| u);
+                        assert_eq!(raters, vec![(0, 1.0), (1, 1.0), (2, 2.0)]);
+                    })
+                })
+                .collect();
+            for reader in readers {
+                reader.join().unwrap();
+            }
+        });
     }
 
     mod properties {

@@ -38,7 +38,7 @@ pub mod types;
 pub mod zipf;
 
 pub use dataset::{Dataset, DatasetBuilder};
-pub use delta::{DeltaDataset, DeltaView, ProfileStats};
+pub use delta::{DeltaDataset, ProfileStats};
 pub use density::{ml_family, subsample_ratings};
 pub use generators::presets::{paper_k, reduced_k, PaperDataset};
 pub use stats::DatasetStats;

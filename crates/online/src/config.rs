@@ -63,6 +63,10 @@ impl OnlineMetric {
     }
 }
 
+/// Cap on *additional* users repaired per `apply` beyond those a
+/// mutation touched directly — the Debatty-style propagation budget.
+pub const MAX_PROPAGATION: usize = 64;
+
 /// Knobs of the online engine (sharding aside, see
 /// [`ShardConfig`](crate::ShardConfig)). Defaults follow the batch paper
 /// parameters where an analogue exists: the repair width is the online γ.
@@ -76,9 +80,6 @@ pub struct OnlineConfig {
     /// iterates to convergence, a repair gets one shot at the candidate
     /// ranking, so it reads a deeper prefix.
     pub repair_width: usize,
-    /// Cap on *additional* users repaired per `apply` beyond those a
-    /// mutation touched directly — the Debatty-style propagation budget.
-    pub max_propagation: usize,
     /// Similarity metric.
     pub metric: OnlineMetric,
     /// Re-compact the delta storage once this fraction of users carries an
@@ -94,13 +95,12 @@ pub struct OnlineConfig {
 
 impl OnlineConfig {
     /// Defaults for neighbourhood size `k`: `repair_width = 8k`,
-    /// propagation budget 64, cosine, compaction at 25% overlay.
+    /// cosine, compaction at 25% overlay.
     pub fn new(k: usize) -> Self {
         assert!(k > 0, "k must be positive");
         Self {
             k,
             repair_width: 8 * k,
-            max_propagation: 64,
             metric: OnlineMetric::default(),
             compaction_threshold: 0.25,
             telemetry: Registry::new(),
@@ -111,12 +111,6 @@ impl OnlineConfig {
     pub fn with_repair_width(mut self, width: usize) -> Self {
         assert!(width > 0, "repair width must be positive");
         self.repair_width = width;
-        self
-    }
-
-    /// Sets the propagation budget.
-    pub fn with_max_propagation(mut self, budget: usize) -> Self {
-        self.max_propagation = budget;
         self
     }
 
@@ -156,7 +150,6 @@ mod tests {
         let cfg = OnlineConfig::new(10);
         assert_eq!(cfg.repair_width, 80);
         assert_eq!(cfg.metric, OnlineMetric::Cosine);
-        assert!(cfg.max_propagation > 0);
     }
 
     #[test]

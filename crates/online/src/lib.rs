@@ -31,7 +31,7 @@
 //!   against its refreshed candidate-prefix (top [`OnlineConfig::repair_width`]
 //!   by live shared-item count) plus its current and reverse neighbours;
 //!   degradations then propagate through reverse edges (Debatty-style)
-//!   until no heap changes, capped by [`OnlineConfig::max_propagation`].
+//!   until no heap changes, capped by [`MAX_PROPAGATION`].
 //!   A single update can only change similarities incident to the updated
 //!   user, so this radius recovers almost all of the batch recall at a
 //!   small, bounded fraction of a rebuild's similarity evaluations.
@@ -69,7 +69,7 @@ mod snapshot;
 pub mod update;
 
 pub use api::{KnnEngine, ReadView};
-pub use config::{OnlineConfig, OnlineMetric};
+pub use config::{OnlineConfig, OnlineMetric, MAX_PROPAGATION};
 pub use engine::OnlineKnn;
 pub use sharded::{ShardConfig, ShardedOnlineKnn};
 pub use update::{Update, UpdateStats};

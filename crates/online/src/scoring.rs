@@ -7,7 +7,7 @@
 //! graph: in sparse data item profiles are short. So [`RepairScorer`]
 //! walks `u`'s items in ascending order and, for each, the item's
 //! current raters with their live ratings
-//! ([`DeltaView::for_each_item_rater`]), adding the metric's shared-item
+//! ([`DeltaDataset::for_each_item_rater`]), adding the metric's shared-item
 //! term into the candidates marked in a dense scratch array: `Σ_{i∈UP_u}
 //! |IP_i|` entries. Each score is then finished from the two users'
 //! cached [`ProfileStats`](kiff_dataset::ProfileStats).
@@ -23,7 +23,7 @@
 //! the same way, and close with the same [`finish`], on the batches where
 //! the walk reads fewer entries than scanning; a repair always walks.
 
-use kiff_dataset::{DeltaView, Rating, UserId};
+use kiff_dataset::{DeltaDataset, Rating, UserId};
 use kiff_similarity::scorer::finish;
 
 use crate::config::OnlineMetric;
@@ -48,13 +48,13 @@ impl RepairScorer {
     pub(crate) fn score(
         &mut self,
         metric: OnlineMetric,
-        view: DeltaView<'_>,
+        data: &DeltaDataset,
         u: UserId,
         candidates: &[UserId],
         out: &mut Vec<(UserId, f64)>,
     ) {
-        if self.mark.len() < view.num_users() {
-            self.mark.resize(view.num_users(), 0);
+        if self.mark.len() < data.num_users() {
+            self.mark.resize(data.num_users(), 0);
         }
         self.sums.clear();
         self.sums.resize(candidates.len(), 0.0);
@@ -64,21 +64,21 @@ impl RepairScorer {
         // One monomorphised walk per term shape, so the rater loop
         // carries no metric dispatch.
         match metric {
-            OnlineMetric::Cosine => self.walk(view, u, |a, b| f64::from(a) * f64::from(b)),
+            OnlineMetric::Cosine => self.walk(data, u, |a, b| f64::from(a) * f64::from(b)),
             OnlineMetric::WeightedJaccard => {
-                self.walk(view, u, |a, b| f64::from(a).min(f64::from(b)))
+                self.walk(data, u, |a, b| f64::from(a).min(f64::from(b)))
             }
             OnlineMetric::BinaryCosine | OnlineMetric::Jaccard | OnlineMetric::Dice => {
-                self.walk(view, u, |_, _| 1.0)
+                self.walk(data, u, |_, _| 1.0)
             }
         }
-        let (kind, stats_u) = (metric.kind(), view.stats(u));
+        let (kind, stats_u) = (metric.kind(), data.stats(u));
         for (&v, &sum) in candidates.iter().zip(&self.sums) {
             self.mark[v as usize] = 0;
-            let s = finish(kind, sum, stats_u, view.stats(v));
+            let s = finish(kind, sum, stats_u, data.stats(v));
             debug_assert_eq!(
                 s.to_bits(),
-                metric.eval(view.profile(u), view.profile(v)).to_bits(),
+                metric.eval(data.profile(u), data.profile(v)).to_bits(),
                 "repair score of ({u}, {v}) under {metric:?} drifted from eval"
             );
             out.push((v, s));
@@ -94,15 +94,15 @@ impl RepairScorer {
     /// free slot, which only a candidate claims. The candidates' terms
     /// are then added in a second, branch-free loop. A candidate rates
     /// an item at most once, so the order within an item is free.
-    fn walk(&mut self, view: DeltaView<'_>, u: UserId, term: impl Fn(Rating, Rating) -> f64) {
+    fn walk(&mut self, data: &DeltaDataset, u: UserId, term: impl Fn(Rating, Rating) -> f64) {
         let (mark, sums, hits) = (&self.mark, &mut self.sums, &mut self.hits);
         // An item has at most one rater per user.
         if hits.len() < mark.len() {
             hits.resize(mark.len(), (0, 0.0));
         }
-        for (i, rating_u) in view.profile(u).iter() {
+        for (i, rating_u) in data.profile(u).iter() {
             let mut n = 0;
-            view.for_each_item_rater(i, |v, rating_v| {
+            data.for_each_item_rater(i, |v, rating_v| {
                 let pos = mark[v as usize];
                 hits[n] = (pos, rating_v);
                 n += usize::from(pos != 0);

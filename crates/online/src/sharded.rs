@@ -40,7 +40,7 @@
 //!   exactly its own bucket, no scan of the batch's full event list) and
 //!   similarity re-scoring — run on all shards concurrently through
 //!   [`kiff_parallel::parallel_for_each_mut`], with every worker reading
-//!   the shared dataset through a read-only [`DeltaView`].
+//!   the shared dataset through a shared `&DeltaDataset`.
 //! * **Asynchronous cross-shard repair** — a repair of user `u` may
 //!   evaluate a pair `(u, v)` whose other endpoint lives on another
 //!   shard, and `v`'s heap (plus the reverse-edge set of any user `u`'s
@@ -64,13 +64,13 @@ use std::sync::Arc;
 
 use kiff_collections::{FxHashMap, FxHashSet, SparseCounter};
 use kiff_core::{build_rcs, CountingConfig, Kiff, KiffConfig, KiffError};
-use kiff_dataset::{Dataset, DeltaDataset, DeltaView, UserId};
+use kiff_dataset::{Dataset, DeltaDataset, UserId};
 use kiff_graph::{HeapChange, KnnGraph, KnnHeap, Neighbor, ShardReverse};
 use kiff_parallel::{effective_threads, parallel_for_each_mut};
 use kiff_similarity as sim;
 use kiff_telemetry::{Counter, Gauge, Histogram, Registry};
 
-use crate::config::{OnlineConfig, OnlineMetric};
+use crate::config::{OnlineConfig, OnlineMetric, MAX_PROPAGATION};
 use crate::scoring::RepairScorer;
 use crate::snapshot::ClockCache;
 use crate::update::{Update, UpdateStats};
@@ -330,7 +330,7 @@ impl Shard {
 
     /// One repair round: drain the inbox, then repair queued users within
     /// the batch budget, emitting cross-shard messages into the outbox.
-    fn step(&mut self, my: u32, view: DeltaView<'_>, assign: &[Slot], config: &OnlineConfig) {
+    fn step(&mut self, my: u32, data: &DeltaDataset, assign: &[Slot], config: &OnlineConfig) {
         // One pass in message order: a reverse edit names a pair whose
         // source lives on another shard, while landing a score here only
         // mirrors pairs whose source is ours, so the two never touch the
@@ -367,10 +367,10 @@ impl Shard {
             // bulk at batch end alongside the sims counter.
             if self.sampled() {
                 let span = self.repair_ns.span();
-                self.repair(my, u, targeted, view, assign, config);
+                self.repair(my, u, targeted, data, assign, config);
                 span.finish();
             } else {
-                self.repair(my, u, targeted, view, assign, config);
+                self.repair(my, u, targeted, data, assign, config);
             }
         }
         if self.repaired >= self.budget {
@@ -394,7 +394,7 @@ impl Shard {
         my: u32,
         u: UserId,
         targeted: Vec<Arc<Vec<UserId>>>,
-        view: DeltaView<'_>,
+        data: &DeltaDataset,
         assign: &[Slot],
         config: &OnlineConfig,
     ) {
@@ -439,7 +439,7 @@ impl Shard {
         {
             let _span = self.sampled().then(|| self.score_ns.span());
             self.scorer
-                .score(config.metric, view, u, &candidates, &mut scored);
+                .score(config.metric, data, u, &candidates, &mut scored);
         }
         self.stats.sim_evals += scored.len() as u64;
         for &(v, s) in &scored {
@@ -891,12 +891,9 @@ impl ShardedOnlineKnn {
 
         let threads = effective_threads(self.shard_config.threads).min(self.shards.len());
 
-        {
-            let max_propagation = self.config.max_propagation as u64;
-            for shard in &mut self.shards {
-                shard.budget = shard.queue.len() as u64 + max_propagation;
-                shard.clock = self.clock;
-            }
+        for shard in &mut self.shards {
+            shard.budget = (shard.queue.len() + MAX_PROPAGATION) as u64;
+            shard.clock = self.clock;
         }
 
         // Phase 2 (parallel): every shard applies exactly its own
@@ -910,11 +907,11 @@ impl ShardedOnlineKnn {
         // routed between rounds.
         while self.shards.iter().any(Shard::has_work) {
             let round_span = self.repair_round_ns.span();
-            let view = self.data.view();
+            let data = &self.data;
             let assign = &self.assign;
             let config = &self.config;
             parallel_for_each_mut(threads, &mut self.shards, |my, shard| {
-                shard.step(my as u32, view, assign, config);
+                shard.step(my as u32, data, assign, config);
             });
             round_span.finish();
             for s in 0..self.shards.len() {

@@ -76,7 +76,7 @@
 //! through them.
 
 use std::collections::HashMap;
-use std::io::{Read as _, Write as _};
+use std::io::{Read, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
@@ -93,7 +93,7 @@ use serde_json::{json, Value};
 use crate::client::Client;
 use crate::server::Shared;
 use crate::wal::{crc32, decode_frame_header, Wal};
-use crate::wire::{self, MAX_FRAME};
+use crate::wire::{self, Fill, MAX_FRAME};
 
 /// How often blocked reads wake up to poll the shutdown flag.
 const POLL: Duration = Duration::from_millis(25);
@@ -515,19 +515,39 @@ pub fn write_frame(stream: &mut TcpStream, frame: &Value) -> Result<(), KiffErro
 /// read timeout surfaces as an `Io` error). The checksum is verified
 /// before the JSON is parsed.
 pub fn read_frame(stream: &mut TcpStream) -> Result<Value, KiffError> {
-    let mut header = [0u8; 8];
-    stream.read_exact(&mut header).map_err(KiffError::Io)?;
-    decode_and_read(&header, |buf| stream.read_exact(buf).map_err(KiffError::Io))
+    let closed = || {
+        KiffError::Io(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "replication stream closed",
+        ))
+    };
+    read_frame_with(stream, None, None, closed)?.map_err(|_| closed())
 }
 
-fn decode_and_read(
-    header: &[u8; 8],
-    mut read_body: impl FnMut(&mut [u8]) -> Result<(), KiffError>,
-) -> Result<Value, KiffError> {
-    let (len, crc) = decode_frame_header(header, MAX_FRAME)
+/// Reads one frame through [`wire::fill`], watching `stop` and
+/// `deadline` while the stream is idle (the stream must carry a short
+/// read timeout). `Ok(Err(end))` when the read ends before a frame:
+/// EOF before its first byte, or the flag or the deadline during its
+/// header. EOF inside the frame, or the flag or the deadline during its
+/// body, is `torn()`.
+fn read_frame_with<R: Read>(
+    r: &mut R,
+    stop: Option<&AtomicBool>,
+    deadline: Option<Instant>,
+    torn: fn() -> KiffError,
+) -> Result<Result<Value, Fill>, KiffError> {
+    let mut header = [0u8; 8];
+    match wire::fill(r, &mut header, stop, deadline).map_err(KiffError::Io)? {
+        Fill::Full => {}
+        Fill::Eof(n) if n > 0 => return Err(torn()),
+        end => return Ok(Err(end)),
+    }
+    let (len, crc) = decode_frame_header(&header, MAX_FRAME)
         .ok_or_else(|| KiffError::corrupt("replication stream", "oversized or short frame"))?;
     let mut bytes = vec![0u8; len as usize];
-    read_body(&mut bytes)?;
+    if wire::fill(r, &mut bytes, stop, deadline).map_err(KiffError::Io)? != Fill::Full {
+        return Err(torn());
+    }
     if crc32(&bytes) != crc {
         return Err(KiffError::corrupt(
             "replication stream",
@@ -536,87 +556,33 @@ fn decode_and_read(
     }
     let text = String::from_utf8(bytes)
         .map_err(|_| KiffError::corrupt("replication stream", "frame is not UTF-8"))?;
-    serde_json::from_str(&text).map_err(|e| KiffError::Protocol(format!("replication frame: {e}")))
+    serde_json::from_str(&text)
+        .map(Ok)
+        .map_err(|e| KiffError::Protocol(format!("replication frame: {e}")))
 }
 
-enum ReplRead {
-    Frame(Value),
-    /// The peer closed the stream cleanly (EOF before a header byte).
-    Eof,
-    /// The daemon is shutting down.
-    Stop,
-    /// The deadline passed with no complete frame.
-    Deadline,
-}
-
-/// Reads one frame, polling `shutdown` (and `deadline`, if any) while
-/// the stream is idle. The stream must carry a short read timeout.
-fn read_frame_poll(
-    stream: &mut TcpStream,
-    shutdown: &AtomicBool,
+/// Reads one frame on a live replication stream, polling `stop` (and
+/// `deadline`, if any); see [`read_frame_with`].
+fn read_polled<R: Read>(
+    stream: &mut R,
+    stop: &AtomicBool,
     deadline: Option<Instant>,
-) -> Result<ReplRead, KiffError> {
-    let mut header = [0u8; 8];
-    match fill_poll(stream, &mut header, shutdown, deadline, true)? {
-        Fill::Done => {}
-        Fill::Eof => return Ok(ReplRead::Eof),
-        Fill::Stop => return Ok(ReplRead::Stop),
-        Fill::Deadline => return Ok(ReplRead::Deadline),
-    }
-    let value = decode_and_read(&header, |buf| {
-        match fill_poll(stream, buf, shutdown, deadline, false)? {
-            Fill::Done => Ok(()),
-            Fill::Eof | Fill::Stop | Fill::Deadline => Err(KiffError::Protocol(
-                "replication stream closed mid-frame".into(),
-            )),
-        }
-    })?;
-    Ok(ReplRead::Frame(value))
+) -> Result<Result<Value, Fill>, KiffError> {
+    read_frame_with(stream, Some(stop), deadline, || {
+        KiffError::Protocol("replication stream closed mid-frame".into())
+    })
 }
 
-enum Fill {
-    Done,
-    Eof,
-    Stop,
-    Deadline,
-}
-
-fn fill_poll(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    shutdown: &AtomicBool,
-    deadline: Option<Instant>,
-    allow_eof: bool,
-) -> Result<Fill, KiffError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        if shutdown.load(Ordering::SeqCst) {
-            return Ok(Fill::Stop);
-        }
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            return Ok(Fill::Deadline);
-        }
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                if filled == 0 && allow_eof {
-                    return Ok(Fill::Eof);
-                }
-                return Err(KiffError::Protocol(
-                    "replication stream closed mid-frame".into(),
-                ));
-            }
-            Ok(n) => filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) => {}
-            Err(e) => return Err(KiffError::Io(e)),
-        }
-    }
-    Ok(Fill::Done)
+/// Readies a replication socket, dialled or accepted: blocking, no
+/// Nagle delay, reads that wake every [`POLL`] to check the stop flag,
+/// and writes bounded by [`EXCHANGE_TIMEOUT`].
+fn prepare(stream: &TcpStream) -> Result<(), KiffError> {
+    let _ = stream.set_nonblocking(false);
+    let _ = stream.set_nodelay(true);
+    stream.set_read_timeout(Some(POLL)).map_err(KiffError::Io)?;
+    stream
+        .set_write_timeout(Some(EXCHANGE_TIMEOUT))
+        .map_err(KiffError::Io)
 }
 
 fn frame_type(frame: &Value) -> &str {
@@ -720,7 +686,7 @@ fn adopt(shared: &Shared, repl: &ReplState, epoch: u64, hint: Option<String>) {
     if epoch <= repl.epoch() {
         return;
     }
-    if host.adopt_epoch(epoch).is_err() {
+    if host.promote(epoch).is_err() {
         // The fence could not be persisted (disk trouble); stay on the
         // old epoch — the stream will be refused and retried.
         return;
@@ -743,19 +709,10 @@ fn run_inbound(
     repl: &Arc<ReplState>,
     mut stream: TcpStream,
 ) -> Result<(), KiffError> {
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_nodelay(true);
-    stream.set_read_timeout(Some(POLL)).map_err(KiffError::Io)?;
-    stream
-        .set_write_timeout(Some(EXCHANGE_TIMEOUT))
-        .map_err(KiffError::Io)?;
-    let hello = match read_frame_poll(
-        &mut stream,
-        &shared.shutdown,
-        Some(Instant::now() + EXCHANGE_TIMEOUT),
-    )? {
-        ReplRead::Frame(v) => v,
-        _ => return Ok(()),
+    prepare(&stream)?;
+    let deadline = Instant::now() + EXCHANGE_TIMEOUT;
+    let Ok(hello) = read_polled(&mut stream, &shared.shutdown, Some(deadline))? else {
+        return Ok(());
     };
     if frame_type(&hello) != "hello" {
         return Err(KiffError::Protocol(format!(
@@ -789,9 +746,8 @@ fn run_inbound(
         &json!({"t": "hello_ack", "epoch": repl.epoch(), "seq": applied}),
     )?;
     loop {
-        let frame = match read_frame_poll(&mut stream, &shared.shutdown, None)? {
-            ReplRead::Frame(v) => v,
-            ReplRead::Eof | ReplRead::Stop | ReplRead::Deadline => return Ok(()),
+        let Ok(frame) = read_polled(&mut stream, &shared.shutdown, None)? else {
+            return Ok(());
         };
         let f_epoch = field_u64(&frame, "epoch");
         if f_epoch < repl.epoch() {
@@ -959,43 +915,12 @@ fn stream_to_replica(
     sub: &Subscription,
 ) -> Result<(), KiffError> {
     let (rx, depth) = (&sub.rx, &sub.depth);
-    let mut stream = TcpStream::connect(peer_repl).map_err(KiffError::Io)?;
-    let _ = stream.set_nodelay(true);
-    stream.set_read_timeout(Some(POLL)).map_err(KiffError::Io)?;
-    stream
-        .set_write_timeout(Some(EXCHANGE_TIMEOUT))
-        .map_err(KiffError::Io)?;
     let my_seq = shared.lock_host().store_seq();
-    write_frame(
-        &mut stream,
-        &json!({
-            "t": "hello",
-            "epoch": repl.epoch(),
-            "seq": my_seq,
-            "advertise": repl.advertise().to_string()
-        }),
-    )?;
-    let ack = match read_frame_poll(
-        &mut stream,
-        &shared.shutdown,
-        Some(Instant::now() + EXCHANGE_TIMEOUT),
-    )? {
-        ReplRead::Frame(v) => v,
-        _ => return Ok(()),
+    let Some((mut stream, replica_seq)) =
+        open_stream(shared, repl, peer_repl, my_seq, &shared.shutdown)?
+    else {
+        return Ok(());
     };
-    match frame_type(&ack) {
-        "hello_ack" => {}
-        "not_leader" => {
-            handle_not_leader(shared, repl, &ack);
-            return Ok(());
-        }
-        other => {
-            return Err(KiffError::Protocol(format!(
-                "expected hello_ack, got {other:?}"
-            )));
-        }
-    }
-    let replica_seq = field_u64(&ack, "seq");
     if replica_seq > my_seq {
         // The replica holds a diverged suffix (it outlived an older
         // timeline); refuse to stream rather than corrupt it.
@@ -1005,36 +930,18 @@ fn stream_to_replica(
         )));
     }
     let mut last_sent = replica_seq;
-    if replica_seq < my_seq {
-        let dir = shared
-            .lock_host()
-            .store_dir()
-            .ok_or_else(|| KiffError::Protocol("replication requires a data dir".into()))?;
-        // WAL segments are immutable once written, so catch-up reads
-        // them without the host lock; writes continuing in parallel
-        // land in the subscription instead.
-        let replay = Wal::replay(&dir, replica_seq, &shared.telemetry)?;
-        for (first_seq, batch_id, updates) in replay.batches_with_ids() {
-            if first_seq <= last_sent {
-                continue;
-            }
-            match send_batch(
-                &mut stream,
-                shared,
-                repl,
-                peer_repl,
-                repl.epoch(),
-                first_seq,
-                batch_id,
-                &updates,
-                depth.load(Ordering::SeqCst),
-                &shared.shutdown,
-            )? {
-                BatchOutcome::Acked => last_sent = first_seq + updates.len() as u64 - 1,
-                BatchOutcome::NotLeader => return Ok(()),
-            }
-        }
-        shared.telemetry.counter("serve.repl_catchups").incr();
+    if replica_seq < my_seq
+        && catch_up(
+            &mut stream,
+            shared,
+            repl,
+            peer_repl,
+            &mut last_sent,
+            depth,
+            &shared.shutdown,
+        )? == BatchOutcome::NotLeader
+    {
+        return Ok(());
     }
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
@@ -1111,6 +1018,90 @@ fn stream_to_replica(
             Err(RecvTimeoutError::Disconnected) => return Ok(()),
         }
     }
+}
+
+/// The primary's side of a stream's opening: dials `peer_repl`, says
+/// hello at `my_seq` under this daemon's epoch, and reads the answer.
+/// Returns the stream and the replica's applied seq, or `None` when the
+/// replica refused (`not_leader`, which may demote this daemon) or the
+/// exchange ended on EOF, `stop` or its deadline.
+fn open_stream(
+    shared: &Arc<Shared>,
+    repl: &Arc<ReplState>,
+    peer_repl: &str,
+    my_seq: u64,
+    stop: &AtomicBool,
+) -> Result<Option<(TcpStream, u64)>, KiffError> {
+    let mut stream = TcpStream::connect(peer_repl).map_err(KiffError::Io)?;
+    prepare(&stream)?;
+    write_frame(
+        &mut stream,
+        &json!({
+            "t": "hello",
+            "epoch": repl.epoch(),
+            "seq": my_seq,
+            "advertise": repl.advertise().to_string()
+        }),
+    )?;
+    let deadline = Instant::now() + EXCHANGE_TIMEOUT;
+    let Ok(ack) = read_polled(&mut stream, stop, Some(deadline))? else {
+        return Ok(None);
+    };
+    match frame_type(&ack) {
+        "hello_ack" => Ok(Some((stream, field_u64(&ack, "seq")))),
+        "not_leader" => {
+            handle_not_leader(shared, repl, &ack);
+            Ok(None)
+        }
+        other => Err(KiffError::Protocol(format!(
+            "expected hello_ack, got {other:?}"
+        ))),
+    }
+}
+
+/// Ships every WAL batch past `*last_sent` from disk, advancing
+/// `*last_sent` as each is acked; each batch reports `depth` as the
+/// primary's queue depth. Stops early when the replica answers
+/// `not_leader`.
+fn catch_up(
+    stream: &mut TcpStream,
+    shared: &Arc<Shared>,
+    repl: &Arc<ReplState>,
+    peer_repl: &str,
+    last_sent: &mut u64,
+    depth: &AtomicU64,
+    stop: &AtomicBool,
+) -> Result<BatchOutcome, KiffError> {
+    let dir = shared
+        .lock_host()
+        .store_dir()
+        .ok_or_else(|| KiffError::Protocol("replication requires a data dir".into()))?;
+    // WAL segments are immutable once written, so catch-up reads them
+    // without the host lock; writes continuing in parallel land in the
+    // subscription instead.
+    let replay = Wal::replay(&dir, *last_sent, &shared.telemetry)?;
+    for (first_seq, batch_id, updates) in replay.batches_with_ids() {
+        if first_seq <= *last_sent {
+            continue;
+        }
+        match send_batch(
+            stream,
+            shared,
+            repl,
+            peer_repl,
+            repl.epoch(),
+            first_seq,
+            batch_id,
+            &updates,
+            depth.load(Ordering::SeqCst),
+            stop,
+        )? {
+            BatchOutcome::Acked => *last_sent = first_seq + updates.len() as u64 - 1,
+            BatchOutcome::NotLeader => return Ok(BatchOutcome::NotLeader),
+        }
+    }
+    shared.telemetry.counter("serve.repl_catchups").incr();
+    Ok(BatchOutcome::Acked)
 }
 
 #[derive(PartialEq, Eq)]
@@ -1207,14 +1198,14 @@ enum AckOutcome {
 }
 
 fn await_ack(stream: &mut TcpStream, stop: &AtomicBool) -> Result<AckOutcome, KiffError> {
-    match read_frame_poll(stream, stop, Some(Instant::now() + EXCHANGE_TIMEOUT))? {
-        ReplRead::Frame(frame) => match frame_type(&frame) {
+    match read_polled(stream, stop, Some(Instant::now() + EXCHANGE_TIMEOUT))? {
+        Ok(frame) => match frame_type(&frame) {
             "ack" => Ok(AckOutcome::Ack),
             "not_leader" => Ok(AckOutcome::NotLeader(frame)),
             other => Err(KiffError::Protocol(format!("expected ack, got {other:?}"))),
         },
-        ReplRead::Eof | ReplRead::Stop => Ok(AckOutcome::Gone),
-        ReplRead::Deadline => Err(KiffError::Protocol("replication ack timed out".into())),
+        Err(Fill::Expired) => Err(KiffError::Protocol("replication ack timed out".into())),
+        Err(_) => Ok(AckOutcome::Gone),
     }
 }
 
@@ -1271,67 +1262,22 @@ fn final_catch_up(
     my_seq: u64,
 ) -> Result<(), KiffError> {
     let stop = AtomicBool::new(false);
-    let mut stream = TcpStream::connect(peer_repl).map_err(KiffError::Io)?;
-    let _ = stream.set_nodelay(true);
-    stream.set_read_timeout(Some(POLL)).map_err(KiffError::Io)?;
-    stream
-        .set_write_timeout(Some(EXCHANGE_TIMEOUT))
-        .map_err(KiffError::Io)?;
-    write_frame(
-        &mut stream,
-        &json!({
-            "t": "hello",
-            "epoch": repl.epoch(),
-            "seq": my_seq,
-            "advertise": repl.advertise().to_string()
-        }),
-    )?;
-    let ack = match read_frame_poll(&mut stream, &stop, Some(Instant::now() + EXCHANGE_TIMEOUT))? {
-        ReplRead::Frame(v) => v,
-        _ => return Ok(()),
-    };
-    match frame_type(&ack) {
-        "hello_ack" => {}
-        "not_leader" => {
-            handle_not_leader(shared, repl, &ack);
-            return Ok(());
-        }
-        other => {
-            return Err(KiffError::Protocol(format!(
-                "expected hello_ack, got {other:?}"
-            )));
-        }
-    }
-    let mut last_sent = field_u64(&ack, "seq");
-    if last_sent >= my_seq {
+    let Some((mut stream, mut last_sent)) = open_stream(shared, repl, peer_repl, my_seq, &stop)?
+    else {
         return Ok(());
-    }
-    let dir = shared
-        .lock_host()
-        .store_dir()
-        .ok_or_else(|| KiffError::Protocol("replication requires a data dir".into()))?;
-    let replay = Wal::replay(&dir, last_sent, &shared.telemetry)?;
-    for (first_seq, batch_id, updates) in replay.batches_with_ids() {
-        if first_seq <= last_sent {
-            continue;
-        }
-        match send_batch(
+    };
+    if last_sent < my_seq {
+        let depth = AtomicU64::new(0);
+        catch_up(
             &mut stream,
             shared,
             repl,
             peer_repl,
-            repl.epoch(),
-            first_seq,
-            batch_id,
-            &updates,
-            0,
+            &mut last_sent,
+            &depth,
             &stop,
-        )? {
-            BatchOutcome::Acked => last_sent = first_seq + updates.len() as u64 - 1,
-            BatchOutcome::NotLeader => return Ok(()),
-        }
+        )?;
     }
-    shared.telemetry.counter("serve.repl_catchups").incr();
     Ok(())
 }
 
@@ -1557,6 +1503,75 @@ mod tests {
         let err = read_frame(&mut stream).unwrap_err();
         assert_eq!(err.kind(), "corrupt");
         sender.join().unwrap();
+    }
+
+    /// `len · crc32 · JSON` bytes of one replication frame.
+    fn frame_bytes(frame: &Value) -> Vec<u8> {
+        let text = serde_json::to_string(frame).unwrap();
+        let mut bytes = (text.len() as u32).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&crc32(text.as_bytes()).to_le_bytes());
+        bytes.extend_from_slice(text.as_bytes());
+        bytes
+    }
+
+    #[test]
+    fn polled_frames_assemble_end_cleanly_and_tear_as_protocol_errors() {
+        use crate::wire::tests::{dribble, idle, Scripted};
+
+        let frame = json!({"t": "heartbeat", "epoch": 7u64, "seq": 42u64, "lag": 1u64});
+        let bytes = frame_bytes(&frame);
+        let stop = AtomicBool::new(false);
+        // Split over many short reads, timeouts and interruptions.
+        let mut r = dribble(bytes.clone(), true);
+        assert_eq!(read_polled(&mut r, &stop, None).unwrap().unwrap(), frame);
+        // EOF before the first header byte is a clean end.
+        assert_eq!(read_polled(&mut r, &stop, None).unwrap(), Err(Fill::Eof(0)));
+
+        // EOF inside the header or the body.
+        for cut in [3, bytes.len() - 2] {
+            let err = read_polled(&mut &bytes[..cut], &stop, None).unwrap_err();
+            assert_eq!(err.kind(), "protocol", "torn at byte {cut}");
+        }
+        // The stop flag or the deadline inside the body.
+        let deadline = Instant::now() + Duration::from_millis(20);
+        for (stop_at, deadline) in [(Some(2), None), (None, Some(deadline))] {
+            let (stop, mut reads, mut quiet) = (AtomicBool::new(false), 0, idle());
+            let mut r = Scripted(|buf: &mut [u8]| {
+                reads += 1;
+                if reads == 1 {
+                    buf[..8].copy_from_slice(&bytes[..8]);
+                    return Ok(8);
+                }
+                if Some(reads) == stop_at {
+                    stop.store(true, Ordering::SeqCst);
+                }
+                quiet.read(buf)
+            });
+            let err = read_polled(&mut r, &stop, deadline).unwrap_err();
+            assert_eq!(err.kind(), "protocol");
+        }
+
+        // The flag or the deadline while the stream is idle ends the
+        // read before a frame.
+        let soon = Some(Instant::now() + Duration::from_millis(20));
+        assert_eq!(
+            read_polled(&mut idle(), &stop, soon).unwrap(),
+            Err(Fill::Expired)
+        );
+        stop.store(true, Ordering::SeqCst);
+        assert_eq!(
+            read_polled(&mut idle(), &stop, None).unwrap(),
+            Err(Fill::Stopped)
+        );
+
+        // An oversized length is refused from the header alone.
+        let mut oversized = (MAX_FRAME + 1).to_le_bytes().to_vec();
+        oversized.extend_from_slice(&[0; 4]);
+        oversized.extend_from_slice(b"xx");
+        let mut r = oversized.as_slice();
+        let err = read_polled(&mut r, &AtomicBool::new(false), None).unwrap_err();
+        assert_eq!(err.kind(), "corrupt");
+        assert_eq!(r, b"xx", "nothing past the header was read");
     }
 
     #[test]

@@ -68,9 +68,13 @@ use serde_json::Value;
 
 use crate::replication::{self, ReplState, ReplicationConfig, Role};
 use crate::store::{Appended, Store};
-use crate::wire::{self, Request, MAX_FRAME};
+use crate::wire::{self, Request};
 
 const READ_POLL: Duration = Duration::from_millis(100);
+/// Per-connection write timeout: a client that stops draining its
+/// socket is disconnected instead of wedging a worker (and the response
+/// buffer) forever.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Daemon tuning knobs.
 #[derive(Debug, Clone)]
@@ -78,9 +82,6 @@ pub struct ServerConfig {
     /// Maximum concurrently processed requests before shedding
     /// (`0` = unbounded).
     pub max_inflight: usize,
-    /// Per-connection write timeout: a client that stops draining its
-    /// socket is disconnected instead of wedging a worker forever.
-    pub write_timeout: Duration,
     /// How often the degraded-mode recovery thread retries the WAL.
     pub recovery_interval: Duration,
     /// Primary/replica WAL shipping (`None` = standalone daemon). See
@@ -92,7 +93,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             max_inflight: 0,
-            write_timeout: Duration::from_secs(10),
             recovery_interval: Duration::from_millis(50),
             replication: None,
         }
@@ -263,22 +263,19 @@ impl EngineHost {
         Ok(seq)
     }
 
-    /// Promotion fence: persists `new_epoch` in a snapshot *before*
-    /// the caller starts acknowledging writes under it, so the old
-    /// primary's frames stay rejected even across a restart.
-    pub(crate) fn promote(&mut self, new_epoch: u64) -> Result<(), KiffError> {
+    /// The epoch fence: persists `epoch` in a snapshot *before* the
+    /// caller acts under it — a promoted replica before it acknowledges
+    /// a write, a demoted primary or a replica before it applies a newer
+    /// leader's stream — so the old primary's frames stay rejected even
+    /// across a restart.
+    pub(crate) fn promote(&mut self, epoch: u64) -> Result<(), KiffError> {
         let store = self
             .store
             .as_mut()
             .ok_or_else(|| KiffError::Protocol("replication requires a data dir".into()))?;
-        store.set_epoch(new_epoch);
+        store.set_epoch(epoch);
         store.snapshot(self.engine.as_ref())?;
         Ok(())
-    }
-
-    /// Adopts a newer leader's epoch (demotion path), persisting it.
-    pub(crate) fn adopt_epoch(&mut self, epoch: u64) -> Result<(), KiffError> {
-        self.promote(epoch)
     }
 
     /// Marks the host permanently read-only: queries serve, every write
@@ -875,75 +872,6 @@ impl Server {
     }
 }
 
-enum Framed {
-    Value(Value),
-    Eof,
-    ShuttingDown,
-}
-
-/// Fills `buf` from `stream`, polling the shutdown flag on every read
-/// timeout. `allow_eof` treats EOF *before the first byte* as clean.
-fn fill(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    shutdown: &AtomicBool,
-    allow_eof: bool,
-) -> Result<Option<bool>, KiffError> {
-    use std::io::Read as _;
-    let mut filled = 0;
-    while filled < buf.len() {
-        if shutdown.load(Ordering::SeqCst) {
-            return Ok(Some(false));
-        }
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                if filled == 0 && allow_eof {
-                    return Ok(Some(true));
-                }
-                return Err(KiffError::Protocol("connection closed mid-frame".into()));
-            }
-            Ok(n) => filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) => {}
-            Err(e) => return Err(KiffError::Io(e)),
-        }
-    }
-    Ok(None)
-}
-
-/// Reads one frame, interruptible by the shutdown flag.
-fn read_frame_interruptible(
-    stream: &mut TcpStream,
-    shutdown: &AtomicBool,
-) -> Result<Framed, KiffError> {
-    let mut header = [0u8; 4];
-    match fill(stream, &mut header, shutdown, true)? {
-        Some(true) => return Ok(Framed::Eof),
-        Some(false) => return Ok(Framed::ShuttingDown),
-        None => {}
-    }
-    let len = u32::from_le_bytes(header);
-    if len > MAX_FRAME {
-        return Err(KiffError::Protocol(format!(
-            "frame of {len} bytes exceeds {MAX_FRAME}"
-        )));
-    }
-    let mut bytes = vec![0u8; len as usize];
-    if fill(stream, &mut bytes, shutdown, false)?.is_some() {
-        return Ok(Framed::ShuttingDown);
-    }
-    let text =
-        String::from_utf8(bytes).map_err(|_| KiffError::Protocol("frame is not UTF-8".into()))?;
-    serde_json::from_str(&text)
-        .map(Framed::Value)
-        .map_err(|e| KiffError::Protocol(e.to_string()))
-}
-
 /// RAII slot in the bounded in-flight window.
 struct InflightSlot<'a>(&'a AtomicUsize);
 
@@ -975,13 +903,9 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) -> Result<(), KiffE
     stream
         .set_read_timeout(Some(READ_POLL))
         .map_err(KiffError::Io)?;
-    // A peer that stops draining its socket must not pin this worker
-    // (and the response buffer) forever.
-    if !shared.config.write_timeout.is_zero() {
-        stream
-            .set_write_timeout(Some(shared.config.write_timeout))
-            .map_err(KiffError::Io)?;
-    }
+    stream
+        .set_write_timeout(Some(WRITE_TIMEOUT))
+        .map_err(KiffError::Io)?;
     // Per-connection view memo: in the steady state a read op costs one
     // atomic epoch check, no lock of any kind.
     let mut view_cache: ViewCache<ServeView> = ViewCache::new();
@@ -990,9 +914,8 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) -> Result<(), KiffE
         // An armed net.read failpoint kills the connection exactly like
         // a peer reset — the error stays connection-scoped.
         fault::check_ctx(points::NET_READ, &shared.net_ctx)?;
-        let value = match read_frame_interruptible(&mut stream, &shared.shutdown)? {
-            Framed::Value(v) => v,
-            Framed::Eof | Framed::ShuttingDown => return Ok(()),
+        let Some(value) = wire::read_request(&mut stream, &shared.shutdown)? else {
+            return Ok(());
         };
         shared.requests.incr();
         // RAII: every exit between here and the end of this iteration —

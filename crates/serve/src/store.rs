@@ -30,7 +30,7 @@ use kiff_online::{KnnEngine, OnlineConfig, ShardConfig, ShardedOnlineKnn, Update
 use kiff_telemetry::{Gauge, Registry};
 
 use crate::snapshot::{latest_snapshot, load_snapshot, save_snapshot};
-use crate::wal::{Wal, DEFAULT_SEGMENT_BYTES};
+use crate::wal::Wal;
 
 /// Persistence knobs.
 #[derive(Debug, Clone)]
@@ -39,29 +39,21 @@ pub struct StoreConfig {
     pub dir: PathBuf,
     /// Take a snapshot every this many updates (`0` = only on demand).
     pub snapshot_every: u64,
-    /// WAL segment rotation threshold in bytes.
-    pub segment_bytes: u64,
 }
 
 impl StoreConfig {
-    /// Defaults for `dir`: snapshot every 10 000 updates, 8 MiB segments.
+    /// Defaults for `dir`: snapshot every 10 000 updates. WAL segments
+    /// rotate at [`DEFAULT_SEGMENT_BYTES`](crate::wal::DEFAULT_SEGMENT_BYTES).
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         Self {
             dir: dir.into(),
             snapshot_every: 10_000,
-            segment_bytes: DEFAULT_SEGMENT_BYTES,
         }
     }
 
     /// Sets the automatic snapshot interval (`0` disables it).
     pub fn with_snapshot_every(mut self, updates: u64) -> Self {
         self.snapshot_every = updates;
-        self
-    }
-
-    /// Sets the WAL segment rotation threshold.
-    pub fn with_segment_bytes(mut self, bytes: u64) -> Self {
-        self.segment_bytes = bytes;
         self
     }
 }
@@ -179,8 +171,7 @@ pub fn recover(
     for batch in replay.batches() {
         engine.apply_batch(batch);
     }
-    let wal =
-        Wal::open(&cfg.dir, next_seq, telemetry.clone())?.with_segment_bytes(cfg.segment_bytes);
+    let wal = Wal::open(&cfg.dir, next_seq, telemetry.clone())?;
     let seq = telemetry.gauge("store.seq");
     seq.set((next_seq - 1) as i64);
     Ok(Recovered {

@@ -25,8 +25,15 @@
 //! [`Update`]:
 //! `{"type":"add_rating","user":u,"item":i,"rating":r}`,
 //! `{"type":"add_user"}`, `{"type":"remove_rating","user":u,"item":i}`.
+//!
+//! Every frame this crate reads — client and daemon frames here,
+//! replication frames in [`crate::replication`] — fills its buffer
+//! through one loop, `fill`, which can also watch a stop flag and a
+//! deadline while the socket is idle.
 
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Instant;
 
 use kiff_core::KiffError;
 use kiff_online::Update;
@@ -349,25 +356,92 @@ pub fn write_frame<W: Write>(w: &mut W, value: &Value) -> Result<(), KiffError> 
     Ok(())
 }
 
-/// Reads one frame; `Ok(None)` on clean EOF at a frame boundary.
+/// Reads one frame; `Ok(None)` on clean EOF at a frame boundary. A
+/// socket read timeout is an `Io` error.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Value>, KiffError> {
-    let mut header = [0u8; 4];
+    // A transport failure, not a protocol violation: the peer (or a
+    // fault) tore the connection mid-frame. `Io` keeps it retryable for
+    // the self-healing client.
+    read_client_frame(r, None, || {
+        KiffError::Io(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "connection closed mid-frame",
+        ))
+    })
+}
+
+/// Reads one request on a daemon connection, checking `shutdown`
+/// whenever the socket's read timeout wakes the reader. `Ok(None)` on
+/// EOF before a frame or once the flag is set; a torn frame is a
+/// `Protocol` error.
+pub(crate) fn read_request<R: Read>(
+    r: &mut R,
+    shutdown: &AtomicBool,
+) -> Result<Option<Value>, KiffError> {
+    read_client_frame(r, Some(shutdown), || {
+        protocol("connection closed mid-frame")
+    })
+}
+
+/// Why [`fill`] returned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Fill {
+    /// The buffer is full.
+    Full,
+    /// The reader reached EOF after this many bytes of the buffer.
+    Eof(usize),
+    /// The stop flag was set.
+    Stopped,
+    /// The deadline passed.
+    Expired,
+}
+
+/// Fills `buf` from `r`: the one loop every frame read in this crate
+/// goes through. Before each read it checks `stop` and `deadline`, when
+/// given. An interrupted read is retried. A read timeout (`WouldBlock`
+/// or `TimedOut`) is the polling interval when there is a flag or a
+/// deadline to check, and an error otherwise.
+pub(crate) fn fill<R: Read>(
+    r: &mut R,
+    buf: &mut [u8],
+    stop: Option<&AtomicBool>,
+    deadline: Option<Instant>,
+) -> io::Result<Fill> {
+    use io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+    let polled = stop.is_some() || deadline.is_some();
     let mut filled = 0;
-    while filled < 4 {
-        let n = r.read(&mut header[filled..]).map_err(KiffError::Io)?;
-        if n == 0 {
-            if filled == 0 {
-                return Ok(None);
-            }
-            // A transport failure, not a protocol violation: the peer
-            // (or a fault) tore the connection mid-frame. `Io` keeps it
-            // retryable for the self-healing client.
-            return Err(KiffError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "connection closed mid-frame",
-            )));
+    while filled < buf.len() {
+        if stop.is_some_and(|stop| stop.load(Ordering::SeqCst)) {
+            return Ok(Fill::Stopped);
         }
-        filled += n;
+        if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+            return Ok(Fill::Expired);
+        }
+        match r.read(&mut buf[filled..]) {
+            Ok(0) => return Ok(Fill::Eof(filled)),
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == Interrupted => {}
+            Err(e) if polled && matches!(e.kind(), WouldBlock | TimedOut) => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(Fill::Full)
+}
+
+/// The one decoder of client frames, read through [`fill`] while
+/// watching `stop`. `Ok(None)` when the read ends before a frame: EOF
+/// before its first byte, or the flag at any point (a stopping daemon
+/// abandons a half-read request). EOF inside the frame is `torn()`.
+fn read_client_frame<R: Read>(
+    r: &mut R,
+    stop: Option<&AtomicBool>,
+    torn: fn() -> KiffError,
+) -> Result<Option<Value>, KiffError> {
+    let mut header = [0u8; 4];
+    match fill(r, &mut header, stop, None).map_err(KiffError::Io)? {
+        Fill::Full => {}
+        Fill::Eof(n) if n > 0 => return Err(torn()),
+        Fill::Eof(_) | Fill::Stopped | Fill::Expired => return Ok(None),
     }
     let len = u32::from_le_bytes(header);
     if len > MAX_FRAME {
@@ -376,7 +450,11 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Value>, KiffError> {
         )));
     }
     let mut bytes = vec![0u8; len as usize];
-    r.read_exact(&mut bytes).map_err(KiffError::Io)?;
+    match fill(r, &mut bytes, stop, None).map_err(KiffError::Io)? {
+        Fill::Full => {}
+        Fill::Eof(_) => return Err(torn()),
+        Fill::Stopped | Fill::Expired => return Ok(None),
+    }
     let text = String::from_utf8(bytes).map_err(|_| protocol("frame is not UTF-8"))?;
     serde_json::from_str(&text)
         .map(Some)
@@ -384,8 +462,56 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Value>, KiffError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    use std::time::Duration;
+
     use super::*;
+
+    /// A `Read` that runs a closure per call: tests script short reads,
+    /// socket timeouts and interruptions with it.
+    pub(crate) struct Scripted<F>(pub(crate) F);
+
+    impl<F: FnMut(&mut [u8]) -> io::Result<usize>> Read for Scripted<F> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            (self.0)(buf)
+        }
+    }
+
+    /// Hands `bytes` out one to four at a time, then reports EOF. Before
+    /// every read that delivers come an `Interrupted` and, for a polled
+    /// reader (`timeouts`), a `WouldBlock`: on an unpolled read that
+    /// one is an error.
+    pub(crate) fn dribble(bytes: Vec<u8>, timeouts: bool) -> impl Read {
+        let (mut at, mut call) = (0, 0usize);
+        Scripted(move |buf: &mut [u8]| {
+            call += 1;
+            match call % 3 {
+                1 if timeouts => Err(io::ErrorKind::WouldBlock.into()),
+                1 | 2 => Err(io::ErrorKind::Interrupted.into()),
+                _ => {
+                    let n = (call % 4 + 1).min(buf.len()).min(bytes.len() - at);
+                    buf[..n].copy_from_slice(&bytes[at..at + n]);
+                    at += n;
+                    Ok(n)
+                }
+            }
+        })
+    }
+
+    /// A reader whose socket has no data: every read times out after a
+    /// millisecond. It reports EOF after five thousand reads, so a read
+    /// that misses its stop flag or deadline fails instead of hanging.
+    pub(crate) fn idle() -> impl Read {
+        let mut reads = 0;
+        Scripted(move |_: &mut [u8]| {
+            reads += 1;
+            if reads > 5_000 {
+                return Ok(0);
+            }
+            std::thread::sleep(Duration::from_millis(1));
+            Err(io::ErrorKind::WouldBlock.into())
+        })
+    }
 
     #[test]
     fn requests_round_trip_through_the_wire_form() {
@@ -459,15 +585,116 @@ mod tests {
 
     #[test]
     fn oversized_and_torn_frames_are_rejected() {
+        // An oversized length is refused from the header alone: the
+        // body is never read, so it is never allocated either.
         let mut bytes = (MAX_FRAME + 1).to_le_bytes().to_vec();
         bytes.extend_from_slice(b"xx");
-        assert!(read_frame(&mut bytes.as_slice()).is_err());
+        let mut r = bytes.as_slice();
+        let err = read_frame(&mut r).unwrap_err();
+        assert_eq!(err.kind(), "protocol");
+        assert_eq!(r, b"xx", "nothing past the header was read");
+        let stop = AtomicBool::new(false);
+        let mut r = bytes.as_slice();
+        assert_eq!(read_request(&mut r, &stop).unwrap_err().kind(), "protocol");
+        assert_eq!(r, b"xx");
 
+        // EOF inside the header or the body: `io` on the client, which
+        // the self-healing client retries, and `protocol` in the daemon.
         let mut buf = Vec::new();
         write_frame(&mut buf, &serde_json::json!({"ok": true})).unwrap();
-        buf.truncate(buf.len() - 2);
-        let mut r = buf.as_slice();
-        assert!(read_frame(&mut r).is_err(), "mid-frame EOF is an error");
+        for cut in [2, buf.len() - 2] {
+            let torn = &buf[..cut];
+            let err = read_frame(&mut dribble(torn.to_vec(), false)).unwrap_err();
+            assert!(err.is_retryable(), "client, torn at byte {cut}: {err}");
+            assert!(
+                matches!(&err, KiffError::Io(e) if e.kind() == io::ErrorKind::UnexpectedEof),
+                "client, torn at byte {cut}: {err}"
+            );
+            let err = read_request(&mut dribble(torn.to_vec(), true), &stop).unwrap_err();
+            assert_eq!(err.kind(), "protocol", "daemon, torn at byte {cut}");
+        }
+    }
+
+    #[test]
+    fn frames_split_over_many_reads_assemble() {
+        let mut buf = Vec::new();
+        let v = Request::Search {
+            items: vec![(1, 2.0), (7, 1.0)],
+            top: 3,
+        }
+        .to_value();
+        write_frame(&mut buf, &v).unwrap();
+        write_frame(&mut buf, &serde_json::json!({"ok": true})).unwrap();
+        let mut r = dribble(buf.clone(), false);
+        assert_eq!(read_frame(&mut r).unwrap(), Some(v.clone()));
+        let stop = AtomicBool::new(false);
+        let mut r = dribble(buf, true);
+        assert_eq!(read_request(&mut r, &stop).unwrap(), Some(v));
+        assert!(read_request(&mut r, &stop).unwrap().is_some());
+        // EOF before the first header byte is a clean end.
+        assert_eq!(read_request(&mut r, &stop).unwrap(), None);
+
+        let mut out = [0u8; 5];
+        let mut r = dribble(b"kiff!".to_vec(), true);
+        assert_eq!(
+            fill(&mut r, &mut out, Some(&stop), None).unwrap(),
+            Fill::Full
+        );
+        assert_eq!(&out, b"kiff!");
+        assert_eq!(
+            fill(&mut r, &mut out, Some(&stop), None).unwrap(),
+            Fill::Eof(0)
+        );
+    }
+
+    #[test]
+    fn a_stop_flag_or_a_deadline_ends_an_idle_read() {
+        let mut buf = [0u8; 4];
+        let stop = AtomicBool::new(false);
+        let (mut reads, mut quiet) = (0, idle());
+        let mut stopping = Scripted(|buf: &mut [u8]| {
+            reads += 1;
+            if reads == 3 {
+                stop.store(true, Ordering::SeqCst);
+            }
+            quiet.read(buf)
+        });
+        let end = fill(&mut stopping, &mut buf, Some(&stop), None).unwrap();
+        assert_eq!(end, Fill::Stopped);
+        assert_eq!(read_request(&mut idle(), &stop).unwrap(), None);
+        // A daemon that stops mid-request abandons it without an error.
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &Request::Ping.to_value()).unwrap();
+        let (stop_now, mut quiet) = (AtomicBool::new(false), idle());
+        let mut half_sent = (&frame[..6]).chain(Scripted(|buf: &mut [u8]| {
+            stop_now.store(true, Ordering::SeqCst);
+            quiet.read(buf)
+        }));
+        assert_eq!(read_request(&mut half_sent, &stop_now).unwrap(), None);
+
+        let deadline = Instant::now() + Duration::from_millis(20);
+        let end = fill(&mut idle(), &mut buf, None, Some(deadline)).unwrap();
+        assert_eq!(end, Fill::Expired);
+        assert!(Instant::now() >= deadline);
+    }
+
+    #[test]
+    fn an_unpolled_read_returns_a_socket_timeout_as_an_io_error() {
+        for kind in [io::ErrorKind::WouldBlock, io::ErrorKind::TimedOut] {
+            // EOF after a thousand timeouts, should they be retried.
+            let mut reads = 0;
+            let mut r = Scripted(move |_: &mut [u8]| {
+                reads += 1;
+                if reads > 1_000 {
+                    return Ok(0);
+                }
+                Err(kind.into())
+            });
+            match read_frame(&mut r) {
+                Err(KiffError::Io(e)) => assert_eq!(e.kind(), kind),
+                other => panic!("expected an io error, got {other:?}"),
+            }
+        }
     }
 
     #[test]
