@@ -21,10 +21,11 @@ build:
 test:
 	$(CARGO) test -q --no-fail-fast
 
-# The neighbour-heap crates again, optimized: the heap slab's unsafe code
-# and its concurrent tests also run as release code does.
+# The neighbour-heap and online crates again, optimized: the heap slab's
+# unsafe code and its concurrent tests also run as release code does, and
+# the repair walk runs without its debug tripwire.
 test-release:
-	$(CARGO) test --release -q -p kiff-graph -p kiff-core -p kiff-baselines
+	$(CARGO) test --release -q -p kiff-graph -p kiff-core -p kiff-baselines -p kiff-dataset -p kiff-online
 
 examples:
 	$(CARGO) build --examples

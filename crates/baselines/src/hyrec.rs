@@ -206,7 +206,7 @@ impl HyRec {
         stats.similarity_time = similarity_time.total();
         stats.total_time = total_start.elapsed();
         stats.finish(n);
-        (shared.snapshot(), stats)
+        (shared.snapshot(threads), stats)
     }
 }
 

@@ -6,7 +6,7 @@ use rand::{Rng, SeedableRng};
 
 use kiff_dataset::Dataset;
 use kiff_graph::{KnnGraph, SharedKnn};
-use kiff_parallel::Counter;
+use kiff_parallel::{effective_threads, Counter};
 use kiff_similarity::{ScorerWorkspace, ScoringMode, Similarity, PREPARED_MIN_BATCH};
 
 use crate::config::GreedyConfig;
@@ -94,7 +94,7 @@ pub fn random_graph_with<S: Similarity + ?Sized>(
         ..GreedyConfig::new(k)
     };
     random_init(dataset, sim, &shared, &config);
-    shared.snapshot()
+    shared.snapshot(effective_threads(config.threads))
 }
 
 #[cfg(test)]

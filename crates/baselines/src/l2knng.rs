@@ -255,7 +255,7 @@ impl L2Knng {
 
         stats.total_time = total_start.elapsed();
         stats.finish(n);
-        (shared.snapshot(), stats)
+        (shared.snapshot(1), stats)
     }
 
     /// Phase 1: initial approximate graph from the top-μ feature index,

@@ -237,7 +237,10 @@ impl Lsh {
 
         stats.total_time = total_start.elapsed();
         stats.finish(n);
-        (shared.snapshot(), stats)
+        (
+            shared.snapshot(effective_threads(self.config.threads)),
+            stats,
+        )
     }
 
     /// Per-user signatures: one `u64` per band, flattened row-major.

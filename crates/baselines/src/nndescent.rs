@@ -291,7 +291,7 @@ impl NnDescent {
         stats.similarity_time = similarity_time.total();
         stats.total_time = total_start.elapsed();
         stats.finish(n);
-        (shared.snapshot(), stats)
+        (shared.snapshot(threads), stats)
     }
 }
 

@@ -30,7 +30,7 @@ struct Tracer<'a> {
 
 impl IterationObserver for Tracer<'_> {
     fn on_iteration(&mut self, trace: IterationTrace, state: &SharedKnn) {
-        let snapshot = state.snapshot();
+        let snapshot = state.snapshot(1);
         self.points.push(ConvergencePoint {
             scan_rate: trace.cumulative_sim_evals as f64 / self.possible_pairs,
             recall: recall(self.exact, &snapshot),

@@ -16,11 +16,14 @@
 //! * [`counter`] — multiplicity counters (hash-based, sort-based, and
 //!   epoch-stamped dense).
 //! * [`unionfind`] — disjoint-set forest for component analysis.
+//! * [`prefetch`](mod@prefetch) — a software prefetch hint for rows read a
+//!   few steps later.
 
 pub mod bitset;
 pub mod counter;
 pub mod csr;
 pub mod hash;
+pub mod prefetch;
 pub mod radix;
 pub mod unionfind;
 
@@ -28,5 +31,6 @@ pub use bitset::FixedBitSet;
 pub use counter::{count_sorted_runs, DenseCounter, SparseCounter};
 pub use csr::{Csr, CsrBuilder};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use prefetch::prefetch;
 pub use radix::radix_sort_u32;
 pub use unionfind::UnionFind;

@@ -300,7 +300,7 @@ pub fn refine<S: Similarity + ?Sized>(
     stats.avg_rcs_len = rcs.avg_len();
     stats.total_rcs = rcs.total();
     refine_span.finish();
-    (shared.snapshot(), stats)
+    (shared.snapshot(threads), stats)
 }
 
 #[cfg(test)]

@@ -8,14 +8,17 @@
 //!   (sorted item/rating vectors); untouched users keep serving borrowed
 //!   [`ProfileRef`]s straight from the base CSR. Every user's
 //!   [`ProfileStats`] are cached and recomputed on each profile change.
-//! * **item side** — one delta per mutated item, carrying live ratings:
-//!   raters the base row lacks with their ratings, and base raters whose
-//!   rating changed or who stopped rating the item. The current raters
-//!   of an item, each with its current rating, stream from the base
-//!   item row plus that one delta
-//!   ([`DeltaDataset::for_each_item_rater`]) without rebuilding the
-//!   transpose. That walk is both the co-rater set a rating update
-//!   affects and the item-at-a-time pass the online repair scores with.
+//! * **item side** — copy-on-write item rows. An item's raters are its
+//!   base CSR row until its first mutation, which copies that row into an
+//!   owned row (an item beyond the base starts from an empty one); later
+//!   mutations edit the owned row in place. Owned rows stay sorted by
+//!   user, as base rows are, so a removal or a re-rating is one binary
+//!   search. A dense per-item slot array finds an item's owned row, so
+//!   [`DeltaDataset::item_row`] hands out the current raters and their
+//!   ratings as two slices, the shape of [`Csr::row_entries`], without a
+//!   hash probe and without rebuilding the transpose. Those rows are both
+//!   the co-rater set a rating update affects and the rows the online
+//!   repair walks.
 //!
 //! When the overlay grows past the caller's threshold,
 //! [`DeltaDataset::compact`] folds everything back into a fresh CSR —
@@ -45,16 +48,17 @@ impl OverlayProfile {
     }
 }
 
-/// One item's raters as they differ from its base CSR row.
+/// One mutated item's current raters, ascending by user, with their
+/// current ratings: a copy of its base CSR row, edited in place.
 #[derive(Debug, Clone, Default)]
-struct ItemDelta {
-    /// Raters the base row lacks, with their current ratings.
-    added: FxHashMap<UserId, Rating>,
-    /// Base raters whose state changed, sorted by user id as base rows
-    /// are: `Some` holds the current rating (after a repeated add, or a
-    /// re-add after a removal), `None` marks a removal.
-    changed: Vec<(UserId, Option<Rating>)>,
+struct ItemRow {
+    users: Vec<UserId>,
+    ratings: Vec<Rating>,
 }
+
+/// The slot of an item whose current row is its base CSR row, or the
+/// empty row for an item beyond the base.
+const BASE_ROW: u32 = u32::MAX;
 
 /// Statistics of one profile that similarity formulas need beyond the
 /// shared items: cached per user by [`DeltaDataset`], so a score can be
@@ -93,8 +97,10 @@ pub struct DeltaDataset {
     /// Content mutations applied so far (see [`DeltaDataset::version`]).
     version: u64,
     overlay: FxHashMap<UserId, OverlayProfile>,
-    /// Rater deltas of the items mutated since the last compaction.
-    items: FxHashMap<ItemId, ItemDelta>,
+    /// Per item: the index in `rows` of its owned row, or [`BASE_ROW`].
+    item_slots: Vec<u32>,
+    /// The owned rows of the items mutated since the last compaction.
+    rows: Vec<ItemRow>,
     /// Cached statistics of every user's current profile.
     stats: Vec<ProfileStats>,
 }
@@ -118,7 +124,8 @@ impl DeltaDataset {
             num_ratings,
             version: 0,
             overlay: FxHashMap::default(),
-            items: FxHashMap::default(),
+            item_slots: vec![BASE_ROW; num_items],
+            rows: Vec::new(),
             stats,
         }
     }
@@ -212,6 +219,7 @@ impl DeltaDataset {
             "rating must be finite and positive, got {rating}"
         );
         self.num_items = self.num_items.max(i as usize + 1);
+        self.item_slots.resize(self.num_items, BASE_ROW);
         self.version += 1;
         let profile = self.overlay_entry(u);
         let (current, newly) = match profile.items.binary_search(&i) {
@@ -250,44 +258,22 @@ impl DeltaDataset {
         true
     }
 
-    /// Streams the current raters of `i` with their current ratings, in
-    /// no particular order: the base row's raters with their base
-    /// ratings, except that removed ones are skipped and re-rated ones
-    /// carry their new rating, then the raters the base row lacks. One
-    /// hash probe per item; none per rater.
-    pub fn for_each_item_rater(&self, i: ItemId, mut f: impl FnMut(UserId, Rating)) {
-        let delta = self.items.get(&i);
-        if (i as usize) < self.base.num_items() {
-            let (users, ratings) = self.base.item_profiles().row_entries(i);
-            // Both the row and `changed` ascend by user, and `changed`
-            // names base raters only: one cursor merges them.
-            let mut changed = delta.map_or(&[][..], |d| &d.changed[..]).iter();
-            let mut next = changed.next();
-            for (&v, &r) in users.iter().zip(ratings) {
-                match next {
-                    Some(&(w, current)) if w == v => {
-                        next = changed.next();
-                        if let Some(r) = current {
-                            f(v, r);
-                        }
-                    }
-                    _ => f(v, r),
-                }
+    /// The current raters of `i`, ascending, and their current ratings:
+    /// the item's owned row once it has been mutated, its base CSR row
+    /// before, and empty for an item no rating has named. One read of
+    /// the slot array finds the row.
+    #[inline]
+    pub fn item_row(&self, i: ItemId) -> (&[UserId], &[Rating]) {
+        match self.item_slots.get(i as usize) {
+            Some(&BASE_ROW) if (i as usize) < self.base.num_items() => {
+                self.base.item_profiles().row_entries(i)
+            }
+            Some(&BASE_ROW) | None => (&[], &[]),
+            Some(&slot) => {
+                let row = &self.rows[slot as usize];
+                (&row.users, &row.ratings)
             }
         }
-        if let Some(delta) = delta {
-            for (&v, &r) in &delta.added {
-                f(v, r);
-            }
-        }
-    }
-
-    /// The current raters of `i` as a vector (see
-    /// [`DeltaDataset::for_each_item_rater`]).
-    pub fn item_raters(&self, i: ItemId) -> Vec<UserId> {
-        let mut out = Vec::new();
-        self.for_each_item_rater(i, |u, _| out.push(u));
-        out
     }
 
     /// Materialises the current state as a frozen [`Dataset`]: one
@@ -316,7 +302,8 @@ impl DeltaDataset {
         self.base = self.to_dataset();
         let _ = self.base.item_profiles();
         self.overlay.clear();
-        self.items.clear();
+        self.item_slots.fill(BASE_ROW);
+        self.rows.clear();
     }
 
     fn overlay_entry(&mut self, u: UserId) -> &mut OverlayProfile {
@@ -332,23 +319,30 @@ impl DeltaDataset {
         })
     }
 
-    /// Records `u`'s current rating of `i` on the item side (`None` once
-    /// removed): as an override when the base row holds `u`, else among
-    /// the added raters. A re-add after a removal overrides with the
-    /// fresh value.
+    /// Records `u`'s current rating of `i` in `i`'s owned row (`None`
+    /// once removed), copying the row on the item's first mutation.
     fn record_item(&mut self, u: UserId, i: ItemId, rating: Option<Rating>) {
-        let in_base =
-            (u as usize) < self.base.num_users() && self.base.user_profile(u).rating(i).is_some();
-        let delta = self.items.entry(i).or_default();
-        if in_base {
-            match delta.changed.binary_search_by_key(&u, |&(v, _)| v) {
-                Ok(pos) => delta.changed[pos].1 = rating,
-                Err(pos) => delta.changed.insert(pos, (u, rating)),
+        if self.item_slots[i as usize] == BASE_ROW {
+            let (users, ratings) = self.item_row(i);
+            let row = ItemRow {
+                users: users.to_vec(),
+                ratings: ratings.to_vec(),
+            };
+            self.item_slots[i as usize] = self.rows.len() as u32;
+            self.rows.push(row);
+        }
+        let row = &mut self.rows[self.item_slots[i as usize] as usize];
+        match (row.users.binary_search(&u), rating) {
+            (Ok(pos), Some(r)) => row.ratings[pos] = r,
+            (Ok(pos), None) => {
+                row.users.remove(pos);
+                row.ratings.remove(pos);
             }
-        } else if let Some(r) = rating {
-            delta.added.insert(u, r);
-        } else {
-            delta.added.remove(&u);
+            (Err(pos), Some(r)) => {
+                row.users.insert(pos, u);
+                row.ratings.insert(pos, r);
+            }
+            (Err(_), None) => unreachable!("removed rater {u} missing from item {i}'s row"),
         }
     }
 
@@ -363,10 +357,8 @@ mod tests {
     use super::*;
     use crate::dataset::figure2_toy;
 
-    fn raters_sorted(d: &DeltaDataset, i: ItemId) -> Vec<UserId> {
-        let mut r = d.item_raters(i);
-        r.sort_unstable();
-        r
+    fn raters(d: &DeltaDataset, i: ItemId) -> Vec<UserId> {
+        d.item_row(i).0.to_vec()
     }
 
     #[test]
@@ -376,7 +368,7 @@ mod tests {
         assert_eq!(d.num_items(), 4);
         assert_eq!(d.num_ratings(), 6);
         assert_eq!(d.profile(0).items, &[0, 1]);
-        assert_eq!(raters_sorted(&d, 1), vec![0, 1]);
+        assert_eq!(raters(&d, 1), vec![0, 1]);
         assert_eq!(d.overlay_users(), 0);
     }
 
@@ -389,7 +381,7 @@ mod tests {
         assert_eq!(d.num_ratings(), 7);
         assert_eq!(d.profile(2).items, &[1, 3]);
         assert_eq!(d.profile(2).rating(1), Some(2.0));
-        assert_eq!(raters_sorted(&d, 1), vec![0, 1, 2]);
+        assert_eq!(raters(&d, 1), vec![0, 1, 2]);
         // Untouched users still serve from the base.
         assert_eq!(d.profile(0).items, &[0, 1]);
     }
@@ -400,7 +392,7 @@ mod tests {
         assert!(!d.add_rating(0, 1, 3.0), "pair already rated");
         assert_eq!(d.num_ratings(), 6, "no new edge");
         assert_eq!(d.profile(0).rating(1), Some(4.0), "1.0 + 3.0");
-        assert_eq!(raters_sorted(&d, 1), vec![0, 1], "rater set unchanged");
+        assert_eq!(raters(&d, 1), vec![0, 1], "rater set unchanged");
     }
 
     #[test]
@@ -411,7 +403,7 @@ mod tests {
         assert_eq!(d.version(), 1, "a no-op removal changes nothing");
         assert_eq!(d.num_ratings(), 5);
         assert_eq!(d.profile(1).items, &[2]);
-        assert_eq!(raters_sorted(&d, 1), vec![0]);
+        assert_eq!(raters(&d, 1), vec![0]);
     }
 
     #[test]
@@ -420,7 +412,7 @@ mod tests {
         assert!(d.remove_rating(0, 1));
         assert!(d.add_rating(0, 1, 5.0));
         assert_eq!(d.num_ratings(), 6);
-        assert_eq!(raters_sorted(&d, 1), vec![0, 1]);
+        assert_eq!(raters(&d, 1), vec![0, 1]);
         assert_eq!(d.profile(0).rating(1), Some(5.0), "fresh value, not sum");
     }
 
@@ -434,28 +426,32 @@ mod tests {
         // Rating an unseen item grows the item space.
         assert!(d.add_rating(u, 9, 1.0));
         assert_eq!(d.num_items(), 10);
-        assert_eq!(d.item_raters(9), vec![4]);
-        assert!(d.item_raters(7).is_empty());
+        assert_eq!(raters(&d, 9), vec![4]);
+        assert!(raters(&d, 7).is_empty());
+        assert!(raters(&d, 10).is_empty(), "beyond the item space");
     }
 
-    /// Checks every item's rating-aware walk, sorted, against the
-    /// materialised item profile (ids and rating bits), and every cached
-    /// statistic against a fresh computation on the materialised user
-    /// profile, bit for bit.
+    /// Checks every item's live row exactly against the materialised
+    /// item profile (the same ids in the same ascending order, and the
+    /// same rating bits), an item beyond the space as empty, and every
+    /// cached statistic against a fresh computation on the materialised
+    /// user profile, bit for bit.
     fn assert_live(d: &DeltaDataset) {
         let frozen = d.to_dataset();
         assert_eq!(frozen.num_items(), d.num_items());
+        let rating_bits =
+            |ratings: &[Rating]| ratings.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
         for i in 0..d.num_items() as ItemId {
-            let mut live = Vec::new();
-            d.for_each_item_rater(i, |u, r| live.push((u, r.to_bits())));
-            live.sort_unstable();
-            let want: Vec<_> = frozen
-                .item_profile(i)
-                .iter()
-                .map(|(u, r)| (u, r.to_bits()))
-                .collect();
-            assert_eq!(live, want, "item {i}");
+            let (users, ratings) = d.item_row(i);
+            let (want_users, want_ratings) = frozen.item_profiles().row_entries(i);
+            assert_eq!(users, want_users, "item {i}'s raters");
+            assert_eq!(
+                rating_bits(ratings),
+                rating_bits(want_ratings),
+                "item {i}'s ratings"
+            );
         }
+        assert_eq!(d.item_row(d.num_items() as ItemId), (&[][..], &[][..]));
         let bits = |s: ProfileStats| (s.len, s.norm.to_bits(), s.total.to_bits());
         for u in 0..d.num_users() as UserId {
             let fresh = ProfileStats::of(frozen.user_profile(u));
@@ -507,7 +503,7 @@ mod tests {
         // Still mutable after compaction (item 0 lost its only base rater
         // above, so Dave is now alone on it).
         assert!(d.add_rating(3, 0, 1.0));
-        assert_eq!(raters_sorted(&d, 0), vec![3]);
+        assert_eq!(raters(&d, 0), vec![3]);
     }
 
     #[test]
@@ -525,10 +521,7 @@ mod tests {
                         assert_eq!(v.num_users(), 4);
                         assert_eq!(v.num_ratings(), 7);
                         assert_eq!(v.profile(2).items, &[1, 3]);
-                        let mut raters = Vec::new();
-                        v.for_each_item_rater(1, |u, r| raters.push((u, r)));
-                        raters.sort_unstable_by_key(|&(u, _)| u);
-                        assert_eq!(raters, vec![(0, 1.0), (1, 1.0), (2, 2.0)]);
+                        assert_eq!(v.item_row(1), (&[0, 1, 2][..], &[1.0, 1.0, 2.0][..]));
                     })
                 })
                 .collect();

@@ -5,6 +5,13 @@
 //! owns its slots (the online engine keeps one per user), and
 //! [`SharedKnn`] keeps every user's slots in one flat slab and lends a
 //! row at a time under that row's lock.
+//!
+//! A construction's serial steps stay off its critical path. The slab
+//! comes from zeroed memory, which is every slot vacant, so nothing
+//! writes it before the workers do, and the final graph's rows are
+//! sorted on the run's own workers ([`SharedKnn::snapshot`]). The batch
+//! path asks for the rows it is about to lock with the shared
+//! [`prefetch`](fn@kiff_collections::prefetch) hint.
 
 use std::cell::UnsafeCell;
 use std::fmt;
@@ -14,7 +21,9 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard};
 
+use kiff_collections::prefetch;
 use kiff_dataset::UserId;
+use kiff_parallel::parallel_fold;
 
 /// One directed KNN edge: neighbour id and its similarity to the owner.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,6 +48,8 @@ pub struct HeapEntry {
 }
 
 /// What fills a slot no entry occupies yet; never read as a neighbour.
+/// Its fields are all zero bits, so zeroed memory holds it (see
+/// [`SharedKnn::new`]).
 const VACANT: HeapEntry = HeapEntry {
     sim: 0.0,
     id: 0,
@@ -381,6 +392,9 @@ const PREFETCH_DISTANCE: usize = 8;
 /// Heap entries per 64-byte cache line.
 const ENTRIES_PER_LINE: usize = 64 / std::mem::size_of::<HeapEntry>();
 
+/// Rows a worker sorts at a time in [`SharedKnn::snapshot`].
+const SNAPSHOT_GRAIN: usize = 1024;
+
 /// The mutable, thread-shared state of a KNN construction: every user's
 /// neighbour heap in one flat slab, with one lock and one lock-free
 /// admission hint per user beside it.
@@ -427,13 +441,16 @@ pub struct SharedKnn {
 unsafe impl Sync for SharedKnn {}
 
 impl SharedKnn {
-    /// Empty neighbourhoods for `n` users with capacity `k`.
+    /// Empty neighbourhoods for `n` users with capacity `k`. The slab
+    /// comes from zeroed memory, which is a vacant entry in every slot:
+    /// nothing writes it here, and each page is first touched by
+    /// whichever worker fills its rows.
     pub fn new(n: usize, k: usize) -> Self {
         assert!(k > 0, "k must be positive");
         assert!(u32::try_from(k).is_ok(), "k must fit a row length");
         let slots = n.checked_mul(k).expect("n·k slots fit the address space");
         Self {
-            slab: (0..slots).map(|_| UnsafeCell::new(VACANT)).collect(),
+            slab: vacant_slab(slots),
             locks: (0..n).map(|_| Mutex::new(0)).collect(),
             hints: (0..n)
                 .map(|_| AtomicU64::new(f64::NEG_INFINITY.to_bits()))
@@ -560,16 +577,44 @@ impl SharedKnn {
         guard
     }
 
-    /// Snapshots the current state as an immutable [`KnnGraph`].
-    pub fn snapshot(&self) -> KnnGraph {
-        let neighbors = (0..self.num_users() as UserId)
-            .map(|u| self.lock(u).sorted_neighbors().into())
-            .collect();
+    /// Snapshots the current state as an immutable [`KnnGraph`], sorting
+    /// the rows on `threads` workers. A run's final graph takes the run's
+    /// own worker count; an observer between iterations may pass 1.
+    pub fn snapshot(&self, threads: usize) -> KnnGraph {
+        let mut parts = parallel_fold(
+            threads,
+            self.num_users(),
+            SNAPSHOT_GRAIN,
+            Vec::new,
+            |parts: &mut Vec<(usize, Vec<Arc<[Neighbor]>>)>, range| {
+                let rows = range
+                    .clone()
+                    .map(|u| self.lock(u as UserId).sorted_neighbors().into())
+                    .collect();
+                parts.push((range.start, rows));
+            },
+            |mut a, mut b| {
+                a.append(&mut b);
+                a
+            },
+        );
+        parts.sort_unstable_by_key(|&(start, _)| start);
         KnnGraph {
             k: self.k,
-            neighbors,
+            neighbors: parts.into_iter().flat_map(|(_, rows)| rows).collect(),
         }
     }
+}
+
+/// `slots` cells holding [`VACANT`], allocated zeroed.
+fn vacant_slab(slots: usize) -> Box<[UnsafeCell<HeapEntry>]> {
+    let slab = Box::<[UnsafeCell<HeapEntry>]>::new_zeroed_slice(slots);
+    // SAFETY: all-zero bytes are a valid `HeapEntry`, and they are
+    // `VACANT`: `sim` 0.0 is the all-zero `f64`, `id` 0 and `is_new`
+    // false are zero bytes, and padding may hold anything
+    // (`vacant_is_all_zero_bits_and_fills_a_new_slab` checks the fields).
+    // `UnsafeCell<T>` has `T`'s layout.
+    unsafe { slab.assume_init() }
 }
 
 impl fmt::Debug for SharedKnn {
@@ -580,21 +625,6 @@ impl fmt::Debug for SharedKnn {
             .finish_non_exhaustive()
     }
 }
-
-/// Asks the CPU to start loading the cache line holding `*ptr`.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-fn prefetch<T>(ptr: *const T) {
-    use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-    // SAFETY: relies on no row lock: a prefetch reads nothing the program
-    // can observe and never faults, whatever the address.
-    unsafe { _mm_prefetch::<_MM_HINT_T0>(ptr.cast::<i8>()) }
-}
-
-/// A no-op on targets without a prefetch instruction.
-#[cfg(not(target_arch = "x86_64"))]
-#[inline(always)]
-fn prefetch<T>(_: *const T) {}
 
 /// Exclusive access to one row of a [`SharedKnn`], from
 /// [`SharedKnn::lock`]: a [`KnnHeap`] over the row's slots, held under the
@@ -894,9 +924,46 @@ mod tests {
         assert_eq!(shared.update(0, 1, 0.5), 1);
         assert_eq!(shared.update(0, 1, 0.5), 0);
         assert_eq!(shared.update(1, 0, 0.5), 1);
-        let g = shared.snapshot();
+        let g = shared.snapshot(1);
         assert_eq!(g.neighbors(0), &[Neighbor { id: 1, sim: 0.5 }]);
         assert_eq!(g.neighbors(2), &[]);
+    }
+
+    #[test]
+    fn vacant_is_all_zero_bits_and_fills_a_new_slab() {
+        assert_eq!(
+            (VACANT.sim.to_bits(), VACANT.id, VACANT.is_new),
+            (0, 0, false)
+        );
+        let shared = SharedKnn::new(3, 5);
+        for u in 0..3 {
+            let row = shared.lock(u);
+            for e in row.heap.slots.iter() {
+                assert_eq!((e.sim.to_bits(), e.id, e.is_new), (0, 0, false));
+            }
+        }
+        assert_eq!(SharedKnn::new(0, 5).snapshot(2).num_users(), 0);
+    }
+
+    #[test]
+    fn snapshots_agree_at_every_worker_count() {
+        // More rows than one worker's grain, so the rows come from
+        // several workers' parts.
+        let n = 2 * SNAPSHOT_GRAIN as u32 + 7;
+        let shared = SharedKnn::new(n as usize, 3);
+        for u in 0..n {
+            for j in 1..5 {
+                let v = (u * 7 + j * 13) % n;
+                if v != u {
+                    shared.update(u, v, f64::from((u + j) % 9) / 9.0);
+                }
+            }
+        }
+        let serial = shared.snapshot(1);
+        assert!(serial.num_edges() > 0);
+        for threads in [2, 4] {
+            assert_eq!(shared.snapshot(threads), serial, "{threads} workers");
+        }
     }
 
     #[test]
@@ -908,7 +975,7 @@ mod tests {
         assert_eq!(shared.update(0, 8, 0.5), 0, "tie lost on the id");
         assert_eq!(shared.update(0, 4, 0.5), 1, "tie won on the id");
         let want = [Neighbor { id: 6, sim: 0.7 }, Neighbor { id: 4, sim: 0.5 }];
-        assert_eq!(shared.snapshot().neighbors(0), &want);
+        assert_eq!(shared.snapshot(1).neighbors(0), &want);
     }
 
     #[test]
@@ -924,7 +991,7 @@ mod tests {
         assert!(shared.lock(0).remove(1));
         assert_eq!(shared.update(0, 5, 0.05), 1);
         let want = [Neighbor { id: 3, sim: 0.3 }, Neighbor { id: 5, sim: 0.05 }];
-        assert_eq!(shared.snapshot().neighbors(0), &want);
+        assert_eq!(shared.snapshot(1).neighbors(0), &want);
     }
 
     #[test]
@@ -1019,7 +1086,7 @@ mod tests {
                 }
             }
         });
-        let g = shared.snapshot();
+        let g = shared.snapshot(1);
         for u in 0..n {
             // Every other user was offered with a fixed similarity, so the
             // row is the sequential top-k whatever the interleaving.
@@ -1056,7 +1123,7 @@ mod tests {
                 shared.update_batch(u, &candidates, &sims);
             }
         });
-        let g = shared.snapshot();
+        let g = shared.snapshot(1);
         for u in 0..n {
             let mut expected: Vec<Neighbor> = (0..n)
                 .filter(|&v| v != u)
@@ -1080,7 +1147,7 @@ mod tests {
         assert_eq!(shared.update_batch(1, &[2], &[0.5]), 1);
         // Rows 0 and 1 are full at (0.5, 2): both ties win on the id.
         assert_eq!(shared.update_batch(1, &[0], &[0.5]), 2);
-        let g = shared.snapshot();
+        let g = shared.snapshot(1);
         assert_eq!(g.neighbors(0), &[Neighbor { id: 1, sim: 0.5 }]);
         assert_eq!(g.neighbors(1), &[Neighbor { id: 0, sim: 0.5 }]);
         assert_eq!(g.neighbors(2), &[Neighbor { id: 0, sim: 0.5 }]);
@@ -1171,7 +1238,7 @@ mod tests {
                         }
                     }
                 }
-                let graph = shared.snapshot();
+                let graph = shared.snapshot(1);
                 for u in 0..USERS {
                     let want = model[u as usize].sorted_neighbors();
                     prop_assert_eq!(graph.neighbors(u), &want[..]);
@@ -1216,7 +1283,7 @@ mod tests {
                         prop_assert!(shared.lock(drop_from).remove(best.id));
                     }
                 }
-                let graph = shared.snapshot();
+                let graph = shared.snapshot(1);
                 for u in 0..USERS {
                     let want = model[u as usize].sorted_neighbors();
                     prop_assert_eq!(graph.neighbors(u), &want[..]);

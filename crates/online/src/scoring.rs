@@ -6,11 +6,16 @@
 //! of the dataset. KIFF's premise is the other side of the bipartite
 //! graph: in sparse data item profiles are short. So [`RepairScorer`]
 //! walks `u`'s items in ascending order and, for each, the item's
-//! current raters with their live ratings
-//! ([`DeltaDataset::for_each_item_rater`]), adding the metric's shared-item
-//! term into the candidates marked in a dense scratch array: `Σ_{i∈UP_u}
-//! |IP_i|` entries. Each score is then finished from the two users'
-//! cached [`ProfileStats`](kiff_dataset::ProfileStats).
+//! current raters with their live ratings ([`DeltaDataset::item_row`]),
+//! adding the metric's shared-item term into the candidates marked in a
+//! dense scratch array: `Σ_{i∈UP_u} |IP_i|` entries. Each score is then
+//! finished from the two users' cached
+//! [`ProfileStats`](kiff_dataset::ProfileStats).
+//!
+//! A repair visits hundreds of short rows at scattered addresses, so a
+//! row's first cache lines, not its raters, are most of a visit's cost.
+//! The walk reads each row as two plain slices and asks for the rows
+//! [`PREFETCH_AHEAD`] items ahead before it reads the current one.
 //!
 //! The scores are [`OnlineMetric::eval`]'s, bit for bit. The outer loop
 //! runs over `u`'s items in ascending order, so every pair's terms are
@@ -23,10 +28,14 @@
 //! the same way, and close with the same [`finish`], on the batches where
 //! the walk reads fewer entries than scanning; a repair always walks.
 
-use kiff_dataset::{DeltaDataset, Rating, UserId};
+use kiff_collections::prefetch;
+use kiff_dataset::{DeltaDataset, ItemId, Rating, UserId};
 use kiff_similarity::scorer::finish;
 
 use crate::config::OnlineMetric;
+
+/// How many items ahead of the one it reads the walk prefetches a row.
+const PREFETCH_AHEAD: usize = 8;
 
 /// A shard's scratch for item-at-a-time scoring.
 #[derive(Debug, Default)]
@@ -100,18 +109,34 @@ impl RepairScorer {
         if hits.len() < mark.len() {
             hits.resize(mark.len(), (0, 0.0));
         }
-        for (i, rating_u) in data.profile(u).iter() {
+        let profile = data.profile(u);
+        for &i in profile.items.iter().take(PREFETCH_AHEAD) {
+            prefetch_row(data, i);
+        }
+        for (j, (&i, &rating_u)) in profile.items.iter().zip(profile.ratings).enumerate() {
+            if let Some(&ahead) = profile.items.get(j + PREFETCH_AHEAD) {
+                prefetch_row(data, ahead);
+            }
+            let (users, ratings) = data.item_row(i);
             let mut n = 0;
-            data.for_each_item_rater(i, |v, rating_v| {
+            for (&v, &rating_v) in users.iter().zip(ratings) {
                 let pos = mark[v as usize];
                 hits[n] = (pos, rating_v);
                 n += usize::from(pos != 0);
-            });
+            }
             for &(pos, rating_v) in &hits[..n] {
                 sums[pos as usize - 1] += term(rating_u, rating_v);
             }
         }
     }
+}
+
+/// Starts loading the heads of `i`'s rater and rating slices.
+#[inline]
+fn prefetch_row(data: &DeltaDataset, i: ItemId) {
+    let (users, ratings) = data.item_row(i);
+    prefetch(users.as_ptr());
+    prefetch(ratings.as_ptr());
 }
 
 #[cfg(test)]

@@ -64,7 +64,7 @@ use std::sync::Arc;
 
 use kiff_collections::{FxHashMap, FxHashSet, SparseCounter};
 use kiff_core::{build_rcs, CountingConfig, Kiff, KiffConfig, KiffError};
-use kiff_dataset::{Dataset, DeltaDataset, UserId};
+use kiff_dataset::{Dataset, DeltaDataset, ItemId, UserId};
 use kiff_graph::{HeapChange, KnnGraph, KnnHeap, Neighbor, ShardReverse};
 use kiff_parallel::{effective_threads, parallel_for_each_mut};
 use kiff_similarity as sim;
@@ -182,8 +182,8 @@ enum CounterAdj {
 }
 
 /// One in this many repairs is timed into `shard.N.repair_ns`, and its
-/// scoring stage into `shard.N.score_ns`. Repair latency is the hottest
-/// per-event instrument in the stack; sampling keeps the
+/// stages into `shard.N.{gather,score,land}_ns`. Repair latency is the
+/// hottest per-event instrument in the stack; sampling keeps the
 /// enabled-registry cost inside the telemetry bench's 3% overhead gate
 /// while a uniform 1-in-8 sample still estimates the same latency
 /// distribution (and its p99).
@@ -245,9 +245,16 @@ struct Shard {
     /// `shard.N.repair_ns`: repair wall-clock latency, sampled 1 in
     /// [`SPAN_SAMPLE`] repairs.
     repair_ns: Histogram,
+    /// `shard.N.gather_ns`: the candidate gathering of the same sampled
+    /// repairs (the targeted cap, the prefix, the heap and reverse sets,
+    /// sort and dedup).
+    gather_ns: Histogram,
     /// `shard.N.score_ns`: the scoring stage of the same sampled
     /// repairs.
     score_ns: Histogram,
+    /// `shard.N.land_ns`: the landing of the same sampled repairs' scores
+    /// on the heaps, local or by message.
+    land_ns: Histogram,
     /// `shard.N.queue_depth`: repair-queue depth at the last round end.
     queue_depth: Gauge,
     /// Item-at-a-time scoring scratch for this shard's repairs.
@@ -265,7 +272,9 @@ impl Shard {
             tele_sims: tele.counter("online.sims"),
             tele_scores: tele.counter("similarity.scores"),
             repair_ns: tele.histogram(&format!("shard.{my}.repair_ns")),
+            gather_ns: tele.histogram(&format!("shard.{my}.gather_ns")),
             score_ns: tele.histogram(&format!("shard.{my}.score_ns")),
+            land_ns: tele.histogram(&format!("shard.{my}.land_ns")),
             queue_depth: tele.gauge(&format!("shard.{my}.queue_depth")),
             ..Self::default()
         }
@@ -398,6 +407,8 @@ impl Shard {
         assign: &[Slot],
         config: &OnlineConfig,
     ) {
+        let sampled = self.sampled();
+        let gather_span = sampled.then(|| self.gather_ns.span());
         let slot = assign[u as usize].idx as usize;
         let mut candidates: Vec<UserId> =
             Vec::with_capacity(targeted.iter().map(|c| c.len()).sum());
@@ -431,17 +442,19 @@ impl Shard {
         if let Ok(pos) = candidates.binary_search(&u) {
             candidates.remove(pos);
         }
+        drop(gather_span);
         // Item-at-a-time scoring (see `crate::scoring`): one walk over
         // `u`'s items and their live raters scores every candidate,
         // equal to `config.metric.eval` bit for bit.
         let mut scored = std::mem::take(&mut self.scored);
         scored.clear();
         {
-            let _span = self.sampled().then(|| self.score_ns.span());
+            let _span = sampled.then(|| self.score_ns.span());
             self.scorer
                 .score(config.metric, data, u, &candidates, &mut scored);
         }
         self.stats.sim_evals += scored.len() as u64;
+        let _land_span = sampled.then(|| self.land_ns.span());
         for &(v, s) in &scored {
             self.land(my, u, v, s, assign);
             let vslot = assign[v as usize];
@@ -555,6 +568,10 @@ pub struct ShardedOnlineKnn {
     /// `online.repair_round_ns`: wall-clock of each parallel repair
     /// round (inbox drain + budgeted repairs across all shards).
     repair_round_ns: Histogram,
+    /// `online.mutate_ns`: phase 1 of each `apply_batch` call.
+    mutate_ns: Histogram,
+    /// `online.counters_ns`: phase 2 of each `apply_batch` call.
+    counters_ns: Histogram,
 }
 
 impl ShardedOnlineKnn {
@@ -700,6 +717,8 @@ impl ShardedOnlineKnn {
         let tele = &config.telemetry;
         let apply_ns = tele.histogram("online.apply_ns");
         let repair_round_ns = tele.histogram("online.repair_round_ns");
+        let mutate_ns = tele.histogram("online.mutate_ns");
+        let counters_ns = tele.histogram("online.counters_ns");
         let mut engine = Self {
             config,
             shard_config,
@@ -712,6 +731,8 @@ impl ShardedOnlineKnn {
             dataset_snapshot: ClockCache::new(),
             apply_ns,
             repair_round_ns,
+            mutate_ns,
+            counters_ns,
         };
         // Mirror from the heaps, not from `graph`: the heap capacity may
         // be smaller than the snapshot's k.
@@ -873,6 +894,7 @@ impl ShardedOnlineKnn {
         // Phase 1 (serial): mutate the dataset view, bucket every counter
         // adjustment by its owning shard while the point-in-time rater set
         // is in hand, and route each dirty user to its owning shard.
+        let mutate_span = self.mutate_ns.span();
         for update in updates {
             stats.updates += 1;
             if let Some((user, targeted)) = self.mutate(update, &mut adjustments) {
@@ -888,6 +910,7 @@ impl ShardedOnlineKnn {
                 }
             }
         }
+        mutate_span.finish();
 
         let threads = effective_threads(self.shard_config.threads).min(self.shards.len());
 
@@ -898,9 +921,11 @@ impl ShardedOnlineKnn {
 
         // Phase 2 (parallel): every shard applies exactly its own
         // pre-bucketed counter adjustments.
+        let counters_span = self.counters_ns.span();
         parallel_for_each_mut(threads, &mut self.shards, |my, shard| {
             shard.apply_counter_adjustments(&adjustments[my]);
         });
+        counters_span.finish();
 
         // Phase 3 (parallel rounds): repair until quiescence. Each round
         // drains inboxes and queues shard-locally; produced messages are
@@ -970,9 +995,7 @@ impl ShardedOnlineKnn {
                 while (user as usize) >= self.data.num_users() {
                     self.add_user();
                 }
-                let mut raters = self.data.item_raters(item);
-                raters.retain(|&v| v != user);
-                let raters = Arc::new(raters);
+                let raters = Arc::new(self.raters_besides(item, user));
                 if self.data.add_rating(user, item, rating) {
                     Self::bucket_adjustments(&self.assign, adjustments, user, &raters, true);
                 }
@@ -987,13 +1010,18 @@ impl ShardedOnlineKnn {
                 {
                     return None;
                 }
-                let mut raters = self.data.item_raters(item);
-                raters.retain(|&v| v != user);
-                let raters = Arc::new(raters);
+                let raters = Arc::new(self.raters_besides(item, user));
                 Self::bucket_adjustments(&self.assign, adjustments, user, &raters, false);
                 Some((user, None))
             }
         }
+    }
+
+    /// The current raters of `item` other than `user`: a copy of the
+    /// item's live rater slice, taken while the mutation is in hand.
+    fn raters_besides(&self, item: ItemId, user: UserId) -> Vec<UserId> {
+        let (raters, _) = self.data.item_row(item);
+        raters.iter().copied().filter(|&v| v != user).collect()
     }
 
     /// Routes both directions of every `(user, rater)` counter adjustment
@@ -1454,6 +1482,46 @@ pub(crate) mod tests {
         assert_eq!(snap.counter("online.sims"), Some(stats.sim_evals));
         assert!(snap.histogram("online.repair_round_ns").unwrap().count > 0);
         assert_eq!(snap.histogram("online.apply_ns").unwrap().count, 1);
+    }
+
+    #[test]
+    fn stage_histograms_count_every_sampled_repair_and_every_batch() {
+        use kiff_dataset::generators::planted::{generate_planted, PlantedConfig};
+        let registry = Registry::new();
+        let base = generate_planted(&PlantedConfig {
+            num_users: 60,
+            num_items: 40,
+            ratings_per_user: 6,
+            ..PlantedConfig::tiny("stages", 7)
+        })
+        .0;
+        let mut engine = ShardedOnlineKnn::new(
+            &base,
+            OnlineConfig::new(4).with_telemetry(registry.clone()),
+            ShardConfig::new(2).with_threads(2),
+        );
+        let batches = 5;
+        for b in 0..batches {
+            engine.apply_batch((0..20).map(|j| Update::AddRating {
+                user: (b * 20 + j * 7) % 60,
+                item: (j * 3 + b) % 40,
+                rating: 1.0,
+            }));
+        }
+        let snap = registry.snapshot();
+        let count = |name: &str| snap.histogram(name).map_or(0, |h| h.count);
+        for n in 0..2 {
+            let repairs = count(&format!("shard.{n}.repair_ns"));
+            assert!(repairs > 0, "shard {n} timed no repair");
+            for stage in ["gather", "score", "land"] {
+                let name = format!("shard.{n}.{stage}_ns");
+                assert_eq!(count(&name), repairs, "{name}");
+            }
+        }
+        for stage in ["apply", "mutate", "counters"] {
+            let name = format!("online.{stage}_ns");
+            assert_eq!(count(&name), u64::from(batches), "{name}");
+        }
     }
 
     #[test]

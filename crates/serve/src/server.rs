@@ -626,6 +626,8 @@ pub(crate) struct Shared {
     requests: Counter,
     errors: Counter,
     read_wait: Histogram,
+    /// `serve.connection_errors.<kind>`, resolved at bind.
+    connection_errors: ConnectionErrors,
     addr: SocketAddr,
     net_ctx: String,
     pub(crate) repl: Option<Arc<ReplState>>,
@@ -653,6 +655,37 @@ impl RequestTimers {
             .find(|(name, _)| *name == op)
             .expect("every op has a timer");
         timer
+    }
+}
+
+/// `serve.connection_errors.<kind>`: connections that ended in an error,
+/// counted by [`KiffError::kind`] when their worker exits. A connection
+/// ends in an error on a socket failure or an armed `net.*` failpoint
+/// (`io`), or on a request frame it cannot read, torn or oversized
+/// (`protocol`); any other kind would count as `other`.
+struct ConnectionErrors {
+    io: Counter,
+    protocol: Counter,
+    other: Counter,
+}
+
+impl ConnectionErrors {
+    fn new(telemetry: &Registry) -> Self {
+        let counter = |kind: &str| telemetry.counter(&format!("serve.connection_errors.{kind}"));
+        Self {
+            io: counter("io"),
+            protocol: counter("protocol"),
+            other: counter("other"),
+        }
+    }
+
+    fn record(&self, err: &KiffError) {
+        match err.kind() {
+            "io" => &self.io,
+            "protocol" => &self.protocol,
+            _ => &self.other,
+        }
+        .incr();
     }
 }
 
@@ -780,6 +813,7 @@ impl Server {
                 requests: telemetry.counter("serve.requests"),
                 errors: telemetry.counter("serve.errors"),
                 read_wait: telemetry.histogram("serve.read_wait_ns"),
+                connection_errors: ConnectionErrors::new(&telemetry),
                 telemetry,
                 addr,
                 net_ctx: addr.to_string(),
@@ -841,7 +875,9 @@ impl Server {
                 Ok(stream) => {
                     let shared = Arc::clone(&self.shared);
                     workers.push(std::thread::spawn(move || {
-                        let _ = handle_connection(stream, &shared);
+                        if let Err(e) = handle_connection(stream, &shared) {
+                            shared.connection_errors.record(&e);
+                        }
                     }));
                 }
                 Err(e) => {
@@ -1302,6 +1338,49 @@ mod tests {
         client.ping().unwrap();
         client.shutdown().unwrap();
         handle.join().unwrap().unwrap();
+    }
+
+    /// A connection that dies on a torn request is counted by its kind,
+    /// and the daemon keeps serving other connections.
+    #[test]
+    fn a_torn_request_counts_one_protocol_error_and_serving_goes_on() {
+        let reg = Registry::new();
+        let config = OnlineConfig::new(2).with_telemetry(reg.clone());
+        let engine = Box::new(OnlineKnn::new(&figure2_toy(), config));
+        let host = EngineHost::new(engine, None, reg.clone());
+        let server = Server::bind("127.0.0.1:0", host).unwrap();
+        let addr = server.local_addr();
+        let handle = std::thread::spawn(move || server.run());
+        let count = |kind: &str| {
+            reg.snapshot()
+                .counter(&format!("serve.connection_errors.{kind}"))
+        };
+
+        // A header that promises 64 bytes, ten of them, then EOF.
+        let mut torn = TcpStream::connect(addr).unwrap();
+        torn.write_all(&64u32.to_le_bytes()).unwrap();
+        torn.write_all(br#"{"op":"pi"#).unwrap();
+        torn.shutdown(std::net::Shutdown::Write).unwrap();
+        // The worker counts its error as it exits, after the client
+        // has sent everything: poll briefly.
+        let deadline = Instant::now() + std::time::Duration::from_secs(5);
+        while count("protocol") != Some(1) {
+            assert!(Instant::now() < deadline, "torn request not counted");
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        drop(torn);
+
+        let mut client = Client::connect(&addr.to_string()).unwrap();
+        client.ping().unwrap();
+        client.shutdown().unwrap();
+        handle.join().unwrap().unwrap();
+        assert_eq!(
+            count("protocol"),
+            Some(1),
+            "clean connections count nothing"
+        );
+        assert_eq!(count("io"), Some(0));
+        assert_eq!(count("other"), Some(0));
     }
 
     /// Acked writes are immediately visible to every reader (the view

@@ -105,14 +105,14 @@ fn kiff_first_iteration_recall_dominates_random_start() {
     let mut kiff_points = Vec::new();
     {
         let mut obs = |_t: IterationTrace, s: &SharedKnn| {
-            kiff_points.push(recall(&exact, &s.snapshot()));
+            kiff_points.push(recall(&exact, &s.snapshot(1)));
         };
         Kiff::new(KiffConfig::new(k)).run_observed(&ds, &sim, &mut obs);
     }
     let mut nnd_points = Vec::new();
     {
         let mut obs = |_t: IterationTrace, s: &SharedKnn| {
-            nnd_points.push(recall(&exact, &s.snapshot()));
+            nnd_points.push(recall(&exact, &s.snapshot(1)));
         };
         NnDescent::new(GreedyConfig::new(k)).run_observed(&ds, &sim, &mut obs);
     }
@@ -133,7 +133,7 @@ fn baselines_recall_improves_across_iterations() {
     let exact = exact_knn(&ds, &sim, k, None);
     let mut points = Vec::new();
     let mut obs = |_t: IterationTrace, s: &SharedKnn| {
-        points.push(recall(&exact, &s.snapshot()));
+        points.push(recall(&exact, &s.snapshot(1)));
     };
     NnDescent::new(GreedyConfig::new(k)).run_observed(&ds, &sim, &mut obs);
     assert!(points.len() >= 2, "needs at least two iterations");
