@@ -21,11 +21,14 @@ build:
 test:
 	$(CARGO) test -q --no-fail-fast
 
-# The neighbour-heap and online crates again, optimized: the heap slab's
-# unsafe code and its concurrent tests also run as release code does, and
-# the repair walk runs without its debug tripwire.
+# The neighbour-heap, online and apps crates again, optimized, with the
+# view oracle: the heap slab's unsafe code and its concurrent tests also
+# run as release code does, the repair walk runs without its debug
+# tripwire, and the copy-on-write overlay and the captured views run as
+# the daemon runs them.
 test-release:
-	$(CARGO) test --release -q -p kiff-graph -p kiff-core -p kiff-baselines -p kiff-dataset -p kiff-online
+	$(CARGO) test --release -q -p kiff-graph -p kiff-core -p kiff-baselines -p kiff-dataset -p kiff-online -p kiff-apps
+	$(CARGO) test --release -q --test patched_views
 
 examples:
 	$(CARGO) build --examples

@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use kiff_collections::FxHashMap;
 use kiff_core::KiffError;
-use kiff_dataset::{Dataset, ItemId, UserId};
+use kiff_dataset::{Dataset, FrozenDelta, ItemId, UserId};
 use kiff_graph::KnnGraph;
 use kiff_online::ReadView;
 
@@ -38,9 +38,9 @@ pub struct Recommendation {
 /// graph)`.
 ///
 /// Owns `Arc` snapshots of both sides, so one can be built per request
-/// from a live engine's [`graph()`](kiff_graph::KnnGraph) snapshot
-/// without lifetime gymnastics — the shape the `kiff-serve` daemon
-/// needs. Cloning is cheap (two `Arc` bumps).
+/// from a live engine's [`ReadView`] without lifetime gymnastics — the
+/// shape the `kiff-serve` daemon needs. Cloning is cheap (two `Arc`
+/// bumps).
 ///
 /// ```
 /// use std::sync::Arc;
@@ -56,7 +56,7 @@ pub struct Recommendation {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Recommender {
-    dataset: Arc<Dataset>,
+    dataset: Arc<FrozenDelta>,
     graph: Arc<KnnGraph>,
 }
 
@@ -64,6 +64,10 @@ impl Recommender {
     /// Wraps a dataset and a KNN graph built over its users, or
     /// [`KiffError::Mismatch`] when they disagree on the user count.
     pub fn new(dataset: Arc<Dataset>, graph: Arc<KnnGraph>) -> Result<Self, KiffError> {
+        Self::over(Arc::new(FrozenDelta::from_dataset(dataset)), graph)
+    }
+
+    fn over(dataset: Arc<FrozenDelta>, graph: Arc<KnnGraph>) -> Result<Self, KiffError> {
         if dataset.num_users() != graph.num_users() {
             return Err(KiffError::Mismatch {
                 detail: format!(
@@ -81,7 +85,7 @@ impl Recommender {
     /// path. A view is captured between mutations, so its graph and
     /// dataset always agree on the user count and this cannot fail.
     pub fn from_view(view: &ReadView) -> Self {
-        Self::new(Arc::clone(&view.dataset), Arc::clone(&view.graph))
+        Self::over(Arc::clone(&view.dataset), Arc::clone(&view.graph))
             .expect("a ReadView is batch-consistent by construction")
     }
 
@@ -188,13 +192,17 @@ impl Recommender {
     /// "who should see item i?" — the primitive behind push campaigns
     /// and cold-start item seeding. It exploits the same KNN graph
     /// through its reverse edges.
+    ///
+    /// Reads the item side, so over a live engine's view it materialises
+    /// the view's ratings on first use ([`FrozenDelta::materialised`]).
     pub fn audience(&self, i: ItemId, n: usize) -> Vec<(UserId, f64)> {
-        let raters = self.dataset.item_profile(i);
+        let dataset = self.dataset.materialised();
+        let raters = dataset.item_profile(i);
         let mut scores: FxHashMap<UserId, f64> = FxHashMap::default();
         // Reverse edges: a rater v of i boosts every user u that lists v
         // as a neighbour.
-        for u in 0..self.dataset.num_users() as u32 {
-            if self.dataset.user_profile(u).rating(i).is_some() {
+        for u in 0..dataset.num_users() as u32 {
+            if dataset.user_profile(u).rating(i).is_some() {
                 continue;
             }
             for neighbor in self.graph.neighbors(u) {

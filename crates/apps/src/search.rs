@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use kiff_collections::{FxHashMap, FxHashSet};
 use kiff_core::KiffError;
-use kiff_dataset::{Dataset, ItemId, ProfileRef, Rating, UserId};
+use kiff_dataset::{Dataset, FrozenDelta, ItemId, ProfileRef, Rating, UserId};
 use kiff_graph::KnnGraph;
 use kiff_online::ReadView;
 use kiff_similarity::functions;
@@ -133,9 +133,9 @@ impl PartialOrd for Frontier {
 /// A greedy best-first searcher over `(dataset, graph)`.
 ///
 /// Owns `Arc` snapshots of both sides, so one can be built per request
-/// from a live engine's graph snapshot without lifetime gymnastics —
-/// the shape the `kiff-serve` daemon needs. Cloning is cheap (two
-/// `Arc` bumps).
+/// from a live engine's [`ReadView`] without lifetime gymnastics — the
+/// shape the `kiff-serve` daemon needs. Cloning is cheap (two `Arc`
+/// bumps).
 ///
 /// ```
 /// use std::sync::Arc;
@@ -152,7 +152,7 @@ impl PartialOrd for Frontier {
 /// ```
 #[derive(Debug, Clone)]
 pub struct GraphSearcher {
-    dataset: Arc<Dataset>,
+    dataset: Arc<FrozenDelta>,
     graph: Arc<KnnGraph>,
     metric: ProfileMetric,
     /// Maximum seed users drawn from the query's item profiles.
@@ -164,6 +164,14 @@ impl GraphSearcher {
     /// [`KiffError::Mismatch`] when they disagree on the user count.
     pub fn new(
         dataset: Arc<Dataset>,
+        graph: Arc<KnnGraph>,
+        metric: ProfileMetric,
+    ) -> Result<Self, KiffError> {
+        Self::over(Arc::new(FrozenDelta::from_dataset(dataset)), graph, metric)
+    }
+
+    fn over(
+        dataset: Arc<FrozenDelta>,
         graph: Arc<KnnGraph>,
         metric: ProfileMetric,
     ) -> Result<Self, KiffError> {
@@ -189,7 +197,7 @@ impl GraphSearcher {
     /// path. A view is captured between mutations, so its graph and
     /// dataset always agree on the user count and this cannot fail.
     pub fn from_view(view: &ReadView, metric: ProfileMetric) -> Self {
-        Self::new(Arc::clone(&view.dataset), Arc::clone(&view.graph), metric)
+        Self::over(Arc::clone(&view.dataset), Arc::clone(&view.graph), metric)
             .expect("a ReadView is batch-consistent by construction")
     }
 
@@ -317,7 +325,8 @@ impl GraphSearcher {
     /// raters — who are exactly the plausible matches, so the work is
     /// spent where the answers are.) Remaining items contribute up to
     /// `max_seeds` more; unrated-everywhere queries fall back to evenly
-    /// spread seeds.
+    /// spread seeds. Item profiles come from the materialised ratings
+    /// ([`FrozenDelta::materialised`]), built at most once per view.
     fn seeds(&self, query: &QueryProfile) -> Vec<UserId> {
         let mut order: Vec<ItemId> = query
             .items
@@ -325,13 +334,14 @@ impl GraphSearcher {
             .copied()
             .filter(|&i| (i as usize) < self.dataset.num_items())
             .collect();
-        order.sort_unstable_by_key(|&i| self.dataset.item_profile(i).len());
+        let dataset = self.dataset.materialised();
+        order.sort_unstable_by_key(|&i| dataset.item_profile(i).len());
 
         let mut seeds = Vec::with_capacity(self.max_seeds);
         let mut seen: FxHashSet<UserId> = FxHashSet::default();
         let mut first_nonempty = true;
         'outer: for i in order {
-            let profile = self.dataset.item_profile(i);
+            let profile = dataset.item_profile(i);
             if profile.is_empty() {
                 continue;
             }

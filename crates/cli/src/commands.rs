@@ -283,7 +283,7 @@ fn update(options: &UpdateOptions, out: &mut dyn Write) -> Result<(), CommandErr
 
 fn serve(options: &ServeOptions, out: &mut dyn Write) -> Result<(), CommandError> {
     use kiff::core::fault;
-    use kiff::serve::{latest_snapshot, recover, EngineHost, Server, ServerConfig, StoreConfig};
+    use kiff::serve::{recover_or_seed, EngineHost, Server, ServerConfig, StoreConfig};
 
     // Arm chaos failpoints before anything they could fire on: the env
     // spec first (fleet-wide drills), then the flag (per-daemon).
@@ -304,11 +304,12 @@ fn serve(options: &ServeOptions, out: &mut dyn Write) -> Result<(), CommandError
         writeln!(out, "armed {armed} failpoint(s): {live}")?;
     }
 
-    let dataset = load_dataset(&options.input)?;
-    // The start-up KIFF build seeds a fresh data directory, the volatile
-    // engine and the `--degraded-ok` fallback. A restart over a snapshot
-    // recovers the snapshot's own graph, so it never runs.
-    let build_graph = |out: &mut dyn Write| -> Result<KnnGraph, CommandError> {
+    // The input and the start-up KIFF build over it seed a fresh data
+    // directory, the volatile engine and the `--degraded-ok` fallback. A
+    // restart over a snapshot recovers the snapshot's own dataset and
+    // graph, so it neither parses the input nor builds.
+    let seed = |out: &mut dyn Write| -> Result<(Dataset, KnnGraph), CommandError> {
+        let dataset = load_dataset(&options.input)?;
         let mut builder = KnnGraphBuilder::new(options.k).metric(options.metric);
         if let Some(threads) = options.threads {
             builder = builder.threads(threads);
@@ -322,7 +323,7 @@ fn serve(options: &ServeOptions, out: &mut dyn Write) -> Result<(), CommandError
             dataset.num_users(),
             build_start.elapsed()
         )?;
-        Ok(graph)
+        Ok((dataset, graph))
     };
 
     let registry = Registry::new();
@@ -330,10 +331,10 @@ fn serve(options: &ServeOptions, out: &mut dyn Write) -> Result<(), CommandError
     let mut shard_config = ShardConfig::new(options.shards);
     shard_config.threads = options.threads;
 
-    // The volatile engine over a freshly built graph: the no-data-dir
-    // path, and the `--degraded-ok` read-only fallback.
-    let volatile = |graph: &KnnGraph, config: OnlineConfig| -> Box<dyn KnnEngine> {
-        let engine = ShardedOnlineKnn::from_graph(&dataset, graph, config, shard_config.clone());
+    // The engine over a seed: a fresh data directory's, the no-data-dir
+    // path's, and the `--degraded-ok` read-only fallback's.
+    let seeded = |(dataset, graph): &(Dataset, KnnGraph), config| -> Box<dyn KnnEngine> {
+        let engine = ShardedOnlineKnn::from_graph(dataset, graph, config, shard_config.clone());
         Box::new(engine)
     };
 
@@ -344,17 +345,18 @@ fn serve(options: &ServeOptions, out: &mut dyn Write) -> Result<(), CommandError
             if let Some(every) = options.snapshot_every {
                 cfg = cfg.with_snapshot_every(every);
             }
-            let seed_graph = match latest_snapshot(dir) {
-                Ok(Some(_)) => None,
-                _ => Some(build_graph(out)?),
-            };
-            match recover(
+            // Kept for the fallback when recovery seeds and then fails.
+            let mut fresh = None;
+            let recovered = recover_or_seed(
                 &cfg,
-                &dataset,
-                seed_graph.as_ref(),
+                |config, _| -> Result<_, CommandError> {
+                    let fresh = fresh.insert(seed(out)?);
+                    Ok(seeded(fresh, config))
+                },
                 config.clone(),
                 Some(shard_config.clone()),
-            ) {
+            );
+            match recovered {
                 Ok(recovered) => {
                     let torn = if recovered.truncated {
                         " (torn WAL tail truncated)"
@@ -389,22 +391,22 @@ fn serve(options: &ServeOptions, out: &mut dyn Write) -> Result<(), CommandError
                         dir.display()
                     )?;
                     read_only = true;
-                    let graph = match seed_graph {
-                        Some(graph) => graph,
-                        None => build_graph(out)?,
+                    let fresh = match fresh {
+                        Some(fresh) => fresh,
+                        None => seed(out)?,
                     };
-                    (volatile(&graph, config), None)
+                    (seeded(&fresh, config), None)
                 }
-                Err(e) => return Err(e.into()),
+                Err(e) => return Err(e),
             }
         }
         None => {
-            let graph = build_graph(out)?;
+            let fresh = seed(out)?;
             writeln!(
                 out,
                 "no --data-dir: running volatile, updates are lost on exit"
             )?;
-            (volatile(&graph, config), None)
+            (seeded(&fresh, config), None)
         }
     };
 
@@ -1044,6 +1046,69 @@ mod tests {
         );
         std::fs::remove_file(&addr_file).ok();
         std::fs::remove_dir_all(&data_dir).ok();
+    }
+
+    #[test]
+    fn serve_restart_over_a_snapshot_reads_no_input() {
+        let input = fixture();
+        let addr_file = tmp("serve-no-input-addr.txt");
+        let data_dir = tmp("serve-no-input-datadir");
+        std::fs::remove_dir_all(&data_dir).ok();
+        let cmdline = format!(
+            "serve --input {} --k 2 --addr 127.0.0.1:0 --addr-file {} --data-dir {}",
+            input.display(),
+            addr_file.display(),
+            data_dir.display()
+        );
+        let answers = |client: &mut kiff::serve::Client| -> Vec<Vec<Neighbor>> {
+            (0..5)
+                .map(|u| client.neighbors(u).expect("neighbors"))
+                .collect()
+        };
+
+        let (daemon, addr) = spawn_daemon(cmdline.clone(), &addr_file);
+        let mut client = kiff::serve::Client::connect(&addr).expect("connect");
+        let updates = [
+            Update::AddUser,
+            Update::AddRating {
+                user: 4,
+                item: 1,
+                rating: 2.0,
+            },
+        ];
+        assert_eq!(client.update(&updates).expect("update"), 2);
+        client.snapshot().expect("snapshot");
+        let before = answers(&mut client);
+        client.shutdown().expect("shutdown");
+        daemon.join().expect("join").expect("serve run");
+
+        // The snapshot holds the dataset: the restart needs no input.
+        std::fs::remove_file(&input).unwrap();
+        let (daemon, addr) = spawn_daemon(cmdline, &addr_file);
+        let mut client = kiff::serve::Client::connect(&addr).expect("connect");
+        assert_eq!(
+            answers(&mut client),
+            before,
+            "the restart answers as before"
+        );
+        client.shutdown().expect("shutdown");
+        let out = daemon.join().expect("join").expect("serve run");
+        assert!(out.contains("recovered snapshot seq 2"), "{out}");
+
+        // A fresh data directory starts from the input, so it fails, and
+        // names the file it could not read.
+        let fresh_dir = tmp("serve-no-input-fresh");
+        std::fs::remove_dir_all(&fresh_dir).ok();
+        let e = run_str(&format!(
+            "serve --input {} --k 2 --addr 127.0.0.1:0 --data-dir {}",
+            input.display(),
+            fresh_dir.display()
+        ))
+        .unwrap_err();
+        assert!(e.to_string().contains(&input.display().to_string()), "{e}");
+        std::fs::remove_file(&addr_file).ok();
+        std::fs::remove_dir_all(&data_dir).ok();
+        std::fs::remove_dir_all(&fresh_dir).ok();
     }
 
     #[test]

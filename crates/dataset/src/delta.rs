@@ -5,9 +5,11 @@
 //! `O(|E|)` per update. [`DeltaDataset`] layers a sparse overlay on top:
 //!
 //! * **user side** — mutated users' full profiles live in a hash overlay
-//!   (sorted item/rating vectors); untouched users keep serving borrowed
-//!   [`ProfileRef`]s straight from the base CSR. Every user's
-//!   [`ProfileStats`] are cached and recomputed on each profile change.
+//!   (sorted item/rating vectors, each behind an `Arc` and edited
+//!   copy-on-write); untouched users keep serving borrowed
+//!   [`ProfileRef`]s straight from the base CSR, which sits behind an
+//!   `Arc` too. Every user's [`ProfileStats`] are cached and recomputed
+//!   on each profile change.
 //! * **item side** — copy-on-write item rows. An item's raters are its
 //!   base CSR row until its first mutation, which copies that row into an
 //!   owned row (an item beyond the base starts from an empty one); later
@@ -20,12 +22,21 @@
 //!   the co-rater set a rating update affects and the rows the online
 //!   repair walks.
 //!
+//! [`DeltaDataset::freeze`] captures the user side as an immutable
+//! [`FrozenDelta`]: the base and every overlay profile shared by `Arc`,
+//! so a capture costs one `Arc` clone per overlay user, not a copy of the
+//! ratings. A later mutation of a captured profile copies that one
+//! profile first (`Arc::make_mut`), so a capture never changes.
+//!
 //! When the overlay grows past the caller's threshold,
 //! [`DeltaDataset::compact`] folds everything back into a fresh CSR —
 //! batched re-compaction amortised across many updates, the same trade
 //! LSM trees make. Base rows and overlay profiles are both kept sorted,
-//! so materialising ([`DeltaDataset::to_dataset`]) concatenates rows
-//! instead of sorting ratings.
+//! so materialising ([`DeltaDataset::to_dataset`],
+//! [`FrozenDelta::to_dataset`]) concatenates rows instead of sorting
+//! ratings.
+
+use std::sync::{Arc, OnceLock};
 
 use kiff_collections::{Csr, FxHashMap};
 
@@ -60,6 +71,131 @@ struct ItemRow {
 /// empty row for an item beyond the base.
 const BASE_ROW: u32 = u32::MAX;
 
+/// The user side the live store and its captures share: the frozen base
+/// plus the overlay of changed profiles, both behind `Arc`s, so cloning
+/// it costs one `Arc` clone per overlay user.
+#[derive(Debug, Clone)]
+struct Layers {
+    base: Arc<Dataset>,
+    overlay: FxHashMap<UserId, Arc<OverlayProfile>>,
+    num_users: usize,
+    num_items: usize,
+    num_ratings: usize,
+}
+
+impl Layers {
+    fn new(base: Arc<Dataset>) -> Self {
+        Self {
+            num_users: base.num_users(),
+            num_items: base.num_items(),
+            num_ratings: base.num_ratings(),
+            overlay: FxHashMap::default(),
+            base,
+        }
+    }
+
+    /// The current profile of `u`: its overlay copy when changed, its
+    /// borrowed base row otherwise. Users added after the base was
+    /// frozen always have an overlay entry.
+    #[inline]
+    fn profile(&self, u: UserId) -> ProfileRef<'_> {
+        assert!((u as usize) < self.num_users, "user {u} out of bounds");
+        match self.overlay.get(&u) {
+            Some(p) => ProfileRef {
+                items: &p.items,
+                ratings: &p.ratings,
+            },
+            None => self.base.user_profile(u),
+        }
+    }
+
+    /// One `O(|E|)` copy of the ratings, concatenating each user's
+    /// already sorted row — base CSR or overlay — with no sort.
+    fn to_dataset(&self) -> Dataset {
+        let mut offsets = Vec::with_capacity(self.num_users + 1);
+        let mut items = Vec::with_capacity(self.num_ratings);
+        let mut ratings = Vec::with_capacity(self.num_ratings);
+        offsets.push(0);
+        for u in 0..self.num_users as UserId {
+            let profile = self.profile(u);
+            items.extend_from_slice(profile.items);
+            ratings.extend_from_slice(profile.ratings);
+            offsets.push(items.len());
+        }
+        let users = Csr::from_sorted_parts(offsets, items, ratings)
+            .expect("base rows and overlay profiles are kept sorted");
+        Dataset::from_users_csr(self.base.name(), self.num_items, users)
+    }
+}
+
+/// An immutable capture of a [`DeltaDataset`]'s ratings
+/// ([`DeltaDataset::freeze`]): the frozen base plus the overlay profiles
+/// at capture time, shared by `Arc` with the live store. It reads user
+/// profiles as the store did when it was captured, whatever the store
+/// does afterwards, compaction included.
+///
+/// Item-side reads need the transpose, which the capture does not hold:
+/// [`FrozenDelta::materialised`] builds it once per capture, on first
+/// use, and keeps it.
+#[derive(Debug)]
+pub struct FrozenDelta {
+    layers: Layers,
+    materialised: OnceLock<Dataset>,
+}
+
+impl FrozenDelta {
+    /// `base` as a capture with no changed profile: reads go straight to
+    /// `base`, and [`FrozenDelta::materialised`] is `base` itself.
+    pub fn from_dataset(base: Arc<Dataset>) -> Self {
+        Self {
+            layers: Layers::new(base),
+            materialised: OnceLock::new(),
+        }
+    }
+
+    /// Number of users at capture time.
+    pub fn num_users(&self) -> usize {
+        self.layers.num_users
+    }
+
+    /// Number of items at capture time.
+    pub fn num_items(&self) -> usize {
+        self.layers.num_items
+    }
+
+    /// Number of ratings at capture time.
+    pub fn num_ratings(&self) -> usize {
+        self.layers.num_ratings
+    }
+
+    /// The profile `UP_u` at capture time.
+    ///
+    /// # Panics
+    /// Panics when `u` is out of range.
+    #[inline]
+    pub fn user_profile(&self, u: UserId) -> ProfileRef<'_> {
+        self.layers.profile(u)
+    }
+
+    /// Materialises the capture as a fresh frozen [`Dataset`]: one
+    /// `O(|E|)` copy of the ratings, with no sort.
+    pub fn to_dataset(&self) -> Dataset {
+        self.layers.to_dataset()
+    }
+
+    /// The capture as a [`Dataset`], for item-side reads
+    /// ([`Dataset::item_profile`]): the base itself when no profile
+    /// changed, otherwise materialised on the first call and kept, so a
+    /// capture pays at most one copy of the ratings however many readers
+    /// share it.
+    pub fn materialised(&self) -> &Dataset {
+        if self.layers.overlay.is_empty() {
+            return &self.layers.base;
+        }
+        self.materialised.get_or_init(|| self.to_dataset())
+    }
+}
+
 /// Statistics of one profile that similarity formulas need beyond the
 /// shared items: cached per user by [`DeltaDataset`], so a score can be
 /// finished without reading the profile again.
@@ -90,13 +226,9 @@ impl ProfileStats {
 /// A [`Dataset`] plus a mutation overlay. See the module docs.
 #[derive(Debug, Clone)]
 pub struct DeltaDataset {
-    base: Dataset,
-    num_users: usize,
-    num_items: usize,
-    num_ratings: usize,
+    users: Layers,
     /// Content mutations applied so far (see [`DeltaDataset::version`]).
     version: u64,
-    overlay: FxHashMap<UserId, OverlayProfile>,
     /// Per item: the index in `rows` of its owned row, or [`BASE_ROW`].
     item_slots: Vec<u32>,
     /// The owned rows of the items mutated since the last compaction.
@@ -108,23 +240,17 @@ pub struct DeltaDataset {
 impl DeltaDataset {
     /// Wraps `base` with an empty overlay.
     pub fn new(base: Dataset) -> Self {
-        let num_users = base.num_users();
-        let num_items = base.num_items();
-        let num_ratings = base.num_ratings();
         // The base item profiles back every rater scan; build them once up
         // front so the first update does not pay the transpose.
         let _ = base.item_profiles();
-        let stats = (0..num_users as UserId)
+        let stats = (0..base.num_users() as UserId)
             .map(|u| ProfileStats::of(base.user_profile(u)))
             .collect();
+        let users = Layers::new(Arc::new(base));
         Self {
-            base,
-            num_users,
-            num_items,
-            num_ratings,
+            item_slots: vec![BASE_ROW; users.num_items],
+            users,
             version: 0,
-            overlay: FxHashMap::default(),
-            item_slots: vec![BASE_ROW; num_items],
             rows: Vec::new(),
             stats,
         }
@@ -132,57 +258,45 @@ impl DeltaDataset {
 
     /// Current number of users (base plus streamed additions).
     pub fn num_users(&self) -> usize {
-        self.num_users
+        self.users.num_users
     }
 
     /// Current number of items (grows when a rating names a new item).
     pub fn num_items(&self) -> usize {
-        self.num_items
+        self.users.num_items
     }
 
     /// Current number of ratings.
     pub fn num_ratings(&self) -> usize {
-        self.num_ratings
+        self.users.num_ratings
     }
 
     /// The frozen base the overlay is relative to.
     pub fn base(&self) -> &Dataset {
-        &self.base
+        &self.users.base
     }
 
     /// Counts the content mutations applied so far: every added user,
     /// added or reinforced rating, and removed rating bumps it;
     /// compaction and no-op removals do not. Equal versions mean equal
-    /// contents, so a cache of [`DeltaDataset::to_dataset`] can be
-    /// tagged with it.
+    /// contents, so a capture ([`DeltaDataset::freeze`]) can be tagged
+    /// with it.
     pub fn version(&self) -> u64 {
         self.version
     }
 
     /// Number of users whose profiles live in the overlay — the
-    /// compaction-policy signal.
+    /// compaction-policy signal, and the cost of a
+    /// [`DeltaDataset::freeze`].
     pub fn overlay_users(&self) -> usize {
-        self.overlay.len()
+        self.users.overlay.len()
     }
 
     /// The current profile of `u`: overlay copy when mutated, borrowed CSR
     /// row otherwise; empty for users added after the base was frozen and
     /// not yet rated.
     pub fn profile(&self, u: UserId) -> ProfileRef<'_> {
-        assert!((u as usize) < self.num_users, "user {u} out of bounds");
-        if let Some(p) = self.overlay.get(&u) {
-            ProfileRef {
-                items: &p.items,
-                ratings: &p.ratings,
-            }
-        } else if (u as usize) < self.base.num_users() {
-            self.base.user_profile(u)
-        } else {
-            ProfileRef {
-                items: &[],
-                ratings: &[],
-            }
-        }
+        self.users.profile(u)
     }
 
     /// The cached statistics of `u`'s current profile, equal bit for bit
@@ -194,10 +308,10 @@ impl DeltaDataset {
 
     /// Appends a user with an empty profile, returning its id.
     pub fn add_user(&mut self) -> UserId {
-        let id = self.num_users as UserId;
-        self.num_users += 1;
+        let id = self.users.num_users as UserId;
+        self.users.num_users += 1;
         self.version += 1;
-        self.overlay.insert(id, OverlayProfile::default());
+        self.users.overlay.insert(id, Arc::default());
         self.stats.push(ProfileStats::of(self.profile(id)));
         id
     }
@@ -213,13 +327,13 @@ impl DeltaDataset {
     /// # Panics
     /// Panics on an out-of-range user or a non-finite/non-positive rating.
     pub fn add_rating(&mut self, u: UserId, i: ItemId, rating: Rating) -> bool {
-        assert!((u as usize) < self.num_users, "user {u} out of bounds");
+        assert!((u as usize) < self.num_users(), "user {u} out of bounds");
         assert!(
             rating.is_finite() && rating > 0.0,
             "rating must be finite and positive, got {rating}"
         );
-        self.num_items = self.num_items.max(i as usize + 1);
-        self.item_slots.resize(self.num_items, BASE_ROW);
+        self.users.num_items = self.users.num_items.max(i as usize + 1);
+        self.item_slots.resize(self.users.num_items, BASE_ROW);
         self.version += 1;
         let profile = self.overlay_entry(u);
         let (current, newly) = match profile.items.binary_search(&i) {
@@ -234,7 +348,7 @@ impl DeltaDataset {
             }
         };
         if newly {
-            self.num_ratings += 1;
+            self.users.num_ratings += 1;
         }
         self.record_item(u, i, Some(current));
         self.refresh_stats(u);
@@ -243,7 +357,6 @@ impl DeltaDataset {
 
     /// Deletes the rating `(u, i)`; returns whether it existed.
     pub fn remove_rating(&mut self, u: UserId, i: ItemId) -> bool {
-        assert!((u as usize) < self.num_users, "user {u} out of bounds");
         if self.profile(u).rating(i).is_none() {
             return false;
         }
@@ -251,7 +364,7 @@ impl DeltaDataset {
         let pos = profile.items.binary_search(&i).expect("checked present");
         profile.items.remove(pos);
         profile.ratings.remove(pos);
-        self.num_ratings -= 1;
+        self.users.num_ratings -= 1;
         self.version += 1;
         self.record_item(u, i, None);
         self.refresh_stats(u);
@@ -265,8 +378,8 @@ impl DeltaDataset {
     #[inline]
     pub fn item_row(&self, i: ItemId) -> (&[UserId], &[Rating]) {
         match self.item_slots.get(i as usize) {
-            Some(&BASE_ROW) if (i as usize) < self.base.num_items() => {
-                self.base.item_profiles().row_entries(i)
+            Some(&BASE_ROW) if (i as usize) < self.users.base.num_items() => {
+                self.users.base.item_profiles().row_entries(i)
             }
             Some(&BASE_ROW) | None => (&[], &[]),
             Some(&slot) => {
@@ -276,47 +389,48 @@ impl DeltaDataset {
         }
     }
 
+    /// Captures the current ratings as an immutable [`FrozenDelta`]: one
+    /// `Arc` clone per overlay user ([`DeltaDataset::overlay_users`]) and
+    /// one for the base, with no rating copied.
+    pub fn freeze(&self) -> FrozenDelta {
+        FrozenDelta {
+            layers: self.users.clone(),
+            materialised: OnceLock::new(),
+        }
+    }
+
     /// Materialises the current state as a frozen [`Dataset`]: one
     /// `O(|E|)` copy of the ratings, concatenating each user's already
     /// sorted row — base CSR or overlay — with no sort.
     pub fn to_dataset(&self) -> Dataset {
-        let mut offsets = Vec::with_capacity(self.num_users + 1);
-        let mut items = Vec::with_capacity(self.num_ratings);
-        let mut ratings = Vec::with_capacity(self.num_ratings);
-        offsets.push(0);
-        for u in 0..self.num_users as UserId {
-            let profile = self.profile(u);
-            items.extend_from_slice(profile.items);
-            ratings.extend_from_slice(profile.ratings);
-            offsets.push(items.len());
-        }
-        let users = Csr::from_sorted_parts(offsets, items, ratings)
-            .expect("base rows and overlay profiles are kept sorted");
-        Dataset::from_users_csr(self.base.name(), self.num_items, users)
+        self.users.to_dataset()
     }
 
     /// Folds the overlay into a fresh base CSR (batched re-compaction).
     /// `O(|E|)`; call when [`DeltaDataset::overlay_users`] crosses the
     /// caller's threshold so the cost amortises over the preceding updates.
+    /// Captures keep the old base and profiles alive.
     pub fn compact(&mut self) {
-        self.base = self.to_dataset();
-        let _ = self.base.item_profiles();
-        self.overlay.clear();
+        self.users.base = Arc::new(self.to_dataset());
+        let _ = self.users.base.item_profiles();
+        self.users.overlay.clear();
         self.item_slots.fill(BASE_ROW);
         self.rows.clear();
     }
 
+    /// `u`'s overlay profile, ready to edit: copied from the base on
+    /// `u`'s first mutation, and copied again first when a capture still
+    /// shares it.
     fn overlay_entry(&mut self, u: UserId) -> &mut OverlayProfile {
-        let base_profile = if (u as usize) < self.base.num_users() {
-            Some(self.base.user_profile(u))
-        } else {
-            None
-        };
-        self.overlay.entry(u).or_insert_with(|| {
-            base_profile
-                .map(OverlayProfile::from_profile)
-                .unwrap_or_default()
-        })
+        let base = &self.users.base;
+        let profile = self.users.overlay.entry(u).or_insert_with(|| {
+            Arc::new(if (u as usize) < base.num_users() {
+                OverlayProfile::from_profile(base.user_profile(u))
+            } else {
+                OverlayProfile::default()
+            })
+        });
+        Arc::make_mut(profile)
     }
 
     /// Records `u`'s current rating of `i` in `i`'s owned row (`None`
@@ -531,6 +645,100 @@ mod tests {
         });
     }
 
+    /// Every profile of a capture as owned `(item, rating bits)` rows.
+    fn frozen_profiles(f: &FrozenDelta) -> Vec<Vec<(ItemId, u32)>> {
+        (0..f.num_users() as UserId)
+            .map(|u| {
+                let profile = f.user_profile(u);
+                profile.iter().map(|(i, r)| (i, r.to_bits())).collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_capture_keeps_every_profile_across_later_mutations() {
+        let mut d = DeltaDataset::new(figure2_toy());
+        d.add_rating(2, 1, 2.0);
+        let frozen = d.freeze();
+        let want = frozen_profiles(&frozen);
+        let sizes = |f: &FrozenDelta| (f.num_users(), f.num_items(), f.num_ratings());
+        let want_sizes = sizes(&frozen);
+        let want_bytes = {
+            let mut buf = Vec::new();
+            crate::codec::write_dataset(&mut buf, &frozen.to_dataset()).unwrap();
+            buf
+        };
+        // A new pair on a captured overlay user and on a base user, a
+        // re-rating, removals from both, a new user rating a new item,
+        // then a compaction that replaces the base.
+        d.add_rating(2, 0, 1.5);
+        d.add_rating(3, 2, 1.0);
+        d.add_rating(0, 1, 3.0);
+        d.remove_rating(2, 3);
+        d.remove_rating(1, 2);
+        let u = d.add_user();
+        d.add_rating(u, 7, 1.0);
+        assert_eq!(frozen_profiles(&frozen), want, "after the mutations");
+        d.compact();
+        d.add_rating(1, 3, 1.0);
+        assert_eq!(frozen_profiles(&frozen), want, "after a compaction");
+        assert_eq!(sizes(&frozen), want_sizes);
+        let mut bytes = Vec::new();
+        crate::codec::write_dataset(&mut bytes, &frozen.to_dataset()).unwrap();
+        assert_eq!(bytes, want_bytes, "the materialised capture moved");
+        // The live store moved on meanwhile.
+        assert_eq!(d.profile(2).items, &[0, 1]);
+        assert_eq!(d.num_users(), 5);
+    }
+
+    #[test]
+    fn a_capture_after_a_batch_shares_every_untouched_overlay_profile() {
+        let mut d = DeltaDataset::new(figure2_toy());
+        d.add_rating(0, 2, 1.0);
+        d.add_rating(1, 3, 1.0);
+        d.add_rating(2, 0, 1.0);
+        let u = d.add_user();
+        d.add_rating(u, 1, 1.0);
+        let before = d.freeze();
+        // One batch: a re-rating of overlay user 1, a removal from
+        // overlay user 2, and a first mutation of base user 3.
+        let touched = [1, 2, 3];
+        d.add_rating(1, 3, 1.0);
+        d.remove_rating(2, 0);
+        d.add_rating(3, 0, 1.0);
+        let after = d.freeze();
+        assert!(Arc::ptr_eq(&before.layers.base, &after.layers.base));
+        for (v, profile) in &before.layers.overlay {
+            let now = &after.layers.overlay[v];
+            if touched.contains(v) {
+                assert!(!Arc::ptr_eq(profile, now), "user {v} was edited in place");
+            } else {
+                assert!(Arc::ptr_eq(profile, now), "user {v} was copied");
+            }
+        }
+        assert_eq!(after.layers.overlay.len(), before.layers.overlay.len() + 1);
+        assert_eq!(before.user_profile(2).items, &[0, 3], "the capture kept it");
+        assert_eq!(after.user_profile(2).items, &[3]);
+    }
+
+    #[test]
+    fn an_unchanged_capture_materialises_as_its_base() {
+        let mut d = DeltaDataset::new(figure2_toy());
+        let frozen = d.freeze();
+        assert!(std::ptr::eq(frozen.materialised(), d.base()));
+        d.add_rating(2, 1, 2.0);
+        let frozen = d.freeze();
+        let once = frozen.materialised();
+        assert!(
+            std::ptr::eq(once, frozen.materialised()),
+            "materialised twice"
+        );
+        assert_eq!(once.item_profile(1).items, &[0, 1, 2]);
+        let wrapped = FrozenDelta::from_dataset(Arc::new(figure2_toy()));
+        assert_eq!(wrapped.user_profile(1).items, &[1, 2]);
+        assert_eq!(wrapped.materialised().num_ratings(), 6);
+    }
+
     mod properties {
         use super::*;
         use crate::dataset::DatasetBuilder;
@@ -591,6 +799,41 @@ mod tests {
                         }
                     }
                     assert_live(&d);
+                }
+            }
+
+            /// Captures taken between steps of the same mix of mutations
+            /// and compactions keep reading what they captured.
+            #[test]
+            fn captures_stay_frozen(
+                ops in vec((0u32..8, 0u32..16, 0u32..16, 1u32..8), 0..48)
+            ) {
+                let mut d = DeltaDataset::new(base());
+                let mut captures = Vec::new();
+                for (step, (kind, user, pick, rating)) in ops.into_iter().enumerate() {
+                    let u = user % d.num_users() as UserId;
+                    let rating = rating as Rating * 0.5;
+                    let owned = d.profile(u).items.get(pick as usize % d.profile(u).len().max(1));
+                    match (kind, owned.copied()) {
+                        (0, _) => {
+                            d.add_user();
+                        }
+                        (1, _) => d.compact(),
+                        (2, Some(i)) => {
+                            d.remove_rating(u, i);
+                        }
+                        _ => {
+                            d.add_rating(u, pick % (d.num_items() as ItemId + 2), rating);
+                        }
+                    }
+                    if step % 3 == 0 {
+                        let frozen = d.freeze();
+                        let want = frozen_profiles(&frozen);
+                        captures.push((frozen, want));
+                    }
+                    for (frozen, want) in &captures {
+                        prop_assert_eq!(&frozen_profiles(frozen), want);
+                    }
                 }
             }
         }

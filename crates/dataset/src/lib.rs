@@ -11,9 +11,10 @@
 //!   (`UP_u`) with lazily derived item profiles (`IP_i`), the two views of
 //!   the labelled bipartite graph `G = (U ∪ I, E, ρ)` of §III-A;
 //! * [`delta`] — a mutable overlay over the frozen CSR for streaming
-//!   workloads: per-user profile copies plus per-item rater deltas, folded
-//!   back into a fresh CSR by batched re-compaction (the `kiff-online`
-//!   engine's storage layer);
+//!   workloads: copy-on-write user profiles and item rows, folded back
+//!   into a fresh CSR by batched re-compaction (the `kiff-online`
+//!   engine's storage layer), and [`FrozenDelta`], an immutable capture
+//!   of it that shares the base and every profile by `Arc`;
 //! * [`io`] — SNAP-style TSV and MovieLens loaders/writers plus a JSON dump
 //!   format;
 //! * [`codec`] — a versioned binary dataset codec for snapshot
@@ -38,7 +39,7 @@ pub mod types;
 pub mod zipf;
 
 pub use dataset::{Dataset, DatasetBuilder};
-pub use delta::{DeltaDataset, ProfileStats};
+pub use delta::{DeltaDataset, FrozenDelta, ProfileStats};
 pub use density::{ml_family, subsample_ratings};
 pub use generators::presets::{paper_k, reduced_k, PaperDataset};
 pub use stats::DatasetStats;

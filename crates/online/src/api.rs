@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use kiff_core::KiffError;
-use kiff_dataset::{Dataset, DeltaDataset, UserId};
+use kiff_dataset::{DeltaDataset, FrozenDelta, UserId};
 use kiff_graph::{KnnGraph, Neighbor};
 
 use crate::engine::OnlineKnn;
@@ -25,8 +25,9 @@ use crate::sharded::ShardedOnlineKnn;
 use crate::update::{Update, UpdateStats};
 
 /// An immutable, batch-consistent snapshot of everything a query needs:
-/// the KNN graph, the materialized dataset, `k`, and the lifetime work
-/// counters at capture time.
+/// the KNN graph, the ratings (the frozen base plus the changed
+/// profiles, shared by `Arc`), `k`, and the lifetime work counters at
+/// capture time.
 ///
 /// A serving layer captures one of these after each `apply_batch` and
 /// publishes it through an epoch cell; readers then answer
@@ -39,8 +40,10 @@ use crate::update::{Update, UpdateStats};
 pub struct ReadView {
     /// The KNN graph snapshot at capture time.
     pub graph: Arc<KnnGraph>,
-    /// The materialized dataset the graph was computed against.
-    pub dataset: Arc<Dataset>,
+    /// The ratings the graph was computed against: user profiles read
+    /// through the capture, item-side reads through
+    /// [`FrozenDelta::materialised`], built at most once per view.
+    pub dataset: Arc<FrozenDelta>,
     /// Neighbourhood size `k`.
     pub k: usize,
     /// Lifetime work counters at capture time (what `stats` queries
@@ -86,18 +89,19 @@ pub trait KnnEngine: Send {
     /// edited since re-sorted, and the same `Arc` between mutations.
     fn graph(&self) -> Arc<KnnGraph>;
 
-    /// Materializes the live dataset: one copy of the ratings after a
-    /// mutation, and the same `Arc` between mutations.
-    fn dataset(&self) -> Arc<Dataset>;
+    /// Captures the live ratings ([`DeltaDataset::freeze`]): one `Arc`
+    /// clone per overlay user after a mutation, with no rating copied,
+    /// and the same `Arc` between mutations.
+    fn dataset(&self) -> Arc<FrozenDelta>;
 
     /// Captures a batch-consistent [`ReadView`] of the engine: graph +
-    /// dataset + `k` + lifetime stats, all observed between mutations.
+    /// ratings + `k` + lifetime stats, all observed between mutations.
     ///
     /// After a batch this costs the graph rows the batch edited (each
     /// re-sorted; every other row is shared with the previous view, at
-    /// one `Arc` clone per user) plus one copy of the ratings, whose
-    /// already-sorted rows are concatenated without a sort. Between
-    /// mutations it is two `Arc` clones and a `Copy`.
+    /// one `Arc` clone per user) plus one `Arc` clone per changed user
+    /// profile; no rating is copied. Between mutations it is two `Arc`
+    /// clones and a `Copy`.
     fn read_view(&self) -> ReadView {
         ReadView {
             graph: self.graph(),
@@ -151,7 +155,7 @@ impl KnnEngine for OnlineKnn {
         KnnEngine::graph(&**self)
     }
 
-    fn dataset(&self) -> Arc<Dataset> {
+    fn dataset(&self) -> Arc<FrozenDelta> {
         KnnEngine::dataset(&**self)
     }
 
@@ -194,7 +198,7 @@ impl KnnEngine for ShardedOnlineKnn {
         ShardedOnlineKnn::graph(self)
     }
 
-    fn dataset(&self) -> Arc<Dataset> {
+    fn dataset(&self) -> Arc<FrozenDelta> {
         ShardedOnlineKnn::dataset(self)
     }
 

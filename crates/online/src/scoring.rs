@@ -232,8 +232,9 @@ mod tests {
                     for chunk in raw.chunks(batch) {
                         // Decoded against the state before the batch: a
                         // removal and the re-add of its pair can share a
-                        // batch, so the repair reads a base rater's
-                        // override before compaction drops it.
+                        // batch, so the repair walks an item's owned row
+                        // that dropped and re-inserted a base rater,
+                        // before compaction folds it into the base.
                         let updates: Vec<Update> = chunk
                             .iter()
                             .map(|&r| decode(engine.data(), &mut removed, r))

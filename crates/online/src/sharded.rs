@@ -64,7 +64,7 @@ use std::sync::Arc;
 
 use kiff_collections::{FxHashMap, FxHashSet, SparseCounter};
 use kiff_core::{build_rcs, CountingConfig, Kiff, KiffConfig, KiffError};
-use kiff_dataset::{Dataset, DeltaDataset, ItemId, UserId};
+use kiff_dataset::{Dataset, DeltaDataset, FrozenDelta, ItemId, UserId};
 use kiff_graph::{HeapChange, KnnGraph, KnnHeap, Neighbor, ShardReverse};
 use kiff_parallel::{effective_threads, parallel_for_each_mut};
 use kiff_similarity as sim;
@@ -242,6 +242,9 @@ struct Shard {
     /// `similarity.scores`: the same evaluations, counted beside the
     /// batch build's and the baselines' scores. Flushed with `tele_sims`.
     tele_scores: Counter,
+    /// `shard.N.drain_ns`: the inbox drain that opens every repair
+    /// round (reverse-edge edits and scores landed from other shards).
+    drain_ns: Histogram,
     /// `shard.N.repair_ns`: repair wall-clock latency, sampled 1 in
     /// [`SPAN_SAMPLE`] repairs.
     repair_ns: Histogram,
@@ -271,6 +274,7 @@ impl Shard {
             tele_repairs: tele.counter(&format!("shard.{my}.repairs")),
             tele_sims: tele.counter("online.sims"),
             tele_scores: tele.counter("similarity.scores"),
+            drain_ns: tele.histogram(&format!("shard.{my}.drain_ns")),
             repair_ns: tele.histogram(&format!("shard.{my}.repair_ns")),
             gather_ns: tele.histogram(&format!("shard.{my}.gather_ns")),
             score_ns: tele.histogram(&format!("shard.{my}.score_ns")),
@@ -344,6 +348,7 @@ impl Shard {
         // source lives on another shard, while landing a score here only
         // mirrors pairs whose source is ours, so the two never touch the
         // same pair.
+        let drain_span = self.drain_ns.span();
         for msg in std::mem::take(&mut self.inbox) {
             match msg {
                 ShardMsg::ReverseAdd { target, source } => {
@@ -359,6 +364,7 @@ impl Shard {
                 }
             }
         }
+        drain_span.finish();
         while self.repaired < self.budget {
             let Some(u) = self.queue.pop_front() else {
                 break;
@@ -560,9 +566,9 @@ pub struct ShardedOnlineKnn {
     clock: u64,
     /// [`ShardedOnlineKnn::graph`] snapshot, tagged with the clock.
     graph_snapshot: ClockCache<KnnGraph>,
-    /// [`ShardedOnlineKnn::dataset`] snapshot, tagged with the dataset
+    /// [`ShardedOnlineKnn::dataset`] capture, tagged with the dataset
     /// version.
-    dataset_snapshot: ClockCache<Dataset>,
+    dataset_snapshot: ClockCache<FrozenDelta>,
     /// `online.apply_ns`: wall-clock of each `apply_batch` call.
     apply_ns: Histogram,
     /// `online.repair_round_ns`: wall-clock of each parallel repair
@@ -846,12 +852,12 @@ impl ShardedOnlineKnn {
             })
     }
 
-    /// Materializes the live dataset view as a frozen [`Dataset`]: one
-    /// copy of the ratings ([`DeltaDataset::to_dataset`]) per dataset
-    /// change, and the same `Arc` for free between changes.
-    pub fn dataset(&self) -> Arc<Dataset> {
+    /// Captures the live ratings ([`DeltaDataset::freeze`]): one `Arc`
+    /// clone per overlay user per dataset change, with no rating copied,
+    /// and the same `Arc` for free between changes.
+    pub fn dataset(&self) -> Arc<FrozenDelta> {
         self.dataset_snapshot
-            .get(self.data.version(), |_| Arc::new(self.data.to_dataset()))
+            .get(self.data.version(), |_| Arc::new(self.data.freeze()))
     }
 
     /// Appends a user with an empty profile, returning its id.
@@ -1385,7 +1391,7 @@ pub(crate) mod tests {
                 assert_eq!(one.shared_count(u as UserId, v), c, "pair ({u}, {v})");
             }
         }
-        let (dataset, graph) = (one.dataset(), one.graph());
+        let (dataset, graph) = (one.dataset().to_dataset(), one.graph());
         for shards in [2, 3] {
             let mut engine = toy(shards);
             engine.apply_batch(updates.clone());
@@ -1510,6 +1516,9 @@ pub(crate) mod tests {
         }
         let snap = registry.snapshot();
         let count = |name: &str| snap.histogram(name).map_or(0, |h| h.count);
+        // Every shard steps in every round, so each drains once a round.
+        let rounds = count("online.repair_round_ns");
+        assert!(rounds >= u64::from(batches), "a batch ran no round");
         for n in 0..2 {
             let repairs = count(&format!("shard.{n}.repair_ns"));
             assert!(repairs > 0, "shard {n} timed no repair");
@@ -1517,6 +1526,7 @@ pub(crate) mod tests {
                 let name = format!("shard.{n}.{stage}_ns");
                 assert_eq!(count(&name), repairs, "{name}");
             }
+            assert_eq!(count(&format!("shard.{n}.drain_ns")), rounds, "shard {n}");
         }
         for stage in ["apply", "mutate", "counters"] {
             let name = format!("online.{stage}_ns");

@@ -1,5 +1,5 @@
 //! Clock-tagged snapshot caches: how the engine publishes its graph and
-//! dataset without rebuilding what a batch did not touch.
+//! ratings without rebuilding what a batch did not touch.
 //!
 //! The engine keeps a *mutation clock* that ticks at every mutation
 //! entry point (a batch, a single update, a user admission). Every real
@@ -7,8 +7,9 @@
 //! one per scored pair — so [`ClockCache::graph`] brings the cached
 //! graph up to date by re-sorting only the rows stamped after the
 //! snapshot's clock and sharing every other row
-//! ([`KnnGraph::patched`]). The dataset snapshot is tagged with
-//! [`kiff_dataset::DeltaDataset::version`] instead, and rematerialised
+//! ([`KnnGraph::patched`]). The ratings capture
+//! ([`kiff_dataset::DeltaDataset::freeze`]) is tagged with
+//! [`kiff_dataset::DeltaDataset::version`] instead, and re-captured
 //! whenever that moved.
 
 use std::sync::{Arc, Mutex, PoisonError};
@@ -16,8 +17,8 @@ use std::sync::{Arc, Mutex, PoisonError};
 use kiff_dataset::UserId;
 use kiff_graph::{KnnGraph, Neighbor};
 
-/// One derived snapshot (graph or dataset), tagged with the clock it
-/// reflects.
+/// One derived snapshot (graph or ratings capture), tagged with the
+/// clock it reflects.
 #[derive(Debug)]
 pub(crate) struct ClockCache<T> {
     slot: Mutex<Option<(u64, Arc<T>)>>,

@@ -65,6 +65,6 @@ pub use client::{Client, Health, RetryPolicy, SelfHealingClient, UpdateAck};
 pub use replication::{ReplState, ReplicationConfig, Role};
 pub use server::{EngineHost, ServeView, Server, ServerConfig};
 pub use snapshot::{latest_snapshot, load_snapshot, save_snapshot, Snapshot};
-pub use store::{recover, Appended, Recovered, Store, StoreConfig};
+pub use store::{recover, recover_or_seed, Appended, Recovered, Store, StoreConfig};
 pub use wal::{Wal, WalReplay};
 pub use wire::Request;

@@ -5,7 +5,7 @@
 //! mutex: the engines are `&mut`-update structures, so the daemon
 //! serialises *writes* rather than pretending to share them. Queries
 //! never touch that mutex: after every applied batch the host captures
-//! a [`ServeView`] — an immutable graph + dataset snapshot tagged with
+//! a [`ServeView`] — an immutable graph + ratings snapshot tagged with
 //! the batch version — and publishes it through an epoch cell
 //! ([`kiff_parallel::ViewCell`]). Connection workers answer
 //! `neighbors` / `recommend` / `predict` / `audience` / `search` /
@@ -109,7 +109,7 @@ impl Default for ServerConfig {
 /// bound of the one batch currently mid-apply.
 #[derive(Debug, Clone)]
 pub struct ServeView {
-    /// The engine snapshot: graph, materialized dataset, `k`, stats.
+    /// The engine snapshot: graph, captured ratings, `k`, stats.
     pub view: ReadView,
     /// Last persisted sequence at capture (`None` without a store).
     pub seq: Option<u64>,
@@ -139,6 +139,29 @@ pub struct EngineHost {
     /// Replication state when the daemon is part of a group; gates the
     /// write path on role and publishes committed batches.
     repl: Option<Arc<ReplState>>,
+    /// The write path's stages after the WAL's own (`wal.append_ns`,
+    /// `wal.fsync_ns`), resolved at construction.
+    stages: WriteStages,
+}
+
+/// `serve.publish_ns` (capture plus publish of each post-apply view),
+/// `serve.repl_wait_ns` (each semi-synchronous replication wait, only
+/// when replicating) and `serve.snapshot_ns` (each snapshot the host
+/// takes).
+struct WriteStages {
+    publish_ns: Histogram,
+    repl_wait_ns: Histogram,
+    snapshot_ns: Histogram,
+}
+
+impl WriteStages {
+    fn new(telemetry: &Registry) -> Self {
+        Self {
+            publish_ns: telemetry.histogram("serve.publish_ns"),
+            repl_wait_ns: telemetry.histogram("serve.repl_wait_ns"),
+            snapshot_ns: telemetry.histogram("serve.snapshot_ns"),
+        }
+    }
 }
 
 impl EngineHost {
@@ -156,6 +179,7 @@ impl EngineHost {
         Self {
             engine,
             store,
+            stages: WriteStages::new(&telemetry),
             telemetry,
             views: Arc::new(ViewCell::new(Arc::new(initial))),
             write_epoch: Arc::new(AtomicU64::new(0)),
@@ -187,6 +211,7 @@ impl EngineHost {
     /// serialized), after every mutation, *before* the client ack — an
     /// acknowledged write is visible to the very next read.
     fn publish_view(&mut self) -> u64 {
+        let _span = self.stages.publish_ns.span();
         let version = self.write_epoch.load(Ordering::Acquire);
         let view = ServeView {
             view: self.engine.read_view(),
@@ -197,6 +222,29 @@ impl EngineHost {
         self.last_published = version;
         self.view_age.set(0);
         version
+    }
+
+    /// Snapshots the engine into the store (a no-op without one), timed
+    /// in `serve.snapshot_ns`.
+    fn snapshot(&mut self) -> Result<(), KiffError> {
+        if let Some(store) = &mut self.store {
+            let _span = self.stages.snapshot_ns.span();
+            store.snapshot(self.engine.as_ref())?;
+        }
+        Ok(())
+    }
+
+    /// Snapshots the engine when the store's interval says so, timing
+    /// the snapshot in `serve.snapshot_ns` when one is taken.
+    fn maybe_snapshot(&mut self) -> Result<(), KiffError> {
+        if let Some(store) = &mut self.store {
+            let started = Instant::now();
+            if store.maybe_snapshot(self.engine.as_ref())?.is_some() {
+                let nanos = started.elapsed().as_nanos() as u64;
+                self.stages.snapshot_ns.record(nanos);
+            }
+        }
+        Ok(())
     }
 
     /// Installs replication state (done by [`Server::bind_with`] when
@@ -255,9 +303,7 @@ impl EngineHost {
         };
         self.begin_batch();
         self.engine.apply_batch(updates.to_vec());
-        if let Some(store) = &mut self.store {
-            store.maybe_snapshot(self.engine.as_ref())?;
-        }
+        self.maybe_snapshot()?;
         // Replica reads serve the shipped state as soon as it lands.
         self.publish_view();
         Ok(seq)
@@ -274,8 +320,7 @@ impl EngineHost {
             .as_mut()
             .ok_or_else(|| KiffError::Protocol("replication requires a data dir".into()))?;
         store.set_epoch(epoch);
-        store.snapshot(self.engine.as_ref())?;
-        Ok(())
+        self.snapshot()
     }
 
     /// Marks the host permanently read-only: queries serve, every write
@@ -413,11 +458,10 @@ impl EngineHost {
                     // the write (retryable; the local apply stands and
                     // the retry dedups).
                     let first_seq = last_seq + 1 - updates.len() as u64;
+                    let _span = self.stages.repl_wait_ns.span();
                     repl.publish_and_wait(first_seq, *batch, updates)?;
                 }
-                if let Some(store) = &mut self.store {
-                    store.maybe_snapshot(self.engine.as_ref())?;
-                }
+                self.maybe_snapshot()?;
                 Ok(serde_json::json!({
                     "ok": true,
                     "applied": stats.updates,
@@ -466,15 +510,13 @@ impl EngineHost {
                 if self.is_degraded() {
                     return Err(self.unavailable("snapshot"));
                 }
-                match &mut self.store {
-                    Some(store) => {
-                        store.snapshot(self.engine.as_ref())?;
-                        Ok(serde_json::json!({"ok": true, "seq": store.seq()}))
-                    }
-                    None => Err(KiffError::Protocol(
+                if self.store.is_none() {
+                    return Err(KiffError::Protocol(
                         "daemon is running without a data dir; nothing to snapshot".into(),
-                    )),
+                    ));
                 }
+                self.snapshot()?;
+                Ok(serde_json::json!({"ok": true, "seq": self.store_seq()}))
             }
         }
     }
@@ -502,15 +544,10 @@ impl EngineHost {
     /// Skipped while degraded — everything committed is already durable
     /// in the WAL, and a poisoned store cannot prune safely anyway.
     fn final_snapshot(&mut self) -> Result<(), KiffError> {
-        if self.is_degraded() {
+        if self.is_degraded() || !self.store.as_ref().is_some_and(Store::dirty) {
             return Ok(());
         }
-        if let Some(store) = &mut self.store {
-            if store.dirty() {
-                store.snapshot(self.engine.as_ref())?;
-            }
-        }
-        Ok(())
+        self.snapshot()
     }
 }
 
@@ -1381,6 +1418,69 @@ mod tests {
         );
         assert_eq!(count("io"), Some(0));
         assert_eq!(count("other"), Some(0));
+    }
+
+    /// The write path's stage histograms count what the host did: one
+    /// WAL append, fsync and view publish per applied batch, one
+    /// snapshot per snapshot taken, and one replication wait per batch
+    /// only once the host replicates.
+    #[test]
+    fn write_stages_count_every_batch_and_every_snapshot() {
+        let mut dir = std::env::temp_dir();
+        dir.push(format!("kiff-server-stages-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let reg = Registry::new();
+        let config = OnlineConfig::new(2).with_telemetry(reg.clone());
+        let cfg = StoreConfig::new(&dir).with_snapshot_every(4);
+        let rec = recover(&cfg, &figure2_toy(), None, config, None).unwrap();
+        let mut host = EngineHost::new(rec.engine, Some(rec.store), reg.clone());
+        let write = |host: &mut EngineHost, batch: u32| {
+            let updates = vec![
+                Update::AddRating {
+                    user: batch % 4,
+                    item: (batch + 1) % 4,
+                    rating: 1.0,
+                },
+                Update::AddRating {
+                    user: (batch + 2) % 4,
+                    item: batch % 4,
+                    rating: 1.0,
+                },
+            ];
+            let request = Request::Update {
+                updates,
+                batch: u64::from(batch) + 1,
+            };
+            host.handle(&request).unwrap();
+        };
+        let count = |name: &str| reg.snapshot().histogram(name).map_or(0, |h| h.count);
+        for batch in 0..5 {
+            write(&mut host, batch);
+        }
+        // Two updates a batch: the interval of 4 fires after batches 2
+        // and 4, then one snapshot on demand.
+        host.handle(&Request::Snapshot).unwrap();
+        for name in ["wal.append_ns", "wal.fsync_ns", "serve.publish_ns"] {
+            assert_eq!(count(name), 5, "{name}");
+        }
+        assert_eq!(count("serve.snapshot_ns"), 3);
+        assert_eq!(reg.snapshot().counter("snapshot.saved"), Some(3));
+        assert_eq!(count("serve.repl_wait_ns"), 0, "not replicating");
+
+        // A primary with no replica attached still waits once a batch.
+        host.set_replication(Arc::new(ReplState::new(
+            ReplicationConfig::new("127.0.0.1:0"),
+            "127.0.0.1:7000".into(),
+            "127.0.0.1:9000".into(),
+            0,
+            reg.clone(),
+        )));
+        for batch in 5..8 {
+            write(&mut host, batch);
+        }
+        assert_eq!(count("serve.repl_wait_ns"), 3);
+        assert_eq!(count("serve.publish_ns"), 8);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Acked writes are immediately visible to every reader (the view

@@ -11,6 +11,8 @@
 //! 3. [`recover`] reverses the process: load the newest snapshot, replay
 //!    the WAL tail (`seq > snapshot.seq`), and hand back a live engine
 //!    plus a store positioned to continue the sequence.
+//!    [`recover_or_seed`] is the same recovery with the seed made on
+//!    demand, for callers that would rather not load it over a snapshot.
 //!
 //! Because the online engine is deterministic under replay (heap
 //! evolution has a total tie-break order, and mutate's candidate
@@ -138,6 +140,25 @@ pub fn recover(
     config: OnlineConfig,
     shards: Option<ShardConfig>,
 ) -> Result<Recovered, KiffError> {
+    recover_or_seed(
+        cfg,
+        |config, shards| build_engine(seed, seed_graph, None, config, shards),
+        config,
+        shards,
+    )
+}
+
+/// [`recover`] with the seed engine made on demand: `seed` runs only when
+/// `cfg.dir` holds no snapshot, so a restart over a snapshot never loads
+/// or builds the state the directory was first started from. `seed`
+/// receives the engine configuration and the shard layout (one shard
+/// when `shards` is `None`).
+pub fn recover_or_seed<E: From<KiffError>>(
+    cfg: &StoreConfig,
+    seed: impl FnOnce(OnlineConfig, ShardConfig) -> Result<Box<dyn KnnEngine>, E>,
+    config: OnlineConfig,
+    shards: Option<ShardConfig>,
+) -> Result<Recovered, E> {
     let telemetry = config.telemetry.clone();
     let shards = shards.unwrap_or_else(|| ShardConfig::new(1));
     let (mut engine, after_seq, snapshot_seq, snapshot_hwm, epoch) =
@@ -153,10 +174,7 @@ pub fn recover(
                 )?;
                 (engine, seq, Some(seq), snap.batch_hwm, snap.epoch)
             }
-            None => {
-                let engine = build_engine(seed, seed_graph, None, config, shards)?;
-                (engine, 0, None, 0, 0)
-            }
+            None => (seed(config, shards)?, 0, None, 0, 0),
         };
 
     let replay = Wal::replay(&cfg.dir, after_seq, &telemetry)?;
@@ -290,9 +308,9 @@ impl Store {
     /// everything appended so far.
     pub fn snapshot(&mut self, engine: &dyn KnnEngine) -> Result<PathBuf, KiffError> {
         let seq = self.seq();
-        // The engine's cached snapshots, free when a view was just
-        // published.
-        let dataset = engine.dataset();
+        // The engine's cached captures, free when a view was just
+        // published; the ratings are materialised once, here.
+        let dataset = engine.dataset().to_dataset();
         let graph = engine.graph();
         let counters = engine.counters_snapshot();
         let path = save_snapshot(

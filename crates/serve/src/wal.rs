@@ -57,7 +57,7 @@ use std::sync::Arc;
 use kiff_core::fault::{self, points};
 use kiff_core::KiffError;
 use kiff_online::Update;
-use kiff_telemetry::{Counter, Gauge, Registry};
+use kiff_telemetry::{Counter, Gauge, Histogram, Registry};
 
 /// Rotate to a fresh segment once the current one exceeds this size.
 pub const DEFAULT_SEGMENT_BYTES: u64 = 8 * 1024 * 1024;
@@ -294,11 +294,14 @@ pub struct Wal {
     /// Set by a failed append, cleared by [`Wal::reopen`]; shared with
     /// [`Wal::poisoned_flag`] watchers.
     poisoned: Arc<AtomicBool>,
-    /// `wal.appends`, `wal.fsyncs` and `wal.segments`, resolved at open
-    /// so an append takes no registry lookup.
+    /// `wal.appends`, `wal.fsyncs`, `wal.segments`, and the per-batch
+    /// `wal.append_ns` (encode, write and fsync) and `wal.fsync_ns`,
+    /// resolved at open so an append takes no registry lookup.
     appends: Counter,
     fsyncs: Counter,
     segments: Gauge,
+    append_ns: Histogram,
+    fsync_ns: Histogram,
     telemetry: Registry,
 }
 
@@ -344,6 +347,8 @@ impl Wal {
             appends: telemetry.counter("wal.appends"),
             fsyncs: telemetry.counter("wal.fsyncs"),
             segments: telemetry.gauge("wal.segments"),
+            append_ns: telemetry.histogram("wal.append_ns"),
+            fsync_ns: telemetry.histogram("wal.fsync_ns"),
             telemetry,
         };
         wal.update_segment_gauge()?;
@@ -393,6 +398,7 @@ impl Wal {
         if self.segment_len >= self.segment_bytes {
             self.rotate()?;
         }
+        let _append = self.append_ns.span();
         // Build the whole batch before touching any state, so a failure
         // below leaves `next_seq` ready to reuse the same numbers.
         let mut buf = Vec::with_capacity(updates.len() * 37);
@@ -404,7 +410,10 @@ impl Wal {
         let result = fault::check_ctx(points::WAL_APPEND, &self.ctx)
             .and_then(|()| self.file.write_all(&buf).map_err(KiffError::Io))
             .and_then(|()| fault::check_ctx(points::WAL_FSYNC, &self.ctx))
-            .and_then(|()| self.file.sync_data().map_err(KiffError::Io));
+            .and_then(|()| {
+                let _fsync = self.fsync_ns.span();
+                self.file.sync_data().map_err(KiffError::Io)
+            });
         if let Err(e) = result {
             self.poisoned.store(true, Ordering::SeqCst);
             self.telemetry.counter("wal.append_errors").incr();

@@ -2,13 +2,15 @@
 //!
 //! `KnnEngine::read_view` starts from the previous view: it re-sorts only
 //! the graph rows whose heaps were edited since and shares every other
-//! row by `Arc`, and it copies the dataset's sorted rows without sorting
-//! them again. An edit site that forgot to stamp its row would publish a
-//! stale neighbourhood, and a serving-level test cannot see that, because
-//! its reference engine publishes through the same path. So this replays
+//! row by `Arc`, and it captures the ratings as the frozen base plus the
+//! changed user profiles, shared by `Arc` rather than copied. An edit
+//! site that forgot to stamp its row would publish a stale
+//! neighbourhood, and a serving-level test cannot see that, because its
+//! reference engine publishes through the same path. So this replays
 //! arbitrary batches of every update kind on both engines — compacting
 //! the overlay, and exchanging edits between shards — and checks every
-//! view against an oracle built from the live engine state alone.
+//! view, its ratings materialised, against an oracle built from the live
+//! engine state alone.
 
 use std::sync::Arc;
 
@@ -122,7 +124,7 @@ fn check_view(engine: &dyn KnnEngine, prev: &ReadView, edits: u64, label: &str) 
         }
     }
     assert_eq!(
-        dataset_bytes(&view.dataset),
+        dataset_bytes(&view.dataset.to_dataset()),
         dataset_bytes(&builder.build()),
         "{label}: the materialised dataset differs from a rebuild"
     );
