@@ -23,9 +23,12 @@ test:
 
 # The neighbour-heap, online and apps crates again, optimized, with the
 # view oracle: the heap slab's unsafe code and its concurrent tests also
-# run as release code does, the repair walk runs without its debug
-# tripwire, and the copy-on-write overlay and the captured views run as
-# the daemon runs them.
+# run as release code does; the repair walk and the wave landing run
+# without their debug tripwires, so the repair-score property's bit
+# check, the thread-count property and the golden digests guard the
+# parallel wave preparation as it runs in the daemon; and the
+# copy-on-write overlay and the captured views run as the daemon runs
+# them.
 test-release:
 	$(CARGO) test --release -q -p kiff-graph -p kiff-core -p kiff-baselines -p kiff-dataset -p kiff-online -p kiff-apps
 	$(CARGO) test --release -q --test patched_views

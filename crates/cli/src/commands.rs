@@ -350,6 +350,9 @@ fn serve(options: &ServeOptions, out: &mut dyn Write) -> Result<(), CommandError
             let recovered = recover_or_seed(
                 &cfg,
                 |config, _| -> Result<_, CommandError> {
+                    // The stage a fresh data directory runs instead of
+                    // the snapshot load and engine restore.
+                    let _span = registry.histogram("recovery.seed_ns").span();
                     let fresh = fresh.insert(seed(out)?);
                     Ok(seeded(fresh, config))
                 },
@@ -1109,6 +1112,78 @@ mod tests {
         std::fs::remove_file(&addr_file).ok();
         std::fs::remove_dir_all(&data_dir).ok();
         std::fs::remove_dir_all(&fresh_dir).ok();
+    }
+
+    #[test]
+    fn serve_times_each_recovery_stage_it_runs() {
+        let input = fixture();
+        let addr_file = tmp("serve-stages-addr.txt");
+        let data_dir = tmp("serve-stages-datadir");
+        std::fs::remove_dir_all(&data_dir).ok();
+        let cmdline = format!(
+            "serve --input {} --k 2 --addr 127.0.0.1:0 --addr-file {} --data-dir {}",
+            input.display(),
+            addr_file.display(),
+            data_dir.display()
+        );
+        // Samples per recovery stage, read from the daemon's metrics; a
+        // stage that never ran reads 0.
+        let stages = |client: &mut kiff::serve::Client| -> Vec<(&str, u64)> {
+            let metrics = client.metrics().expect("metrics");
+            ["seed", "snapshot_load", "engine", "wal_replay", "wal_apply"]
+                .into_iter()
+                .map(|stage| {
+                    let count = metrics
+                        .get("histograms")
+                        .and_then(|h| h.get(&format!("recovery.{stage}_ns")))
+                        .and_then(|h| h.get("count"))
+                        .and_then(|c| c.as_u64())
+                        .unwrap_or(0);
+                    (stage, count)
+                })
+                .collect()
+        };
+
+        // A fresh directory seeds, and has no snapshot to load.
+        let (daemon, addr) = spawn_daemon(cmdline.clone(), &addr_file);
+        let mut client = kiff::serve::Client::connect(&addr).expect("connect");
+        assert_eq!(
+            stages(&mut client),
+            [
+                ("seed", 1),
+                ("snapshot_load", 0),
+                ("engine", 0),
+                ("wal_replay", 1),
+                ("wal_apply", 1)
+            ]
+        );
+        let update = Update::AddRating {
+            user: 2,
+            item: 1,
+            rating: 1.0,
+        };
+        assert_eq!(client.update(&[update]).expect("update"), 1);
+        client.snapshot().expect("snapshot");
+        client.shutdown().expect("shutdown");
+        daemon.join().expect("join").expect("serve run");
+
+        // The restart over the snapshot runs every stage but the seed.
+        let (daemon, addr) = spawn_daemon(cmdline, &addr_file);
+        let mut client = kiff::serve::Client::connect(&addr).expect("connect");
+        assert_eq!(
+            stages(&mut client),
+            [
+                ("seed", 0),
+                ("snapshot_load", 1),
+                ("engine", 1),
+                ("wal_replay", 1),
+                ("wal_apply", 1)
+            ]
+        );
+        client.shutdown().expect("shutdown");
+        daemon.join().expect("join").expect("serve run");
+        std::fs::remove_file(&addr_file).ok();
+        std::fs::remove_dir_all(&data_dir).ok();
     }
 
     #[test]

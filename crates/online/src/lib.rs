@@ -38,6 +38,9 @@
 //! * A repair scores all its candidates in one item-at-a-time pass over
 //!   the repaired user's items and their live raters, and every score
 //!   equals [`OnlineMetric::eval`] on the two live profiles bit for bit.
+//!   Repairs are prepared a wave at a time in parallel and landed one at
+//!   a time in queue order, so the graph does not depend on the thread
+//!   count.
 //! * Storage re-compacts in batches: mutated profiles live in an overlay
 //!   folded back into a fresh CSR when it covers
 //!   [`OnlineConfig::compaction_threshold`] of the users.
@@ -53,8 +56,10 @@
 //! in parallel, exchanging cross-shard heap and reverse-edge edits
 //! through asynchronous message queues (see [`sharded`] for the
 //! mechanics). [`OnlineKnn`] is its one-shard configuration. Same
-//! consistency model at every shard count, `apply_batch` throughput
-//! scaling with cores.
+//! consistency model at every shard count. `apply_batch` throughput
+//! scales with cores through both the shards and, within a shard, repair
+//! waves prepared on the shard's share of the threads and landed in
+//! queue order, so the results are the same at every thread count.
 //!
 //! Consumers that take either type — the serving daemon, the CLI
 //! replay, the bench harness — dispatch through the object-safe

@@ -20,6 +20,20 @@
 //!    the candidates: it walks the user's items and each item's live
 //!    raters once, rather than every candidate's whole profile (see
 //!    `crate::scoring`), and equals [`OnlineMetric::eval`] bit for bit.
+//!
+//!    A shard repairs in *waves*: the distinct unvisited users at the
+//!    head of its queue, up to the remaining budget. The wave is
+//!    *prepared* on the shard's workers at once: each member's
+//!    heap-independent candidates (the capped targeted set and the
+//!    prefix, both fixed once the counter phase has run) plus the heap
+//!    and in-neighbour ids it holds at wave start are gathered and
+//!    walked. The members then *land* serially, in queue order: each
+//!    one's set is rebuilt from its prepared part and its current heap
+//!    and in-neighbours, which earlier landings may have changed. A
+//!    candidate with a prepared score takes it; one that joined since is
+//!    scored with [`OnlineMetric::eval`]. So the heaps, the work counts
+//!    and every later wave are exactly those of one repair at a time,
+//!    at any thread count. A shard with one worker takes waves of one.
 //! 3. **propagate** — any user whose neighbourhood *degraded* (an edge
 //!    removed, or a stored similarity revised downwards) is enqueued and
 //!    repaired in turn, Debatty-style, until no heap changes or the
@@ -40,7 +54,9 @@
 //!   exactly its own bucket, no scan of the batch's full event list) and
 //!   similarity re-scoring — run on all shards concurrently through
 //!   [`kiff_parallel::parallel_for_each_mut`], with every worker reading
-//!   the shared dataset through a shared `&DeltaDataset`.
+//!   the shared dataset through a shared `&DeltaDataset`. Threads beyond
+//!   one per shard prepare each shard's repair waves: a shard gets
+//!   `threads / shards` workers, at least one.
 //! * **Asynchronous cross-shard repair** — a repair of user `u` may
 //!   evaluate a pair `(u, v)` whose other endpoint lives on another
 //!   shard, and `v`'s heap (plus the reverse-edge set of any user `u`'s
@@ -61,12 +77,13 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
+use std::time::Instant;
 
 use kiff_collections::{FxHashMap, FxHashSet, SparseCounter};
 use kiff_core::{build_rcs, CountingConfig, Kiff, KiffConfig, KiffError};
 use kiff_dataset::{Dataset, DeltaDataset, FrozenDelta, ItemId, UserId};
 use kiff_graph::{HeapChange, KnnGraph, KnnHeap, Neighbor, ShardReverse};
-use kiff_parallel::{effective_threads, parallel_for_each_mut};
+use kiff_parallel::{effective_threads, parallel_for_each_mut, ScratchPool};
 use kiff_similarity as sim;
 use kiff_telemetry::{Counter, Gauge, Histogram, Registry};
 
@@ -89,8 +106,11 @@ fn home_shard(user: UserId, num_shards: usize) -> usize {
 pub struct ShardConfig {
     /// Number of shards users are partitioned across.
     pub num_shards: usize,
-    /// Worker threads driving the shards (`None` = all available). More
-    /// threads than shards is never useful; the engine caps internally.
+    /// Worker threads driving the shards (`None` = all available). Each
+    /// shard gets an equal share, at least one: the shards run side by
+    /// side, and a shard with more than one worker prepares each repair
+    /// wave on all of them (see the module docs). Results do not depend
+    /// on the thread count.
     pub threads: Option<usize>,
 }
 
@@ -189,6 +209,124 @@ enum CounterAdj {
 /// distribution (and its p99).
 const SPAN_SAMPLE: u64 = 8;
 
+/// One member of a repair wave: a queued user and what the wave's
+/// preparation computed for it before any member landed. Members are
+/// kept in [`Shard::wave`] and reused, so their buffers keep their
+/// capacity across waves and batches.
+#[derive(Debug, Default)]
+struct Prepared {
+    /// The user to repair.
+    user: UserId,
+    /// Its targeted candidates, taken from [`Shard::extras`].
+    targeted: Vec<Arc<Vec<UserId>>>,
+    /// Whether this repair is timed: one of the 1 in [`SPAN_SAMPLE`],
+    /// while the registry is enabled.
+    timed: bool,
+    /// Its heap-independent candidates (see [`heap_independent`]).
+    fixed: Vec<UserId>,
+    /// Walk scores of `fixed` plus the heap and in-neighbour ids the user
+    /// held at wave start, ascending by candidate.
+    scored: Vec<(UserId, f64)>,
+    /// Candidate scratch: the prepared set, then the set rebuilt at
+    /// landing.
+    candidates: Vec<UserId>,
+    /// Gathering plus walk time of a timed repair.
+    prepare_ns: u64,
+}
+
+impl Prepared {
+    /// Gathers the member's candidates as they stand at wave start and
+    /// scores them with one walk. Reads only what no landing writes
+    /// (the counters, the targeted chunks, the dataset) plus the
+    /// member's own heap and in-neighbours, so every member of a wave
+    /// can be prepared at once.
+    #[allow(clippy::too_many_arguments)]
+    fn prepare(
+        &mut self,
+        scorer: &mut RepairScorer,
+        data: &DeltaDataset,
+        config: &OnlineConfig,
+        counter: &SparseCounter,
+        heap: &KnnHeap,
+        incoming: impl Iterator<Item = UserId>,
+        stages: [&Histogram; 2],
+    ) {
+        let u = self.user;
+        let start = self.timed.then(Instant::now);
+        heap_independent(
+            u,
+            &self.targeted,
+            counter,
+            config.repair_width,
+            &mut self.fixed,
+        );
+        let candidates = &mut self.candidates;
+        candidates.clear();
+        candidates.extend_from_slice(&self.fixed);
+        candidates.extend(heap.ids());
+        candidates.extend(incoming);
+        candidates.sort_unstable();
+        candidates.dedup();
+        if let Ok(pos) = candidates.binary_search(&u) {
+            candidates.remove(pos);
+        }
+        let gathered = self.timed.then(Instant::now);
+        // Item-at-a-time scoring (see `crate::scoring`): one walk over
+        // `u`'s items and their live raters scores every candidate,
+        // equal to `config.metric.eval` bit for bit.
+        self.scored.clear();
+        scorer.score(config.metric, data, u, candidates, &mut self.scored);
+        if let (Some(start), Some(gathered)) = (start, gathered) {
+            let [gather_ns, score_ns] = stages;
+            let (gather, score) = (nanos(gathered - start), nanos(gathered.elapsed()));
+            gather_ns.record(gather);
+            score_ns.record(score);
+            self.prepare_ns = gather + score;
+        }
+    }
+}
+
+/// The candidates of `u` that no heap edit can change: its targeted
+/// co-raters capped at `width` by live count (descending, ties to the
+/// lower id), and the `width` co-raters its counter ranks first;
+/// ascending, without duplicates or `u`. The counters and the targeted
+/// chunks are fixed once the counter phase has run, so this set is the
+/// same at any point of the batch's repair rounds.
+fn heap_independent(
+    u: UserId,
+    targeted: &[Arc<Vec<UserId>>],
+    counter: &SparseCounter,
+    width: usize,
+    out: &mut Vec<UserId>,
+) {
+    out.clear();
+    for chunk in targeted {
+        out.extend_from_slice(chunk);
+    }
+    if out.len() > width {
+        // Deferred from the serial mutate phase: by now the counter
+        // phase has run, so live counts rank the touched co-raters.
+        // The id tie-break makes the kept set independent of the
+        // rater order, which differs between a live overlay and a
+        // compacted (or snapshot-restored) base: without it,
+        // snapshot + replay keeps other tied candidates than the
+        // uninterrupted run.
+        out.select_nth_unstable_by_key(width, |&v| (std::cmp::Reverse(counter.get(v)), v));
+        out.truncate(width);
+    }
+    out.extend(counter.top_by_count(width).into_iter().map(|(v, _)| v));
+    out.sort_unstable();
+    out.dedup();
+    if let Ok(pos) = out.binary_search(&u) {
+        out.remove(pos);
+    }
+}
+
+/// A duration in nanoseconds, saturated to `u64`.
+fn nanos(d: std::time::Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
 /// A shard: the private online-engine state of the users it owns.
 #[derive(Debug, Default)]
 struct Shard {
@@ -245,24 +383,46 @@ struct Shard {
     /// `shard.N.drain_ns`: the inbox drain that opens every repair
     /// round (reverse-edge edits and scores landed from other shards).
     drain_ns: Histogram,
-    /// `shard.N.repair_ns`: repair wall-clock latency, sampled 1 in
-    /// [`SPAN_SAMPLE`] repairs.
+    /// `shard.N.prepare_ns`: the wall time of each wave's preparation.
+    prepare_ns: Histogram,
+    /// `shard.N.repair_ns`: a repair's own time (gathering, walk and
+    /// landing), sampled 1 in [`SPAN_SAMPLE`] repairs.
     repair_ns: Histogram,
     /// `shard.N.gather_ns`: the candidate gathering of the same sampled
     /// repairs (the targeted cap, the prefix, the heap and reverse sets,
-    /// sort and dedup).
+    /// sort and dedup), run in the wave's preparation.
     gather_ns: Histogram,
-    /// `shard.N.score_ns`: the scoring stage of the same sampled
-    /// repairs.
+    /// `shard.N.score_ns`: the scoring walk of the same sampled repairs,
+    /// run in the wave's preparation.
     score_ns: Histogram,
-    /// `shard.N.land_ns`: the landing of the same sampled repairs' scores
-    /// on the heaps, local or by message.
+    /// `shard.N.land_ns`: the landing of the same sampled repairs: the
+    /// candidate set rebuilt from the current heap and in-neighbours,
+    /// and the scores landed on the heaps, local or by message.
     land_ns: Histogram,
     /// `shard.N.queue_depth`: repair-queue depth at the last round end.
     queue_depth: Gauge,
-    /// Item-at-a-time scoring scratch for this shard's repairs.
-    scorer: RepairScorer,
-    /// Reusable repair staging buffer of `(candidate, similarity)`.
+    /// Candidates scored pairwise at landing this batch, not yet flushed
+    /// into `tele_late`.
+    late: u64,
+    /// `online.late_candidates`: candidates that joined a wave member's
+    /// set after its preparation (lifetime, shared by every shard).
+    tele_late: Counter,
+    /// Prepared scores no landing used this batch, not yet flushed into
+    /// `tele_unused`.
+    unused: u64,
+    /// `online.unused_prepared`: prepared scores of candidates that left
+    /// a member's set before it landed (lifetime, shared by every shard).
+    tele_unused: Counter,
+    /// The registry, read for whether sampled repairs are timed.
+    telemetry: Registry,
+    /// The current wave's members; entries past the wave are kept for
+    /// their buffers.
+    wave: Vec<Prepared>,
+    /// Item-at-a-time scoring scratch, one per worker preparing a wave;
+    /// kept across batches.
+    scorers: ScratchPool<RepairScorer>,
+    /// Reusable staging buffer of `(candidate, similarity)` for a
+    /// member's rebuilt set.
     scored: Vec<(UserId, f64)>,
 }
 
@@ -275,11 +435,15 @@ impl Shard {
             tele_sims: tele.counter("online.sims"),
             tele_scores: tele.counter("similarity.scores"),
             drain_ns: tele.histogram(&format!("shard.{my}.drain_ns")),
+            prepare_ns: tele.histogram(&format!("shard.{my}.prepare_ns")),
             repair_ns: tele.histogram(&format!("shard.{my}.repair_ns")),
             gather_ns: tele.histogram(&format!("shard.{my}.gather_ns")),
             score_ns: tele.histogram(&format!("shard.{my}.score_ns")),
             land_ns: tele.histogram(&format!("shard.{my}.land_ns")),
             queue_depth: tele.gauge(&format!("shard.{my}.queue_depth")),
+            tele_late: tele.counter("online.late_candidates"),
+            tele_unused: tele.counter("online.unused_prepared"),
+            telemetry: tele.clone(),
             ..Self::default()
         }
     }
@@ -343,7 +507,20 @@ impl Shard {
 
     /// One repair round: drain the inbox, then repair queued users within
     /// the batch budget, emitting cross-shard messages into the outbox.
-    fn step(&mut self, my: u32, data: &DeltaDataset, assign: &[Slot], config: &OnlineConfig) {
+    ///
+    /// Repairs run in waves. A wave is the distinct unvisited users at the
+    /// head of the queue, up to the remaining budget, or one user when the
+    /// shard has one worker. Its members are prepared together on
+    /// `workers` threads, then landed one at a time in queue order, so
+    /// the heaps evolve exactly as under one repair at a time.
+    fn step(
+        &mut self,
+        my: u32,
+        data: &DeltaDataset,
+        assign: &[Slot],
+        config: &OnlineConfig,
+        workers: usize,
+    ) {
         // One pass in message order: a reverse edit names a pair whose
         // source lives on another shard, while landing a score here only
         // mirrors pairs whose source is ours, so the two never touch the
@@ -365,28 +542,14 @@ impl Shard {
             }
         }
         drain_span.finish();
-        while self.repaired < self.budget {
-            let Some(u) = self.queue.pop_front() else {
+        let most = if workers > 1 { usize::MAX } else { 1 };
+        loop {
+            let members = self.take_wave(most);
+            if members == 0 {
                 break;
-            };
-            if !self.visited.insert(u) {
-                continue;
             }
-            self.repaired += 1;
-            let targeted = self.extras.remove(&u).unwrap_or_default();
-            // Time 1 in SPAN_SAMPLE repairs: a clock pair plus a
-            // histogram record on *every* repair is measurable against
-            // the telemetry bench's 3% overhead gate, while the p99 of
-            // a uniform sample estimates the same distribution. The
-            // repairs counter itself stays exact — it is flushed in
-            // bulk at batch end alongside the sims counter.
-            if self.sampled() {
-                let span = self.repair_ns.span();
-                self.repair(my, u, targeted, data, assign, config);
-                span.finish();
-            } else {
-                self.repair(my, u, targeted, data, assign, config);
-            }
+            self.prepare_wave(members, data, assign, config, workers);
+            self.land_wave(members, my, data, assign, config);
         }
         if self.repaired >= self.budget {
             // Budget exhausted: drop the remaining cascade.
@@ -396,88 +559,183 @@ impl Shard {
         self.queue_depth.set(self.queue.len() as i64);
     }
 
-    /// Whether the repair under way is one of the 1 in [`SPAN_SAMPLE`]
-    /// that are timed.
-    fn sampled(&self) -> bool {
-        self.repaired % SPAN_SAMPLE == 1
+    /// Pops the next wave, at most `most` users, into `self.wave` and
+    /// returns its size.
+    ///
+    /// Members are marked visited as they are taken, not as they land.
+    /// That only stops a landing from queueing a later member of the same
+    /// wave again, an entry the serial loop would pop after that member's
+    /// repair and skip.
+    fn take_wave(&mut self, most: usize) -> usize {
+        let mut members = 0;
+        while members < most && self.repaired < self.budget {
+            let Some(u) = self.queue.pop_front() else {
+                break;
+            };
+            if !self.visited.insert(u) {
+                continue;
+            }
+            self.repaired += 1;
+            // Time 1 in SPAN_SAMPLE repairs: a clock pair plus a
+            // histogram record on *every* repair is measurable against
+            // the telemetry bench's 3% overhead gate, while the p99 of
+            // a uniform sample estimates the same distribution. The
+            // repairs counter itself stays exact — it is flushed in
+            // bulk at batch end alongside the sims counter.
+            let timed = self.repaired % SPAN_SAMPLE == 1 && self.telemetry.is_enabled();
+            if members == self.wave.len() {
+                self.wave.push(Prepared::default());
+            }
+            let member = &mut self.wave[members];
+            member.user = u;
+            member.targeted = self.extras.remove(&u).unwrap_or_default();
+            member.timed = timed;
+            members += 1;
+        }
+        members
     }
 
-    /// Re-scores `u` (owned) against its targeted candidates, refreshed
-    /// counter prefix, current neighbours and in-neighbours.
-    fn repair(
+    /// Prepares the first `members` entries of the wave on `workers`
+    /// threads, each with a scorer of its own.
+    fn prepare_wave(
         &mut self,
+        members: usize,
+        data: &DeltaDataset,
+        assign: &[Slot],
+        config: &OnlineConfig,
+        workers: usize,
+    ) {
+        let _span = self.prepare_ns.span();
+        let (counters, heaps, incoming) = (&self.counters, &self.heaps, &self.incoming);
+        let (scorers, stages) = (&self.scorers, [&self.gather_ns, &self.score_ns]);
+        parallel_for_each_mut(
+            workers.min(members),
+            &mut self.wave[..members],
+            |_, member| {
+                let slot = assign[member.user as usize].idx as usize;
+                member.prepare(
+                    &mut scorers.checkout(),
+                    data,
+                    config,
+                    &counters[slot],
+                    &heaps[slot],
+                    incoming.in_neighbors(slot),
+                    stages,
+                );
+            },
+        );
+    }
+
+    /// Lands the first `members` entries of the wave, in queue order. Each
+    /// member's candidate set is its heap-independent part plus its
+    /// *current* heap and in-neighbours, which earlier members' landings
+    /// may have changed since the wave was prepared; a candidate scored
+    /// in preparation takes that score, one that joined since is scored
+    /// with [`OnlineMetric::eval`], which equals the walk bit for bit.
+    fn land_wave(
+        &mut self,
+        members: usize,
         my: u32,
-        u: UserId,
-        targeted: Vec<Arc<Vec<UserId>>>,
         data: &DeltaDataset,
         assign: &[Slot],
         config: &OnlineConfig,
     ) {
-        let sampled = self.sampled();
-        let gather_span = sampled.then(|| self.gather_ns.span());
-        let slot = assign[u as usize].idx as usize;
-        let mut candidates: Vec<UserId> =
-            Vec::with_capacity(targeted.iter().map(|c| c.len()).sum());
-        for chunk in &targeted {
-            candidates.extend_from_slice(chunk);
+        let mut wave = std::mem::take(&mut self.wave);
+        let mut rebuilt = std::mem::take(&mut self.scored);
+        for (pos, member) in wave[..members].iter_mut().enumerate() {
+            let start = member.timed.then(Instant::now);
+            let (u, slot) = (member.user, assign[member.user as usize].idx as usize);
+            if cfg!(debug_assertions) {
+                // Nothing a landing writes may feed the prepared part.
+                let mut fixed = Vec::new();
+                heap_independent(
+                    u,
+                    &member.targeted,
+                    &self.counters[slot],
+                    config.repair_width,
+                    &mut fixed,
+                );
+                assert_eq!(
+                    fixed, member.fixed,
+                    "heap-independent candidates of {u} moved during the wave"
+                );
+            }
+            let scored = if pos == 0 {
+                // Nothing has landed since the wave was prepared.
+                &member.scored
+            } else {
+                self.rebuild(member, slot, data, config, &mut rebuilt);
+                &rebuilt
+            };
+            self.stats.sim_evals += scored.len() as u64;
+            for &(v, s) in scored {
+                self.land(my, u, v, s, assign);
+                let vslot = assign[v as usize];
+                if vslot.shard == my {
+                    self.land(my, v, u, s, assign);
+                } else {
+                    self.send(
+                        vslot.shard as usize,
+                        ShardMsg::Scored {
+                            owner: v,
+                            other: u,
+                            sim: s,
+                        },
+                    );
+                }
+            }
+            member.targeted.clear();
+            if let Some(start) = start {
+                let land = nanos(start.elapsed());
+                self.land_ns.record(land);
+                self.repair_ns.record(member.prepare_ns + land);
+            }
         }
-        if candidates.len() > config.repair_width {
-            // Deferred from the serial mutate phase: by now the counter
-            // phase has run, so live counts rank the touched co-raters.
-            // The id tie-break makes the kept set independent of the
-            // rater order, which differs between a live overlay and a
-            // compacted (or snapshot-restored) base: without it,
-            // snapshot + replay keeps other tied candidates than the
-            // uninterrupted run.
-            let counter = &self.counters[slot];
-            candidates.select_nth_unstable_by_key(config.repair_width, |&v| {
-                (std::cmp::Reverse(counter.get(v)), v)
-            });
-            candidates.truncate(config.repair_width);
-        }
+        self.wave = wave;
+        self.scored = rebuilt;
+    }
+
+    /// Rebuilds `member`'s candidate set from its heap-independent part
+    /// and its current heap and in-neighbours into `out`, ascending, each
+    /// with its prepared score or, for a candidate that joined after
+    /// preparation, a pairwise one. Counts both kinds of mismatch.
+    fn rebuild(
+        &mut self,
+        member: &mut Prepared,
+        slot: usize,
+        data: &DeltaDataset,
+        config: &OnlineConfig,
+        out: &mut Vec<(UserId, f64)>,
+    ) {
+        let u = member.user;
+        let candidates = &mut member.candidates;
+        candidates.clear();
+        candidates.extend_from_slice(&member.fixed);
         candidates.extend(self.heaps[slot].ids());
         candidates.extend(self.incoming.in_neighbors(slot));
-        candidates.extend(
-            self.counters[slot]
-                .top_by_count(config.repair_width)
-                .into_iter()
-                .map(|(v, _)| v),
-        );
         candidates.sort_unstable();
         candidates.dedup();
         if let Ok(pos) = candidates.binary_search(&u) {
             candidates.remove(pos);
         }
-        drop(gather_span);
-        // Item-at-a-time scoring (see `crate::scoring`): one walk over
-        // `u`'s items and their live raters scores every candidate,
-        // equal to `config.metric.eval` bit for bit.
-        let mut scored = std::mem::take(&mut self.scored);
-        scored.clear();
-        {
-            let _span = sampled.then(|| self.score_ns.span());
-            self.scorer
-                .score(config.metric, data, u, &candidates, &mut scored);
+        out.clear();
+        let mut prepared = member.scored.iter().peekable();
+        let mut used = 0;
+        for &v in candidates.iter() {
+            while prepared.next_if(|&&(w, _)| w < v).is_some() {}
+            let s = match prepared.next_if(|&&(w, _)| w == v) {
+                Some(&(_, s)) => {
+                    used += 1;
+                    s
+                }
+                None => {
+                    self.late += 1;
+                    config.metric.eval(data.profile(u), data.profile(v))
+                }
+            };
+            out.push((v, s));
         }
-        self.stats.sim_evals += scored.len() as u64;
-        let _land_span = sampled.then(|| self.land_ns.span());
-        for &(v, s) in &scored {
-            self.land(my, u, v, s, assign);
-            let vslot = assign[v as usize];
-            if vslot.shard == my {
-                self.land(my, v, u, s, assign);
-            } else {
-                self.send(
-                    vslot.shard as usize,
-                    ShardMsg::Scored {
-                        owner: v,
-                        other: u,
-                        sim: s,
-                    },
-                );
-            }
-        }
-        self.scored = scored;
+        self.unused += (member.scored.len() - used) as u64;
     }
 
     /// Lands an evaluated similarity on `owner`'s heap (`owner` is always
@@ -918,7 +1176,11 @@ impl ShardedOnlineKnn {
         }
         mutate_span.finish();
 
-        let threads = effective_threads(self.shard_config.threads).min(self.shards.len());
+        // The shards run side by side on up to one thread each, and each
+        // shard prepares its repair waves on an equal share of the threads.
+        let threads = effective_threads(self.shard_config.threads);
+        let workers = (threads / self.shards.len()).max(1);
+        let threads = threads.min(self.shards.len());
 
         for shard in &mut self.shards {
             shard.budget = (shard.queue.len() + MAX_PROPAGATION) as u64;
@@ -942,7 +1204,7 @@ impl ShardedOnlineKnn {
             let assign = &self.assign;
             let config = &self.config;
             parallel_for_each_mut(threads, &mut self.shards, |my, shard| {
-                shard.step(my as u32, data, assign, config);
+                shard.step(my as u32, data, assign, config, workers);
             });
             round_span.finish();
             for s in 0..self.shards.len() {
@@ -963,6 +1225,8 @@ impl ShardedOnlineKnn {
             shard.tele_repairs.add(shard.repaired);
             shard.tele_sims.add(shard.stats.sim_evals);
             shard.tele_scores.add(shard.stats.sim_evals);
+            shard.tele_late.add(std::mem::take(&mut shard.late));
+            shard.tele_unused.add(std::mem::take(&mut shard.unused));
             if shard.pending_cross > 0 {
                 shard
                     .cross_messages
@@ -1493,7 +1757,6 @@ pub(crate) mod tests {
     #[test]
     fn stage_histograms_count_every_sampled_repair_and_every_batch() {
         use kiff_dataset::generators::planted::{generate_planted, PlantedConfig};
-        let registry = Registry::new();
         let base = generate_planted(&PlantedConfig {
             num_users: 60,
             num_items: 40,
@@ -1501,36 +1764,54 @@ pub(crate) mod tests {
             ..PlantedConfig::tiny("stages", 7)
         })
         .0;
-        let mut engine = ShardedOnlineKnn::new(
-            &base,
-            OnlineConfig::new(4).with_telemetry(registry.clone()),
-            ShardConfig::new(2).with_threads(2),
-        );
-        let batches = 5;
-        for b in 0..batches {
-            engine.apply_batch((0..20).map(|j| Update::AddRating {
-                user: (b * 20 + j * 7) % 60,
-                item: (j * 3 + b) % 40,
-                rating: 1.0,
-            }));
-        }
-        let snap = registry.snapshot();
-        let count = |name: &str| snap.histogram(name).map_or(0, |h| h.count);
-        // Every shard steps in every round, so each drains once a round.
-        let rounds = count("online.repair_round_ns");
-        assert!(rounds >= u64::from(batches), "a batch ran no round");
-        for n in 0..2 {
-            let repairs = count(&format!("shard.{n}.repair_ns"));
-            assert!(repairs > 0, "shard {n} timed no repair");
-            for stage in ["gather", "score", "land"] {
-                let name = format!("shard.{n}.{stage}_ns");
-                assert_eq!(count(&name), repairs, "{name}");
+        // Two shards on two threads have one worker each, so every wave
+        // is one repair; one shard on two threads prepares waves of many.
+        for shards in [2, 1] {
+            let registry = Registry::new();
+            let mut engine = ShardedOnlineKnn::new(
+                &base,
+                OnlineConfig::new(4).with_telemetry(registry.clone()),
+                ShardConfig::new(shards).with_threads(2),
+            );
+            let batches = 5;
+            for b in 0..batches {
+                engine.apply_batch((0..20).map(|j| Update::AddRating {
+                    user: (b * 20 + j * 7) % 60,
+                    item: (j * 3 + b) % 40,
+                    rating: 1.0,
+                }));
             }
-            assert_eq!(count(&format!("shard.{n}.drain_ns")), rounds, "shard {n}");
-        }
-        for stage in ["apply", "mutate", "counters"] {
-            let name = format!("online.{stage}_ns");
-            assert_eq!(count(&name), u64::from(batches), "{name}");
+            let snap = registry.snapshot();
+            let count = |name: &str| snap.histogram(name).map_or(0, |h| h.count);
+            // Every shard steps in every round, so each drains once a round.
+            let rounds = count("online.repair_round_ns");
+            assert!(rounds >= u64::from(batches), "a batch ran no round");
+            for n in 0..shards {
+                let repairs = count(&format!("shard.{n}.repair_ns"));
+                assert!(repairs > 0, "shard {n} timed no repair");
+                for stage in ["gather", "score", "land"] {
+                    let name = format!("shard.{n}.{stage}_ns");
+                    assert_eq!(count(&name), repairs, "{name}");
+                }
+                assert_eq!(count(&format!("shard.{n}.drain_ns")), rounds, "shard {n}");
+                // One preparation per wave: per repair on one worker,
+                // fewer on two, and at least one per batch.
+                let waves = count(&format!("shard.{n}.prepare_ns"));
+                let repaired = snap.counter(&format!("shard.{n}.repairs")).unwrap();
+                if shards == 2 {
+                    assert_eq!(waves, repaired, "shard {n}");
+                } else {
+                    assert!(waves < repaired, "{waves} waves, {repaired} repairs");
+                    assert!(waves >= u64::from(batches), "{waves} waves");
+                }
+            }
+            for stage in ["apply", "mutate", "counters"] {
+                let name = format!("online.{stage}_ns");
+                assert_eq!(count(&name), u64::from(batches), "{name}");
+            }
+            for name in ["online.late_candidates", "online.unused_prepared"] {
+                assert!(snap.counter(name).is_some(), "{name}");
+            }
         }
     }
 

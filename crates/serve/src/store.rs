@@ -153,6 +153,12 @@ pub fn recover(
 /// or builds the state the directory was first started from. `seed`
 /// receives the engine configuration and the shard layout (one shard
 /// when `shards` is `None`).
+///
+/// Each stage records one sample into the configuration's registry:
+/// over a snapshot, `recovery.snapshot_load_ns` (read and decode) and
+/// `recovery.engine_ns` (the engine built from it); on both paths,
+/// `recovery.wal_replay_ns` (the WAL read) and `recovery.wal_apply_ns`
+/// (the tail applied to the engine). The seed is the caller's to time.
 pub fn recover_or_seed<E: From<KiffError>>(
     cfg: &StoreConfig,
     seed: impl FnOnce(OnlineConfig, ShardConfig) -> Result<Box<dyn KnnEngine>, E>,
@@ -160,11 +166,15 @@ pub fn recover_or_seed<E: From<KiffError>>(
     shards: Option<ShardConfig>,
 ) -> Result<Recovered, E> {
     let telemetry = config.telemetry.clone();
+    let stage = |name: &str| telemetry.histogram(&format!("recovery.{name}_ns")).span();
     let shards = shards.unwrap_or_else(|| ShardConfig::new(1));
     let (mut engine, after_seq, snapshot_seq, snapshot_hwm, epoch) =
         match latest_snapshot(&cfg.dir)? {
             Some((seq, path)) => {
+                let load = stage("snapshot_load");
                 let snap = load_snapshot(&path)?;
+                load.finish();
+                let build = stage("engine");
                 let engine = build_engine(
                     &snap.dataset,
                     Some(&snap.graph),
@@ -172,12 +182,15 @@ pub fn recover_or_seed<E: From<KiffError>>(
                     config,
                     shards,
                 )?;
+                build.finish();
                 (engine, seq, Some(seq), snap.batch_hwm, snap.epoch)
             }
             None => (seed(config, shards)?, 0, None, 0, 0),
         };
 
+    let read = stage("wal_replay");
     let replay = Wal::replay(&cfg.dir, after_seq, &telemetry)?;
+    read.finish();
     let replayed = replay.updates.len() as u64;
     let (next_seq, truncated) = (replay.next_seq, replay.truncated);
     // The dedup mark must survive both paths: WAL pruning (snapshot hwm)
@@ -186,9 +199,11 @@ pub fn recover_or_seed<E: From<KiffError>>(
     let batch_hwm = snapshot_hwm.max(replay.batch_hwm);
     // Re-apply with the *original* batch boundaries: repair is amortised
     // per batch, so the boundaries are part of the replayed state.
+    let apply = stage("wal_apply");
     for batch in replay.batches() {
         engine.apply_batch(batch);
     }
+    apply.finish();
     let wal = Wal::open(&cfg.dir, next_seq, telemetry.clone())?;
     let seq = telemetry.gauge("store.seq");
     seq.set((next_seq - 1) as i64);
