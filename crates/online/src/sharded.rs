@@ -224,11 +224,12 @@ struct Prepared {
     timed: bool,
     /// Its heap-independent candidates (see [`heap_independent`]).
     fixed: Vec<UserId>,
-    /// Walk scores of `fixed` plus the heap and in-neighbour ids the user
-    /// held at wave start, ascending by candidate.
+    /// Its heap and in-neighbour ids at wave start (see [`held_ids`]).
+    held: Vec<UserId>,
+    /// Walk scores of `fixed` and `held`, ascending by candidate.
     scored: Vec<(UserId, f64)>,
-    /// Candidate scratch: the prepared set, then the set rebuilt at
-    /// landing.
+    /// Candidate scratch: the prepared set, then the held ids and the
+    /// set rebuilt at landing.
     candidates: Vec<UserId>,
     /// Gathering plus walk time of a timed repair.
     prepare_ns: u64,
@@ -260,11 +261,11 @@ impl Prepared {
             config.repair_width,
             &mut self.fixed,
         );
+        held_ids(heap, incoming, &mut self.held);
         let candidates = &mut self.candidates;
         candidates.clear();
         candidates.extend_from_slice(&self.fixed);
-        candidates.extend(heap.ids());
-        candidates.extend(incoming);
+        candidates.extend_from_slice(&self.held);
         candidates.sort_unstable();
         candidates.dedup();
         if let Ok(pos) = candidates.binary_search(&u) {
@@ -320,6 +321,16 @@ fn heap_independent(
     if let Ok(pos) = out.binary_search(&u) {
         out.remove(pos);
     }
+}
+
+/// The ids of `heap` and `incoming`: the candidates a landing can add or
+/// drop. Ascending, without duplicates.
+fn held_ids(heap: &KnnHeap, incoming: impl Iterator<Item = UserId>, out: &mut Vec<UserId>) {
+    out.clear();
+    out.extend(heap.iter().map(|e| e.id));
+    out.extend(incoming);
+    out.sort_unstable();
+    out.dedup();
 }
 
 /// A duration in nanoseconds, saturated to `u64`.
@@ -660,11 +671,13 @@ impl Shard {
                     "heap-independent candidates of {u} moved during the wave"
                 );
             }
-            let scored = if pos == 0 {
-                // Nothing has landed since the wave was prepared.
+            // Nothing has landed before the first member; a later one
+            // lands its prepared scores when its heap and in-neighbours
+            // are still as they were.
+            let scored = if pos == 0 || self.holds_as_prepared(member, slot) {
                 &member.scored
             } else {
-                self.rebuild(member, slot, data, config, &mut rebuilt);
+                self.rebuild(member, data, config, &mut rebuilt);
                 &rebuilt
             };
             self.stats.sim_evals += scored.len() as u64;
@@ -695,24 +708,33 @@ impl Shard {
         self.scored = rebuilt;
     }
 
+    /// Whether `member`'s heap and in-neighbour ids are those it held at
+    /// wave start; leaves the current ones in `member.candidates`.
+    fn holds_as_prepared(&self, member: &mut Prepared, slot: usize) -> bool {
+        held_ids(
+            &self.heaps[slot],
+            self.incoming.in_neighbors(slot),
+            &mut member.candidates,
+        );
+        member.candidates == member.held
+    }
+
     /// Rebuilds `member`'s candidate set from its heap-independent part
-    /// and its current heap and in-neighbours into `out`, ascending, each
-    /// with its prepared score or, for a candidate that joined after
-    /// preparation, a pairwise one. Counts both kinds of mismatch.
+    /// and the current heap and in-neighbour ids that
+    /// [`Shard::holds_as_prepared`] left in `member.candidates`, into
+    /// `out`, ascending, each with its prepared score or, for a candidate
+    /// that joined after preparation, a pairwise one. Counts both kinds
+    /// of mismatch.
     fn rebuild(
         &mut self,
         member: &mut Prepared,
-        slot: usize,
         data: &DeltaDataset,
         config: &OnlineConfig,
         out: &mut Vec<(UserId, f64)>,
     ) {
         let u = member.user;
         let candidates = &mut member.candidates;
-        candidates.clear();
         candidates.extend_from_slice(&member.fixed);
-        candidates.extend(self.heaps[slot].ids());
-        candidates.extend(self.incoming.in_neighbors(slot));
         candidates.sort_unstable();
         candidates.dedup();
         if let Ok(pos) = candidates.binary_search(&u) {

@@ -12,7 +12,8 @@
 //! * [`parallel_fold`] — the same with per-thread accumulators merged at
 //!   the end;
 //! * [`parallel_for_each_mut`] — exclusive mutable iteration over a slice
-//!   of worker states (the sharded online engine's shard-execution step);
+//!   of worker states, with the calling thread as one of the workers (the
+//!   online engine's shard step and repair-wave preparation);
 //! * [`SharedSlice`] — disjoint-range mutable access to one shared output
 //!   slice (the flat-CSR assembly's write primitive);
 //! * [`ScratchPool`] — a checkout pool of reusable scratch objects

@@ -50,11 +50,13 @@ where
 /// Runs `body` once over every element of `items` with exclusive mutable
 /// access, handing elements to `threads` workers through a shared cursor.
 ///
-/// This is the shard-execution primitive of the sharded online engine:
-/// each element is a shard's private state, the body repairs it in place,
-/// and the shared cursor keeps skewed shards from idling the pool. With
-/// `threads == 1` the body runs inline in index order — the deterministic
-/// mode tests compare against sequential references.
+/// This is the online engine's execution primitive: each element is a
+/// shard's private state, or a member of a shard's repair wave, and the
+/// shared cursor keeps skewed elements from idling the pool. The calling
+/// thread is one of the workers, so a call spawns `threads - 1` threads
+/// (fewer for fewer elements) and proceeds alone when they start late.
+/// With `threads == 1` the body runs inline in index order — the
+/// deterministic mode tests compare against sequential references.
 pub fn parallel_for_each_mut<T, F>(threads: usize, items: &mut [T], body: F)
 where
     T: Send,
@@ -74,20 +76,22 @@ where
     // is claimed exactly once, so no two workers ever hold the same element.
     let cursor = AtomicUsize::new(0);
     let base = SendPtr(items.as_mut_ptr());
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(n) {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                // SAFETY: `i < n` is claimed by exactly one worker (the
-                // fetch_add is a unique ticket), so this is the only live
-                // reference to `items[i]`; the scope outlives no borrow.
-                let item = unsafe { &mut *base.get().add(i) };
-                body(i, item);
-            });
+    let work = || loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
         }
+        // SAFETY: `i < n` is claimed by exactly one worker (the
+        // fetch_add is a unique ticket), so this is the only live
+        // reference to `items[i]`; the scope outlives no borrow.
+        let item = unsafe { &mut *base.get().add(i) };
+        body(i, item);
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..threads.min(n) {
+            scope.spawn(work);
+        }
+        work();
     });
 }
 
