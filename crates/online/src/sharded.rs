@@ -27,11 +27,11 @@
 //!    heap-independent candidates (the capped targeted set and the
 //!    prefix, both fixed once the counter phase has run) plus the heap
 //!    and in-neighbour ids it holds at wave start are gathered and
-//!    walked. The members then *land* serially, in queue order: each
-//!    one's set is rebuilt from its prepared part and its current heap
-//!    and in-neighbours, which earlier landings may have changed. A
-//!    candidate with a prepared score takes it; one that joined since is
-//!    scored with [`OnlineMetric::eval`]. So the heaps, the work counts
+//!    walked. The members then *land* serially, in queue order. A member
+//!    whose heap and in-neighbours earlier landings changed has its set
+//!    rebuilt from its prepared part and their current ids: a candidate
+//!    with a prepared score takes it, one that joined since is scored
+//!    with [`OnlineMetric::eval`]. So the heaps, the work counts
 //!    and every later wave are exactly those of one repair at a time,
 //!    at any thread count. A shard with one worker takes waves of one.
 //! 3. **propagate** — any user whose neighbourhood *degraded* (an edge
@@ -407,8 +407,9 @@ struct Shard {
     /// run in the wave's preparation.
     score_ns: Histogram,
     /// `shard.N.land_ns`: the landing of the same sampled repairs: the
-    /// candidate set rebuilt from the current heap and in-neighbours,
-    /// and the scores landed on the heaps, local or by message.
+    /// check of the current heap and in-neighbours, the candidate set
+    /// rebuilt when they changed, and the scores landed on the heaps,
+    /// local or by message.
     land_ns: Histogram,
     /// `shard.N.queue_depth`: repair-queue depth at the last round end.
     queue_depth: Gauge,
@@ -643,6 +644,8 @@ impl Shard {
     /// may have changed since the wave was prepared; a candidate scored
     /// in preparation takes that score, one that joined since is scored
     /// with [`OnlineMetric::eval`], which equals the walk bit for bit.
+    /// Timed members record `land_ns`, and `repair_ns` as their
+    /// preparation plus landing.
     fn land_wave(
         &mut self,
         members: usize,
