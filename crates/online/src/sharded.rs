@@ -620,22 +620,18 @@ impl Shard {
         let _span = self.prepare_ns.span();
         let (counters, heaps, incoming) = (&self.counters, &self.heaps, &self.incoming);
         let (scorers, stages) = (&self.scorers, [&self.gather_ns, &self.score_ns]);
-        parallel_for_each_mut(
-            workers.min(members),
-            &mut self.wave[..members],
-            |_, member| {
-                let slot = assign[member.user as usize].idx as usize;
-                member.prepare(
-                    &mut scorers.checkout(),
-                    data,
-                    config,
-                    &counters[slot],
-                    &heaps[slot],
-                    incoming.in_neighbors(slot),
-                    stages,
-                );
-            },
-        );
+        parallel_for_each_mut(workers, &mut self.wave[..members], |_, member| {
+            let slot = assign[member.user as usize].idx as usize;
+            member.prepare(
+                &mut scorers.checkout(),
+                data,
+                config,
+                &counters[slot],
+                &heaps[slot],
+                incoming.in_neighbors(slot),
+                stages,
+            );
+        });
     }
 
     /// Lands the first `members` entries of the wave, in queue order. Each
