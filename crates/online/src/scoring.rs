@@ -47,7 +47,7 @@ pub(crate) struct RepairScorer {
     /// Per candidate position: the sum of the pair's shared-item terms.
     sums: Vec<f64>,
     /// One item's candidate raters, as `(mark, rating)`: see
-    /// [`RepairScorer::walk`].
+    /// [`RepairScorer::walk`]. As long as the longest item row walked.
     hits: Vec<(u32, Rating)>,
 }
 
@@ -105,10 +105,6 @@ impl RepairScorer {
     /// an item at most once, so the order within an item is free.
     fn walk(&mut self, data: &DeltaDataset, u: UserId, term: impl Fn(Rating, Rating) -> f64) {
         let (mark, sums, hits) = (&self.mark, &mut self.sums, &mut self.hits);
-        // An item has at most one rater per user.
-        if hits.len() < mark.len() {
-            hits.resize(mark.len(), (0, 0.0));
-        }
         let profile = data.profile(u);
         for &i in profile.items.iter().take(PREFETCH_AHEAD) {
             prefetch_row(data, i);
@@ -118,6 +114,11 @@ impl RepairScorer {
                 prefetch_row(data, ahead);
             }
             let (users, ratings) = data.item_row(i);
+            // Sized to the longest row walked, not to every user: each
+            // worker preparing a wave keeps a scorer.
+            if hits.len() < users.len() {
+                hits.resize(users.len(), (0, 0.0));
+            }
             let mut n = 0;
             for (&v, &rating_v) in users.iter().zip(ratings) {
                 let pos = mark[v as usize];
