@@ -27,13 +27,15 @@
 //!    heap-independent candidates (the capped targeted set and the
 //!    prefix, both fixed once the counter phase has run) plus the heap
 //!    and in-neighbour ids it holds at wave start are gathered and
-//!    walked. The members then *land* serially, in queue order. A member
-//!    whose heap and in-neighbours earlier landings changed has its set
-//!    rebuilt from its prepared part and their current ids: a candidate
-//!    with a prepared score takes it, one that joined since is scored
-//!    with [`OnlineMetric::eval`]. So the heaps, the work counts
-//!    and every later wave are exactly those of one repair at a time,
-//!    at any thread count. A shard with one worker takes waves of one.
+//!    walked. The members then *land* serially, in queue order: each
+//!    one after the first has its set rebuilt from its prepared part and
+//!    its current heap and in-neighbours, which earlier landings may
+//!    have changed. A candidate with a prepared score takes it, one that
+//!    joined since is scored with [`OnlineMetric::eval`]. So the heaps,
+//!    the work counts and every later wave are exactly those of one
+//!    repair at a time, at any thread count. A shard with one worker,
+//!    and a wave too small to pay for starting workers, repairs one user
+//!    at a time.
 //! 3. **propagate** — any user whose neighbourhood *degraded* (an edge
 //!    removed, or a stored similarity revised downwards) is enqueued and
 //!    repaired in turn, Debatty-style, until no heap changes or the
@@ -76,6 +78,7 @@
 //! replays to within ε of the one-shard replay's recall.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -209,10 +212,30 @@ enum CounterAdj {
 /// distribution (and its p99).
 const SPAN_SAMPLE: u64 = 8;
 
-/// One member of a repair wave: a queued user and what the wave's
-/// preparation computed for it before any member landed. Members are
-/// kept in [`Shard::wave`] and reused, so their buffers keep their
-/// capacity across waves and batches.
+/// The fewest members a wave is prepared in parallel for; they must also
+/// have [`PARALLEL_CORATERS`] co-raters in all. Any other wave is
+/// repaired one member at a time on the calling thread: starting and
+/// joining the workers, and rebuilding every member after the first at
+/// landing, cost more than the workers save. Measured on two cores,
+/// switching thresholds between stretches of one replay: with waves of 2
+/// and up in parallel, one-update replays of the `online` experiment's
+/// stream ran 7–28% slower than one repair at a time, and with 16 and up
+/// its batches of 100 still ran 11–18% slower; from 64 up, none of its
+/// replays, nor the perfbench stream's batches of 256, ran slower.
+const PARALLEL_WAVE: usize = 64;
+
+/// The fewest co-raters, in all, of a wave prepared in parallel. A
+/// member's gathering ranks its whole counter and its walk reaches every
+/// co-rater, so they count the wave's work. The `online` experiment's
+/// smallest stream, a batch of 100 over 120 users, makes one wave of 90
+/// members with 6,768 co-raters, which ran 17% slower in parallel; the
+/// larger replays' waves of 64 and up have 27,825 or more.
+const PARALLEL_CORATERS: usize = 16_384;
+
+/// One member of a repair wave: a queued user and what its preparation
+/// computed for it before it landed. Members are kept in [`Shard::wave`]
+/// and reused, so their buffers keep their capacity across waves and
+/// batches.
 #[derive(Debug, Default)]
 struct Prepared {
     /// The user to repair.
@@ -222,25 +245,26 @@ struct Prepared {
     /// Whether this repair is timed: one of the 1 in [`SPAN_SAMPLE`],
     /// while the registry is enabled.
     timed: bool,
-    /// Its heap-independent candidates (see [`heap_independent`]).
+    /// Its heap-independent candidates (see [`heap_independent`]),
+    /// ascending and without the user; kept only for a wave of many.
     fixed: Vec<UserId>,
-    /// Its heap and in-neighbour ids at wave start (see [`held_ids`]).
-    held: Vec<UserId>,
-    /// Walk scores of `fixed` and `held`, ascending by candidate.
+    /// Walk scores of the prepared candidates, ascending by candidate.
     scored: Vec<(UserId, f64)>,
-    /// Candidate scratch: the prepared set, then the held ids and the
-    /// set rebuilt at landing.
+    /// Candidate scratch: the prepared set, then the set rebuilt at
+    /// landing.
     candidates: Vec<UserId>,
     /// Gathering plus walk time of a timed repair.
     prepare_ns: u64,
 }
 
 impl Prepared {
-    /// Gathers the member's candidates as they stand at wave start and
-    /// scores them with one walk. Reads only what no landing writes
-    /// (the counters, the targeted chunks, the dataset) plus the
-    /// member's own heap and in-neighbours, so every member of a wave
-    /// can be prepared at once.
+    /// Gathers the member's candidates as they stand and scores them with
+    /// one walk. Reads only what no landing writes (the counters, the
+    /// targeted chunks, the dataset) plus the member's own heap and
+    /// in-neighbours, so every member of a wave can be prepared at once.
+    /// A member of a wave of many also keeps its heap-independent
+    /// candidates apart, for its landing; a member prepared `alone` lands
+    /// before anything else does and needs no such part.
     #[allow(clippy::too_many_arguments)]
     fn prepare(
         &mut self,
@@ -250,27 +274,22 @@ impl Prepared {
         counter: &SparseCounter,
         heap: &KnnHeap,
         incoming: impl Iterator<Item = UserId>,
+        alone: bool,
         stages: [&Histogram; 2],
     ) {
-        let u = self.user;
+        let (u, width) = (self.user, config.repair_width);
         let start = self.timed.then(Instant::now);
-        heap_independent(
-            u,
-            &self.targeted,
-            counter,
-            config.repair_width,
-            &mut self.fixed,
-        );
-        held_ids(heap, incoming, &mut self.held);
         let candidates = &mut self.candidates;
-        candidates.clear();
-        candidates.extend_from_slice(&self.fixed);
-        candidates.extend_from_slice(&self.held);
-        candidates.sort_unstable();
-        candidates.dedup();
-        if let Ok(pos) = candidates.binary_search(&u) {
-            candidates.remove(pos);
+        if alone {
+            heap_independent(&self.targeted, counter, width, candidates);
+        } else {
+            heap_independent(&self.targeted, counter, width, &mut self.fixed);
+            sort_without(u, &mut self.fixed);
+            candidates.clone_from(&self.fixed);
         }
+        candidates.extend(heap.iter().map(|e| e.id));
+        candidates.extend(incoming);
+        sort_without(u, candidates);
         let gathered = self.timed.then(Instant::now);
         // Item-at-a-time scoring (see `crate::scoring`): one walk over
         // `u`'s items and their live raters scores every candidate,
@@ -287,14 +306,13 @@ impl Prepared {
     }
 }
 
-/// The candidates of `u` that no heap edit can change: its targeted
-/// co-raters capped at `width` by live count (descending, ties to the
-/// lower id), and the `width` co-raters its counter ranks first;
-/// ascending, without duplicates or `u`. The counters and the targeted
-/// chunks are fixed once the counter phase has run, so this set is the
-/// same at any point of the batch's repair rounds.
+/// Into `out`, unordered, the candidates of a user that no heap edit can
+/// change: its targeted co-raters capped at `width` by live count
+/// (descending, ties to the lower id), and the `width` co-raters its
+/// counter ranks first. The counters and the targeted chunks are fixed
+/// once the counter phase has run, so this set is the same at any point
+/// of the batch's repair rounds.
 fn heap_independent(
-    u: UserId,
     targeted: &[Arc<Vec<UserId>>],
     counter: &SparseCounter,
     width: usize,
@@ -316,21 +334,15 @@ fn heap_independent(
         out.truncate(width);
     }
     out.extend(counter.top_by_count(width).into_iter().map(|(v, _)| v));
-    out.sort_unstable();
-    out.dedup();
-    if let Ok(pos) = out.binary_search(&u) {
-        out.remove(pos);
-    }
 }
 
-/// The ids of `heap` and `incoming`: the candidates a landing can add or
-/// drop. Ascending, without duplicates.
-fn held_ids(heap: &KnnHeap, incoming: impl Iterator<Item = UserId>, out: &mut Vec<UserId>) {
-    out.clear();
-    out.extend(heap.iter().map(|e| e.id));
-    out.extend(incoming);
-    out.sort_unstable();
-    out.dedup();
+/// Sorts `ids` ascending and drops duplicates and `u`.
+fn sort_without(u: UserId, ids: &mut Vec<UserId>) {
+    ids.sort_unstable();
+    ids.dedup();
+    if let Ok(pos) = ids.binary_search(&u) {
+        ids.remove(pos);
+    }
 }
 
 /// A duration in nanoseconds, saturated to `u64`.
@@ -394,7 +406,8 @@ struct Shard {
     /// `shard.N.drain_ns`: the inbox drain that opens every repair
     /// round (reverse-edge edits and scores landed from other shards).
     drain_ns: Histogram,
-    /// `shard.N.prepare_ns`: the wall time of each wave's preparation.
+    /// `shard.N.prepare_ns`: the wall time of each wave's preparation on
+    /// more than one worker.
     prepare_ns: Histogram,
     /// `shard.N.repair_ns`: a repair's own time (gathering, walk and
     /// landing), sampled 1 in [`SPAN_SAMPLE`] repairs.
@@ -407,9 +420,9 @@ struct Shard {
     /// run in the wave's preparation.
     score_ns: Histogram,
     /// `shard.N.land_ns`: the landing of the same sampled repairs: the
-    /// check of the current heap and in-neighbours, the candidate set
-    /// rebuilt when they changed, and the scores landed on the heaps,
-    /// local or by message.
+    /// candidate set rebuilt from the current heap and in-neighbours for
+    /// a wave member after the first, and the scores landed on the
+    /// heaps, local or by message.
     land_ns: Histogram,
     /// `shard.N.queue_depth`: repair-queue depth at the last round end.
     queue_depth: Gauge,
@@ -522,9 +535,11 @@ impl Shard {
     ///
     /// Repairs run in waves. A wave is the distinct unvisited users at the
     /// head of the queue, up to the remaining budget, or one user when the
-    /// shard has one worker. Its members are prepared together on
-    /// `workers` threads, then landed one at a time in queue order, so
-    /// the heaps evolve exactly as under one repair at a time.
+    /// shard has one worker or fewer than [`PARALLEL_WAVE`] queued. A wave
+    /// of at least that many members, with enough co-raters, is prepared
+    /// together on `workers` threads, then landed one at a time in queue
+    /// order, so the heaps evolve exactly as under one repair at a time;
+    /// any other is repaired a member at a time.
     fn step(
         &mut self,
         my: u32,
@@ -554,14 +569,31 @@ impl Shard {
             }
         }
         drain_span.finish();
-        let most = if workers > 1 { usize::MAX } else { 1 };
         loop {
+            // A queue too short for a wave worth the workers is repaired
+            // one user at a time, in the one reused entry of the wave.
+            let most = if workers > 1 && self.queue.len() >= PARALLEL_WAVE {
+                usize::MAX
+            } else {
+                1
+            };
             let members = self.take_wave(most);
             if members == 0 {
                 break;
             }
-            self.prepare_wave(members, data, assign, config, workers);
-            self.land_wave(members, my, data, assign, config);
+            if members >= PARALLEL_WAVE && self.wave_coraters(members, assign) >= PARALLEL_CORATERS
+            {
+                self.prepare_wave(0..members, data, assign, config, workers);
+                self.land_wave(0..members, my, data, assign, config);
+            } else {
+                // One user, a wave thinned by repeated and visited users
+                // or by the budget, or one of little work: one repair at
+                // a time.
+                for m in 0..members {
+                    self.prepare_wave(m..m + 1, data, assign, config, 1);
+                    self.land_wave(m..m + 1, my, data, assign, config);
+                }
+            }
         }
         if self.repaired >= self.budget {
             // Budget exhausted: drop the remaining cascade.
@@ -607,20 +639,31 @@ impl Shard {
         members
     }
 
-    /// Prepares the first `members` entries of the wave on `workers`
-    /// threads, each with a scorer of its own.
+    /// The co-raters of the first `members` entries of the wave, in all.
+    fn wave_coraters(&self, members: usize, assign: &[Slot]) -> usize {
+        self.wave[..members]
+            .iter()
+            .map(|m| self.counters[assign[m.user as usize].idx as usize].len())
+            .sum()
+    }
+
+    /// Prepares the `members` entries of the wave on `workers` threads,
+    /// each with a scorer of its own. Only a preparation on more than one
+    /// worker is timed into `prepare_ns`: a lone member's is its gathering
+    /// and walk, already sampled into their own stages.
     fn prepare_wave(
         &mut self,
-        members: usize,
+        members: Range<usize>,
         data: &DeltaDataset,
         assign: &[Slot],
         config: &OnlineConfig,
         workers: usize,
     ) {
-        let _span = self.prepare_ns.span();
+        let _span = (workers > 1).then(|| self.prepare_ns.span());
+        let alone = members.len() == 1;
         let (counters, heaps, incoming) = (&self.counters, &self.heaps, &self.incoming);
         let (scorers, stages) = (&self.scorers, [&self.gather_ns, &self.score_ns]);
-        parallel_for_each_mut(workers, &mut self.wave[..members], |_, member| {
+        parallel_for_each_mut(workers, &mut self.wave[members], |_, member| {
             let slot = assign[member.user as usize].idx as usize;
             member.prepare(
                 &mut scorers.checkout(),
@@ -629,12 +672,13 @@ impl Shard {
                 &counters[slot],
                 &heaps[slot],
                 incoming.in_neighbors(slot),
+                alone,
                 stages,
             );
         });
     }
 
-    /// Lands the first `members` entries of the wave, in queue order. Each
+    /// Lands the `members` entries of the wave, in queue order. Each
     /// member's candidate set is its heap-independent part plus its
     /// *current* heap and in-neighbours, which earlier members' landings
     /// may have changed since the wave was prepared; a candidate scored
@@ -644,7 +688,7 @@ impl Shard {
     /// preparation plus landing.
     fn land_wave(
         &mut self,
-        members: usize,
+        members: Range<usize>,
         my: u32,
         data: &DeltaDataset,
         assign: &[Slot],
@@ -652,31 +696,29 @@ impl Shard {
     ) {
         let mut wave = std::mem::take(&mut self.wave);
         let mut rebuilt = std::mem::take(&mut self.scored);
-        for (pos, member) in wave[..members].iter_mut().enumerate() {
+        for (pos, member) in wave[members].iter_mut().enumerate() {
             let start = member.timed.then(Instant::now);
             let (u, slot) = (member.user, assign[member.user as usize].idx as usize);
-            if cfg!(debug_assertions) {
-                // Nothing a landing writes may feed the prepared part.
-                let mut fixed = Vec::new();
-                heap_independent(
-                    u,
-                    &member.targeted,
-                    &self.counters[slot],
-                    config.repair_width,
-                    &mut fixed,
-                );
-                assert_eq!(
-                    fixed, member.fixed,
-                    "heap-independent candidates of {u} moved during the wave"
-                );
-            }
-            // Nothing has landed before the first member; a later one
-            // lands its prepared scores when its heap and in-neighbours
-            // are still as they were.
-            let scored = if pos == 0 || self.holds_as_prepared(member, slot) {
+            let scored = if pos == 0 {
+                // Nothing has landed since the wave was prepared.
                 &member.scored
             } else {
-                self.rebuild(member, data, config, &mut rebuilt);
+                if cfg!(debug_assertions) {
+                    // Nothing a landing writes may feed the prepared part.
+                    let mut fixed = Vec::new();
+                    heap_independent(
+                        &member.targeted,
+                        &self.counters[slot],
+                        config.repair_width,
+                        &mut fixed,
+                    );
+                    sort_without(u, &mut fixed);
+                    assert_eq!(
+                        fixed, member.fixed,
+                        "heap-independent candidates of {u} moved during the wave"
+                    );
+                }
+                self.rebuild(member, slot, data, config, &mut rebuilt);
                 &rebuilt
             };
             self.stats.sim_evals += scored.len() as u64;
@@ -707,38 +749,25 @@ impl Shard {
         self.scored = rebuilt;
     }
 
-    /// Whether `member`'s heap and in-neighbour ids are those it held at
-    /// wave start; leaves the current ones in `member.candidates`.
-    fn holds_as_prepared(&self, member: &mut Prepared, slot: usize) -> bool {
-        held_ids(
-            &self.heaps[slot],
-            self.incoming.in_neighbors(slot),
-            &mut member.candidates,
-        );
-        member.candidates == member.held
-    }
-
     /// Rebuilds `member`'s candidate set from its heap-independent part
-    /// and the current heap and in-neighbour ids that
-    /// [`Shard::holds_as_prepared`] left in `member.candidates`, into
-    /// `out`, ascending, each with its prepared score or, for a candidate
-    /// that joined after preparation, a pairwise one. Counts both kinds
-    /// of mismatch.
+    /// and the current ids of its heap and in-neighbours, at local slot
+    /// `slot`, into `out`, ascending, each with its prepared score or,
+    /// for a candidate that joined after preparation, a pairwise one.
+    /// Counts both kinds of mismatch.
     fn rebuild(
         &mut self,
         member: &mut Prepared,
+        slot: usize,
         data: &DeltaDataset,
         config: &OnlineConfig,
         out: &mut Vec<(UserId, f64)>,
     ) {
         let u = member.user;
         let candidates = &mut member.candidates;
-        candidates.extend_from_slice(&member.fixed);
-        candidates.sort_unstable();
-        candidates.dedup();
-        if let Ok(pos) = candidates.binary_search(&u) {
-            candidates.remove(pos);
-        }
+        candidates.clone_from(&member.fixed);
+        candidates.extend(self.heaps[slot].iter().map(|e| e.id));
+        candidates.extend(self.incoming.in_neighbors(slot));
+        sort_without(u, candidates);
         out.clear();
         let mut prepared = member.scored.iter().peekable();
         let mut used = 0;
@@ -1779,14 +1808,16 @@ pub(crate) mod tests {
     fn stage_histograms_count_every_sampled_repair_and_every_batch() {
         use kiff_dataset::generators::planted::{generate_planted, PlantedConfig};
         let base = generate_planted(&PlantedConfig {
-            num_users: 60,
-            num_items: 40,
-            ratings_per_user: 6,
+            num_users: 400,
+            num_items: 100,
+            ratings_per_user: 20,
             ..PlantedConfig::tiny("stages", 7)
         })
         .0;
         // Two shards on two threads have one worker each, so every wave
         // is one repair; one shard on two threads prepares waves of many.
+        // Every batch dirties 100 users, most of them co-raters of each
+        // other: a wave worth both workers.
         for shards in [2, 1] {
             let registry = Registry::new();
             let mut engine = ShardedOnlineKnn::new(
@@ -1796,9 +1827,9 @@ pub(crate) mod tests {
             );
             let batches = 5;
             for b in 0..batches {
-                engine.apply_batch((0..20).map(|j| Update::AddRating {
-                    user: (b * 20 + j * 7) % 60,
-                    item: (j * 3 + b) % 40,
+                engine.apply_batch((0..100).map(|j| Update::AddRating {
+                    user: (b * 100 + j * 7) % 400,
+                    item: (j * 3 + b) % 100,
                     rating: 1.0,
                 }));
             }
@@ -1815,12 +1846,13 @@ pub(crate) mod tests {
                     assert_eq!(count(&name), repairs, "{name}");
                 }
                 assert_eq!(count(&format!("shard.{n}.drain_ns")), rounds, "shard {n}");
-                // One preparation per wave: per repair on one worker,
-                // fewer on two, and at least one per batch.
+                // One preparation per wave on many workers: none on one
+                // worker, fewer than the repairs on two, and at least one
+                // per batch, whose first wave has 100 members.
                 let waves = count(&format!("shard.{n}.prepare_ns"));
                 let repaired = snap.counter(&format!("shard.{n}.repairs")).unwrap();
                 if shards == 2 {
-                    assert_eq!(waves, repaired, "shard {n}");
+                    assert_eq!(waves, 0, "shard {n}");
                 } else {
                     assert!(waves < repaired, "{waves} waves, {repaired} repairs");
                     assert!(waves >= u64::from(batches), "{waves} waves");

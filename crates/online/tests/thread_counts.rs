@@ -1,11 +1,14 @@
 //! Results do not depend on the thread count.
 //!
-//! A shard with more than one worker prepares each repair wave on all of
-//! them and lands the wave in queue order. Random mixed streams are
-//! replayed at one shard on 1, 2 and 3 threads and at two shards on 2
+//! A shard with more than one worker prepares each large repair wave on
+//! all of them and lands the wave in queue order. Random mixed streams
+//! are replayed at one shard on 1, 2 and 3 threads and at two shards on 2
 //! and 4 threads, and every run must report the same per-batch
 //! `UpdateStats`, and end with the same graph (ids and similarity bits),
-//! as the one-thread run at its shard count.
+//! as the one-thread run at its shard count. The base has 24 items, so
+//! that co-raters are many and batches of up to 160 make waves large
+//! enough to be prepared in parallel; a fixed replay checks that they
+//! are.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -17,6 +20,7 @@ use kiff_dataset::zipf::Zipf;
 use kiff_dataset::{Dataset, DeltaDataset, ItemId, UserId};
 use kiff_graph::Neighbor;
 use kiff_online::{OnlineConfig, ShardConfig, ShardedOnlineKnn, Update, UpdateStats};
+use kiff_telemetry::Registry;
 
 /// A stream of `len` updates of every kind over `base`: Zipf-hot writers
 /// and items (so the targeted cap, count ties and the propagation budget
@@ -80,15 +84,29 @@ fn stream(base: &Dataset, seed: u64, len: usize) -> Vec<Update> {
     out
 }
 
-/// Every batch's stats and the final rows of one replay.
+/// A star-rated planted base of 300 users over 24 items.
+fn base(seed: u64) -> Dataset {
+    generate_planted(&PlantedConfig {
+        num_items: 24,
+        rating_model: RatingModel::Stars { half_steps: true },
+        ..PlantedConfig::tiny("thread-counts", seed)
+    })
+    .0
+}
+
+/// Every batch's stats and the final rows of one replay, which records
+/// into `registry`.
 fn replay(
     base: &Dataset,
     updates: &[Update],
     batch: usize,
     shards: usize,
     threads: usize,
+    registry: &Registry,
 ) -> (Vec<UpdateStats>, Vec<Vec<(UserId, u64)>>) {
-    let config = OnlineConfig::new(4).with_compaction_threshold(0.05);
+    let config = OnlineConfig::new(4)
+        .with_compaction_threshold(0.05)
+        .with_telemetry(registry.clone());
     let mut engine =
         ShardedOnlineKnn::new(base, config, ShardConfig::new(shards).with_threads(threads));
     let stats = updates
@@ -110,19 +128,17 @@ proptest! {
     #[test]
     fn results_do_not_depend_on_the_thread_count(
         seed in 0u64..1000,
-        len in 60usize..240,
-        batch in 1usize..65,
+        len in 60usize..400,
+        batch in 1usize..161,
     ) {
-        let base = generate_planted(&PlantedConfig {
-            rating_model: RatingModel::Stars { half_steps: true },
-            ..PlantedConfig::tiny("thread-counts", seed)
-        })
-        .0;
+        let base = base(seed);
         let updates = stream(&base, seed ^ 0x7ead, len);
+        let registry = Registry::disabled();
         for (shards, threads) in [(1, [2, 3]), (2, [2, 4])] {
-            let (stats, rows) = replay(&base, &updates, batch, shards, 1);
+            let (stats, rows) = replay(&base, &updates, batch, shards, 1, &registry);
             for threads in threads {
-                let (got_stats, got_rows) = replay(&base, &updates, batch, shards, threads);
+                let (got_stats, got_rows) =
+                    replay(&base, &updates, batch, shards, threads, &registry);
                 prop_assert_eq!(
                     &got_stats,
                     &stats,
@@ -139,4 +155,20 @@ proptest! {
             }
         }
     }
+}
+
+#[test]
+fn a_replay_with_parallel_waves_lands_as_one_thread_does() {
+    let base = base(7);
+    let updates = stream(&base, 0x7ead, 600);
+    let registry = Registry::new();
+    let one = replay(&base, &updates, 150, 1, 1, &Registry::disabled());
+    let two = replay(&base, &updates, 150, 1, 2, &registry);
+    let waves = registry
+        .snapshot()
+        .histogram("shard.0.prepare_ns")
+        .map_or(0, |h| h.count);
+    assert!(waves > 0, "no wave was prepared in parallel");
+    assert_eq!(two.0, one.0, "per-batch stats");
+    assert!(two.1 == one.1, "final graph differs");
 }
