@@ -193,7 +193,8 @@ pub struct ServeOptions {
     pub snapshot_every: Option<u64>,
     /// Shard the engine across this many user partitions.
     pub shards: usize,
-    /// Worker threads for the initial build and the sharded engine.
+    /// Worker threads for the initial build and the sharded engine,
+    /// which leaves one of them to reads when the shards do not need it.
     pub threads: Option<usize>,
     /// When set, write the bound address (`host:port`) to this file
     /// once the listener is up — for scripts that pass port 0.

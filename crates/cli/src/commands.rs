@@ -281,6 +281,21 @@ fn update(options: &UpdateOptions, out: &mut dyn Write) -> Result<(), CommandErr
     Ok(())
 }
 
+/// The daemon engine's share of the `granted` threads (`None` = all
+/// available): all of them when the shards take every one, else all but
+/// one, kept for the connection workers. The threads beyond one per
+/// shard prepare repair waves, and a wave's preparation occupies every
+/// one of them, so without the kept thread a read that arrives during a
+/// write waits for a core.
+fn engine_threads(granted: Option<usize>, shards: usize) -> usize {
+    let granted = kiff::parallel::effective_threads(granted);
+    if granted > shards {
+        granted - 1
+    } else {
+        granted
+    }
+}
+
 fn serve(options: &ServeOptions, out: &mut dyn Write) -> Result<(), CommandError> {
     use kiff::core::fault;
     use kiff::serve::{recover_or_seed, EngineHost, Server, ServerConfig, StoreConfig};
@@ -328,8 +343,8 @@ fn serve(options: &ServeOptions, out: &mut dyn Write) -> Result<(), CommandError
 
     let registry = Registry::new();
     let config = OnlineConfig::new(options.k).with_telemetry(registry.clone());
-    let mut shard_config = ShardConfig::new(options.shards);
-    shard_config.threads = options.threads;
+    let shard_config = ShardConfig::new(options.shards)
+        .with_threads(engine_threads(options.threads, options.shards));
 
     // The engine over a seed: a fresh data directory's, the no-data-dir
     // path's, and the `--degraded-ok` read-only fallback's.
@@ -957,6 +972,17 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(10));
         };
         (daemon, addr)
+    }
+
+    #[test]
+    fn serve_keeps_a_thread_for_reads_when_the_shards_leave_one() {
+        assert_eq!(engine_threads(Some(2), 1), 1);
+        assert_eq!(engine_threads(Some(8), 1), 7);
+        assert_eq!(engine_threads(Some(8), 2), 7);
+        assert_eq!(engine_threads(Some(2), 2), 2);
+        assert_eq!(engine_threads(Some(2), 4), 2);
+        assert_eq!(engine_threads(Some(1), 1), 1);
+        assert!(engine_threads(None, 1) >= 1);
     }
 
     #[test]
