@@ -5,9 +5,9 @@ CARGO ?= cargo
 BENCH_OUT ?= bench-results
 RECALL_FLOOR ?= 0.90
 
-.PHONY: ci fmt clippy build test test-release examples doc bench-smoke bench-counting bench-baselines bench-telemetry bench-serve bench-reads bench-faults bench-failover chaos clean-bench
+.PHONY: ci fmt clippy build check-harness test test-release examples doc bench-smoke bench-counting bench-baselines bench-telemetry bench-serve bench-reads bench-faults bench-failover chaos clean-bench
 
-ci: fmt clippy build test test-release examples doc bench-smoke chaos
+ci: fmt clippy build check-harness test test-release examples doc bench-smoke chaos
 
 fmt:
 	$(CARGO) fmt --check
@@ -17,6 +17,16 @@ clippy:
 
 build:
 	$(CARGO) build --release
+
+# Type-checks the benchmark harness (perfbench/harness, a workspace of its
+# own) against the workspace's crates, as CI does. Its Cargo.lock is
+# stale, so the check rewrites it (and `--locked` would fail); the lock
+# is put back byte for byte, whatever the check's outcome.
+check-harness:
+	@lock=$$(mktemp) && cp perfbench/harness/Cargo.lock "$$lock" || exit 1; \
+	$(CARGO) check --offline --manifest-path perfbench/harness/Cargo.toml; \
+	status=$$?; cp "$$lock" perfbench/harness/Cargo.lock; rm -f "$$lock"; \
+	exit $$status
 
 test:
 	$(CARGO) test -q --no-fail-fast

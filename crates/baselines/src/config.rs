@@ -1,6 +1,5 @@
 //! Shared configuration for the greedy baselines.
 
-use kiff_similarity::ScoringMode;
 use kiff_telemetry::Registry;
 
 /// Parameters shared by NN-Descent and HyRec.
@@ -18,10 +17,6 @@ pub struct GreedyConfig {
     /// Hard cap on iterations (safety net; the paper's runs converge well
     /// before this).
     pub max_iterations: usize,
-    /// How candidate loops evaluate similarities (default: prepared
-    /// scorers — each pivot/reference profile is prepared once per batch;
-    /// both modes build identical graphs).
-    pub scoring: ScoringMode,
     /// Telemetry registry the run's scorers count into
     /// (`similarity.*`). Each config starts with its own enabled
     /// registry; share one with [`GreedyConfig::with_telemetry`].
@@ -37,15 +32,8 @@ impl GreedyConfig {
             threads: None,
             seed: 42,
             max_iterations: 200,
-            scoring: ScoringMode::default(),
             telemetry: Registry::new(),
         }
-    }
-
-    /// Sets how candidate loops evaluate similarities.
-    pub fn with_scoring(mut self, scoring: ScoringMode) -> Self {
-        self.scoring = scoring;
-        self
     }
 
     /// Records the run's scores into `registry` (shared, not copied).

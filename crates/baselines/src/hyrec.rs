@@ -19,7 +19,7 @@ use rand::{Rng, SeedableRng};
 use kiff_dataset::Dataset;
 use kiff_graph::{IterationObserver, IterationTrace, KnnGraph, NoObserver, SharedKnn};
 use kiff_parallel::{effective_threads, parallel_for, Counter, ScratchPool, TimeAccumulator};
-use kiff_similarity::{ScorerWorkspace, ScoringMode, Similarity, PREPARED_MIN_BATCH};
+use kiff_similarity::{score_candidates, ScorerWorkspace, Similarity};
 
 use crate::config::GreedyConfig;
 use crate::init::random_init;
@@ -144,17 +144,7 @@ impl HyRec {
                     // set: prepared scoring preprocesses it once and
                     // streams the set.
                     let sim_guard = similarity_time.start();
-                    match self.config.scoring {
-                        ScoringMode::Prepared if candidates.len() >= PREPARED_MIN_BATCH => {
-                            let mut scorer = sim.scorer(dataset, uid, &mut ws);
-                            scorer.score_into(&candidates, &mut sims);
-                        }
-                        ScoringMode::Prepared | ScoringMode::Pairwise => {
-                            ws.count_scores(candidates.len());
-                            sims.clear();
-                            sims.extend(candidates.iter().map(|&v| sim.sim(dataset, uid, v)));
-                        }
-                    }
+                    score_candidates(sim, dataset, uid, &candidates, &mut ws, &mut sims);
                     drop(sim_guard);
                     sim_evals.add(candidates.len() as u64);
                     shared.update_batch(uid, &candidates, &sims);
@@ -215,7 +205,7 @@ mod tests {
     use super::*;
     use kiff_dataset::generators::bipartite::{generate_bipartite, BipartiteConfig};
     use kiff_graph::{exact_knn, recall};
-    use kiff_similarity::WeightedCosine;
+    use kiff_similarity::{Pairwise, WeightedCosine};
 
     #[test]
     fn converges_to_reasonable_recall() {
@@ -279,9 +269,8 @@ mod tests {
         let sim = WeightedCosine::fit(&ds);
         let mut cfg = GreedyConfig::new(6);
         cfg.threads = Some(2); // parallel runs are deterministic sweeps too
-        let (prepared, ps) =
-            HyRec::new(cfg.clone().with_scoring(ScoringMode::Prepared)).run(&ds, &sim);
-        let (pairwise, ws) = HyRec::new(cfg.with_scoring(ScoringMode::Pairwise)).run(&ds, &sim);
+        let (prepared, ps) = HyRec::new(cfg.clone()).run(&ds, &sim);
+        let (pairwise, ws) = HyRec::new(cfg).run(&ds, &Pairwise(&sim));
         assert_eq!(ps.sim_evals, ws.sim_evals);
         for u in 0..ds.num_users() as u32 {
             assert_eq!(prepared.neighbors(u), pairwise.neighbors(u), "user {u}");

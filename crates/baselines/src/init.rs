@@ -7,17 +7,18 @@ use rand::{Rng, SeedableRng};
 use kiff_dataset::Dataset;
 use kiff_graph::{KnnGraph, SharedKnn};
 use kiff_parallel::{effective_threads, Counter};
-use kiff_similarity::{ScorerWorkspace, ScoringMode, Similarity, PREPARED_MIN_BATCH};
+use kiff_similarity::{ScorerWorkspace, Similarity, PREPARED_MIN_BATCH};
 
 use crate::config::GreedyConfig;
 
 /// Fills `shared` with `k` distinct random neighbours per user, scored with
 /// the real metric (entries carry the `new` flag for NN-Descent's first
 /// join). Draws come from `config.seed`, and scores count into
-/// `config.telemetry`. Under [`ScoringMode::Prepared`] each user's profile
-/// is prepared once and all of her `k` draws stream through the prepared
-/// scorer; both modes score identically. Returns the number of similarity
-/// evaluations spent.
+/// `config.telemetry`. When `k` reaches `PREPARED_MIN_BATCH`, each user's
+/// profile is prepared once ([`Similarity::scorer`]) and all of her `k`
+/// draws stream through the prepared scorer; otherwise each draw is
+/// scored pairwise. Both score identically. Returns the number of
+/// similarity evaluations spent.
 pub fn random_init<S: Similarity + ?Sized>(
     dataset: &Dataset,
     sim: &S,
@@ -34,7 +35,7 @@ pub fn random_init<S: Similarity + ?Sized>(
     let mut ws = ScorerWorkspace::with_telemetry(&config.telemetry);
     // Below the batch threshold a user scores too few draws to amortise
     // preparation — same fallback as every other call site.
-    let prepare = config.scoring == ScoringMode::Prepared && k.min(n - 1) >= PREPARED_MIN_BATCH;
+    let prepare = k.min(n - 1) >= PREPARED_MIN_BATCH;
     for u in 0..n as u32 {
         let mut scorer = prepare.then(|| sim.scorer(dataset, u, &mut ws));
         let mut picked = 0usize;
@@ -75,22 +76,9 @@ pub fn random_graph<S: Similarity + ?Sized>(
     k: usize,
     seed: u64,
 ) -> KnnGraph {
-    random_graph_with(dataset, sim, k, seed, ScoringMode::default())
-}
-
-/// [`random_graph`] with an explicit [`ScoringMode`]; both modes build
-/// identical graphs.
-pub fn random_graph_with<S: Similarity + ?Sized>(
-    dataset: &Dataset,
-    sim: &S,
-    k: usize,
-    seed: u64,
-    scoring: ScoringMode,
-) -> KnnGraph {
     let shared = SharedKnn::new(dataset.num_users(), k);
     let config = GreedyConfig {
         seed,
-        scoring,
         ..GreedyConfig::new(k)
     };
     random_init(dataset, sim, &shared, &config);
@@ -101,7 +89,7 @@ pub fn random_graph_with<S: Similarity + ?Sized>(
 mod tests {
     use super::*;
     use kiff_dataset::generators::bipartite::{generate_bipartite, BipartiteConfig};
-    use kiff_similarity::WeightedCosine;
+    use kiff_similarity::{Pairwise, WeightedCosine};
 
     #[test]
     fn fills_k_distinct_neighbors() {
@@ -122,8 +110,8 @@ mod tests {
     fn scoring_modes_build_identical_graphs() {
         let ds = generate_bipartite(&BipartiteConfig::tiny("rp", 13));
         let sim = WeightedCosine::fit(&ds);
-        let prepared = random_graph_with(&ds, &sim, 5, 7, ScoringMode::Prepared);
-        let pairwise = random_graph_with(&ds, &sim, 5, 7, ScoringMode::Pairwise);
+        let prepared = random_graph(&ds, &sim, 5, 7);
+        let pairwise = random_graph(&ds, &Pairwise(&sim), 5, 7);
         assert_eq!(prepared, pairwise);
     }
 

@@ -22,13 +22,14 @@
 //! deduplication, per-activity instrumentation ([`GreedyStats`]) matching
 //! §IV-C so the harness can chart Figs 1/5/8 for every algorithm alike.
 //!
-//! Every candidate loop here is node-centric: the pivot/reference profile
-//! is prepared once per batch through
-//! [`kiff_similarity::Similarity::scorer`] and its candidates stream
-//! through the prepared scorer (`kiff_similarity::ScoringMode::Prepared`,
-//! the default); the historical per-pair path stays selectable via
-//! `ScoringMode::Pairwise` and builds bit-identical graphs — the
-//! comparison against KIFF measures algorithms, not scoring plumbing.
+//! Every candidate loop here is node-centric: each batch goes through
+//! [`kiff_similarity::score_candidates`], which prepares the
+//! pivot/reference profile once through
+//! [`kiff_similarity::Similarity::scorer`] and streams its candidates
+//! through the prepared scorer. Run over [`kiff_similarity::Pairwise`] of
+//! the metric, every algorithm scores pair by pair and builds
+//! bit-identical graphs — the comparison against KIFF measures
+//! algorithms, not scoring plumbing.
 
 pub mod config;
 pub mod hyrec;
@@ -40,7 +41,7 @@ pub mod stats;
 
 pub use config::GreedyConfig;
 pub use hyrec::HyRec;
-pub use init::{random_graph, random_graph_with};
+pub use init::random_graph;
 pub use l2knng::{L2Knng, L2KnngConfig, L2Stats};
 pub use lsh::{Lsh, LshConfig, LshFamily, LshStats};
 pub use nndescent::NnDescent;

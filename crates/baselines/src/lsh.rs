@@ -31,7 +31,7 @@ use kiff_collections::{FxHashMap, FxHashSet};
 use kiff_dataset::{Dataset, UserId};
 use kiff_graph::{KnnGraph, SharedKnn};
 use kiff_parallel::{effective_threads, parallel_fold, parallel_for, Counter, ScratchPool};
-use kiff_similarity::{ScorerWorkspace, ScoringMode, Similarity, PREPARED_MIN_BATCH};
+use kiff_similarity::{score_candidates, ScorerWorkspace, Similarity};
 use kiff_telemetry::Registry;
 
 /// The signature family used by [`Lsh`].
@@ -98,10 +98,6 @@ pub struct LshConfig {
     pub threads: Option<usize>,
     /// Seed for the hash-derived hyperplanes/permutations.
     pub seed: u64,
-    /// How candidate pairs are scored with the real metric (default:
-    /// prepared — each bucket member is prepared once and scores all its
-    /// bucket partners; both modes build identical graphs).
-    pub scoring: ScoringMode,
     /// Telemetry registry the run's scorers count into
     /// (`similarity.*`). Each config starts with its own enabled
     /// registry; share one with [`LshConfig::with_telemetry`].
@@ -120,7 +116,6 @@ impl LshConfig {
             max_bucket: 512,
             threads: None,
             seed: 42,
-            scoring: ScoringMode::default(),
             telemetry: Registry::new(),
         }
     }
@@ -136,7 +131,6 @@ impl LshConfig {
             max_bucket: 512,
             threads: None,
             seed: 42,
-            scoring: ScoringMode::default(),
             telemetry: Registry::new(),
         }
     }
@@ -350,17 +344,7 @@ impl Lsh {
                 for g in range {
                     let a = refs[g];
                     let group = &partners[offsets[g]..offsets[g + 1]];
-                    match self.config.scoring {
-                        ScoringMode::Prepared if group.len() >= PREPARED_MIN_BATCH => {
-                            let mut scorer = sim.scorer(dataset, a, &mut ws);
-                            scorer.score_into(group, &mut sims);
-                        }
-                        ScoringMode::Prepared | ScoringMode::Pairwise => {
-                            ws.count_scores(group.len());
-                            sims.clear();
-                            sims.extend(group.iter().map(|&b| sim.sim(dataset, a, b)));
-                        }
-                    }
+                    score_candidates(sim, dataset, a, group, &mut ws, &mut sims);
                     evals.add(group.len() as u64);
                     for (&b, &s) in group.iter().zip(sims.iter()) {
                         if s > 0.0 {
@@ -440,7 +424,7 @@ mod tests {
     use kiff_dataset::generators::bipartite::{generate_bipartite, BipartiteConfig};
     use kiff_dataset::DatasetBuilder;
     use kiff_graph::{exact_knn, recall};
-    use kiff_similarity::{Jaccard, WeightedCosine};
+    use kiff_similarity::{Jaccard, Pairwise, WeightedCosine};
 
     #[test]
     fn hyperplane_reaches_useful_recall() {
@@ -523,13 +507,12 @@ mod tests {
     fn scoring_modes_build_identical_graphs() {
         let ds = generate_bipartite(&BipartiteConfig::tiny("lshp", 151));
         let sim = WeightedCosine::fit(&ds);
-        let cfg = |scoring| LshConfig {
-            scoring,
+        let cfg = || LshConfig {
             threads: Some(1),
             ..LshConfig::new(8)
         };
-        let (prepared, ps) = Lsh::new(cfg(ScoringMode::Prepared)).run(&ds, &sim);
-        let (pairwise, ws) = Lsh::new(cfg(ScoringMode::Pairwise)).run(&ds, &sim);
+        let (prepared, ps) = Lsh::new(cfg()).run(&ds, &sim);
+        let (pairwise, ws) = Lsh::new(cfg()).run(&ds, &Pairwise(&sim));
         assert_eq!(ps.sim_evals, ws.sim_evals);
         for u in 0..ds.num_users() as u32 {
             assert_eq!(prepared.neighbors(u), pairwise.neighbors(u), "user {u}");

@@ -44,7 +44,7 @@ use kiff_collections::FxHashSet;
 use kiff_dataset::Dataset;
 use kiff_graph::{IterationObserver, IterationTrace, KnnGraph, NoObserver, SharedKnn};
 use kiff_parallel::{effective_threads, parallel_for, Counter, ScratchPool, TimeAccumulator};
-use kiff_similarity::{ScorerWorkspace, ScoringMode, Similarity, PREPARED_MIN_BATCH};
+use kiff_similarity::{score_candidates, ScorerWorkspace, Similarity};
 
 use crate::config::GreedyConfig;
 use crate::init::random_init;
@@ -227,17 +227,7 @@ impl NnDescent {
                             continue;
                         }
                         let sim_guard = similarity_time.start();
-                        match self.config.scoring {
-                            ScoringMode::Prepared if partners.len() >= PREPARED_MIN_BATCH => {
-                                let mut scorer = sim.scorer(dataset, a, &mut ws);
-                                scorer.score_into(&partners, &mut sims);
-                            }
-                            ScoringMode::Prepared | ScoringMode::Pairwise => {
-                                ws.count_scores(partners.len());
-                                sims.clear();
-                                sims.extend(partners.iter().map(|&b| sim.sim(dataset, a, b)));
-                            }
-                        }
+                        score_candidates(sim, dataset, a, &partners, &mut ws, &mut sims);
                         drop(sim_guard);
                         sim_evals.add(partners.len() as u64);
                         shared.update_batch(a, &partners, &sims);
@@ -300,7 +290,7 @@ mod tests {
     use super::*;
     use kiff_dataset::generators::bipartite::{generate_bipartite, BipartiteConfig};
     use kiff_graph::{exact_knn, recall};
-    use kiff_similarity::WeightedCosine;
+    use kiff_similarity::{Pairwise, WeightedCosine};
 
     #[test]
     fn converges_to_high_recall() {
@@ -365,9 +355,8 @@ mod tests {
         let sim = WeightedCosine::fit(&ds);
         let mut cfg = GreedyConfig::new(8);
         cfg.threads = Some(2); // parallel runs are deterministic sweeps too
-        let (prepared, ps) =
-            NnDescent::new(cfg.clone().with_scoring(ScoringMode::Prepared)).run(&ds, &sim);
-        let (pairwise, ws) = NnDescent::new(cfg.with_scoring(ScoringMode::Pairwise)).run(&ds, &sim);
+        let (prepared, ps) = NnDescent::new(cfg.clone()).run(&ds, &sim);
+        let (pairwise, ws) = NnDescent::new(cfg).run(&ds, &Pairwise(&sim));
         assert_eq!(ps.sim_evals, ws.sim_evals);
         for u in 0..ds.num_users() as u32 {
             assert_eq!(prepared.neighbors(u), pairwise.neighbors(u), "user {u}");

@@ -1,12 +1,13 @@
 //! Baseline-suite scoring regression bench: `baselines.json`.
 //!
-//! PR 3 routed KIFF's own refinement through prepared scorers; this
-//! experiment measures the same rewrite across the *comparison suite* —
+//! KIFF's own refinement scores through prepared scorers; this
+//! experiment measures the same path across the *comparison suite* —
 //! NN-Descent's local joins, HyRec's neighbour-of-neighbour scans, LSH's
 //! bucket joins, the random initialisation and `exact_knn`'s row kernel —
-//! each of which now prepares one reference profile per candidate batch
-//! (`ScoringMode::Prepared`) instead of re-merging raw profiles per pair
-//! (`ScoringMode::Pairwise`, the retained baseline).
+//! each of which prepares one reference profile per candidate batch
+//! (`kiff_similarity::score_candidates`), against the same algorithm run
+//! over `kiff_similarity::Pairwise` of the metric, which re-merges raw
+//! profiles per pair (one boxed `PairwiseScorer` per batch).
 //!
 //! Two hard gates ride along, mirroring the `counting` experiment:
 //!
@@ -26,12 +27,13 @@
 
 use std::time::{Duration, Instant};
 
-use kiff::{Algorithm, KnnGraphBuilder, Metric};
+use kiff::Algorithm;
+use kiff_baselines::{GreedyConfig, HyRec, Lsh, LshConfig, LshFamily, NnDescent};
 use kiff_dataset::generators::bipartite::{generate_bipartite, BipartiteConfig};
 use kiff_dataset::generators::RatingModel;
 use kiff_dataset::Dataset;
 use kiff_graph::KnnGraph;
-use kiff_similarity::ScoringMode;
+use kiff_similarity::{AdamicAdar, Jaccard, Pairwise, Similarity, WeightedCosine};
 
 use super::{graphs_bit_identical, Ctx};
 
@@ -88,25 +90,24 @@ struct AlgoRun {
     pairwise_s: f64,
     prepared_s: f64,
     speedup: f64,
-    /// Candidate pairs scored per run (both modes score the same set).
+    /// Candidate pairs scored per run (both runs score the same set).
     sim_evals: u64,
     identical: bool,
 }
 
-/// One timed run of `algorithm` under `scoring`, through the per-algorithm
-/// entry points (not the builder facade, which discards the stats):
-/// returns the graph and, where the algorithm reports it, its similarity
-/// evaluation count.
-fn run_algorithm(
+/// One run of `algorithm` over `sim`, through the per-algorithm entry
+/// points (not the builder facade, which discards the stats), with LSH on
+/// signatures of `family`: returns the graph and, where the algorithm
+/// reports it, its similarity evaluation count.
+fn run_algorithm<S: Similarity + ?Sized>(
     ds: &Dataset,
-    sim: &kiff_similarity::WeightedCosine,
+    sim: &S,
     algorithm: Algorithm,
+    family: LshFamily,
     seed: u64,
     threads: Option<usize>,
-    scoring: ScoringMode,
 ) -> (KnnGraph, Option<u64>) {
-    use kiff_baselines::{GreedyConfig, HyRec, Lsh, LshConfig, NnDescent};
-    let mut greedy = GreedyConfig::new(K).with_scoring(scoring);
+    let mut greedy = GreedyConfig::new(K);
     greedy.threads = threads;
     greedy.seed = seed;
     match algorithm {
@@ -120,16 +121,13 @@ fn run_algorithm(
         }
         Algorithm::Lsh => {
             let mut config = LshConfig::new(K);
+            config.family = family;
             config.threads = threads;
             config.seed = seed;
-            config.scoring = scoring;
             let (graph, stats) = Lsh::new(config).run(ds, sim);
             (graph, Some(stats.sim_evals))
         }
-        Algorithm::Exact => (
-            kiff_graph::exact_knn_with(ds, sim, K, threads, scoring),
-            None,
-        ),
+        Algorithm::Exact => (kiff_graph::exact_knn(ds, sim, K, threads), None),
         other => unreachable!("not part of the baseline suite: {other:?}"),
     }
 }
@@ -141,7 +139,7 @@ pub fn baselines(ctx: &mut Ctx) -> String {
     // so the first timed run is not charged for them.
     let _ = ds.item_profiles();
     let seed = ctx.seed;
-    let cosine = kiff_similarity::WeightedCosine::fit(&ds);
+    let cosine = WeightedCosine::fit(&ds);
     // `exact_knn` returns no stats; it scores each user against her full
     // unpivoted co-rater set, which `user_candidate_counts` — the same
     // gather the online engine's counters are audited against — counts.
@@ -152,43 +150,20 @@ pub fn baselines(ctx: &mut Ctx) -> String {
     // Multi-threaded like every other gate: parallel greedy runs are
     // deterministic sweeps since the membership-diff accounting landed.
     let threads = ctx.threads;
-    let build = |algorithm: Algorithm, metric: Metric, scoring: ScoringMode| {
-        let mut b = KnnGraphBuilder::new(K)
-            .algorithm(algorithm)
-            .metric(metric)
-            .scoring(scoring)
-            .seed(seed);
-        if let Some(t) = threads {
-            b = b.threads(t);
-        }
-        b.build(&ds)
-    };
+    // Cosine runs LSH on random hyperplanes, Jaccard on MinHash, as the
+    // builder facade picks them.
+    let hyperplanes = LshConfig::new(K).family;
+    let oracle = Pairwise(&cosine);
 
     let mut runs: Vec<AlgoRun> = Vec::new();
     for (algorithm, label) in ALGORITHMS {
-        let (pairwise_t, (pairwise_graph, pairwise_evals)) = time_best(|| {
-            run_algorithm(
-                &ds,
-                &cosine,
-                algorithm,
-                seed,
-                threads,
-                ScoringMode::Pairwise,
-            )
-        });
-        let (prepared_t, (prepared_graph, prepared_evals)) = time_best(|| {
-            run_algorithm(
-                &ds,
-                &cosine,
-                algorithm,
-                seed,
-                threads,
-                ScoringMode::Prepared,
-            )
-        });
+        let (pairwise_t, (pairwise_graph, pairwise_evals)) =
+            time_best(|| run_algorithm(&ds, &oracle, algorithm, hyperplanes, seed, threads));
+        let (prepared_t, (prepared_graph, prepared_evals)) =
+            time_best(|| run_algorithm(&ds, &cosine, algorithm, hyperplanes, seed, threads));
         let pairwise_s = pairwise_t.as_secs_f64().max(1e-9);
         let prepared_s = prepared_t.as_secs_f64().max(1e-9);
-        // Both modes must score the same pair set to the same bits;
+        // Both runs must score the same pair set to the same bits;
         // bit-identical graphs (the gate below) plus equal eval counts
         // pin that down.
         let identical = graphs_bit_identical(&pairwise_graph, &prepared_graph)
@@ -205,24 +180,24 @@ pub fn baselines(ctx: &mut Ctx) -> String {
 
     // Cross-metric identity spot checks (1 rep each): the prepared path
     // must be invisible for every metric family, not just cosine.
-    let metric_checks: Vec<(&str, &str, bool)> = {
-        let mut checks = Vec::new();
-        for (algorithm, label) in ALGORITHMS {
-            for (metric, metric_label) in [
-                (Metric::Jaccard, "jaccard"),
-                (Metric::AdamicAdar, "adamic-adar"),
-            ] {
-                let prepared = build(algorithm, metric, ScoringMode::Prepared);
-                let pairwise = build(algorithm, metric, ScoringMode::Pairwise);
-                checks.push((
-                    label,
-                    metric_label,
-                    graphs_bit_identical(&prepared, &pairwise),
-                ));
-            }
+    let adamic_adar = AdamicAdar::fit(&ds);
+    let others: [(&dyn Similarity, LshFamily, &str); 2] = [
+        (&Jaccard, LshConfig::minhash(K).family, "jaccard"),
+        (&adamic_adar, hyperplanes, "adamic-adar"),
+    ];
+    let mut metric_checks: Vec<(&str, &str, bool)> = Vec::new();
+    for (algorithm, label) in ALGORITHMS {
+        for (sim, family, metric_label) in others {
+            let (prepared, _) = run_algorithm(&ds, sim, algorithm, family, seed, threads);
+            let (pairwise, _) =
+                run_algorithm(&ds, &Pairwise(sim), algorithm, family, seed, threads);
+            metric_checks.push((
+                label,
+                metric_label,
+                graphs_bit_identical(&prepared, &pairwise),
+            ));
         }
-        checks
-    };
+    }
 
     let mut out = String::new();
     out.push_str(&format!(

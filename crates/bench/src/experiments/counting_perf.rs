@@ -7,24 +7,24 @@
 //!    [`CountStrategy::Reference`] (the legacy gather → per-user-`Vec` →
 //!    flatten pipeline), with a bit-for-bit agreement check on ids and
 //!    counts.
-//! 2. **Refinement scoring** — [`refine`] under
-//!    [`ScoringMode::Prepared`] (one profile preparation per user, each
-//!    candidate scored in `O(|UP_v|)`) vs [`ScoringMode::Pairwise`] (the
-//!    old per-candidate profile merge), with a graph-identity check:
-//!    both modes compute the same similarities, so the graphs must match
+//! 2. **Refinement scoring** — [`refine`] over the metric (one profile
+//!    preparation per user and batch, each batch scored along the
+//!    shorter side of the bipartite graph) vs [`refine`] over
+//!    [`Pairwise`] of the metric (the old per-candidate profile merge,
+//!    plus one boxed `PairwiseScorer` per batch), with a graph-identity
+//!    check: both compute the same similarities, so the graphs must match
 //!    row by row, ids and similarity bits, over equal evaluation counts.
 
 use std::time::{Duration, Instant};
 
 use kiff_core::refine::refine;
 use kiff_core::{
-    build_rcs, CountStrategy, CountingConfig, KiffConfig, NoObserver, RankedCandidates,
-    ScoringMode, TimingMode,
+    build_rcs, CountStrategy, CountingConfig, KiffConfig, NoObserver, RankedCandidates, TimingMode,
 };
 use kiff_dataset::generators::bipartite::{generate_bipartite, BipartiteConfig};
 use kiff_dataset::generators::RatingModel;
 use kiff_dataset::Dataset;
-use kiff_similarity::WeightedCosine;
+use kiff_similarity::{Pairwise, WeightedCosine};
 
 use super::{graphs_bit_identical, Ctx};
 
@@ -113,32 +113,21 @@ pub fn counting(ctx: &mut Ctx) -> String {
         },
     );
     let sim = WeightedCosine::fit(&ds);
-    let refine_config = |scoring: ScoringMode| {
-        let mut c = KiffConfig::new(10)
-            .with_beta(0.0)
-            .with_scoring(scoring)
-            .with_timing(TimingMode::Off);
-        c.threads = threads;
-        c
-    };
+    let mut refine_config = KiffConfig::new(10)
+        .with_beta(0.0)
+        .with_timing(TimingMode::Off);
+    refine_config.threads = threads;
     let (pairwise_time, (pairwise_graph, pairwise_stats)) = time_best(|| {
         refine(
             &ds,
-            &sim,
+            &Pairwise(&sim),
             &refine_rcs,
-            &refine_config(ScoringMode::Pairwise),
+            &refine_config,
             &mut NoObserver,
         )
     });
-    let (prepared_time, (prepared_graph, prepared_stats)) = time_best(|| {
-        refine(
-            &ds,
-            &sim,
-            &refine_rcs,
-            &refine_config(ScoringMode::Prepared),
-            &mut NoObserver,
-        )
-    });
+    let (prepared_time, (prepared_graph, prepared_stats)) =
+        time_best(|| refine(&ds, &sim, &refine_rcs, &refine_config, &mut NoObserver));
     let refine_runs = [
         RefineRun {
             label: "pairwise".to_string(),
@@ -154,7 +143,7 @@ pub fn counting(ctx: &mut Ctx) -> String {
         },
     ];
     let refine_speedup = refine_runs[0].wall_s / refine_runs[1].wall_s;
-    // Both modes evaluate identical similarities over the same pairs:
+    // Both runs evaluate identical similarities over the same pairs:
     // the graphs must match bit for bit, and the evaluation counts too.
     let identical = graphs_bit_identical(&pairwise_graph, &prepared_graph)
         && pairwise_stats.sim_evals == prepared_stats.sim_evals;
@@ -193,7 +182,7 @@ pub fn counting(ctx: &mut Ctx) -> String {
     ));
     // Correctness checks are hard gates, like the streaming experiments'
     // recall floors: the flat path diverging from the reference, or the
-    // two scoring modes building different graphs, fails the suite.
+    // prepared and pairwise runs building different graphs, fails the suite.
     if !flat_agrees {
         let msg = "counting/flat: output diverged from the reference pipeline".to_string();
         eprintln!("AGREEMENT VIOLATION: {msg}");

@@ -33,8 +33,8 @@ impl Gamma {
 /// * [`CountStrategy::Reference`] — the counting oracle: gather, radix-sort
 ///   and run-length encode each user's candidates into a `Vec`, then
 ///   flatten. The agreement tests and the `counting` bench experiment
-///   compare the dense path against it, the way
-///   [`ScoringMode::Pairwise`] is the scoring oracle.
+///   compare the dense path against it, the way they compare prepared
+///   scoring against the `kiff_similarity::Pairwise` wrapper of a metric.
 ///
 /// Both produce bit-identical
 /// [`RankedCandidates`](crate::counting::RankedCandidates) (offsets, ids
@@ -47,12 +47,6 @@ pub enum CountStrategy {
     /// Per-user gather, radix-sort and run-length encode, then flatten.
     Reference,
 }
-
-// How candidate loops evaluate similarities. The selector lives in
-// `kiff_similarity` (it is shared by the baselines and the exact
-// constructions, which do not depend on this crate) and is re-exported
-// here because `KiffConfig` carries it.
-pub use kiff_similarity::ScoringMode;
 
 /// How much of the refinement loop's per-activity wall-clock
 /// instrumentation is collected.
@@ -94,8 +88,6 @@ pub struct KiffConfig {
     /// Optional §VII-style cap on RCS length (top entries by shared-item
     /// count). Bounds memory and scan rate; `None` keeps full RCSs.
     pub max_rcs: Option<usize>,
-    /// How the refinement loop evaluates similarities.
-    pub scoring: ScoringMode,
     /// How much per-activity wall-clock instrumentation refinement
     /// collects.
     pub timing: TimingMode,
@@ -120,7 +112,6 @@ impl KiffConfig {
             count_strategy: CountStrategy::Dense,
             rating_threshold: None,
             max_rcs: None,
-            scoring: ScoringMode::Prepared,
             timing: TimingMode::Sampled,
             telemetry: Registry::new(),
         }
@@ -175,12 +166,6 @@ impl KiffConfig {
         self
     }
 
-    /// Sets how refinement evaluates similarities.
-    pub fn with_scoring(mut self, scoring: ScoringMode) -> Self {
-        self.scoring = scoring;
-        self
-    }
-
     /// Sets the instrumentation level of the refinement loop.
     pub fn with_timing(mut self, timing: TimingMode) -> Self {
         self.timing = timing;
@@ -209,7 +194,6 @@ mod tests {
         assert_eq!(cfg.gamma, Gamma::Fixed(40));
         assert_eq!(cfg.beta, 0.001);
         assert_eq!(cfg.count_strategy, CountStrategy::Dense);
-        assert_eq!(cfg.scoring, ScoringMode::Prepared);
         assert_eq!(cfg.timing, TimingMode::Sampled);
     }
 

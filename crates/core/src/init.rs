@@ -7,16 +7,15 @@
 
 use kiff_dataset::Dataset;
 use kiff_graph::{KnnGraph, Neighbor};
-use kiff_similarity::{ScorerWorkspace, Similarity, PREPARED_MIN_BATCH};
+use kiff_similarity::{score_candidates, ScorerWorkspace, Similarity};
 
 use crate::counting::{build_rcs, CountingConfig};
 
 /// Builds the KNN approximation obtained by taking the top `k` entries of
 /// each user's full (unpivoted) Ranked Candidate Set, with their true
 /// similarities attached (recall evaluation compares similarity values).
-/// Each user's profile is prepared once ([`Similarity::scorer`]) and its
-/// RCS prefix streams through the prepared scorer — identical values to
-/// the pairwise path, as everywhere in the workspace.
+/// Each user's RCS prefix is scored as one batch ([`score_candidates`]) —
+/// identical values to the pairwise path, as everywhere in the workspace.
 pub fn initial_rcs_graph<S: Similarity + ?Sized>(
     dataset: &Dataset,
     sim: &S,
@@ -32,20 +31,15 @@ pub fn initial_rcs_graph<S: Similarity + ?Sized>(
         },
     );
     let mut ws = ScorerWorkspace::new();
+    let mut sims = Vec::new();
     let lists: Vec<Vec<Neighbor>> = (0..dataset.num_users() as u32)
         .map(|u| {
             let prefix = &rcs.rcs(u)[..k.min(rcs.rcs(u).len())];
-            let mut scorer =
-                (prefix.len() >= PREPARED_MIN_BATCH).then(|| sim.scorer(dataset, u, &mut ws));
+            score_candidates(sim, dataset, u, prefix, &mut ws, &mut sims);
             prefix
                 .iter()
-                .map(|&v| Neighbor {
-                    id: v,
-                    sim: match scorer.as_mut() {
-                        Some(scorer) => scorer.score(v),
-                        None => sim.sim(dataset, u, v),
-                    },
-                })
+                .zip(&sims)
+                .map(|(&id, &s)| Neighbor { id, sim: s })
                 .collect()
         })
         .collect();

@@ -126,9 +126,7 @@ mod tests {
     use kiff_dataset::dataset::figure2_toy;
     use kiff_dataset::generators::bipartite::{generate_bipartite, BipartiteConfig};
     use kiff_graph::{exact_knn, recall};
-    use kiff_similarity::{Jaccard, WeightedCosine};
-
-    use crate::config::ScoringMode;
+    use kiff_similarity::{Jaccard, Pairwise, Similarity, WeightedCosine};
 
     #[test]
     fn facade_runs_end_to_end() {
@@ -169,26 +167,30 @@ mod tests {
     #[test]
     fn telemetry_registry_mirrors_stats() {
         let ds = generate_bipartite(&BipartiteConfig::tiny("tele", 71));
-        let sim = WeightedCosine::fit(&ds);
-        for scoring in [ScoringMode::Prepared, ScoringMode::Pairwise] {
+        let fitted = WeightedCosine::fit(&ds);
+        let oracle = Pairwise(&fitted);
+        for (sim, pairwise) in [(&fitted as &dyn Similarity, false), (&oracle, true)] {
             let registry = kiff_telemetry::Registry::new();
-            let config = KiffConfig::new(5)
-                .with_scoring(scoring)
-                .with_telemetry(registry.clone());
-            let result = Kiff::new(config).run(&ds, &sim);
+            let config = KiffConfig::new(5).with_telemetry(registry.clone());
+            let result = Kiff::new(config).run(&ds, sim);
             let snap = registry.snapshot();
             assert_eq!(
                 snap.counter("core.refine.sims"),
                 Some(result.stats.sim_evals),
                 "registry sims disagree with KiffStats"
             );
-            // Every refine evaluation is one score, under either mode and
-            // on both sides of `PREPARED_MIN_BATCH`.
+            // Every refine evaluation is one score, prepared or pairwise
+            // and on both sides of `PREPARED_MIN_BATCH`.
             assert_eq!(
                 snap.counter("similarity.scores"),
                 snap.counter("core.refine.sims"),
-                "{scoring:?}"
+                "pairwise: {pairwise}"
             );
+            // The oracle prepares nothing: were it to forward `scorer`,
+            // every identity gate would compare the prepared path with
+            // itself.
+            let prepares = snap.counter("similarity.prepares").unwrap_or(0);
+            assert_eq!(prepares == 0, pairwise, "{prepares} prepares");
             assert_eq!(
                 snap.counter("core.refine.iterations"),
                 Some(result.stats.iterations as u64)
@@ -207,10 +209,8 @@ mod tests {
             }
             // A disabled registry records nothing but still runs correctly.
             let off = kiff_telemetry::Registry::disabled();
-            let config = KiffConfig::new(5)
-                .with_scoring(scoring)
-                .with_telemetry(off.clone());
-            let result2 = Kiff::new(config).run(&ds, &sim);
+            let config = KiffConfig::new(5).with_telemetry(off.clone());
+            let result2 = Kiff::new(config).run(&ds, sim);
             assert_eq!(result2.stats.sim_evals, result.stats.sim_evals);
             assert_eq!(off.snapshot().counter("core.refine.sims"), Some(0));
         }

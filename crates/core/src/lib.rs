@@ -32,7 +32,7 @@ pub mod init;
 pub mod kiff;
 pub mod refine;
 
-pub use config::{CountStrategy, Gamma, KiffConfig, ScoringMode, TimingMode};
+pub use config::{CountStrategy, Gamma, KiffConfig, TimingMode};
 pub use counting::{build_rcs, user_candidate_counts, CountingConfig, RankedCandidates};
 pub use error::KiffError;
 pub use init::initial_rcs_graph;

@@ -1,20 +1,21 @@
 //! The refinement phase: greedy convergence over the Ranked Candidate Sets
 //! (Algorithm 1, lines 5–16), instrumented.
 //!
-//! Two hot-loop policies hang off [`KiffConfig`]:
+//! Each popped batch is scored through
+//! [`kiff_similarity::score_candidates`]: the user's profile is prepared
+//! once per iteration through [`Similarity::scorer`] and the batch is
+//! scored along the shorter side of the bipartite graph (the candidates'
+//! profiles or the user's item rows, see `kiff_similarity::scorer`),
+//! while a batch below `PREPARED_MIN_BATCH` is scored pairwise. Refining
+//! over `kiff_similarity::Pairwise` of the metric scores every candidate
+//! pairwise and builds the identical graph (the `counting` bench
+//! baseline). Every evaluation counts once in `similarity.scores`.
 //!
-//! * [`ScoringMode`] — by default every user's profile is prepared once
-//!   per iteration through [`Similarity::scorer`] and each popped batch
-//!   is scored along the shorter side of the bipartite graph (the
-//!   candidates' profiles or the user's item rows, see
-//!   `kiff_similarity::scorer`); the pairwise mode re-merges raw profiles
-//!   per candidate (the pre-scorer behaviour, kept as the `counting`
-//!   bench baseline). Both modes produce identical graphs, and every
-//!   evaluation counts once in `similarity.scores`.
-//! * [`TimingMode`] — per-activity wall-clock accumulation is sampled
-//!   (1 in 64 scheduling chunks) by default so the per-user timestamp
-//!   syscalls disappear from the steady state; totals are rescaled by the
-//!   timed fraction and reported with their coverage in [`KiffStats`].
+//! [`TimingMode`], a [`KiffConfig`] policy, samples per-activity
+//! wall-clock accumulation (1 in 64 scheduling chunks) by default so the
+//! per-user timestamp syscalls disappear from the steady state; totals
+//! are rescaled by the timed fraction and reported with their coverage
+//! in [`KiffStats`].
 //!
 //! Each popped batch is offered to both users' heaps through
 //! [`SharedKnn::update_batch`]: the owner's heap takes the batch under one
@@ -33,11 +34,11 @@ use std::time::{Duration, Instant};
 use kiff_dataset::Dataset;
 use kiff_graph::{KnnGraph, SharedKnn};
 use kiff_parallel::{effective_threads, parallel_fold, Counter, ScratchPool, TimeAccumulator};
-use kiff_similarity::{ScorerWorkspace, Similarity, PREPARED_MIN_BATCH};
+use kiff_similarity::{score_candidates, ScorerWorkspace, Similarity};
 
 pub use kiff_graph::observer::{IterationObserver, IterationTrace, NoObserver};
 
-use crate::config::{KiffConfig, ScoringMode, TimingMode};
+use crate::config::{KiffConfig, TimingMode};
 use crate::counting::RankedCandidates;
 
 /// Scheduling grain of the refinement loop (users per work unit).
@@ -198,22 +199,7 @@ pub fn refine<S: Similarity + ?Sized>(
 
                     // Similarity evaluations — one per popped candidate.
                     let sim_start = timed.then(Instant::now);
-                    match config.scoring {
-                        ScoringMode::Prepared if cs.len() >= PREPARED_MIN_BATCH => {
-                            // One boxed scorer per user: the allocation is
-                            // amortised over >= PREPARED_MIN_BATCH candidate
-                            // scorings, the price of keeping `Similarity`
-                            // open for external metrics (no closed enum to
-                            // dispatch through).
-                            let mut scorer = sim.scorer(dataset, uid, ws);
-                            scorer.score_into(cs, sims);
-                        }
-                        ScoringMode::Prepared | ScoringMode::Pairwise => {
-                            ws.count_scores(cs.len());
-                            sims.clear();
-                            sims.extend(cs.iter().map(|&v| sim.sim(dataset, uid, v)));
-                        }
-                    }
+                    score_candidates(sim, dataset, uid, cs, ws, sims);
                     if let Some(t0) = sim_start {
                         similarity_time.add(t0.elapsed());
                         timed_evals.add(cs.len() as u64);
@@ -311,9 +297,17 @@ mod tests {
     use kiff_dataset::dataset::figure2_toy;
     use kiff_dataset::generators::bipartite::{generate_bipartite, BipartiteConfig};
     use kiff_graph::{exact_knn, Neighbor};
-    use kiff_similarity::WeightedCosine;
+    use kiff_similarity::{Pairwise, WeightedCosine};
 
     fn run(dataset: &kiff_dataset::Dataset, config: &KiffConfig) -> (KnnGraph, KiffStats) {
+        run_over(dataset, &WeightedCosine::fit(dataset), config)
+    }
+
+    fn run_over<S: Similarity + ?Sized>(
+        dataset: &kiff_dataset::Dataset,
+        sim: &S,
+        config: &KiffConfig,
+    ) -> (KnnGraph, KiffStats) {
         let rcs = build_rcs(
             dataset,
             &CountingConfig {
@@ -321,8 +315,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let sim = WeightedCosine::fit(dataset);
-        refine(dataset, &sim, &rcs, config, &mut NoObserver)
+        refine(dataset, sim, &rcs, config, &mut NoObserver)
     }
 
     #[test]
@@ -426,8 +419,8 @@ mod tests {
     fn prepared_and_pairwise_scoring_build_identical_graphs() {
         let ds = generate_bipartite(&BipartiteConfig::tiny("score", 59));
         let base = KiffConfig::new(5).with_beta(0.0);
-        let (g_prepared, s_prepared) = run(&ds, &base.clone().with_scoring(ScoringMode::Prepared));
-        let (g_pairwise, s_pairwise) = run(&ds, &base.with_scoring(ScoringMode::Pairwise));
+        let (g_prepared, s_prepared) = run(&ds, &base);
+        let (g_pairwise, s_pairwise) = run_over(&ds, &Pairwise(&WeightedCosine::fit(&ds)), &base);
         assert_eq!(s_prepared.sim_evals, s_pairwise.sim_evals);
         for u in 0..ds.num_users() as u32 {
             assert_eq!(g_prepared.neighbors(u), g_pairwise.neighbors(u), "user {u}");

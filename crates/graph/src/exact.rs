@@ -14,19 +14,18 @@
 //!   `γ = ∞` special case of KIFF discussed in §III-D.
 //!
 //! Both are *blocked prepare-row × stream-columns kernels*: rows (users)
-//! are handed to workers in blocks, each row's reference profile is
-//! prepared once ([`Similarity::scorer`]) and every column (candidate) of
-//! that row streams through the prepared scorer in `O(|UP_v|)` — they
-//! share one `scored_row` kernel, so the brute path cannot drift from
-//! the inverted-index path. The historical per-pair [`Similarity::sim`]
-//! behaviour stays selectable through [`ScoringMode::Pairwise`] (the
-//! `*_with` variants); both modes compute bit-identical similarities and
-//! therefore identical graphs.
+//! are handed to workers in blocks, and each row is scored through
+//! [`score_candidates`], which prepares the row's reference profile once
+//! ([`Similarity::scorer`]) and streams every column (candidate) of that
+//! row through the prepared scorer — they share one `scored_row` kernel,
+//! so the brute path cannot drift from the inverted-index path. Run over
+//! [`kiff_similarity::Pairwise`] of the metric, both score every pair
+//! with [`Similarity::sim`] and build identical graphs.
 
 use kiff_collections::FixedBitSet;
 use kiff_dataset::{Dataset, UserId};
 use kiff_parallel::{effective_threads, parallel_fold};
-use kiff_similarity::{ScorerWorkspace, ScoringMode, Similarity, PREPARED_MIN_BATCH};
+use kiff_similarity::{score_candidates, ScorerWorkspace, Similarity};
 
 use crate::knn::{KnnGraph, KnnHeap, Neighbor};
 
@@ -38,65 +37,35 @@ struct RowScratch {
     sims: Vec<f64>,
 }
 
-/// The shared row kernel: scores `u` against every candidate and returns
-/// its sorted `k` best sharing neighbours.
-///
-/// Under [`ScoringMode::Prepared`] (and a batch worth preparing for),
-/// `u`'s profile is prepared once and the candidates stream through the
-/// prepared scorer; otherwise each pair goes through the pairwise
-/// [`Similarity::sim`]. Identical output either way.
+/// The shared row kernel: scores `u` against every candidate through
+/// [`score_candidates`] and returns its sorted `k` best sharing
+/// neighbours.
 fn scored_row<S: Similarity + ?Sized>(
     dataset: &Dataset,
     sim: &S,
     u: UserId,
     candidates: &[UserId],
     k: usize,
-    scoring: ScoringMode,
     scratch: &mut RowScratch,
 ) -> Vec<Neighbor> {
+    let RowScratch { ws, sims } = scratch;
+    score_candidates(sim, dataset, u, candidates, ws, sims);
     let mut heap = KnnHeap::new(k);
-    match scoring {
-        ScoringMode::Prepared if candidates.len() >= PREPARED_MIN_BATCH => {
-            let mut scorer = sim.scorer(dataset, u, &mut scratch.ws);
-            scorer.score_into(candidates, &mut scratch.sims);
-            for (&v, &s) in candidates.iter().zip(scratch.sims.iter()) {
-                if s > 0.0 {
-                    heap.update(s, v);
-                }
-            }
-        }
-        ScoringMode::Prepared | ScoringMode::Pairwise => {
-            for &v in candidates {
-                let s = sim.sim(dataset, u, v);
-                if s > 0.0 {
-                    heap.update(s, v);
-                }
-            }
+    for (&v, &s) in candidates.iter().zip(sims.iter()) {
+        if s > 0.0 {
+            heap.update(s, v);
         }
     }
     heap.sorted_neighbors()
 }
 
 /// Exhaustive exact KNN: evaluates all `|U|·(|U|−1)/2` pairs, with
-/// prepared row scoring (see [`exact_knn_brute_with`]).
+/// prepared row scoring.
 pub fn exact_knn_brute<S: Similarity + ?Sized>(
     dataset: &Dataset,
     sim: &S,
     k: usize,
     threads: Option<usize>,
-) -> KnnGraph {
-    exact_knn_brute_with(dataset, sim, k, threads, ScoringMode::default())
-}
-
-/// [`exact_knn_brute`] with an explicit [`ScoringMode`]. Both modes build
-/// identical graphs; pairwise is the regression baseline of the
-/// `baselines` bench experiment.
-pub fn exact_knn_brute_with<S: Similarity + ?Sized>(
-    dataset: &Dataset,
-    sim: &S,
-    k: usize,
-    threads: Option<usize>,
-    scoring: ScoringMode,
 ) -> KnnGraph {
     let n = dataset.num_users();
     let threads = effective_threads(threads);
@@ -117,7 +86,7 @@ pub fn exact_knn_brute_with<S: Similarity + ?Sized>(
                 // Stream every column of the row except the diagonal.
                 cols.clear();
                 cols.extend((0..n as UserId).filter(|&v| v != u));
-                acc.push((u, scored_row(dataset, sim, u, cols, k, scoring, scratch)));
+                acc.push((u, scored_row(dataset, sim, u, cols, k, scratch)));
             }
         },
         |mut a, b| {
@@ -131,7 +100,7 @@ pub fn exact_knn_brute_with<S: Similarity + ?Sized>(
 
 /// Inverted-index exact KNN: for each user, candidates are gathered from the
 /// item profiles of her items (both id directions, no pivot) and only those
-/// are evaluated, with prepared row scoring (see [`exact_knn_with`]).
+/// are evaluated, with prepared row scoring.
 ///
 /// # Panics
 /// Panics if the metric does not satisfy the sparse axioms — the
@@ -141,21 +110,6 @@ pub fn exact_knn<S: Similarity + ?Sized>(
     sim: &S,
     k: usize,
     threads: Option<usize>,
-) -> KnnGraph {
-    exact_knn_with(dataset, sim, k, threads, ScoringMode::default())
-}
-
-/// [`exact_knn`] with an explicit [`ScoringMode`]. Both modes build
-/// identical graphs.
-///
-/// # Panics
-/// Panics if the metric does not satisfy the sparse axioms.
-pub fn exact_knn_with<S: Similarity + ?Sized>(
-    dataset: &Dataset,
-    sim: &S,
-    k: usize,
-    threads: Option<usize>,
-    scoring: ScoringMode,
 ) -> KnnGraph {
     assert!(
         sim.sparse_axioms(),
@@ -190,7 +144,7 @@ pub fn exact_knn_with<S: Similarity + ?Sized>(
                         }
                     }
                 }
-                let row = scored_row(dataset, sim, u, touched, k, scoring, scratch);
+                let row = scored_row(dataset, sim, u, touched, k, scratch);
                 seen.clear_ids(touched);
                 acc.push((u, row));
             }
@@ -217,7 +171,7 @@ mod tests {
     use super::*;
     use kiff_dataset::dataset::figure2_toy;
     use kiff_dataset::generators::bipartite::{generate_bipartite, BipartiteConfig};
-    use kiff_similarity::{Jaccard, WeightedCosine};
+    use kiff_similarity::{Jaccard, Pairwise, WeightedCosine};
 
     #[test]
     fn toy_exact_neighbors() {
@@ -250,11 +204,11 @@ mod tests {
         let ds = generate_bipartite(&BipartiteConfig::tiny("sc", 19));
         let sim = WeightedCosine::fit(&ds);
         for k in [1, 5] {
-            let prepared = exact_knn_with(&ds, &sim, k, Some(2), ScoringMode::Prepared);
-            let pairwise = exact_knn_with(&ds, &sim, k, Some(2), ScoringMode::Pairwise);
+            let prepared = exact_knn(&ds, &sim, k, Some(2));
+            let pairwise = exact_knn(&ds, &Pairwise(&sim), k, Some(2));
             assert_eq!(prepared, pairwise, "inverted, k={k}");
-            let brute_p = exact_knn_brute_with(&ds, &sim, k, Some(2), ScoringMode::Prepared);
-            let brute_w = exact_knn_brute_with(&ds, &sim, k, Some(2), ScoringMode::Pairwise);
+            let brute_p = exact_knn_brute(&ds, &sim, k, Some(2));
+            let brute_w = exact_knn_brute(&ds, &Pairwise(&sim), k, Some(2));
             assert_eq!(brute_p, brute_w, "brute, k={k}");
         }
     }

@@ -29,7 +29,7 @@ pub mod recall;
 pub mod reverse;
 
 pub use analysis::{in_degrees, summarize, symmetry, weak_components, GraphSummary};
-pub use exact::{exact_knn, exact_knn_brute, exact_knn_brute_with, exact_knn_with};
+pub use exact::{exact_knn, exact_knn_brute};
 pub use io::{
     load_edges_tsv, save_edges_tsv, save_json as save_graph_json, write_edges_tsv, GraphLoadError,
 };

@@ -64,7 +64,9 @@ impl OnlineMetric {
 }
 
 /// Cap on *additional* users repaired per `apply` beyond those a
-/// mutation touched directly — the Debatty-style propagation budget.
+/// mutation touched directly — the Debatty-style propagation budget. The
+/// users still queued when it runs out are counted in
+/// `shard.N.dropped_repairs`.
 pub const MAX_PROPAGATION: usize = 64;
 
 /// Knobs of the online engine (sharding aside, see

@@ -88,7 +88,7 @@ use kiff_dataset::{Dataset, DeltaDataset, FrozenDelta, ItemId, UserId};
 use kiff_graph::{HeapChange, KnnGraph, KnnHeap, Neighbor, ShardReverse};
 use kiff_parallel::{effective_threads, parallel_for_each_mut, ScratchPool};
 use kiff_similarity as sim;
-use kiff_telemetry::{Counter, Gauge, Histogram, Registry};
+use kiff_telemetry::{Counter, Histogram, Registry};
 
 use crate::config::{OnlineConfig, OnlineMetric, MAX_PROPAGATION};
 use crate::scoring::RepairScorer;
@@ -370,7 +370,8 @@ struct Shard {
     /// Targeted repair candidates for queued users, as shared
     /// point-in-time rater snapshots (one chunk per mutation).
     extras: FxHashMap<UserId, Vec<Arc<Vec<UserId>>>>,
-    /// Owned users already repaired this batch.
+    /// Owned users already repaired this batch, or dropped from the
+    /// queue once its budget ran out.
     visited: FxHashSet<UserId>,
     /// Repairs performed this batch, against `budget`.
     repaired: u64,
@@ -424,8 +425,12 @@ struct Shard {
     /// a wave member after the first, and the scores landed on the
     /// heaps, local or by message.
     land_ns: Histogram,
-    /// `shard.N.queue_depth`: repair-queue depth at the last round end.
-    queue_depth: Gauge,
+    /// Distinct unvisited users dropped from the queue this batch when
+    /// its repair budget ran out, not yet flushed into `tele_dropped`.
+    dropped: u64,
+    /// `shard.N.dropped_repairs`: users whose repair the budget cut off
+    /// (lifetime). Flushed in bulk at batch end, like `tele_repairs`.
+    tele_dropped: Counter,
     /// Candidates scored pairwise at landing this batch, not yet flushed
     /// into `tele_late`.
     late: u64,
@@ -465,7 +470,7 @@ impl Shard {
             gather_ns: tele.histogram(&format!("shard.{my}.gather_ns")),
             score_ns: tele.histogram(&format!("shard.{my}.score_ns")),
             land_ns: tele.histogram(&format!("shard.{my}.land_ns")),
-            queue_depth: tele.gauge(&format!("shard.{my}.queue_depth")),
+            tele_dropped: tele.counter(&format!("shard.{my}.dropped_repairs")),
             tele_late: tele.counter("online.late_candidates"),
             tele_unused: tele.counter("online.unused_prepared"),
             telemetry: tele.clone(),
@@ -596,11 +601,17 @@ impl Shard {
             }
         }
         if self.repaired >= self.budget {
-            // Budget exhausted: drop the remaining cascade.
-            self.queue.clear();
+            // Budget exhausted: drop the remaining cascade, counting each
+            // user it cuts off once a batch. Marking them visited only
+            // stops later rounds from queueing them again: the batch
+            // repairs no one else.
+            for u in self.queue.drain(..) {
+                if self.visited.insert(u) {
+                    self.dropped += 1;
+                }
+            }
             self.extras.clear();
         }
-        self.queue_depth.set(self.queue.len() as i64);
     }
 
     /// Pops the next wave, at most `most` users, into `self.wave` and
@@ -1273,6 +1284,7 @@ impl ShardedOnlineKnn {
             // (the serial phase) keeps every exported counter exact
             // without a single shared-cell RMW inside the repair loop.
             shard.tele_repairs.add(shard.repaired);
+            shard.tele_dropped.add(std::mem::take(&mut shard.dropped));
             shard.tele_sims.add(shard.stats.sim_evals);
             shard.tele_scores.add(shard.stats.sim_evals);
             shard.tele_late.add(std::mem::take(&mut shard.late));
@@ -1866,6 +1878,50 @@ pub(crate) mod tests {
                 assert!(snap.counter(name).is_some(), "{name}");
             }
         }
+    }
+
+    #[test]
+    fn dropped_repairs_count_the_cascade_the_budget_cuts_off() {
+        use kiff_dataset::generators::planted::{generate_planted, PlantedConfig};
+        let base = generate_planted(&PlantedConfig {
+            num_users: 400,
+            num_items: 100,
+            ratings_per_user: 20,
+            ..PlantedConfig::tiny("dropped", 7)
+        })
+        .0;
+        let registry = Registry::new();
+        let mut engine = ShardedOnlineKnn::new(
+            &base,
+            OnlineConfig::new(4).with_telemetry(registry.clone()),
+            ShardConfig::new(1).with_threads(1),
+        );
+        let dropped = |registry: &Registry| {
+            registry
+                .snapshot()
+                .counter("shard.0.dropped_repairs")
+                .unwrap_or(0)
+        };
+        // Five new ratings raise similarities only: the cascade stays
+        // well inside the budget.
+        let stats = engine.apply_batch((0..5).map(|j| Update::AddRating {
+            user: j * 61,
+            item: (j * 13) % 100,
+            rating: 1.0,
+        }));
+        assert!(stats.repaired_users < (5 + MAX_PROPAGATION) as u64);
+        assert_eq!(dropped(&registry), 0);
+        // Removing a rating from each of 100 users lowers their scores in
+        // the heaps of their in-neighbours, who queue up past the budget.
+        let stats = engine.apply_batch((0..100).map(|j| {
+            let user = j * 4;
+            Update::RemoveRating {
+                user,
+                item: base.user_profile(user).items[0],
+            }
+        }));
+        assert_eq!(stats.repaired_users, (100 + MAX_PROPAGATION) as u64);
+        assert!(dropped(&registry) > 0);
     }
 
     #[test]

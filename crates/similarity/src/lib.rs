@@ -23,7 +23,10 @@
 //!   algorithms are generic over. Implementations may carry precomputed
 //!   state (per-user norms, per-item Adamic–Adar weights) keyed by the
 //!   dataset they were fitted on, and hand out prepared scorers via
-//!   [`Similarity::scorer`].
+//!   [`Similarity::scorer`]; every candidate loop scores through
+//!   [`score_candidates`]. [`Pairwise`] wraps a metric so that it keeps
+//!   only the pairwise path: the oracle the prepared scorers are checked
+//!   against.
 //!
 //! All provided metrics satisfy the two *sparse axioms* of §III-D used in
 //! KIFF's optimality argument (Eq. 5–6): they are non-negative, and zero
@@ -40,11 +43,11 @@ pub use functions::{
 };
 pub use kernels::{galloping_intersect_count, intersect_count, merge_intersect_count};
 pub use metrics::{
-    AdamicAdar, BinaryCosine, CommonItems, Dice, Jaccard, Similarity, WeightedCosine,
+    AdamicAdar, BinaryCosine, CommonItems, Dice, Jaccard, Pairwise, Similarity, WeightedCosine,
     WeightedJaccard,
 };
 pub use scorer::{
-    ProfileScorer, ScoreKind, Scorer, ScorerWorkspace, ScoringMode, PREPARED_MIN_BATCH,
+    score_candidates, ProfileScorer, ScoreKind, Scorer, ScorerWorkspace, PREPARED_MIN_BATCH,
 };
 
 /// Numerical tolerance used when comparing similarity values for recall

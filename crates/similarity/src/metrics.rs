@@ -413,6 +413,32 @@ impl Scorer for AdamicAdarScorer<'_> {
     }
 }
 
+/// The pairwise oracle of a metric. [`Similarity::sim`],
+/// [`Similarity::name`] and [`Similarity::sparse_axioms`] forward to the
+/// wrapped metric, and [`Similarity::scorer`] keeps its default, so any
+/// algorithm run over `Pairwise(&sim)` scores every candidate with one
+/// `sim` call ([`PairwiseScorer`]) and prepares nothing. The prepared
+/// scorers are checked against it: an algorithm must build the same
+/// graph over `sim` and over `Pairwise(&sim)`.
+pub struct Pairwise<'a, S: ?Sized>(
+    /// The wrapped metric.
+    pub &'a S,
+);
+
+impl<S: Similarity + ?Sized> Similarity for Pairwise<'_, S> {
+    fn sim(&self, dataset: &Dataset, u: UserId, v: UserId) -> f64 {
+        self.0.sim(dataset, u, v)
+    }
+
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn sparse_axioms(&self) -> bool {
+        self.0.sparse_axioms()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -548,6 +574,35 @@ mod tests {
         let mut ws = ScorerWorkspace::new();
         let mut scorer = Constant.scorer(&ds, 1, &mut ws);
         assert_eq!(scorer.score(2), 3.0);
+    }
+
+    #[test]
+    fn pairwise_wrapper_scores_like_its_metric_without_preparing() {
+        let ds = figure2_toy();
+        let fitted = WeightedCosine::fit(&ds);
+        let metric: &dyn Similarity = &fitted;
+        let oracle = Pairwise(metric);
+        assert_eq!(oracle.name(), fitted.name());
+        assert!(oracle.sparse_axioms());
+        let batch = [0, 1, 2, 3, 1, 0];
+        // Scores the batch over `sim` into a fresh registry, returning the
+        // score bits and the `similarity.prepares` count.
+        let score = |sim: &dyn Similarity| {
+            let registry = kiff_telemetry::Registry::new();
+            let mut out = Vec::new();
+            let mut ws = ScorerWorkspace::with_telemetry(&registry);
+            crate::score_candidates(sim, &ds, 0, &batch, &mut ws, &mut out);
+            drop(ws);
+            let snap = registry.snapshot();
+            assert_eq!(snap.counter("similarity.scores"), Some(batch.len() as u64));
+            let bits: Vec<u64> = out.iter().map(|s| s.to_bits()).collect();
+            (bits, snap.counter("similarity.prepares").unwrap_or(0))
+        };
+        let (want, prepared) = score(metric);
+        let (got, oracle_prepares) = score(&oracle);
+        assert_eq!(got, want);
+        assert!(prepared > 0);
+        assert_eq!(oracle_prepares, 0);
     }
 
     #[test]

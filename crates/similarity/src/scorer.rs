@@ -24,6 +24,9 @@
 //! * [`Scorer`] — the object-safe trait [`crate::Similarity::scorer`]
 //!   returns, binding a prepared reference to a dataset so graph
 //!   algorithms stay generic over the metric.
+//! * [`score_candidates`] — the one call every candidate loop makes:
+//!   the prepared scorer for a batch of at least [`PREPARED_MIN_BATCH`],
+//!   [`PairwiseScorer`] for a smaller one.
 //!
 //! Scanning reads every candidate's whole profile, `Σ_{v∈C} |UP_v|`
 //! entries. KIFF's premise is that in sparse data item profiles are
@@ -46,7 +49,10 @@
 //! formulas, with the same f64 widening. So prepared and pairwise scoring
 //! yield bit-identical similarities — the property
 //! `tests/counting_scorers.rs` tests, the `counting` and `baselines` bench
-//! experiments gate, and debug builds assert on every walked score.
+//! experiments gate, and debug builds assert on every walked score. The
+//! oracle of those comparisons is [`crate::Pairwise`]: a metric wrapper
+//! that keeps the default [`crate::Similarity::scorer`], so any algorithm
+//! run over it scores pair by pair.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -60,41 +66,46 @@ use crate::functions;
 /// setup; measured in the `counting` bench experiment).
 const DENSE_MIN_DEGREE: usize = 8;
 
-/// Candidate-batch size below which callers should skip preparation and
-/// score pairwise instead: preparing (profile stamping + a boxed scorer)
-/// only pays for itself across several candidates. Both paths compute
-/// identical similarities, so the choice is invisible in the output —
-/// `refine`, the baselines and `exact_knn` all use this threshold.
+/// Candidate-batch size below which [`score_candidates`] skips
+/// preparation and scores pairwise instead: preparing (profile stamping +
+/// a boxed scorer) only pays for itself across several candidates. Both
+/// paths compute identical similarities, so the choice is invisible in
+/// the output.
 pub const PREPARED_MIN_BATCH: usize = 4;
 
-/// How a candidate loop evaluates similarities against its reference
-/// node.
+/// Scores reference user `u` against every candidate, overwriting `out`
+/// with one similarity per candidate (same order): the one candidate
+/// loop of KIFF's refinement, NN-Descent's local joins, HyRec's pivots,
+/// LSH's bucket groups and the exact constructions' rows.
 ///
-/// Every algorithm in the workspace — KIFF's refinement, NN-Descent's
-/// local joins, HyRec's neighbour-of-neighbour scans, LSH's bucket
-/// joins, the random initialisation and the exact constructions — scores
-/// one *reference* user against a stream of candidates, and accepts this
-/// selector:
-///
-/// * [`ScoringMode::Prepared`] (default) prepares the reference once per
-///   node through [`crate::Similarity::scorer`] and scores each batch
-///   along the cheaper side of the bipartite graph (see the module docs);
-/// * [`ScoringMode::Pairwise`] re-merges both raw profiles per candidate
-///   through [`crate::Similarity::sim`] — the historical behaviour, kept
-///   as the regression baseline for the `counting` and `baselines` bench
-///   experiments.
-///
-/// Both modes compute bit-identical similarities for every metric in
-/// this crate, so they build identical graphs (property-tested in
-/// `tests/counting_scorers.rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScoringMode {
-    /// Prepare a reusable scorer per reference node and score each batch
-    /// along the cheaper side of the bipartite graph. Default.
-    #[default]
-    Prepared,
-    /// Pairwise [`crate::Similarity::sim`] per candidate.
-    Pairwise,
+/// A batch of at least [`PREPARED_MIN_BATCH`] candidates goes to the
+/// metric's prepared scorer ([`crate::Similarity::scorer`], then
+/// [`Scorer::score_into`]); a smaller one to [`PairwiseScorer`], one
+/// [`crate::Similarity::sim`] per candidate. Either way every candidate
+/// counts once in `ws`'s `similarity.scores`. To score pair by pair
+/// throughout, run over [`crate::Pairwise`] of the metric.
+pub fn score_candidates<S: crate::Similarity + ?Sized>(
+    sim: &S,
+    dataset: &Dataset,
+    u: UserId,
+    candidates: &[UserId],
+    ws: &mut ScorerWorkspace,
+    out: &mut Vec<f64>,
+) {
+    if candidates.len() >= PREPARED_MIN_BATCH {
+        // One boxed scorer per batch: the allocation is amortised over
+        // the batch, the price of keeping `Similarity` open for external
+        // metrics (no closed enum to dispatch through).
+        sim.scorer(dataset, u, ws).score_into(candidates, out);
+    } else {
+        PairwiseScorer {
+            sim,
+            dataset,
+            u,
+            ws,
+        }
+        .score_into(candidates, out);
+    }
 }
 
 /// Metric selector for profile-level prepared scoring. Mirrors the
@@ -703,7 +714,8 @@ pub trait Scorer {
 /// The trait-level fallback scorer: pairwise [`crate::Similarity::sim`]
 /// per candidate, no preparation. Used by the default
 /// [`crate::Similarity::scorer`] implementation so custom metrics work
-/// unchanged.
+/// unchanged, and by [`score_candidates`] for a batch too small to
+/// prepare for.
 pub struct PairwiseScorer<'a, S: ?Sized> {
     /// The metric scored through.
     pub sim: &'a S,

@@ -80,7 +80,7 @@ fn json_f64(v: f64) -> String {
 /// {
 ///   "enabled": true,
 ///   "counters": { "core.refine.sims": 123 },
-///   "gauges": { "shard.0.queue_depth": 4 },
+///   "gauges": { "serve.queue_depth": 4 },
 ///   "histograms": {
 ///     "online.repair_ns": { "count": 9, "sum": 1024, "max": 300,
 ///                            "mean": 113.8, "p50": 127, "p95": 511, "p99": 511 }

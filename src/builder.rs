@@ -1,9 +1,9 @@
 //! High-level builder facade over the workspace's algorithms.
 
 use kiff_baselines::{GreedyConfig, HyRec, L2Knng, L2KnngConfig, Lsh, LshConfig, NnDescent};
-use kiff_core::{Kiff, KiffConfig, ScoringMode};
+use kiff_core::{Kiff, KiffConfig};
 use kiff_dataset::Dataset;
-use kiff_graph::{exact_knn_with, KnnGraph};
+use kiff_graph::{exact_knn, KnnGraph};
 use kiff_online::{OnlineConfig, OnlineKnn, OnlineMetric, ShardConfig, ShardedOnlineKnn};
 use kiff_similarity::{
     AdamicAdar, BinaryCosine, Dice, Jaccard, Similarity, WeightedCosine, WeightedJaccard,
@@ -68,7 +68,6 @@ pub struct KnnGraphBuilder {
     beta: Option<f64>,
     termination: Option<f64>,
     seed: u64,
-    scoring: ScoringMode,
     telemetry: Option<Registry>,
 }
 
@@ -85,7 +84,6 @@ impl KnnGraphBuilder {
             beta: None,
             termination: None,
             seed: 42,
-            scoring: ScoringMode::default(),
             telemetry: None,
         }
     }
@@ -149,24 +147,57 @@ impl KnnGraphBuilder {
         self
     }
 
-    /// Sets how every algorithm's candidate loops evaluate similarities
-    /// (default: prepared scorers; see [`ScoringMode`]). Applies to KIFF's
-    /// refinement, the greedy baselines' joins, LSH's bucket scoring and
-    /// the exact construction alike; both modes build identical graphs.
-    pub fn scoring(mut self, scoring: ScoringMode) -> Self {
-        self.scoring = scoring;
-        self
-    }
-
     /// Builds the KNN graph of `dataset`.
     pub fn build(&self, dataset: &Dataset) -> KnnGraph {
         match self.metric {
-            Metric::Cosine => self.dispatch(dataset, &WeightedCosine::fit(dataset)),
-            Metric::BinaryCosine => self.dispatch(dataset, &BinaryCosine),
-            Metric::Jaccard => self.dispatch(dataset, &Jaccard),
-            Metric::WeightedJaccard => self.dispatch(dataset, &WeightedJaccard),
-            Metric::Dice => self.dispatch(dataset, &Dice),
-            Metric::AdamicAdar => self.dispatch(dataset, &AdamicAdar::fit(dataset)),
+            Metric::Cosine => self.build_with(dataset, &WeightedCosine::fit(dataset)),
+            Metric::BinaryCosine => self.build_with(dataset, &BinaryCosine),
+            Metric::Jaccard => self.build_with(dataset, &Jaccard),
+            Metric::WeightedJaccard => self.build_with(dataset, &WeightedJaccard),
+            Metric::Dice => self.build_with(dataset, &Dice),
+            Metric::AdamicAdar => self.build_with(dataset, &AdamicAdar::fit(dataset)),
+        }
+    }
+
+    /// Builds the KNN graph of `dataset` under `sim` instead of the
+    /// configured [`Metric`], which then only picks LSH's signature
+    /// family. Over [`kiff_similarity::Pairwise`] of a metric, every
+    /// algorithm scores pair by pair and must build the graph it builds
+    /// over the metric itself.
+    pub fn build_with<S: Similarity + ?Sized>(&self, dataset: &Dataset, sim: &S) -> KnnGraph {
+        match self.algorithm {
+            Algorithm::Kiff => {
+                let mut config = KiffConfig::new(self.k);
+                config.threads = self.threads;
+                if let Some(t) = &self.telemetry {
+                    config = config.with_telemetry(t.clone());
+                }
+                if let Some(g) = self.gamma {
+                    config = config.with_gamma(g);
+                }
+                if let Some(b) = self.beta {
+                    config = config.with_beta(b);
+                }
+                Kiff::new(config).run(dataset, sim).graph
+            }
+            Algorithm::NnDescent => NnDescent::new(self.greedy_config()).run(dataset, sim).0,
+            Algorithm::HyRec => HyRec::new(self.greedy_config()).run(dataset, sim).0,
+            Algorithm::L2Knng => L2Knng::new(L2KnngConfig::new(self.k)).run(dataset).0,
+            Algorithm::Lsh => {
+                let mut config = match self.metric {
+                    Metric::Jaccard | Metric::WeightedJaccard | Metric::Dice => {
+                        LshConfig::minhash(self.k)
+                    }
+                    _ => LshConfig::new(self.k),
+                };
+                config.threads = self.threads;
+                config.seed = self.seed;
+                if let Some(t) = &self.telemetry {
+                    config = config.with_telemetry(t.clone());
+                }
+                Lsh::new(config).run(dataset, sim).0
+            }
+            Algorithm::Exact => exact_knn(dataset, sim, self.k, self.threads),
         }
     }
 
@@ -244,7 +275,7 @@ impl KnnGraphBuilder {
 
     /// NN-Descent's and HyRec's parameters from the builder's.
     fn greedy_config(&self) -> GreedyConfig {
-        let mut config = GreedyConfig::new(self.k).with_scoring(self.scoring);
+        let mut config = GreedyConfig::new(self.k);
         config.threads = self.threads;
         config.seed = self.seed;
         if let Some(t) = self.termination {
@@ -255,44 +286,6 @@ impl KnnGraphBuilder {
         }
         config
     }
-
-    fn dispatch<S: Similarity>(&self, dataset: &Dataset, sim: &S) -> KnnGraph {
-        match self.algorithm {
-            Algorithm::Kiff => {
-                let mut config = KiffConfig::new(self.k).with_scoring(self.scoring);
-                config.threads = self.threads;
-                if let Some(t) = &self.telemetry {
-                    config = config.with_telemetry(t.clone());
-                }
-                if let Some(g) = self.gamma {
-                    config = config.with_gamma(g);
-                }
-                if let Some(b) = self.beta {
-                    config = config.with_beta(b);
-                }
-                Kiff::new(config).run(dataset, sim).graph
-            }
-            Algorithm::NnDescent => NnDescent::new(self.greedy_config()).run(dataset, sim).0,
-            Algorithm::HyRec => HyRec::new(self.greedy_config()).run(dataset, sim).0,
-            Algorithm::L2Knng => L2Knng::new(L2KnngConfig::new(self.k)).run(dataset).0,
-            Algorithm::Lsh => {
-                let mut config = match self.metric {
-                    Metric::Jaccard | Metric::WeightedJaccard | Metric::Dice => {
-                        LshConfig::minhash(self.k)
-                    }
-                    _ => LshConfig::new(self.k),
-                };
-                config.threads = self.threads;
-                config.seed = self.seed;
-                config.scoring = self.scoring;
-                if let Some(t) = &self.telemetry {
-                    config = config.with_telemetry(t.clone());
-                }
-                Lsh::new(config).run(dataset, sim).0
-            }
-            Algorithm::Exact => exact_knn_with(dataset, sim, self.k, self.threads, self.scoring),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -301,6 +294,7 @@ mod tests {
     use kiff_dataset::dataset::figure2_toy;
     use kiff_dataset::generators::bipartite::{generate_bipartite, BipartiteConfig};
     use kiff_graph::recall;
+    use kiff_similarity::Pairwise;
 
     #[test]
     fn all_algorithms_run_on_toy() {
@@ -367,15 +361,9 @@ mod tests {
             Algorithm::Lsh,
             Algorithm::Exact,
         ] {
-            let build = |scoring| {
-                KnnGraphBuilder::new(4)
-                    .algorithm(algo)
-                    .threads(1)
-                    .scoring(scoring)
-                    .build(&ds)
-            };
-            let prepared = build(ScoringMode::Prepared);
-            let pairwise = build(ScoringMode::Pairwise);
+            let builder = KnnGraphBuilder::new(4).algorithm(algo).threads(1);
+            let prepared = builder.build(&ds);
+            let pairwise = builder.build_with(&ds, &Pairwise(&WeightedCosine::fit(&ds)));
             for u in 0..ds.num_users() as u32 {
                 assert_eq!(
                     prepared.neighbors(u),

@@ -14,19 +14,19 @@
 //!   reference's item rows — and both paths run;
 //! * every *algorithm* of the comparison suite — NN-Descent, HyRec, LSH,
 //!   the random initialisation and both exact constructions — builds the
-//!   identical graph under [`ScoringMode::Prepared`] and
-//!   [`ScoringMode::Pairwise`], across metric families.
+//!   identical graph over a metric and over its [`Pairwise`] oracle,
+//!   across metric families.
 
 use proptest::prelude::*;
 
 use kiff::prelude::*;
 use kiff::{Algorithm, KnnGraphBuilder, Metric};
-use kiff_baselines::random_graph_with;
+use kiff_baselines::random_graph;
 use kiff_core::{build_rcs, CountStrategy, CountingConfig};
 use kiff_dataset::generators::bipartite::{generate_bipartite, BipartiteConfig};
 use kiff_dataset::generators::RatingModel;
-use kiff_graph::{exact_knn_brute_with, exact_knn_with};
-use kiff_similarity::{ScorerWorkspace, ScoringMode, SIM_EPSILON};
+use kiff_graph::{exact_knn, exact_knn_brute};
+use kiff_similarity::{Pairwise, ScorerWorkspace, SIM_EPSILON};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -243,30 +243,34 @@ proptest! {
         }
     }
 
-    /// Every baseline algorithm builds the identical graph under
-    /// prepared and pairwise scoring, for every metric family. Runs
+    /// Every baseline algorithm builds the identical graph over a metric
+    /// and over its pairwise oracle, for every metric family. Runs
     /// multi-threaded: the greedy baselines count changes and retag NN
     /// flags by post-join membership diffs, so a parallel run is the same
     /// deterministic sweep as a serial one and the comparison stays bit
     /// for bit (the ROADMAP's tie-break follow-up).
     #[test]
     fn baselines_invariant_under_scoring(ds in arb_dataset(), k in 1usize..6, seed in 0u64..1000) {
-        for metric in [Metric::Cosine, Metric::Jaccard, Metric::AdamicAdar] {
+        // Each builder metric beside the metric value its `build` fits.
+        let metrics: [(Metric, Box<dyn Similarity>); 3] = [
+            (Metric::Cosine, Box::new(WeightedCosine::fit(&ds))),
+            (Metric::Jaccard, Box::new(Jaccard)),
+            (Metric::AdamicAdar, Box::new(AdamicAdar::fit(&ds))),
+        ];
+        for (metric, sim) in &metrics {
             for algorithm in [
                 Algorithm::NnDescent,
                 Algorithm::HyRec,
                 Algorithm::Lsh,
                 Algorithm::Exact,
             ] {
-                let build = |scoring| KnnGraphBuilder::new(k)
+                let builder = KnnGraphBuilder::new(k)
                     .algorithm(algorithm)
-                    .metric(metric)
-                    .scoring(scoring)
+                    .metric(*metric)
                     .seed(seed)
-                    .threads(2)
-                    .build(&ds);
-                let prepared = build(ScoringMode::Prepared);
-                let pairwise = build(ScoringMode::Pairwise);
+                    .threads(2);
+                let prepared = builder.build(&ds);
+                let pairwise = builder.build_with(&ds, &Pairwise(sim.as_ref()));
                 for u in 0..ds.num_users() as u32 {
                     prop_assert_eq!(
                         prepared.neighbors(u), pairwise.neighbors(u),
@@ -278,36 +282,37 @@ proptest! {
         // The pieces the builder facade does not reach: the standalone
         // random graph and the brute-force exact construction.
         let sim = WeightedCosine::fit(&ds);
-        let rg_p = random_graph_with(&ds, &sim, k, seed, ScoringMode::Prepared);
-        let rg_w = random_graph_with(&ds, &sim, k, seed, ScoringMode::Pairwise);
+        let rg_p = random_graph(&ds, &sim, k, seed);
+        let rg_w = random_graph(&ds, &Pairwise(&sim), k, seed);
         prop_assert_eq!(rg_p, rg_w, "random init diverged");
-        let br_p = exact_knn_brute_with(&ds, &sim, k, Some(2), ScoringMode::Prepared);
-        let br_w = exact_knn_brute_with(&ds, &sim, k, Some(2), ScoringMode::Pairwise);
+        let br_p = exact_knn_brute(&ds, &sim, k, Some(2));
+        let br_w = exact_knn_brute(&ds, &Pairwise(&sim), k, Some(2));
         prop_assert_eq!(&br_p, &br_w, "brute exact diverged");
         // And the brute path must agree with the shared-kernel inverted
         // index (the Eq. 5-6 equivalence the kernel refactor preserves).
-        let inv = exact_knn_with(&ds, &sim, k, Some(2), ScoringMode::Prepared);
+        let inv = exact_knn(&ds, &sim, k, Some(2));
         prop_assert_eq!(&br_p, &inv, "brute vs inverted diverged");
     }
 
     /// End to end: KIFF graphs are invariant under counting path and
-    /// scoring mode (exact mode, so the comparison is deterministic).
+    /// under the pairwise oracle (exact mode, so the comparison is
+    /// deterministic).
     #[test]
     fn kiff_invariant_under_strategy_and_scoring(ds in arb_dataset(), k in 1usize..6) {
-        use kiff_core::{KiffConfig, ScoringMode};
-        let sim = WeightedCosine::fit(&ds);
-        let reference = Kiff::new(KiffConfig::exact(k).with_threads(1)).run(&ds, &sim).graph;
+        use kiff_core::KiffConfig;
+        let fitted = WeightedCosine::fit(&ds);
+        let oracle = Pairwise(&fitted);
+        let reference = Kiff::new(KiffConfig::exact(k).with_threads(1)).run(&ds, &fitted).graph;
         for strategy in [CountStrategy::Dense, CountStrategy::Reference] {
-            for scoring in [ScoringMode::Prepared, ScoringMode::Pairwise] {
+            for (sim, pairwise) in [(&fitted as &dyn Similarity, false), (&oracle, true)] {
                 let config = KiffConfig::exact(k)
                     .with_threads(1)
-                    .with_count_strategy(strategy)
-                    .with_scoring(scoring);
-                let graph = Kiff::new(config).run(&ds, &sim).graph;
+                    .with_count_strategy(strategy);
+                let graph = Kiff::new(config).run(&ds, sim).graph;
                 for u in 0..ds.num_users() as u32 {
                     prop_assert_eq!(
                         graph.neighbors(u), reference.neighbors(u),
-                        "{:?}/{:?} user {}", strategy, scoring, u
+                        "{:?}/pairwise {} user {}", strategy, pairwise, u
                     );
                 }
             }
